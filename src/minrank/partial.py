@@ -246,12 +246,19 @@ def min_rank_completion(
     """Minimum rank over all completions, with a completion attaining it.
 
     Exact: iterative deepening on the target rank, so the first target
-    that admits a completion is the minimum.
+    that admits a completion is the minimum.  Deepening starts at
+    col_min_rank(A), a proven lower bound; each target's search is
+    independent, so skipping the targets below it changes nothing but
+    the time.
     """
+    try:
+        floor = col_min_rank(A)
+    except LimitError:
+        floor = 0
     rows, remap = _prepare_rows(A)
     clock = _Deadline(deadline)
     upper = min(len(rows), A.n)
-    for target in range(upper + 1):
+    for target in range(floor, upper + 1):
         found = _complete_within(rows, A.n, target, clock)
         if found is None:
             continue

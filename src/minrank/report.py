@@ -27,11 +27,11 @@ from .partial import (
     isolation,
     line_cover_number,
     max_rank,
-    min_rank,
+    min_rank_completion,
     row_min_rank,
 )
 from .pmx import compact, parse_pmx
-from .solutions import opt_exact
+from .solutions import _opt_exact
 
 _SKIPPED = "skipped: limit"
 
@@ -63,7 +63,8 @@ def report(A: PartialMatrix, config: ToolConfig | None = None) -> dict:
         "m": A.m,
         "star_count": A.star_count,
     }
-    minrk = _guarded(min_rank, A)
+    completion = min_rank_completion(A)
+    minrk = completion[0]
     out["min_rank"] = minrk
     out["max_rank"] = _guarded(max_rank, A)
     out["line_cover"] = line_cover_number(A)
@@ -74,7 +75,7 @@ def report(A: PartialMatrix, config: ToolConfig | None = None) -> dict:
     out["strongly_isolated"] = isolation(A, strong=True) is not None
     out["lin"] = 1 << (A.n - minrk) if isinstance(minrk, int) else _SKIPPED
     if A.n <= lim.opt_n:
-        opt, _ = opt_exact(A, limit_n=lim.opt_n)
+        opt, _ = _opt_exact(A, lim.opt_n, None, completion)
         out["opt"] = opt
         eps = epsilon_of(A.n, opt, minrk) if isinstance(minrk, int) else None
         out["epsilon"] = eps
@@ -151,10 +152,11 @@ def evaluate_matrix(
 ) -> SearchRecord:
     """The search record for one matrix."""
     cfg = config or ToolConfig()
-    minrk = min_rank(A)
+    completion = min_rank_completion(A)
+    minrk = completion[0]
     opt: int | None
     if A.n <= cfg.limits.opt_n:
-        opt, _ = opt_exact(A, limit_n=cfg.limits.opt_n)
+        opt, _ = _opt_exact(A, cfg.limits.opt_n, None, completion)
     else:
         opt = None
     eps = epsilon_of(A.n, opt, minrk) if opt is not None else None

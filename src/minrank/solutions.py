@@ -37,6 +37,7 @@ from .gf2 import (
 from .partial import (
     PartialMatrix,
     canonical_completion,
+    col_min_rank,
     enumerate_completions,
     min_rank,
     min_rank_completion,
@@ -188,6 +189,17 @@ class SolutionSet:
         return sorted(self.members)
 
 
+def _avoids(lbm: int, K: int, n: int) -> bool:
+    """Whether L ∩ (L ^ k) is empty for every k in K, as bitmaps.
+
+    Translates whichever of L and K is smaller: L ^ k misses L for all
+    k in K exactly when K ^ x misses L for all x in L.
+    """
+    if lbm.bit_count() <= K.bit_count():
+        return all(xor_translate(K, x, n) & lbm == 0 for x in _bits(lbm))
+    return all(xor_translate(lbm, k, n) & lbm == 0 for k in _bits(K))
+
+
 def is_solution(A: PartialMatrix, L: SolutionSet | Iterable[int]) -> bool:
     """Whether no two members of L differ by a forbidden vector."""
     members = L.members if isinstance(L, SolutionSet) else frozenset(L)
@@ -196,7 +208,7 @@ def is_solution(A: PartialMatrix, L: SolutionSet | Iterable[int]) -> bool:
         lbm = 0
         for x in members:
             lbm |= 1 << x
-        return all(xor_translate(F.bitmap, x, A.n) & lbm == 0 for x in members)
+        return _avoids(lbm, F.bitmap, A.n)
     ms = sorted(members)
     return not any(
         F.contains(x ^ y) for i, x in enumerate(ms) for y in ms[i + 1 :]
@@ -221,20 +233,23 @@ def _drop_unused_columns(A: PartialMatrix) -> tuple[PartialMatrix, list[int], li
     dropped = [j for j in range(A.n) if not (used >> j) & 1]
     if not dropped or not kept:
         return A, list(range(A.n)), []
-    packed_a, packed_s = [], []
-    for a, s in zip(A.ones, A.stars):
-        pa = ps = 0
-        for t, j in enumerate(kept):
-            pa |= ((a >> j) & 1) << t
-            ps |= ((s >> j) & 1) << t
-        packed_a.append(pa)
-        packed_s.append(ps)
-    core = PartialMatrix(len(kept), tuple(packed_a), tuple(packed_s))
+    core = PartialMatrix(
+        len(kept),
+        tuple(_pack(a, kept) for a in A.ones),
+        tuple(_pack(s, kept) for s in A.stars),
+    )
     return core, kept, dropped
 
 
 class _SearchBudget(Exception):
     """Internal: a bounded search phase ran out of its node budget."""
+
+
+def _pack(x: int, positions: list[int]) -> int:
+    w = 0
+    for t, j in enumerate(positions):
+        w |= ((x >> j) & 1) << t
+    return w
 
 
 def _spread(w: int, positions: list[int]) -> int:
@@ -266,7 +281,9 @@ class _OptSearch:
     witness are deterministic.
     """
 
-    def __init__(self, A: PartialMatrix, deadline: float | None, budget: int | None = None):
+    def __init__(
+        self, A: PartialMatrix, K: int, deadline: float | None, budget: int | None = None
+    ):
         self.A = A
         self.n = A.n
         self.N = 1 << A.n
@@ -274,9 +291,7 @@ class _OptSearch:
         self.deadline = deadline
         self.budget = budget
         self.ticks = 0
-        F = forbidden_set(A)
-        assert F.bitmap is not None
-        self.K = F.bitmap
+        self.K = K
         self.best = 0
         self.best_members: list[int] = [0]
         self.chosen: list[int] = [0]
@@ -672,7 +687,9 @@ class _ParityChoiceSearch:
     vertex branching is easy.  Only built when every row is thin.
     """
 
-    def __init__(self, A: PartialMatrix, deadline: float | None, budget: int | None = None):
+    def __init__(
+        self, A: PartialMatrix, K: int, deadline: float | None, budget: int | None = None
+    ):
         self.A = A
         self.n = A.n
         self.N = 1 << A.n
@@ -680,9 +697,7 @@ class _ParityChoiceSearch:
         self.deadline = deadline
         self.budget = budget
         self.ticks = 0
-        F = forbidden_set(A)
-        assert F.bitmap is not None
-        self.K = F.bitmap
+        self.K = K
         rows = []
         seen = set()
         for a, s in zip(A.ones, A.stars):
@@ -839,6 +854,24 @@ class _ParityChoiceSearch:
         self._go(alive, ri + 1)
 
 
+def _ratio_bound(K: int, n: int) -> int:
+    """Hoffman's ratio bound on the solutions of a nonempty forbidden set.
+
+    The Cayley graph generated by K is |K|-regular, and its eigenvalues
+    are the Walsh-Hadamard transform of K's indicator, so no independent
+    set exceeds 2^n * (-lambda_min) / (|K| - lambda_min) (Hoffman 1970;
+    the eigenvalue side of Delsarte's 1973 LP bound).  Each pass below
+    transforms the lowest index bit and rotates it to the top, so n
+    passes give every eigenvalue once.
+    """
+    v = list(map(int, reversed(format(K, f"0{1 << n}b"))))
+    for _ in range(n):
+        even, odd = v[0::2], v[1::2]
+        v = [a + b for a, b in zip(even, odd)] + [a - b for a, b in zip(even, odd)]
+    low = min(v)
+    return ((1 << n) * -low) // (K.bit_count() - low)
+
+
 # phase budgets for opt_exact: ticks before the next engine takes over
 _VERTEX_TICKS = 200_000
 _PARITY_TICKS = 400_000
@@ -866,24 +899,45 @@ def opt_exact(
 ) -> tuple[int, SolutionSet]:
     """Exact maximum size of a solution for A, with a witness.
 
-    Runs two complementary exact engines.  First a budgeted branch and
-    bound over independent sets of the Cayley graph generated by the
-    forbidden set (_OptSearch); if that exhausts its node budget and
-    every row is thin, a budgeted parity-choice search takes over with
-    the incumbent so far (_ParityChoiceSearch); if that also runs out,
-    the vertex search finishes unbounded.  Each engine alone is exact,
-    so whichever one completes settles the value.  The witness is
-    verified before it is returned.
+    Starts from a verified linear warm start: the kernel of a min-rank
+    completion, a solution of size lin = 2^(n - min_rank).  When a
+    certified upper bound meets lin, that kernel is returned at once:
+    first the column bound 2^(n - col_min_rank), then, only if that is
+    not tight, Hoffman's ratio bound on the Cayley graph (_ratio_bound).
+
+    Otherwise two complementary exact engines run.  First a budgeted
+    branch and bound over independent sets of the Cayley graph generated
+    by the forbidden set (_OptSearch); if that exhausts its node budget
+    and every row is thin, a budgeted parity-choice search takes over
+    with the incumbent so far (_ParityChoiceSearch); if that also runs
+    out, the vertex search finishes unbounded.  Each engine alone is
+    exact, so whichever one completes settles the value.  Both adopt
+    only strictly larger sets than the warm start, so the witness is the
+    same kernel whenever opt = lin.  A search witness is verified before
+    it is returned, whatever its size.
+
+    Instances whose root bounds are not tight can still take minutes.
     """
+    return _opt_exact(A, limit_n, deadline, None)
+
+
+def _opt_exact(
+    A: PartialMatrix,
+    limit_n: int,
+    deadline: float | None,
+    completion: tuple[int, GF2Matrix] | None,
+) -> tuple[int, SolutionSet]:
+    """opt_exact, reusing `completion` when the caller already holds the
+    (min rank, completion) pair that min_rank_completion(A) returns."""
     if A.n > limit_n:
         raise LimitError(f"exact search over GF(2)^{A.n} exceeds n <= {limit_n}")
-    if A.n >= 12:
-        need = (1 << (A.n - 1)) + 1000
-        if sys.getrecursionlimit() < need:
-            sys.setrecursionlimit(need)
     core, kept, dropped = _drop_unused_columns(A)
     if core is not A:
-        cnt, sol = opt_exact(core, limit_n, deadline)
+        if completion is not None:
+            # the unused columns are zero in every completion
+            r, W = completion
+            completion = r, GF2Matrix(core.n, tuple(_pack(w, kept) for w in W.rows))
+        cnt, sol = _opt_exact(core, limit_n, deadline, completion)
         members = [
             _spread(w, kept) | _spread(d, dropped)
             for w in sol.members
@@ -891,29 +945,40 @@ def opt_exact(
         ]
         return cnt << len(dropped), SolutionSet.of(members, A.n)
 
-    search = _OptSearch(A, deadline, budget=_VERTEX_TICKS)
-    if search.K == 0:
+    K = forbidden_set(A).bitmap
+    assert K is not None
+    if K == 0:
         # edgeless graph: everything is one solution
-        return search.N, SolutionSet.of(range(search.N), A.n)
+        return 1 << A.n, SolutionSet.of(range(1 << A.n), A.n)
 
     # a verified linear warm start: the kernel of a min-rank completion
-    r, W = min_rank_completion(A, deadline)
+    r, W = completion if completion is not None else min_rank_completion(A, deadline)
     V = kernel(W)
     vbm = 0
     for v in V.vectors():
         vbm |= 1 << v
-    if vbm & search.K == 0:
-        search.seed(V.vectors())
-    else:  # pragma: no cover - would contradict the forbidden-set identity
+    if vbm & K:  # pragma: no cover - would contradict the forbidden-set identity
         raise InternalError("kernel of a completion intersects the forbidden set")
 
+    # root certificates: a subspace avoiding K is a solution, so a bound
+    # meeting its size proves it optimal
+    lin = 1 << (A.n - r)
+    if col_min_rank(A, A.n) == r or _ratio_bound(K, A.n) == lin:
+        return lin, SolutionSet.of(V.vectors(), A.n)
+
+    if A.n >= 12:
+        need = (1 << (A.n - 1)) + 1000
+        if sys.getrecursionlimit() < need:
+            sys.setrecursionlimit(need)
+    search = _OptSearch(A, K, deadline, budget=_VERTEX_TICKS)
+    search.seed(V.vectors())
     try:
         best, members = search.run()
     except _SearchBudget:
         best, members = search.best, search.best_members
         settled = False
         if _parity_choice_ready(A):
-            alt = _ParityChoiceSearch(A, deadline, budget=_PARITY_TICKS)
+            alt = _ParityChoiceSearch(A, K, deadline, budget=_PARITY_TICKS)
             alt.seed(members)
             try:
                 best, members = alt.run()
@@ -922,16 +987,18 @@ def opt_exact(
                 if alt.best > best:
                     best, members = alt.best, sorted(_bits(alt.best_mask))
         if not settled:
-            final = _OptSearch(A, deadline)
+            final = _OptSearch(A, K, deadline)
             final.seed(members)
             best, members = final.run()
 
-    witness = SolutionSet.of(members, A.n)
     if len(members) != best:
         raise InternalError("witness size disagrees with the optimum")
-    if len(members) <= 4096 and not is_solution(A, witness):
+    lbm = 0
+    for x in members:
+        lbm |= 1 << x
+    if not _avoids(lbm, K, A.n):
         raise InternalError("witness fails the solution check")
-    return best, witness
+    return best, SolutionSet.of(members, A.n)
 
 
 def brute_force_opt_tiny(A: PartialMatrix) -> int:
@@ -1161,8 +1228,8 @@ def conjecture_epsilon(
     deadline: float | None = None,
 ) -> EpsilonRecord | None:
     """The observed exponent for A, or None when min rank is zero."""
-    r = min_rank(A, deadline)
+    r, W = min_rank_completion(A, deadline)
     if r == 0:
         return None
-    opt, _ = opt_exact(A, limit_n, deadline)
+    opt, _ = _opt_exact(A, limit_n, deadline, (r, W))
     return EpsilonRecord(A.n, opt, r)

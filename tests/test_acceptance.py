@@ -53,6 +53,7 @@ from minrank.solutions import (
     is_solution,
     lin_exact,
     linear_hull_check,
+    _ratio_bound,
     opt_exact,
     separating_min_rank,
 )
@@ -221,6 +222,11 @@ def test_criterion_05_theorem_suite():
 
         # independent columns
         assert opt <= 1 << (n - col_min_rank(A))
+
+        # Hoffman's ratio bound on the Cayley graph of the forbidden set
+        K = forbidden_set(A).bitmap
+        if K:
+            assert opt <= _ratio_bound(K, n)
 
         # star-monotone instances obey the row version
         if is_star_monotone(A):

@@ -1,16 +1,21 @@
 """Unit tests for forbidden sets, solutions, and the exact opt search."""
 
 import random
+import time
 from itertools import product
 
 import pytest
 
+from minrank.codes import CodeMatrixSpec, code_matrix
 from minrank.errors import LimitError, OperatorConflict
 from minrank.gf2 import Subspace, dot, kernel
-from minrank.partial import PartialMatrix, min_rank, min_rank_completion
+from minrank.partial import PartialMatrix, col_min_rank, min_rank, min_rank_completion
 from minrank.pmx import parse_pmx
 from minrank.solutions import (
     SolutionSet,
+    _avoids,
+    _OptSearch,
+    _ratio_bound,
     brute_force_opt_tiny,
     codistance,
     conjecture_epsilon,
@@ -130,6 +135,64 @@ def test_opt_deterministic_witness():
         v2, s2 = opt_exact(A)
         assert v1 == v2
         assert s1.sorted_members() == s2.sorted_members()
+
+
+def test_root_certificate_matches_the_seeded_search():
+    # wherever a root bound settles opt_exact, the vertex search seeded
+    # with the same kernel proves the same value and keeps that witness
+    rng = random.Random(37)
+    cases = [random_matrix(rng, rng.randint(1, 4), rng.randint(2, 7)) for _ in range(200)]
+    for n, r in ((4, 2), (6, 2)):
+        A = code_matrix(CodeMatrixSpec(n, r))
+        rows = list(zip(A.ones, A.stars))
+        for _ in range(3):
+            rng.shuffle(rows)
+            cases.append(PartialMatrix(n, tuple(a for a, _ in rows), tuple(s for _, s in rows)))
+    fired = {"column": 0, "ratio": 0}
+    for A in cases:
+        K = forbidden_set(A).bitmap
+        if K == 0:
+            continue
+        r, W = min_rank_completion(A)
+        if col_min_rank(A) == r:
+            fired["column"] += 1
+        elif _ratio_bound(K, A.n) == 1 << (A.n - r):
+            fired["ratio"] += 1
+        else:
+            continue
+        search = _OptSearch(A, K, None)
+        search.seed(kernel(W).vectors())
+        best, members = search.run()
+        value, sol = opt_exact(A)
+        assert (value, sol.sorted_members()) == (best, members)
+    assert fired["column"] > 150 and fired["ratio"] == 6
+
+
+H3 = parse_pmx(
+    "101*00*01*0*\n00011000*10*\n00***0**1000\n"
+    "*0110*0*1**0\n0***010**0*0\n*01**111*111\n"
+)
+
+
+def test_root_bounds_settle_h1_and_h3():
+    # H3: the column bound 2^(12 - 4) meets lin; H1, the (7, 2) code
+    # matrix: the ratio bound 16 meets lin
+    for A, want in ((H3, 256), (code_matrix(CodeMatrixSpec(7, 2)), 16)):
+        value, sol = opt_exact(A, deadline=time.monotonic() + 10)
+        assert value == sol.size == want
+        assert is_solution(A, sol)
+
+
+def test_witness_above_4096_members_is_checked():
+    A = parse_pmx("1" + "*" * 13 + "\n")
+    value, sol = opt_exact(A)
+    assert value == sol.size == 8192
+    assert is_solution(A, sol)
+    K = forbidden_set(A).bitmap
+    lbm = sum(1 << x for x in sol.members)
+    assert _avoids(lbm, K, A.n)
+    # 0 is a member and 1 is forbidden, so adding 1 breaks the set
+    assert not _avoids(lbm | 0b10, K, A.n)
 
 
 def test_opt_refuses_above_limit():
