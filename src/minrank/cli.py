@@ -102,13 +102,14 @@ def cmd_ka(args) -> int:
 def cmd_search(args) -> int:
     m, n = args.shape
     cfg = _config(args)
-    count = args.count
-    best = None
-    for rec in search(m, n, args.mode, count=count, config=cfg):
-        if cfg.out is None:
-            print(rec.to_json())
-        if rec.epsilon is not None and (best is None or rec.epsilon < best.epsilon):
-            best = rec
+
+    def printed(records):
+        for rec in records:
+            if cfg.out is None:
+                print(rec.to_json())
+            yield rec
+
+    best = best_epsilon(printed(search(m, n, args.mode, count=args.count, config=cfg)))
     if best is None:
         print("# best epsilon: none")
     else:

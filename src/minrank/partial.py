@@ -146,13 +146,19 @@ def _prepare_rows(A: PartialMatrix):
     return ordered, remap
 
 
-def _star_basis(s: int, basis: tuple[int, ...]):
-    """Rref, with generating star sets, of {e_j mod basis : j in stars}."""
+def _star_basis(s: int, units: list[int]):
+    """Rref, with generating star sets, of {e_j mod basis : j in stars},
+    given units[j] = e_j reduced modulo the basis.
+
+    The vectors come in no particular order: each pivot lies in exactly
+    one of them, so reducing against them and enumerating their span
+    give the same result in any order.
+    """
     red: list[tuple[int, int]] = []  # (vector, star subset that generates it)
     for j in range(s.bit_length()):
         if not (s >> j) & 1:
             continue
-        v = reduce_vector(1 << j, basis)
+        v = units[j]
         t = 1 << j
         for bv, bt in red:
             if v & (bv & -bv):
@@ -165,7 +171,6 @@ def _star_basis(s: int, basis: tuple[int, ...]):
             if bv & p:
                 red[k] = (bv ^ v, bt ^ t)
         red.append((v, t))
-        red.sort(key=lambda e: e[0] & -e[0])
     return red
 
 
@@ -191,7 +196,40 @@ class _Deadline:
             raise LimitError("deadline exceeded")
 
 
-def _complete_within(rows, n: int, target: int, clock: _Deadline):
+def _forced_independent(rows, start: int, basis: tuple[int, ...], need: int) -> int:
+    """Greedy count, capped at `need`, of rows[start:] that stay
+    independent modulo span(basis) in every completion.
+
+    A subset U is dependent modulo B iff xor(a_U) lies in
+    B + span{e_j : j in the union of U's stars}, i.e. iff xor(a_U) & ~o
+    lies in the span of {b & ~o : b in B}.  Rows are taken in order,
+    keeping every subset sum of the chosen set as max_independent_rows
+    does.
+    """
+    sums = [(0, 0)]
+    projected: dict[int, tuple[int, ...]] = {}
+    count = 0
+    for a, s in rows[start:]:
+        fresh = []
+        ok = True
+        for x, o in sums:
+            nx, no = x ^ a, o | s
+            p = projected.get(no)
+            if p is None:
+                p = projected[no] = rref(b & ~no for b in basis)
+            if reduce_vector(nx & ~no, p) == 0:
+                ok = False
+                break
+            fresh.append((nx, no))
+        if ok:
+            count += 1
+            if count >= need:
+                break
+            sums += fresh
+    return count
+
+
+def _complete_within(rows, n: int, target: int, clock: _Deadline, reduced_units: dict):
     """Completions of the worklist spanning at most `target` dimensions.
 
     Depth-first over rows.  When some completion of the current row
@@ -199,6 +237,16 @@ def _complete_within(rows, n: int, target: int, clock: _Deadline):
     completion reachable by growing the span is also reachable after
     staying inside it.  Otherwise each branch adjoins one coset
     representative, tried in ascending vector order.
+
+    Before a node branches it is cut when more than room = target -
+    dim(span) of the rows still to place are independent modulo the span
+    in every completion (_forced_independent): every completion below it
+    outgrows the target.  Such a node holds no completion, so the cut
+    leaves the search order and the result unchanged.  The test runs
+    only at nodes with at most n rows still to place, so its cost per
+    node does not grow with m on tall matrices, where it seldom cuts.  `reduced_units` maps
+    each span met to its reduced unit vectors, across the targets of one
+    matrix.
     """
     failed: set = set()
 
@@ -210,9 +258,12 @@ def _complete_within(rows, n: int, target: int, clock: _Deadline):
         if key in failed:
             return None
         a, s = rows[idx]
-        red = _star_basis(s, basis)
-        v = reduce_vector(a, basis)
-        t = 0
+        units = reduced_units.get(basis)
+        if units is None:
+            units = reduced_units[basis] = [reduce_vector(1 << j, basis) for j in range(n)]
+        red = _star_basis(s, units)
+        ra = reduce_vector(a, basis)
+        v, t = ra, 0
         for bv, bt in red:
             if v & (bv & -bv):
                 v ^= bv
@@ -223,10 +274,12 @@ def _complete_within(rows, n: int, target: int, clock: _Deadline):
                 return [a ^ t] + rest
             failed.add(key)
             return None
-        if len(basis) >= target:
+        room = target - len(basis)
+        if room <= 0 or (
+            len(rows) - idx <= n and _forced_independent(rows, idx, basis, room + 1) > room
+        ):
             failed.add(key)
             return None
-        ra = reduce_vector(a, basis)
         span = [(0, 0)]
         for bv, bt in red:
             span += [(u ^ bv, ut ^ bt) for u, ut in span]
@@ -240,6 +293,13 @@ def _complete_within(rows, n: int, target: int, clock: _Deadline):
     return go(0, ())
 
 
+# The last matrix min_rank_completion completed, and its answer.  The
+# answer does not depend on the deadline, so a hit is exact; a call that
+# raises stores nothing.  One tuple is read and written whole, so
+# concurrent callers see either the old entry or the new one.
+_last_completion: tuple[PartialMatrix, tuple[int, GF2Matrix]] | None = None
+
+
 def min_rank_completion(
     A: PartialMatrix, deadline: float | None = None
 ) -> tuple[int, GF2Matrix]:
@@ -249,21 +309,34 @@ def min_rank_completion(
     that admits a completion is the minimum.  Deepening starts at
     col_min_rank(A), a proven lower bound; each target's search is
     independent, so skipping the targets below it changes nothing but
-    the time.
+    the time.  Within a target, _complete_within cuts every node whose
+    remaining rows are forced to outgrow the target, which also changes
+    nothing but the time.
+
+    The answer for the last matrix completed is kept, so a call on an
+    equal matrix right after (min_rank, then opt_exact) returns it
+    without searching again.
     """
+    global _last_completion
+    last = _last_completion
+    if last is not None and last[0] == A:
+        return last[1]
     try:
         floor = col_min_rank(A)
     except LimitError:
         floor = 0
     rows, remap = _prepare_rows(A)
     clock = _Deadline(deadline)
+    reduced_units: dict = {}
     upper = min(len(rows), A.n)
     for target in range(floor, upper + 1):
-        found = _complete_within(rows, A.n, target, clock)
+        found = _complete_within(rows, A.n, target, clock, reduced_units)
         if found is None:
             continue
         full = [0 if t is None else found[t] for t in remap]
-        return target, GF2Matrix(A.n, tuple(full))
+        answer = target, GF2Matrix(A.n, tuple(full))
+        _last_completion = A, answer
+        return answer
     raise AssertionError("unreachable: the canonical completion always fits")
 
 

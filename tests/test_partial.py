@@ -1,13 +1,18 @@
 """Unit tests for partial matrices and their rank parameters."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
 
+from minrank import partial
+from minrank.codes import CodeMatrixSpec, code_matrix
 from minrank.errors import LimitError
-from minrank.gf2 import GF2Matrix, dot, rank
+from minrank.gf2 import GF2Matrix, dot, rank, reduce_vector, rref
 from minrank.partial import (
+    _insert,
+    _prepare_rows,
     PartialMatrix,
     canonical_completion,
     col_min_rank,
@@ -24,6 +29,7 @@ from minrank.partial import (
     stars_independent,
 )
 from minrank.pmx import parse_pmx
+from minrank.solutions import opt_exact
 
 A1 = parse_pmx("10*0*1\n*111**\n0**1**\n")
 A2 = parse_pmx("11*1\n101*\n1*00\n")
@@ -239,3 +245,174 @@ def test_row_min_rank_dedupes_before_the_cap():
     # 30 copies of one row collapse to a single vector
     A = PartialMatrix(3, (1,) * 30, (2,) * 30)
     assert row_min_rank(A) == 1
+
+
+def reference_star_basis(s, basis):
+    red = []
+    for j in range(s.bit_length()):
+        if not (s >> j) & 1:
+            continue
+        v = reduce_vector(1 << j, basis)
+        t = 1 << j
+        for bv, bt in red:
+            if v & (bv & -bv):
+                v ^= bv
+                t ^= bt
+        if v == 0:
+            continue
+        p = v & -v
+        for k, (bv, bt) in enumerate(red):
+            if bv & p:
+                red[k] = (bv ^ v, bt ^ t)
+        red.append((v, t))
+        red.sort(key=lambda e: e[0] & -e[0])
+    return red
+
+
+def reference_complete_within(rows, target):
+    """The depth-first search of _complete_within without the
+    forced-independence cut and the cache of reduced unit vectors: the
+    oracle that min_rank_completion must agree with byte for byte."""
+    failed = set()
+
+    def go(idx, basis):
+        if idx == len(rows):
+            return []
+        key = (idx, basis)
+        if key in failed:
+            return None
+        a, s = rows[idx]
+        red = reference_star_basis(s, basis)
+        v = reduce_vector(a, basis)
+        t = 0
+        for bv, bt in red:
+            if v & (bv & -bv):
+                v ^= bv
+                t ^= bt
+        if v == 0:
+            rest = go(idx + 1, basis)
+            if rest is not None:
+                return [a ^ t] + rest
+            failed.add(key)
+            return None
+        if len(basis) >= target:
+            failed.add(key)
+            return None
+        ra = reduce_vector(a, basis)
+        span = [(0, 0)]
+        for bv, bt in red:
+            span += [(u ^ bv, ut ^ bt) for u, ut in span]
+        for u, ut in sorted((ra ^ u, ut) for u, ut in span):
+            rest = go(idx + 1, _insert(basis, u))
+            if rest is not None:
+                return [a ^ ut] + rest
+        failed.add(key)
+        return None
+
+    return go(0, ())
+
+
+def reference_min_rank_completion(A):
+    rows, remap = _prepare_rows(A)
+    for target in range(col_min_rank(A), min(len(rows), A.n) + 1):
+        found = reference_complete_within(rows, target)
+        if found is not None:
+            full = tuple(0 if t is None else found[t] for t in remap)
+            return target, GF2Matrix(A.n, full)
+    raise AssertionError("the canonical completion always fits")
+
+
+def shuffled_rows(A, rng):
+    rows = list(zip(A.ones, A.stars))
+    rng.shuffle(rows)
+    return PartialMatrix(A.n, tuple(a for a, _ in rows), tuple(s for _, s in rows))
+
+
+def test_min_rank_completion_matches_the_unpruned_search():
+    rng = random.Random(43)
+    cases = [
+        random_matrix(rng, rng.randint(1, 6), rng.randint(1, 12)) for _ in range(300)
+    ]
+    cases += [random_matrix(rng, 6, 12) for _ in range(20)]
+    for n in range(2, 8):
+        for r in range(1, n):
+            if (n, r) != (7, 2):
+                cases.append(shuffled_rows(code_matrix(CodeMatrixSpec(n, r)), rng))
+    for A in cases:
+        assert min_rank_completion(A) == reference_min_rank_completion(A)
+
+
+def test_every_forced_independence_cut_holds_no_completion(monkeypatch):
+    cuts = set()
+    real = partial._forced_independent
+
+    def spy(rows, start, basis, need):
+        got = real(rows, start, basis, need)
+        if got >= need:  # the node is cut: room = need - 1
+            cuts.add((tuple(rows[start:]), basis, len(basis) + need - 1))
+        return got
+
+    monkeypatch.setattr(partial, "_forced_independent", spy)
+    rng = random.Random(47)
+    for _ in range(600):
+        A = random_matrix(rng, rng.randint(2, 6), rng.randint(3, 8))
+        if A.star_count > 10:
+            continue
+        # every target up to the minimum, so the failing ones are cut too
+        rows, _ = _prepare_rows(A)
+        for target in range(min_rank(A) + 1):
+            partial._complete_within(rows, A.n, target, partial._Deadline(None), {})
+    for rest, basis, target in cuts:
+        n = max(v.bit_length() for row in rest for v in row)
+        R = PartialMatrix(n, tuple(a for a, _ in rest), tuple(s for _, s in rest))
+        for M in enumerate_completions(R):
+            assert len(rref(basis + M.rows)) > target
+    assert len(cuts) > 500
+    assert sum(1 for _, basis, _ in cuts if basis) > 80  # below the root
+
+
+def test_code_matrix_min_ranks():
+    for r, want in ((3, 4), (4, 6), (5, 6)):
+        assert min_rank(code_matrix(CodeMatrixSpec(7, r))) == want
+
+
+@pytest.fixture
+def dfs_calls(monkeypatch):
+    """Clear the min_rank_completion memo and count target searches."""
+    calls = []
+    real = partial._complete_within
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(partial, "_complete_within", counted)
+    monkeypatch.setattr(partial, "_last_completion", None)
+    return calls
+
+
+def test_min_rank_then_opt_exact_completes_once(dfs_calls):
+    assert min_rank(A1) == 2
+    searched = len(dfs_calls)
+    assert searched > 0
+    assert opt_exact(A1)[0] > 0
+    assert len(dfs_calls) == searched
+
+
+def test_memo_compares_matrices_by_value(dfs_calls):
+    first = min_rank_completion(A1)
+    searched = len(dfs_calls)
+    twin = PartialMatrix(A1.n, tuple(list(A1.ones)), tuple(list(A1.stars)))
+    assert twin is not A1 and twin.ones is not A1.ones
+    assert min_rank_completion(twin) == first
+    assert len(dfs_calls) == searched
+    assert min_rank_completion(A2) == reference_min_rank_completion(A2)
+    assert len(dfs_calls) > searched
+
+
+def test_deadline_refusal_is_not_memoized(dfs_calls):
+    A = code_matrix(CodeMatrixSpec(6, 3))
+    with pytest.raises(LimitError):
+        min_rank_completion(A, deadline=time.monotonic() - 1)
+    assert partial._last_completion is None
+    assert min_rank_completion(A) == reference_min_rank_completion(A)
