@@ -248,3 +248,83 @@ def enumerate_subspaces(
     top = n if max_dim is None else min(max_dim, n)
     for k in range(top + 1):
         yield from subspaces_of_dim(n, k)
+
+
+# ---------------------------------------------------------------------------
+# occupancy bitmaps over all 2^n vectors
+#
+# A set of vectors is an int with bit x marking vector x.  Translating a
+# set by x is a fixed permutation of bitmap blocks, so the Cayley-graph
+# work of the forbidden set (min rank from the kernel side, the opt
+# search) is a few shifts and ANDs per step.
+
+
+def _parity_bitmap(a: int, n: int) -> int:
+    """Bitmap with bit x = <a, x>, built by doubling over coordinates."""
+    bm, size = 0, 1
+    for j in range(n):
+        mask = (1 << size) - 1
+        half = bm ^ mask if (a >> j) & 1 else bm
+        bm |= half << size
+        size <<= 1
+    return bm
+
+
+def _vanishes_bitmap(s: int, n: int) -> int:
+    """Bitmap with bit x = 1 iff x & s == 0."""
+    bm, size = 1, 1
+    for j in range(n):
+        if not (s >> j) & 1:
+            bm |= bm << size
+        size <<= 1
+    return bm
+
+
+_half_masks: dict[tuple[int, int], int] = {}
+
+
+def _half_mask(n: int, j: int) -> int:
+    # bitmap of the vectors whose coordinate j is zero
+    key = (n, j)
+    got = _half_masks.get(key)
+    if got is None:
+        got = _half_masks[key] = _vanishes_bitmap(1 << j, n)
+    return got
+
+
+def xor_translate(bm: int, x: int, n: int) -> int:
+    """Bitmap of {v ^ x : v in bm}, as coordinate-wise block swaps."""
+    j = 0
+    while x:
+        if x & 1:
+            sh = 1 << j
+            zero = _half_mask(n, j)
+            bm = ((bm & zero) << sh) | ((bm >> sh) & zero)
+        x >>= 1
+        j += 1
+    return bm
+
+
+def _bits(v: int):
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
+
+
+def _ratio_bound(K: int, n: int) -> int:
+    """Hoffman's ratio bound on the solutions of a nonempty forbidden set.
+
+    The Cayley graph generated by K is |K|-regular, and its eigenvalues
+    are the Walsh-Hadamard transform of K's indicator, so no independent
+    set exceeds 2^n * (-lambda_min) / (|K| - lambda_min) (Hoffman 1970;
+    the eigenvalue side of Delsarte's 1973 LP bound).  Each pass below
+    transforms the lowest index bit and rotates it to the top, so n
+    passes give every eigenvalue once.
+    """
+    v = list(map(int, reversed(format(K, f"0{1 << n}b"))))
+    for _ in range(n):
+        even, odd = v[0::2], v[1::2]
+        v = [a + b for a, b in zip(even, odd)] + [a - b for a, b in zip(even, odd)]
+    low = min(v)
+    return ((1 << n) * -low) // (K.bit_count() - low)

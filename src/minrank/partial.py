@@ -13,8 +13,20 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .config import LIMITS
-from .errors import LimitError
-from .gf2 import GF2Matrix, rank, reduce_vector, rref, solve
+from .errors import LimitError, _BudgetSpent
+from .gf2 import (
+    GF2Matrix,
+    _bits,
+    _half_mask,
+    _parity_bitmap,
+    _ratio_bound,
+    _vanishes_bitmap,
+    rank,
+    reduce_vector,
+    rref,
+    solve,
+    xor_translate,
+)
 
 __all__ = [
     "PartialMatrix",
@@ -184,15 +196,25 @@ def _insert(basis: tuple[int, ...], v: int) -> tuple[int, ...]:
 
 
 class _Deadline:
+    """Ticks shared by both deciders of min_rank_completion.
+
+    `stop`, when set, is the tick count at which the running slice ends.
+    """
+
     def __init__(self, deadline: float | None):
         self.deadline = deadline
         self.ticks = 0
+        self.stop: int | None = None
 
     def check(self):
-        if self.deadline is None:
-            return
         self.ticks += 1
-        if self.ticks & 1023 == 0 and time.monotonic() > self.deadline:
+        if self.stop is not None and self.ticks > self.stop:
+            raise _BudgetSpent
+        if self.ticks & 1023 == 0:
+            self.check_time()
+
+    def check_time(self):
+        if self.deadline is not None and time.monotonic() > self.deadline:
             raise LimitError("deadline exceeded")
 
 
@@ -229,7 +251,9 @@ def _forced_independent(rows, start: int, basis: tuple[int, ...], need: int) -> 
     return count
 
 
-def _complete_within(rows, n: int, target: int, clock: _Deadline, reduced_units: dict):
+def _complete_within(
+    rows, n: int, target: int, clock: _Deadline, reduced_units: dict, failed: set | None = None
+):
     """Completions of the worklist spanning at most `target` dimensions.
 
     Depth-first over rows.  When some completion of the current row
@@ -246,9 +270,12 @@ def _complete_within(rows, n: int, target: int, clock: _Deadline, reduced_units:
     only at nodes with at most n rows still to place, so its cost per
     node does not grow with m on tall matrices, where it seldom cuts.  `reduced_units` maps
     each span met to its reduced unit vectors, across the targets of one
-    matrix.
+    matrix.  `failed` holds the nodes proven empty at this target; a
+    caller that passes the same set again after a _BudgetSpent resumes
+    without searching them twice.
     """
-    failed: set = set()
+    if failed is None:
+        failed = set()
 
     def go(idx: int, basis: tuple[int, ...]):
         if idx == len(rows):
@@ -293,11 +320,81 @@ def _complete_within(rows, n: int, target: int, clock: _Deadline, reduced_units:
     return go(0, ())
 
 
-# The last matrix min_rank_completion completed, and its answer.  The
-# answer does not depend on the deadline, so a hit is exact; a call that
-# raises stores nothing.  One tuple is read and written whole, so
+def _forbidden_bitmap(rows, n: int) -> int:
+    """Bitmap of the forbidden set of (fixed ones, stars) rows: every x
+    that vanishes on the stars of some row with a fixed one and has odd
+    inner product with that row's fixed ones."""
+    bm = 0
+    for a, s in rows:
+        if a:
+            bm |= _vanishes_bitmap(s, n) & _parity_bitmap(a, n)
+    return bm
+
+
+def _avoiding_subspace(K: int, n: int, dim: int, clock: _Deadline) -> bool:
+    """Whether some subspace of GF(2)^n of dimension `dim` has no member
+    in the forbidden set K.
+
+    This decides min rank from the kernel side: a completion of rank at
+    most n - dim exists iff such a subspace does.  Each subspace is
+    visited once, through its reduced echelon basis: the pivot of a
+    vector is its high bit, basis vectors ascend, and each one is zero on
+    the pivots before it.  `cand` holds the x with x ^ v outside K for
+    every v in the span built so far; adjoining b keeps cand & (cand ^ b).
+    The nonzero vectors that the rest of the basis spans lie in cand,
+    above the last pivot and zero on every pivot so far, so a node with
+    fewer than 2^(dim - k) - 1 such candidates is cut (k vectors built).
+    """
+    full = (1 << (1 << n)) - 1
+
+    def go(cand: int, k: int, allowed: int) -> bool:
+        nxt = cand & allowed
+        need = (1 << (dim - k)) - 1
+        left = nxt.bit_count()  # candidates from x on, x included
+        if left < need:
+            return False
+        if k + 1 >= dim:
+            return True
+        for x in _bits(nxt):
+            clock.check()
+            if left < need:
+                return False
+            left -= 1
+            top = 1 << x.bit_length()  # the first vector above x's pivot
+            rest = (allowed & _half_mask(n, x.bit_length() - 1)) >> top << top
+            if go(cand & xor_translate(cand, x, n), k + 1, rest):
+                return True
+        return False
+
+    return go(full & ~K, 0, full ^ 1)
+
+
+# min_rank_completion races the kernel side only on matrices this
+# narrow.  Up to n = 8 (the code matrices and code (8, 2)) the race is
+# measured to win; on random 16 x 12 and 8 x 16 matrices the kernel side
+# proved no target infeasible and only added its slices, each tick of
+# which costs about n * 2^n / 64 machine words there.
+_KERNEL_SIDE_N = 8
+
+# The first slice of each decider, in ticks; it doubles after every round.
+_FIRST_SLICE = 256
+
+# The last matrix min_rank_completion completed, its answer, and its
+# column floor (None when col_min_rank refused at its default limit).
+# The answer does not depend on the deadline, so a hit is exact; a call
+# that raises stores nothing.  One tuple is read and written whole, so
 # concurrent callers see either the old entry or the new one.
-_last_completion: tuple[PartialMatrix, tuple[int, GF2Matrix]] | None = None
+_last_completion: tuple[PartialMatrix, tuple[int, GF2Matrix], int | None] | None = None
+
+
+def _column_floor(A: PartialMatrix, limit: int) -> int:
+    """col_min_rank(A, limit), read from the memo when A is the last
+    matrix completed, so that min_rank followed by opt_exact finds it
+    once per matrix."""
+    last = _last_completion
+    if last is not None and last[0] == A and last[2] is not None:
+        return last[2]
+    return col_min_rank(A, limit)
 
 
 def min_rank_completion(
@@ -307,11 +404,27 @@ def min_rank_completion(
 
     Exact: iterative deepening on the target rank, so the first target
     that admits a completion is the minimum.  Deepening starts at
-    col_min_rank(A), a proven lower bound; each target's search is
-    independent, so skipping the targets below it changes nothing but
-    the time.  Within a target, _complete_within cuts every node whose
-    remaining rows are forced to outgrow the target, which also changes
-    nothing but the time.
+    col_min_rank(A), a proven lower bound.  Two exact deciders race on
+    each target t:
+
+    * the rank side, _complete_within, a depth-first search for the
+      completion itself that cuts every node whose remaining rows are
+      forced to outgrow t;
+    * the kernel side, _avoiding_subspace, a search for a subspace of
+      dimension n - t avoiding the forbidden set K, which exists iff some
+      completion has rank at most t.
+
+    The rank side always runs first, in slices of ticks that double from
+    256; its memo of failed nodes is kept between slices.  After each
+    slice it does not finish, the kernel side gets an equal slice.  If
+    that proves t infeasible, t is skipped; if it finds a subspace, the
+    rank side finishes t without a slice limit.  Only matrices with
+    n <= 8 race; wider ones run the rank side alone, unsliced.
+    The first time a matrix reaches the kernel side, K is built and the
+    floor rises to n - floor(log2 of K's ratio bound), since
+    2^(n - min rank) = lin <= opt <= the ratio bound.  Every completion
+    returned is the one the rank side finds at the minimum, so the
+    answer does not depend on the race or the deadline.
 
     The answer for the last matrix completed is kept, so a call on an
     equal matrix right after (min_rank, then opt_exact) returns it
@@ -321,23 +434,51 @@ def min_rank_completion(
     last = _last_completion
     if last is not None and last[0] == A:
         return last[1]
+    n = A.n
     try:
-        floor = col_min_rank(A)
+        column_floor = col_min_rank(A)
     except LimitError:
-        floor = 0
+        column_floor = None
+    floor = column_floor or 0
     rows, remap = _prepare_rows(A)
     clock = _Deadline(deadline)
     reduced_units: dict = {}
-    upper = min(len(rows), A.n)
-    for target in range(floor, upper + 1):
-        found = _complete_within(rows, A.n, target, clock, reduced_units)
-        if found is None:
-            continue
-        full = [0 if t is None else found[t] for t in remap]
-        answer = target, GF2Matrix(A.n, tuple(full))
-        _last_completion = A, answer
-        return answer
-    raise AssertionError("unreachable: the canonical completion always fits")
+    K = None  # the forbidden set, built when the kernel side first runs
+
+    def decide(target: int):
+        nonlocal K, floor
+        failed: set = set()
+        budget = _FIRST_SLICE
+        while n <= _KERNEL_SIDE_N:
+            clock.stop = clock.ticks + budget
+            try:
+                return _complete_within(rows, n, target, clock, reduced_units, failed)
+            except _BudgetSpent:
+                pass
+            clock.check_time()
+            if K is None:
+                K = _forbidden_bitmap(rows, n)
+                floor = max(floor, n + 1 - _ratio_bound(K, n).bit_length())
+            if target < floor:
+                return None
+            clock.stop = clock.ticks + budget
+            try:
+                if not _avoiding_subspace(K, n, n - target, clock):
+                    return None
+                break
+            except _BudgetSpent:
+                pass
+            budget *= 2
+        clock.stop = None
+        return _complete_within(rows, n, target, clock, reduced_units, failed)
+
+    target = floor
+    while (found := decide(target)) is None:
+        target = max(target + 1, floor)
+    full = [0 if t is None else found[t] for t in remap]
+    answer = target, GF2Matrix(n, tuple(full))
+    _last_completion = A, answer, column_floor
+    return answer
 
 
 def min_rank(A: PartialMatrix, deadline: float | None = None) -> int:

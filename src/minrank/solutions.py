@@ -23,21 +23,27 @@ from itertools import product
 from typing import Iterable
 
 from .config import LIMITS
-from .errors import InternalError, LimitError, OperatorConflict
+from .errors import InternalError, LimitError, OperatorConflict, _BudgetSpent
 from .gf2 import (
     GF2Matrix,
     Subspace,
+    _bits,
+    _half_mask,
+    _parity_bitmap,
+    _ratio_bound,
     dot,
     kernel,
     min_weight_nonzero,
     orthogonal_complement,
     rank,
     subspaces_of_dim,
+    xor_translate,
 )
 from .partial import (
     PartialMatrix,
+    _column_floor,
+    _forbidden_bitmap,
     canonical_completion,
-    col_min_rank,
     enumerate_completions,
     min_rank,
     min_rank_completion,
@@ -60,63 +66,6 @@ __all__ = [
     "linear_hull_check",
     "conjecture_epsilon",
 ]
-
-
-# ---------------------------------------------------------------------------
-# indicator bitmaps over all 2^n vectors
-
-
-def _parity_bitmap(a: int, n: int) -> int:
-    """Bitmap with bit x = <a, x>, built by doubling over coordinates."""
-    bm, size = 0, 1
-    for j in range(n):
-        mask = (1 << size) - 1
-        half = bm ^ mask if (a >> j) & 1 else bm
-        bm |= half << size
-        size <<= 1
-    return bm
-
-
-def _vanishes_bitmap(s: int, n: int) -> int:
-    """Bitmap with bit x = 1 iff x & s == 0."""
-    bm, size = 1, 1
-    for j in range(n):
-        if not (s >> j) & 1:
-            bm |= bm << size
-        size <<= 1
-    return bm
-
-
-_half_masks: dict[tuple[int, int], int] = {}
-
-
-def _half_mask(n: int, j: int) -> int:
-    # bitmap of the vectors whose coordinate j is zero
-    key = (n, j)
-    got = _half_masks.get(key)
-    if got is None:
-        got = _half_masks[key] = _vanishes_bitmap(1 << j, n)
-    return got
-
-
-def xor_translate(bm: int, x: int, n: int) -> int:
-    """Bitmap of {v ^ x : v in bm}, as coordinate-wise block swaps."""
-    j = 0
-    while x:
-        if x & 1:
-            sh = 1 << j
-            zero = _half_mask(n, j)
-            bm = ((bm & zero) << sh) | ((bm >> sh) & zero)
-        x >>= 1
-        j += 1
-    return bm
-
-
-def _bits(v: int):
-    while v:
-        low = v & -v
-        yield low.bit_length() - 1
-        v ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +107,7 @@ def forbidden_set(A: PartialMatrix, bitmap_limit: int = LIMITS.ka_bitmap_n) -> F
     rows = tuple(zip(A.ones, A.stars))
     if A.n > bitmap_limit:
         return ForbiddenSet(A.n, rows, None)
-    bm = 0
-    for a, s in rows:
-        if a == 0:
-            continue
-        bm |= _vanishes_bitmap(s, A.n) & _parity_bitmap(a, A.n)
-    return ForbiddenSet(A.n, rows, bm)
+    return ForbiddenSet(A.n, rows, _forbidden_bitmap(rows, A.n))
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +183,6 @@ def _drop_unused_columns(A: PartialMatrix) -> tuple[PartialMatrix, list[int], li
         tuple(_pack(s, kept) for s in A.stars),
     )
     return core, kept, dropped
-
-
-class _SearchBudget(Exception):
-    """Internal: a bounded search phase ran out of its node budget."""
 
 
 def _pack(x: int, positions: list[int]) -> int:
@@ -409,7 +349,7 @@ class _OptSearch:
     def _tick(self):
         self.ticks += 1
         if self.budget is not None and self.ticks > self.budget:
-            raise _SearchBudget
+            raise _BudgetSpent
         if (
             self.deadline is not None
             and self.ticks & 255 == 0
@@ -722,7 +662,7 @@ class _ParityChoiceSearch:
     def _tick(self):
         self.ticks += 1
         if self.budget is not None and self.ticks > self.budget:
-            raise _SearchBudget
+            raise _BudgetSpent
         if (
             self.deadline is not None
             and self.ticks & 255 == 0
@@ -854,24 +794,6 @@ class _ParityChoiceSearch:
         self._go(alive, ri + 1)
 
 
-def _ratio_bound(K: int, n: int) -> int:
-    """Hoffman's ratio bound on the solutions of a nonempty forbidden set.
-
-    The Cayley graph generated by K is |K|-regular, and its eigenvalues
-    are the Walsh-Hadamard transform of K's indicator, so no independent
-    set exceeds 2^n * (-lambda_min) / (|K| - lambda_min) (Hoffman 1970;
-    the eigenvalue side of Delsarte's 1973 LP bound).  Each pass below
-    transforms the lowest index bit and rotates it to the top, so n
-    passes give every eigenvalue once.
-    """
-    v = list(map(int, reversed(format(K, f"0{1 << n}b"))))
-    for _ in range(n):
-        even, odd = v[0::2], v[1::2]
-        v = [a + b for a, b in zip(even, odd)] + [a - b for a, b in zip(even, odd)]
-    low = min(v)
-    return ((1 << n) * -low) // (K.bit_count() - low)
-
-
 # phase budgets for opt_exact: ticks before the next engine takes over
 _VERTEX_TICKS = 200_000
 _PARITY_TICKS = 400_000
@@ -931,28 +853,35 @@ def _opt_exact(
     (min rank, completion) pair that min_rank_completion(A) returns."""
     if A.n > limit_n:
         raise LimitError(f"exact search over GF(2)^{A.n} exceeds n <= {limit_n}")
-    core, kept, dropped = _drop_unused_columns(A)
-    if core is not A:
-        if completion is not None:
-            # the unused columns are zero in every completion
-            r, W = completion
-            completion = r, GF2Matrix(core.n, tuple(_pack(w, kept) for w in W.rows))
-        cnt, sol = _opt_exact(core, limit_n, deadline, completion)
-        members = [
-            _spread(w, kept) | _spread(d, dropped)
-            for w in sol.members
-            for d in range(1 << len(dropped))
-        ]
-        return cnt << len(dropped), SolutionSet.of(members, A.n)
-
-    K = forbidden_set(A).bitmap
-    assert K is not None
-    if K == 0:
+    if not any(A.ones):
         # edgeless graph: everything is one solution
         return 1 << A.n, SolutionSet.of(range(1 << A.n), A.n)
+    r, W = completion if completion is not None else min_rank_completion(A, deadline)
+    col = _column_floor(A, A.n)
+    core, kept, dropped = _drop_unused_columns(A)
+    if core is A:
+        return _opt_core(A, r, W, col, deadline)
+    # the unused columns are zero in every completion and in no
+    # independent set of columns
+    W = GF2Matrix(core.n, tuple(_pack(w, kept) for w in W.rows))
+    cnt, sol = _opt_core(core, r, W, col, deadline)
+    members = [
+        _spread(w, kept) | _spread(d, dropped)
+        for w in sol.members
+        for d in range(1 << len(dropped))
+    ]
+    return cnt << len(dropped), SolutionSet.of(members, A.n)
+
+
+def _opt_core(
+    A: PartialMatrix, r: int, W: GF2Matrix, col: int, deadline: float | None
+) -> tuple[int, SolutionSet]:
+    """opt_exact on a matrix with a fixed one and no unused column, given
+    its min rank r, a completion W attaining r, and col_min_rank(A)."""
+    K = forbidden_set(A).bitmap
+    assert K is not None
 
     # a verified linear warm start: the kernel of a min-rank completion
-    r, W = completion if completion is not None else min_rank_completion(A, deadline)
     V = kernel(W)
     vbm = 0
     for v in V.vectors():
@@ -963,7 +892,7 @@ def _opt_exact(
     # root certificates: a subspace avoiding K is a solution, so a bound
     # meeting its size proves it optimal
     lin = 1 << (A.n - r)
-    if col_min_rank(A, A.n) == r or _ratio_bound(K, A.n) == lin:
+    if col == r or _ratio_bound(K, A.n) == lin:
         return lin, SolutionSet.of(V.vectors(), A.n)
 
     if A.n >= 12:
@@ -974,7 +903,7 @@ def _opt_exact(
     search.seed(V.vectors())
     try:
         best, members = search.run()
-    except _SearchBudget:
+    except _BudgetSpent:
         best, members = search.best, search.best_members
         settled = False
         if _parity_choice_ready(A):
@@ -983,7 +912,7 @@ def _opt_exact(
             try:
                 best, members = alt.run()
                 settled = True
-            except _SearchBudget:
+            except _BudgetSpent:
                 if alt.best > best:
                     best, members = alt.best, sorted(_bits(alt.best_mask))
         if not settled:

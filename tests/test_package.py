@@ -1,0 +1,37 @@
+"""The names the minrank package exports."""
+
+import minrank
+
+EXPORTS = [
+    "CodeMatrixSpec", "ConsistentOperator", "Depth2Circuit", "EpsilonRecord",
+    "ForbiddenSet", "GF2Matrix", "HullVerdict", "InternalError", "IsolationWitness",
+    "LIMITS", "LimitError", "Limits", "LinearDepth2Circuit", "MiddleGate",
+    "OperatorConflict", "OutputGate", "ParseError", "PartialMatrix", "SearchRecord",
+    "SolutionSet", "Subspace", "ToolConfig", "ToolkitError", "VERSION", "ball",
+    "best_epsilon", "brute_force_opt_tiny", "canonical_completion", "code_matrix",
+    "code_row_min_rank", "codistance", "col_min_rank", "compact",
+    "conjecture_epsilon", "dot", "emit_ckt", "emit_pmx", "enumerate_completions",
+    "enumerate_subspaces", "epsilon_of", "evaluate", "evaluate_matrix",
+    "extract_linear_operator", "forbidden_set", "format_report", "gv_bound",
+    "hamming_bound", "is_solution", "is_star_monotone", "isolation", "kernel",
+    "lin_exact", "line_cover_number", "linear_hull_check", "linearize",
+    "linearize_middle", "matrix_of", "max_independent_rows", "max_rank", "metrics",
+    "min_distance", "min_rank", "min_rank_completion", "min_weight_nonzero",
+    "opt_exact", "orthogonal_complement", "parse_ckt", "parse_pmx", "rank",
+    "reconstruct_operator", "report", "rigidity", "row_min_rank", "row_text",
+    "search", "separating_min_rank", "solve", "star_matching", "stars_independent",
+    "subspaces_of_dim", "vec", "vec_text", "verify_ka_is_ball",
+]
+
+
+def test_exports_are_pinned():
+    assert len(EXPORTS) == 83
+    assert sorted(minrank.__all__) == EXPORTS
+    for name in EXPORTS:
+        assert getattr(minrank, name) is not None
+
+
+def test_star_import_brings_every_export():
+    scope: dict = {}
+    exec("from minrank import *", scope)
+    assert sorted(k for k in scope if k != "__builtins__") == EXPORTS

@@ -416,3 +416,108 @@ def test_deadline_refusal_is_not_memoized(dfs_calls):
         min_rank_completion(A, deadline=time.monotonic() - 1)
     assert partial._last_completion is None
     assert min_rank_completion(A) == reference_min_rank_completion(A)
+
+
+def star_heavy_matrix(rng, m, n, density):
+    """Each entry a star with probability `density`, else 0 or 1 evenly."""
+    ones, stars = [], []
+    for _ in range(m):
+        a = s = 0
+        for j in range(n):
+            if rng.random() < density:
+                s |= 1 << j
+            elif rng.random() < 0.5:
+                a |= 1 << j
+        ones.append(a)
+        stars.append(s)
+    return PartialMatrix(n, tuple(ones), tuple(stars))
+
+
+def test_kernel_side_agrees_with_the_rank_side_at_every_target():
+    # a subspace of dimension n - t avoids the forbidden set iff some
+    # completion has rank at most t
+    rng = random.Random(53)
+    cases = [random_matrix(rng, rng.randint(1, 8), rng.randint(1, 7)) for _ in range(200)]
+    cases += [star_heavy_matrix(rng, 12, 6, 0.6) for _ in range(60)]
+    cases += [star_heavy_matrix(rng, rng.randint(8, 15), 7, 0.5) for _ in range(40)]
+    feasible = infeasible = 0
+    for A in cases:
+        rows, _ = _prepare_rows(A)
+        K = partial._forbidden_bitmap(rows, A.n)
+        for t in range(A.n + 1):
+            clock = partial._Deadline(None)
+            kernel_side = partial._avoiding_subspace(K, A.n, A.n - t, clock)
+            rank_side = partial._complete_within(rows, A.n, t, clock, {}) is not None
+            assert kernel_side == rank_side
+            feasible += kernel_side
+            infeasible += not kernel_side
+    assert feasible > 1000 and infeasible > 400
+
+
+def test_min_rank_of_code_8_2_and_h1_within_a_deadline(monkeypatch):
+    for (n, r), want in (((8, 2), 4), ((7, 2), 3)):
+        monkeypatch.setattr(partial, "_last_completion", None)
+        A = code_matrix(CodeMatrixSpec(n, r))
+        assert min_rank(A, deadline=time.monotonic() + 10) == want
+
+
+def test_expired_deadline_on_the_race_leaves_the_memo(monkeypatch):
+    kernel_calls = []
+    real = partial._avoiding_subspace
+
+    def spy(*args):
+        kernel_calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(partial, "_avoiding_subspace", spy)
+    held = min_rank_completion(A1)
+    entry = partial._last_completion
+    A = code_matrix(CodeMatrixSpec(6, 3))
+    with pytest.raises(LimitError):
+        min_rank_completion(A, deadline=time.monotonic() - 1)
+    assert partial._last_completion is entry and entry[1] == held
+    assert min_rank_completion(A) == reference_min_rank_completion(A)
+    assert kernel_calls  # the race reached the kernel side
+
+
+def test_wide_matrices_run_the_rank_side_alone_within_a_deadline(monkeypatch):
+    # on these the kernel side proves nothing and its ticks cost about
+    # n * 2^n / 64 words; the rank side alone takes about 0.3 s on each
+    kernel_calls = []
+    monkeypatch.setattr(partial, "_avoiding_subspace", lambda *args: kernel_calls.append(args))
+    tall = star_heavy_matrix(random.Random(3), 8, 16, 0.4)
+    rng = random.Random(6)
+    star_heavy_matrix(rng, 8, 16, 0.4)
+    wide = star_heavy_matrix(rng, 16, 12, 0.5)
+    for A, want in ((tall, 4), (wide, 5)):
+        monkeypatch.setattr(partial, "_last_completion", None)
+        r, W = min_rank_completion(A, deadline=time.monotonic() + 5)
+        assert r == want and rank(W) == r and is_completion(A, W)
+    assert kernel_calls == []
+
+
+def test_min_rank_then_opt_exact_finds_the_column_floor_once(monkeypatch):
+    calls = []
+    real = partial.col_min_rank
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(partial, "col_min_rank", counted)
+
+    def forget():
+        monkeypatch.setattr(partial, "_last_completion", None)
+
+    rng = random.Random(59)
+    cases = [A1, A2, PartialMatrix(8, A1.ones, A1.stars)]  # two unused columns
+    cases += [random_matrix(rng, rng.randint(2, 5), rng.randint(4, 9)) for _ in range(40)]
+    for A in cases:
+        forget()
+        calls.clear()
+        min_rank(A)
+        value, sol = opt_exact(A)
+        assert len(calls) == 1
+        forget()
+        cold = opt_exact(A)
+        assert (value, sol.sorted_members()) == (cold[0], cold[1].sorted_members())
