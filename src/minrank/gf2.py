@@ -292,6 +292,24 @@ def _half_mask(n: int, j: int) -> int:
     return got
 
 
+def _star_classes(s: int, n: int, basis: Iterable[int] = ()) -> list[int]:
+    """Split GF(2)^n by the pattern on the star positions s, then by the
+    parities against each vector of `basis`.
+
+    Returns one bitmap per class.  Bit t of a class index is coordinate
+    j of its vectors, for the t-th star position j in ascending order;
+    the bits above those are the parities against basis, in order.
+    """
+    full = (1 << (1 << n)) - 1
+    splits = [_half_mask(n, j) for j in _bits(s)]
+    splits += [full ^ _parity_bitmap(b, n) for b in basis]
+    classes = [full]
+    for zero in splits:
+        one = full ^ zero
+        classes = [c & zero for c in classes] + [c & one for c in classes]
+    return classes
+
+
 def xor_translate(bm: int, x: int, n: int) -> int:
     """Bitmap of {v ^ x : v in bm}, as coordinate-wise block swaps."""
     j = 0

@@ -389,10 +389,21 @@ _last_completion: tuple[PartialMatrix, tuple[int, GF2Matrix], int | None] | None
 
 def _column_floor(A: PartialMatrix, limit: int) -> int:
     """col_min_rank(A, limit), read from the memo when A is the last
-    matrix completed, so that min_rank followed by opt_exact finds it
-    once per matrix."""
+    matrix completed, so that min_rank followed by opt_exact or report
+    finds it once per matrix.
+
+    The memo's floor was found at the default limit.  A limit of at
+    least that default, or at least n (which bounds the distinct
+    columns), refuses nowhere the default accepted; a smaller one may,
+    so it asks col_min_rank again.
+    """
     last = _last_completion
-    if last is not None and last[0] == A and last[2] is not None:
+    if (
+        last is not None
+        and last[0] == A
+        and last[2] is not None
+        and limit >= min(A.n, LIMITS.subset_rows)
+    ):
         return last[2]
     return col_min_rank(A, limit)
 

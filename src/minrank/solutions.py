@@ -31,11 +31,13 @@ from .gf2 import (
     _half_mask,
     _parity_bitmap,
     _ratio_bound,
+    _star_classes,
     dot,
     kernel,
     min_weight_nonzero,
     orthogonal_complement,
     rank,
+    rref,
     subspaces_of_dim,
     xor_translate,
 )
@@ -209,13 +211,16 @@ class _OptSearch:
     basic bound |chosen| + |candidates| is strengthened by three
     admissible relaxations:
 
-    * per-row bound: members falling in one projection class of a row's
-      star set must agree on their parity against the row, so each class
-      contributes the larger parity side only;
+    * star-set bound: members in one class of a star set S (equal on S)
+      agree on their parity against every row with stars S, so each
+      class contributes its largest joint parity fibre only.  Rows
+      sharing S give one entry; where their ones span all coordinates
+      outside S, every fibre is one vector and the entry is the number
+      of S-classes touched, counted by folding;
     * coset bound: for a subspace U inside K + {0}, every U-coset is a
       clique, so candidates touch at most (touched cosets) further picks;
-    * clique bound: for a clique C through 0, translates of C tile the
-      graph fractionally, giving |touched| / |C|.
+    * clique bound: for a clique C through 0 other than U, translates of
+      C tile the graph fractionally, giving |touched| / |C|.
 
     All tie-breaking is by ascending vector index, so the search and its
     witness are deterministic.
@@ -241,23 +246,43 @@ class _OptSearch:
     # -- setup ------------------------------------------------------------
 
     def _prepare_row_bounds(self):
-        rows = []
-        seen = set()
+        # Two members equal on a star set S differ by a vector vanishing
+        # on S, so they agree on <a, x> for every row with stars S: the
+        # members in one S-class share one joint parity fibre of those
+        # rows' ones outside S.  Rows sharing S therefore give one entry.
+        n = self.n
+        groups: dict[int, list[int]] = {}
         for a, s in zip(self.A.ones, self.A.stars):
+            if 0 < s.bit_count() <= 8 and a & ~s:
+                groups.setdefault(s, []).append(a & ~s)
+        folds, entries = [], []
+        for s, ones in groups.items():
             k = s.bit_count()
-            if a == 0 or k == 0 or k > 8 or (a, s) in seen:
+            if k + len(rref(ones)) == n:
+                # each fibre of an S-class is a single vector, so the entry
+                # counts the S-classes cand touches: fold out the other
+                # coordinates, highest first so the bitmap shrinks
+                outside = [j for j in reversed(range(n)) if not (s >> j) & 1]
+                folds.append([(1 << j, _half_mask(n, j)) for j in outside])
                 continue
-            seen.add((a, s))
-            parity = _parity_bitmap(a, self.n)
-            classes = [self.full]
-            for j in _bits(s):
-                zero = _half_mask(self.n, j)
-                one = self.full ^ zero
-                classes = [c & zero for c in classes] + [c & one for c in classes]
-            rows.append((parity, classes))
-        # fewer classes first: cheaper to evaluate and often tighter
-        rows.sort(key=lambda e: len(e[1]))
-        self.bound_rows = rows
+            # at most 2^9 cells per entry (256 star classes of two parity
+            # sides); a larger group splits into chunks that each span
+            # their own rows
+            chunks = [()]
+            for a in ones:
+                grown = rref(chunks[-1] + (a,))
+                if k + len(grown) <= 9:
+                    chunks[-1] = grown
+                else:
+                    chunks.append((a,))
+            classes = _star_classes(s, n)
+            for basis in chunks:
+                # the last fibre of a class is counted by subtraction
+                entries.append((classes, _star_classes(0, n, basis)[:-1]))
+        # fewer cells first: cheaper to evaluate and often tighter
+        entries.sort(key=lambda e: len(e[0]) * (len(e[1]) + 1))
+        self.fold_entries = folds
+        self.class_entries = entries
 
     def _prepare_cliques(self):
         # Largest subspace U with U \ {0} inside K: every coset of U is a
@@ -291,7 +316,8 @@ class _OptSearch:
                     extend(idx + 1, span_list + [e ^ s for s in span_list])
 
         extend(0, [0])
-        self.coset_U = best if len(best) > 1 else None
+        # best lists the span in chain order, so its basis sits at 1, 2, 4, ...
+        self.coset_basis = [best[1 << i] for i in range(len(best).bit_length() - 1)]
 
         # greedy clique through 0; need not be a subspace, so it can beat
         # the coset bound on very dense forbidden sets
@@ -303,7 +329,8 @@ class _OptSearch:
             scanned += 1
             if all((K >> (x ^ c)) & 1 for c in C if c != 0):
                 C.append(x)
-        self.clique_C = C if len(C) > 2 else None
+        # a clique equal to U as a set repeats the coset bound
+        self.clique_C = C if len(C) > 2 and set(C) != set(best) else None
 
     # -- bounds -----------------------------------------------------------
 
@@ -314,25 +341,40 @@ class _OptSearch:
         caller only uses the value to prune.
         """
         bound = cand.bit_count()
-        for parity, classes in self.bound_rows:
+        for fold in self.fold_entries:
+            touched = cand
+            for shift, zero in fold:
+                touched = (touched | touched >> shift) & zero
+            b = touched.bit_count()
+            if b < bound:
+                bound = b
+                if bound < needed:
+                    return bound
+        for classes, fibres in self.class_entries:
             total = 0
             for cls in classes:
                 inside = cand & cls
                 if inside == 0:
                     continue
-                odd = (inside & parity).bit_count()
-                total += max(odd, inside.bit_count() - odd)
+                last = inside.bit_count()
+                top = 0
+                for f in fibres:
+                    c = (inside & f).bit_count()
+                    last -= c
+                    if c > top:
+                        top = c
+                total += top if top > last else last
                 if total >= bound:
                     break
             if total < bound:
                 bound = total
                 if bound < needed:
                     return bound
-        if self.coset_U is not None:
+        if self.coset_basis:
             touched = cand
-            for u in self.coset_U[1:]:
-                touched |= xor_translate(cand, u, self.n)
-            b = touched.bit_count() // len(self.coset_U)
+            for u in self.coset_basis:
+                touched |= xor_translate(touched, u, self.n)
+            b = touched.bit_count() >> len(self.coset_basis)
             if b < bound:
                 bound = b
                 if bound < needed:
@@ -417,23 +459,6 @@ class _OptSearch:
             cand ^= low
         if added:
             del self.chosen[-added:]
-
-
-def _pattern_classes(a: int, s: int, n: int) -> tuple[int, list[tuple[int, int]]]:
-    """Split GF(2)^n by the star pattern of one row.
-
-    Returns the row's parity bitmap and, for every pattern p over the
-    star positions, the pair of bitmaps holding the vectors of that
-    pattern with odd and even parity against the row.
-    """
-    parity = _parity_bitmap(a, n)
-    full = (1 << (1 << n)) - 1
-    classes = [full]
-    for j in _bits(s):
-        zero = _half_mask(n, j)
-        one = full ^ zero
-        classes = [c & zero for c in classes] + [c & one for c in classes]
-    return parity, [(c & parity, c & ~parity) for c in classes]
 
 
 def _pair_choice_max(
@@ -644,8 +669,10 @@ class _ParityChoiceSearch:
             if a == 0 or (a, s) in seen:
                 continue
             seen.add((a, s))
-            parity, classes = _pattern_classes(a, s, self.n)
-            rows.append((a, s, classes))
+            # (odd, even) sides of each star-pattern class against the row
+            classes = _star_classes(s, self.n, (a,))
+            half = len(classes) // 2
+            rows.append((a, s, list(zip(classes[half:], classes[:half]))))
         rows.sort(key=lambda r: len(r[2]))
         self.rows = rows
         self.best = 0
@@ -942,15 +969,10 @@ def brute_force_opt_tiny(A: PartialMatrix) -> int:
     if any(s.bit_count() > LIMITS.tiny_stars_per_row for s in A.stars):
         raise LimitError("a row has too many stars for the tiny brute force")
 
-    N = 1 << A.n
-    full = (1 << N) - 1
+    full = (1 << (1 << A.n)) - 1
     accepts = []
     for s in A.stars:
-        classes = [full]
-        for j in _bits(s):
-            zero = _half_mask(A.n, j)
-            one = full ^ zero
-            classes = [c & zero for c in classes] + [c & one for c in classes]
+        classes = _star_classes(s, A.n)
         per_table = []
         for t in range(1 << len(classes)):
             acc = 0

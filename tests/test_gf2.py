@@ -8,6 +8,7 @@ import pytest
 from minrank.errors import LimitError
 from minrank.gf2 import (
     GF2Matrix,
+    _star_classes,
     Subspace,
     dot,
     enumerate_subspaces,
@@ -217,3 +218,18 @@ def test_empty_and_degenerate_matrices():
     assert rank(M) == 0
     assert kernel(M).dim == 3
     assert M.mul_vec(5) == 0
+
+
+def test_star_classes_index_by_star_pattern_then_parities():
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        s = rng.getrandbits(n)
+        basis = [rng.getrandbits(n) for _ in range(rng.randint(0, 2))]
+        stars = [j for j in range(n) if (s >> j) & 1]
+        classes = _star_classes(s, n, basis)
+        assert len(classes) == 1 << (len(stars) + len(basis))
+        for x in range(1 << n):
+            p = sum(((x >> j) & 1) << t for t, j in enumerate(stars))
+            p |= sum(dot(b, x) << (len(stars) + t) for t, b in enumerate(basis))
+            assert [(c >> x) & 1 for c in classes] == [int(i == p) for i in range(len(classes))]

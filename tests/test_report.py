@@ -6,8 +6,11 @@ from dataclasses import replace
 
 import pytest
 
+from minrank import partial
+from minrank.codes import CodeMatrixSpec, code_matrix
 from minrank.config import LIMITS, ToolConfig
 from minrank.errors import LimitError
+from minrank.partial import PartialMatrix
 from minrank.pmx import parse_pmx
 from minrank.report import (
     SearchRecord,
@@ -53,6 +56,44 @@ def test_report_marks_skipped_fields():
     assert rep["epsilon"] == "skipped: limit"
     assert rep["row_min_rank"] == "skipped: limit"
     assert rep["min_rank"] == 2  # unaffected fields still computed
+
+
+def test_report_reads_col_min_rank_from_the_completion(monkeypatch):
+    calls = []
+    real = partial.col_min_rank
+
+    def counted(A, limit=LIMITS.subset_rows):
+        calls.append(limit)
+        return real(A, limit)
+
+    monkeypatch.setattr(partial, "col_min_rank", counted)
+    # 3 x 22, column j reading j in base 3 (0, 1, *): 22 distinct
+    # columns, so the default limit of 20 refuses
+    digit = [[j // 3**t % 3 for j in range(22)] for t in range(3)]
+    wide = PartialMatrix(
+        22,
+        tuple(sum(1 << j for j in range(22) if d[j] == 1) for d in digit),
+        tuple(sum(1 << j for j in range(22) if d[j] == 2) for d in digit),
+    )
+    code = code_matrix(CodeMatrixSpec(5, 2))
+    D = LIMITS.subset_rows
+    # (matrix, report's limit, field, col_min_rank calls): the completion
+    # finds the floor at the default limit; report asks again only where
+    # its own limit could refuse what that one accepted
+    cases = [
+        (code, D, real(code), [D]),
+        (code, 40, real(code), [D]),
+        (code, 4, "skipped: limit", [D, 4]),
+        (A1, 2, "skipped: limit", [D, 2]),
+        (wide, D, "skipped: limit", [D, D]),
+        (wide, 22, real(wide, 22), [D, 22]),
+    ]
+    for A, limit, want, want_calls in cases:
+        monkeypatch.setattr(partial, "_last_completion", None)
+        calls.clear()
+        rep = report(A, ToolConfig(limits=replace(LIMITS, subset_rows=limit)))
+        assert rep["col_min_rank"] == want
+        assert calls == want_calls
 
 
 def test_format_report_stable_order():

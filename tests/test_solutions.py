@@ -8,7 +8,8 @@ import pytest
 
 from minrank.codes import CodeMatrixSpec, code_matrix
 from minrank.errors import LimitError, OperatorConflict
-from minrank.gf2 import Subspace, dot, kernel
+from minrank import solutions
+from minrank.gf2 import Subspace, _bits, _half_mask, _parity_bitmap, dot, kernel
 from minrank.partial import PartialMatrix, col_min_rank, min_rank, min_rank_completion
 from minrank.pmx import parse_pmx
 from minrank.solutions import (
@@ -282,3 +283,194 @@ def test_conjecture_epsilon_flagship():
     assert (rec.n, rec.opt, rec.minrk) == (6, 16, 2)
     assert rec.value == 1.0
     assert conjecture_epsilon(parse_pmx("**\n")) is None
+
+
+class _RowBoundSearch(_OptSearch):
+    """_OptSearch with the bound it had before rows were grouped by star
+    set: one entry per distinct row, the coset bound over every member
+    of U, and the clique bound even where C equals U.  The oracle for
+    the star-set bound."""
+
+    def _prepare_row_bounds(self):
+        rows = []
+        seen = set()
+        for a, s in zip(self.A.ones, self.A.stars):
+            k = s.bit_count()
+            if a == 0 or k == 0 or k > 8 or (a, s) in seen:
+                continue
+            seen.add((a, s))
+            parity = _parity_bitmap(a, self.n)
+            classes = [self.full]
+            for j in _bits(s):
+                zero = _half_mask(self.n, j)
+                one = self.full ^ zero
+                classes = [c & zero for c in classes] + [c & one for c in classes]
+            rows.append((parity, classes))
+        rows.sort(key=lambda e: len(e[1]))
+        self.bound_rows = rows
+
+    def _prepare_cliques(self):
+        super()._prepare_cliques()
+        span = [0]
+        for u in self.coset_basis:
+            span += [u ^ v for v in span]
+        self.coset_U = span if len(span) > 1 else None
+        K = self.K
+        C = [0]
+        for scanned, x in enumerate(_bits(K)):
+            if len(C) >= 64 or scanned >= 4096:
+                break
+            if all((K >> (x ^ c)) & 1 for c in C if c != 0):
+                C.append(x)
+        self.clique_C = C if len(C) > 2 else None
+
+    def _strong_bound(self, cand, needed):
+        bound = cand.bit_count()
+        for parity, classes in self.bound_rows:
+            total = 0
+            for cls in classes:
+                inside = cand & cls
+                if inside == 0:
+                    continue
+                odd = (inside & parity).bit_count()
+                total += max(odd, inside.bit_count() - odd)
+                if total >= bound:
+                    break
+            if total < bound:
+                bound = total
+                if bound < needed:
+                    return bound
+        for T in (self.coset_U, self.clique_C):
+            if T is not None:
+                touched = cand
+                for t in T[1:]:
+                    touched |= xor_translate(cand, t, self.n)
+                b = touched.bit_count() // len(T)
+                if b < bound:
+                    bound = b
+                    if bound < needed:
+                        return bound
+        return bound
+
+
+def _max_independent(cand: int, K: int, n: int) -> int:
+    """Largest set inside cand with no two members differing in K."""
+    if cand == 0:
+        return 0
+    low = cand & -cand
+    x = low.bit_length() - 1
+    rest = cand ^ low
+    return max(
+        _max_independent(rest, K, n),
+        1 + _max_independent(rest & ~xor_translate(K, x, n), K, n),
+    )
+
+
+def _shuffled_codes(rng, max_n, shuffles):
+    out = []
+    for n in range(2, max_n + 1):
+        for r in range(n):
+            try:
+                A = code_matrix(CodeMatrixSpec(n, r))
+            except (ValueError, LimitError):
+                continue
+            out.append(A)
+            rows = list(zip(A.ones, A.stars))
+            for _ in range(shuffles):
+                rng.shuffle(rows)
+                out.append(PartialMatrix(n, tuple(a for a, _ in rows), tuple(s for _, s in rows)))
+    return out
+
+
+def test_star_set_bound_is_admissible_and_within_the_row_bound():
+    rng = random.Random(61)
+    cases = [random_matrix(rng, rng.randint(1, 8), rng.randint(2, 5)) for _ in range(150)]
+    # rows drawn from two star sets, so groups hold several rows
+    for _ in range(60):
+        n = rng.randint(3, 5)
+        pool = [rng.getrandbits(n) for _ in range(2)]
+        rows = [(rng.getrandbits(n), rng.choice(pool)) for _ in range(rng.randint(2, 7))]
+        cases.append(PartialMatrix(n, tuple(a & ~s for a, s in rows), tuple(s for _, s in rows)))
+    cases += _shuffled_codes(rng, 6, 1)
+    grouped = folded = 0
+    for A in cases:
+        K = forbidden_set(A).bitmap
+        new = _OptSearch(A, K, None)
+        old = _RowBoundSearch(A, K, None)
+        grouped += len(new.class_entries) + len(new.fold_entries) < len(old.bound_rows)
+        folded += bool(new.fold_entries)
+        free = ((1 << (1 << A.n)) - 1) & ~K & ~1
+        for _ in range(6):
+            cand = free & rng.getrandbits(1 << A.n)
+            if cand.bit_count() > 22:
+                # keep the brute force small on the wider code matrices
+                cand = sum(1 << x for x in rng.sample(list(_bits(cand)), 22))
+            b_new = new._strong_bound(cand, 0)
+            assert old._strong_bound(cand, 0) >= b_new >= _max_independent(cand, K, A.n)
+    assert grouped > 40 and folded > 20
+
+
+def test_star_set_bound_splits_groups_past_the_class_cap():
+    # 7 stars and four independent rows outside them: 2^(7 + 4) cells
+    # pass the cap, so the rows split into chunks of at most 2^9 cells
+    n = 12
+    s = 0b1111111
+    ones = (1 << 7, 1 << 8, 1 << 9, 1 << 10 | 1 << 7)
+    A = PartialMatrix(n, ones, (s,) * 4)
+    search = _OptSearch(A, forbidden_set(A).bitmap, None)
+    assert not search.fold_entries
+    assert [len(f) + 1 for _, f in search.class_entries] == [4, 4]
+    for classes, fibres in search.class_entries:
+        assert len(classes) == 128
+    # every row lies in the span of one chunk: the entries are at least
+    # as tight as the row bound on random candidate sets
+    old = _RowBoundSearch(A, search.K, None)
+    rng = random.Random(67)
+    for _ in range(20):
+        cand = rng.getrandbits(1 << n) & ~search.K & ~1
+        assert search._strong_bound(cand, 0) <= old._strong_bound(cand, 0)
+
+
+def _opt_with(monkeypatch, engine, A):
+    ticks = []
+
+    class Counted(engine):
+        def run(self):
+            try:
+                return super().run()
+            finally:
+                ticks.append(self.ticks)
+
+    monkeypatch.setattr(solutions, "_OptSearch", Counted)
+    value, sol = opt_exact(A)
+    return value, sol.sorted_members(), ticks
+
+
+def _reaches_search(A):
+    # no root certificate settles opt_exact on A
+    K = forbidden_set(A).bitmap
+    if not K:
+        return False
+    r, _ = min_rank_completion(A)
+    return col_min_rank(A, A.n) != r and _ratio_bound(K, A.n) != 1 << (A.n - r)
+
+
+def test_star_set_bound_keeps_every_answer_and_witness(monkeypatch):
+    rng = random.Random(71)
+    cases = _shuffled_codes(rng, 7, 2)
+    cases += [random_matrix(rng, rng.randint(3, 10), rng.randint(4, 7)) for _ in range(200)]
+    # most random matrices settle at the root; these tall ones reach the search
+    tall = []
+    while len(tall) < 60:
+        A = random_matrix(rng, rng.randint(6, 14), rng.randint(5, 6))
+        if _reaches_search(A):
+            tall.append(A)
+    for A in cases + tall:
+        new = _opt_with(monkeypatch, _OptSearch, A)
+        old = _opt_with(monkeypatch, _RowBoundSearch, A)
+        assert new[:2] == old[:2]
+        assert sum(new[2]) <= sum(old[2])
+    # code (7, 3): the ticks its search takes, deterministic
+    A = code_matrix(CodeMatrixSpec(7, 3))
+    assert _opt_with(monkeypatch, _RowBoundSearch, A)[2] == [720]
+    assert _opt_with(monkeypatch, _OptSearch, A)[2] == [489]
