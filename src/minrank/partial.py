@@ -196,7 +196,8 @@ def _insert(basis: tuple[int, ...], v: int) -> tuple[int, ...]:
 
 
 class _Deadline:
-    """Ticks shared by both deciders of min_rank_completion.
+    """Ticks with an optional deadline, read every 1024 ticks, for both
+    deciders of min_rank_completion and for _OptSearch's subspace search.
 
     `stop`, when set, is the tick count at which the running slice ends.
     """
@@ -331,21 +332,25 @@ def _forbidden_bitmap(rows, n: int) -> int:
     return bm
 
 
-def _avoiding_subspace(K: int, n: int, dim: int, clock: _Deadline) -> bool:
-    """Whether some subspace of GF(2)^n of dimension `dim` has no member
-    in the forbidden set K.
+def _avoiding_subspace(K: int, n: int, dim: int, clock: _Deadline) -> tuple[int, ...] | None:
+    """The first subspace of GF(2)^n of dimension `dim` with no member in
+    K, as its reduced echelon basis, or None if there is none.
 
-    This decides min rank from the kernel side: a completion of rank at
-    most n - dim exists iff such a subspace does.  Each subspace is
-    visited once, through its reduced echelon basis: the pivot of a
-    vector is its high bit, basis vectors ascend, and each one is zero on
-    the pivots before it.  `cand` holds the x with x ^ v outside K for
+    Bases are visited in ascending order, each subspace once: the pivot of
+    a vector is its high bit, basis vectors ascend, and each one is zero
+    on the pivots before it.  `cand` holds the x with x ^ v outside K for
     every v in the span built so far; adjoining b keeps cand & (cand ^ b).
     The nonzero vectors that the rest of the basis spans lie in cand,
     above the last pivot and zero on every pivot so far, so a node with
     fewer than 2^(dim - k) - 1 such candidates is cut (k vectors built).
+
+    min_rank_completion decides min rank with it: a completion of rank at
+    most n - dim exists iff a subspace avoids the forbidden set.
+    _OptSearch finds its coset bound's U, whose nonzero members all lie
+    in the forbidden set, as a subspace avoiding the rest of GF(2)^n.
     """
     full = (1 << (1 << n)) - 1
+    basis: list[int] = []  # filled on the way back up, so last vector first
 
     def go(cand: int, k: int, allowed: int) -> bool:
         nxt = cand & allowed
@@ -354,6 +359,8 @@ def _avoiding_subspace(K: int, n: int, dim: int, clock: _Deadline) -> bool:
         if left < need:
             return False
         if k + 1 >= dim:
+            if k < dim:  # the last vector: the lowest candidate
+                basis.append((nxt & -nxt).bit_length() - 1)
             return True
         for x in _bits(nxt):
             clock.check()
@@ -363,10 +370,11 @@ def _avoiding_subspace(K: int, n: int, dim: int, clock: _Deadline) -> bool:
             top = 1 << x.bit_length()  # the first vector above x's pivot
             rest = (allowed & _half_mask(n, x.bit_length() - 1)) >> top << top
             if go(cand & xor_translate(cand, x, n), k + 1, rest):
+                basis.append(x)
                 return True
         return False
 
-    return go(full & ~K, 0, full ^ 1)
+    return tuple(reversed(basis)) if go(full & ~K, 0, full ^ 1) else None
 
 
 # min_rank_completion races the kernel side only on matrices this
@@ -474,7 +482,7 @@ def min_rank_completion(
                 return None
             clock.stop = clock.ticks + budget
             try:
-                if not _avoiding_subspace(K, n, n - target, clock):
+                if _avoiding_subspace(K, n, n - target, clock) is None:
                     return None
                 break
             except _BudgetSpent:

@@ -73,15 +73,13 @@ def report(A: PartialMatrix, config: ToolConfig | None = None) -> dict:
     out["star_monotone"] = is_star_monotone(A)
     out["isolated"] = isolation(A) is not None
     out["strongly_isolated"] = isolation(A, strong=True) is not None
-    out["lin"] = 1 << (A.n - minrk) if isinstance(minrk, int) else _SKIPPED
+    out["lin"] = 1 << (A.n - minrk)
     if A.n <= lim.opt_n:
         opt, _ = _opt_exact(A, lim.opt_n, None, completion)
         out["opt"] = opt
-        eps = epsilon_of(A.n, opt, minrk) if isinstance(minrk, int) else None
+        eps = epsilon_of(A.n, opt, minrk)
         out["epsilon"] = eps
-        out["epsilon_exact"] = (
-            [A.n, opt, minrk] if eps is not None else None
-        )
+        out["epsilon_exact"] = [A.n, opt, minrk] if eps is not None else None
     else:
         out["opt"] = _SKIPPED
         out["epsilon"] = _SKIPPED

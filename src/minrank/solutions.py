@@ -43,6 +43,8 @@ from .gf2 import (
 )
 from .partial import (
     PartialMatrix,
+    _Deadline,
+    _avoiding_subspace,
     _column_floor,
     _forbidden_bitmap,
     canonical_completion,
@@ -202,7 +204,36 @@ def _spread(w: int, positions: list[int]) -> int:
     return x
 
 
-class _OptSearch:
+class _Engine:
+    """What both exact opt engines share: the instance, its forbidden set
+    K as a bitmap, and a tick count ended by an optional budget of ticks
+    (raising _BudgetSpent) or by a deadline, read every 256 ticks."""
+
+    def __init__(
+        self, A: PartialMatrix, K: int, deadline: float | None, budget: int | None = None
+    ):
+        self.A = A
+        self.n = A.n
+        self.N = 1 << A.n
+        self.full = (1 << self.N) - 1
+        self.deadline = deadline
+        self.budget = budget
+        self.ticks = 0
+        self.K = K
+
+    def _tick(self):
+        self.ticks += 1
+        if self.budget is not None and self.ticks > self.budget:
+            raise _BudgetSpent
+        if (
+            self.deadline is not None
+            and self.ticks & 255 == 0
+            and time.monotonic() > self.deadline
+        ):
+            raise LimitError("deadline exceeded")
+
+
+class _OptSearch(_Engine):
     """Branch and bound for maximum independent sets in the Cayley graph.
 
     Vertex 0 is fixed into the solution (solutions translate, so some
@@ -217,8 +248,9 @@ class _OptSearch:
       sharing S give one entry; where their ones span all coordinates
       outside S, every fibre is one vector and the entry is the number
       of S-classes touched, counted by folding;
-    * coset bound: for a subspace U inside K + {0}, every U-coset is a
-      clique, so candidates touch at most (touched cosets) further picks;
+    * coset bound: for a subspace U inside K + {0}, the largest that the
+      kernel-side search _avoiding_subspace finds within a fixed cap,
+      every U-coset is a clique, so candidates allow one pick per coset;
     * clique bound: for a clique C through 0 other than U, translates of
       C tile the graph fractionally, giving |touched| / |C|.
 
@@ -229,14 +261,7 @@ class _OptSearch:
     def __init__(
         self, A: PartialMatrix, K: int, deadline: float | None, budget: int | None = None
     ):
-        self.A = A
-        self.n = A.n
-        self.N = 1 << A.n
-        self.full = (1 << self.N) - 1
-        self.deadline = deadline
-        self.budget = budget
-        self.ticks = 0
-        self.K = K
+        super().__init__(A, K, deadline, budget)
         self.best = 0
         self.best_members: list[int] = [0]
         self.chosen: list[int] = [0]
@@ -286,51 +311,39 @@ class _OptSearch:
 
     def _prepare_cliques(self):
         # Largest subspace U with U \ {0} inside K: every coset of U is a
-        # clique, so solutions pick at most one vector per coset.  The
-        # search enumerates each candidate subspace once, through its
-        # greedy basis chain: extensions scan K ascending and must be the
-        # minimum of their coset.  A node cap keeps degenerate forbidden
-        # sets cheap; any subspace found is a valid bound regardless.
+        # clique, so solutions pick at most one vector per coset.  Such a
+        # U avoids the rest of GF(2)^n, so the kernel-side search finds
+        # it, one dimension higher at a time, until none exists.  Its
+        # ticks are capped at a fixed amount of bitmap work, and the
+        # search deadline holds; any subspace found is a valid bound.
         K = self.K
-        elems = list(_bits(K))
-        best = [0]
-        budget = [60000]
-
-        def extend(start: int, span_list: list[int]):
-            if len(span_list) > len(best):
-                best[:] = span_list
-            for idx in range(start, len(elems)):
-                if budget[0] <= 0:
-                    return
-                budget[0] -= 1
-                e = elems[idx]
-                ok = True
-                for s in span_list:
-                    if s == 0:
-                        continue
-                    t = e ^ s
-                    if t < e or not (K >> t) & 1:
-                        ok = False
-                        break
-                if ok:
-                    extend(idx + 1, span_list + [e ^ s for s in span_list])
-
-        extend(0, [0])
-        # best lists the span in chain order, so its basis sits at 1, 2, 4, ...
-        self.coset_basis = [best[1 << i] for i in range(len(best).bit_length() - 1)]
+        clock = _Deadline(self.deadline)
+        clock.stop = _SUBSPACE_WORK // (self.N + 4096)
+        basis: tuple[int, ...] = ()
+        try:
+            for dim in range(1, self.n + 1):
+                clock.check_time()
+                found = _avoiding_subspace(self.full & ~K & ~1, self.n, dim, clock)
+                if found is None:
+                    break
+                basis = found
+        except _BudgetSpent:
+            pass
+        self.coset_basis = basis
 
         # greedy clique through 0; need not be a subspace, so it can beat
         # the coset bound on very dense forbidden sets
         C = [0]
-        scanned = 0
-        for x in elems:
+        for scanned, x in enumerate(_bits(K)):
             if len(C) >= 64 or scanned >= 4096:
                 break
-            scanned += 1
             if all((K >> (x ^ c)) & 1 for c in C if c != 0):
                 C.append(x)
         # a clique equal to U as a set repeats the coset bound
-        self.clique_C = C if len(C) > 2 and set(C) != set(best) else None
+        U = [0]
+        for u in basis:
+            U += [u ^ v for v in U]
+        self.clique_C = C if len(C) > 2 and set(C) != set(U) else None
 
     # -- bounds -----------------------------------------------------------
 
@@ -387,17 +400,6 @@ class _OptSearch:
             if b < bound:
                 bound = b
         return bound
-
-    def _tick(self):
-        self.ticks += 1
-        if self.budget is not None and self.ticks > self.budget:
-            raise _BudgetSpent
-        if (
-            self.deadline is not None
-            and self.ticks & 255 == 0
-            and time.monotonic() > self.deadline
-        ):
-            raise LimitError("deadline exceeded")
 
     # -- search -----------------------------------------------------------
 
@@ -632,7 +634,7 @@ def _pair_choice_max(
     return state[2], found[0], found[1]
 
 
-class _ParityChoiceSearch:
+class _ParityChoiceSearch(_Engine):
     """Exact solution maximum by branching on per-row parity choices.
 
     Two members whose difference vanishes on a row's stars must agree on
@@ -655,14 +657,7 @@ class _ParityChoiceSearch:
     def __init__(
         self, A: PartialMatrix, K: int, deadline: float | None, budget: int | None = None
     ):
-        self.A = A
-        self.n = A.n
-        self.N = 1 << A.n
-        self.full = (1 << self.N) - 1
-        self.deadline = deadline
-        self.budget = budget
-        self.ticks = 0
-        self.K = K
+        super().__init__(A, K, deadline, budget)
         rows = []
         seen = set()
         for a, s in zip(A.ones, A.stars):
@@ -685,17 +680,6 @@ class _ParityChoiceSearch:
         if mask.bit_count() > self.best:
             self.best = mask.bit_count()
             self.best_mask = mask
-
-    def _tick(self):
-        self.ticks += 1
-        if self.budget is not None and self.ticks > self.budget:
-            raise _BudgetSpent
-        if (
-            self.deadline is not None
-            and self.ticks & 255 == 0
-            and time.monotonic() > self.deadline
-        ):
-            raise LimitError("deadline exceeded")
 
     def _row_sum(self, alive: int, classes, cap: int) -> int:
         total = 0
@@ -820,6 +804,13 @@ class _ParityChoiceSearch:
             return
         self._go(alive, ri + 1)
 
+
+# The subspace search of _OptSearch's coset bound stops after
+# _SUBSPACE_WORK // (2^n + 4096) ticks.  A tick translates 2^n-bit
+# bitmaps, and its interpreter overhead costs about as much as 4096 bits
+# of that: 1.9, 2.5 and 3.6 us at n = 8, 10 and 12 on a 2-core x86 box
+# with Python 3.11, so the cap comes to about 7 to 8 ms at each n.
+_SUBSPACE_WORK = 1 << 24
 
 # phase budgets for opt_exact: ticks before the next engine takes over
 _VERTEX_TICKS = 200_000

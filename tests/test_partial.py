@@ -446,7 +446,7 @@ def test_kernel_side_agrees_with_the_rank_side_at_every_target():
         K = partial._forbidden_bitmap(rows, A.n)
         for t in range(A.n + 1):
             clock = partial._Deadline(None)
-            kernel_side = partial._avoiding_subspace(K, A.n, A.n - t, clock)
+            kernel_side = partial._avoiding_subspace(K, A.n, A.n - t, clock) is not None
             rank_side = partial._complete_within(rows, A.n, t, clock, {}) is not None
             assert kernel_side == rank_side
             feasible += kernel_side

@@ -12,6 +12,7 @@ from minrank import solutions
 from minrank.gf2 import Subspace, _bits, _half_mask, _parity_bitmap, dot, kernel
 from minrank.partial import PartialMatrix, col_min_rank, min_rank, min_rank_completion
 from minrank.pmx import parse_pmx
+from minrank.report import _random_matrices
 from minrank.solutions import (
     SolutionSet,
     _avoids,
@@ -474,3 +475,74 @@ def test_star_set_bound_keeps_every_answer_and_witness(monkeypatch):
     A = code_matrix(CodeMatrixSpec(7, 3))
     assert _opt_with(monkeypatch, _RowBoundSearch, A)[2] == [720]
     assert _opt_with(monkeypatch, _OptSearch, A)[2] == [489]
+
+
+def _extend_oracle(K):
+    """The largest subspace U with U \\ {0} inside K, as _OptSearch found
+    it before it used the kernel-side subspace search: a depth-first
+    enumeration over K ascending, each extension the minimum of its
+    coset, stopped after 60,000 nodes.  Returns U's basis and whether
+    the node cap bound."""
+    elems = list(_bits(K))
+    best = [0]
+    budget = [60000]
+
+    def extend(start, span_list):
+        if len(span_list) > len(best):
+            best[:] = span_list
+        for idx in range(start, len(elems)):
+            if budget[0] <= 0:
+                return
+            budget[0] -= 1
+            e = elems[idx]
+            if all(e ^ s > e and (K >> (e ^ s)) & 1 for s in span_list if s):
+                extend(idx + 1, span_list + [e ^ s for s in span_list])
+
+    extend(0, [0])
+    basis = tuple(best[1 << i] for i in range(len(best).bit_length() - 1))
+    return basis, budget[0] <= 0
+
+
+H2 = parse_pmx("***1*111\n100**0*1\n**011110\n11*0***1\n")
+
+
+def test_coset_subspace_matches_the_extend_oracle():
+    rng = random.Random(79)
+    cases = _shuffled_codes(rng, 7, 2) + [H2, code_matrix(CodeMatrixSpec(8, 2))]
+    cases += [random_matrix(rng, rng.randint(1, 6), rng.randint(3, 8)) for _ in range(240)]
+    exact = capped = 0
+    for A in cases:
+        K = forbidden_set(A).bitmap
+        if not K:
+            continue
+        got = _OptSearch(A, K, None).coset_basis
+        want, cap_bound = _extend_oracle(K)
+        if not cap_bound:
+            assert got == want
+            exact += 1
+            continue
+        capped += 1
+        assert len(got) >= len(want)
+        span = [0]
+        for u in got:
+            span += [u ^ v for v in span]
+        assert all((K >> v) & 1 for v in span[1:])
+    assert exact > 250 and capped > 20
+
+
+def test_expired_deadline_ends_opt_exact_before_the_search(monkeypatch):
+    # sweep seed 5, item 6x12#8: no root bound settles it, so opt_exact
+    # builds _OptSearch, whose subspace search must honour the deadline
+    A = list(_random_matrices(6, 12, 9, 5))[8]
+    assert _reaches_search(A)  # and min rank is memoised, so opt_exact gets past it
+    runs = []
+    real = _OptSearch.run
+
+    def spy(self):
+        runs.append(self)
+        return real(self)
+
+    monkeypatch.setattr(_OptSearch, "run", spy)
+    with pytest.raises(LimitError):
+        opt_exact(A, deadline=time.monotonic() - 1)
+    assert runs == []
