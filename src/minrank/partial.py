@@ -196,7 +196,7 @@ def _insert(basis: tuple[int, ...], v: int) -> tuple[int, ...]:
 
 
 class _Deadline:
-    """Ticks with an optional deadline, read every 1024 ticks, for both
+    """Ticks with an optional deadline, read every 128 ticks, for both
     deciders of min_rank_completion and for _OptSearch's subspace search.
 
     `stop`, when set, is the tick count at which the running slice ends.
@@ -211,7 +211,7 @@ class _Deadline:
         self.ticks += 1
         if self.stop is not None and self.ticks > self.stop:
             raise _BudgetSpent
-        if self.ticks & 1023 == 0:
+        if self.ticks & 127 == 0:
             self.check_time()
 
     def check_time(self):

@@ -16,7 +16,6 @@ permutation of bitmap blocks, and neighbourhood queries are single ANDs.
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass
 from itertools import product
@@ -206,28 +205,32 @@ def _spread(w: int, positions: list[int]) -> int:
 
 class _Engine:
     """What both exact opt engines share: the instance, its forbidden set
-    K as a bitmap, and a tick count ended by an optional budget of ticks
-    (raising _BudgetSpent) or by a deadline, read every 256 ticks."""
+    K as a bitmap, and a tick count.  The deadline is read every
+    2^(10 - n) ticks, and every tick from n = 10 on, so a search ends
+    well within a millisecond or two of its deadline: a tick costs up to
+    about 60 us at n = 8 (a pair-choice step) and 180 us at n = 12.
 
-    def __init__(
-        self, A: PartialMatrix, K: int, deadline: float | None, budget: int | None = None
-    ):
+    Each engine searches on an explicit stack.  resume(stop) runs until
+    the search is exhausted (True) or `stop` ticks are spent (False), and
+    a later call goes on from where it stopped; run() searches to the
+    end."""
+
+    def __init__(self, A: PartialMatrix, K: int, deadline: float | None):
         self.A = A
         self.n = A.n
         self.N = 1 << A.n
         self.full = (1 << self.N) - 1
         self.deadline = deadline
-        self.budget = budget
         self.ticks = 0
         self.K = K
+        self._clock_mask = (1 << max(0, 10 - A.n)) - 1
+        self._stack: list | None = None
 
     def _tick(self):
         self.ticks += 1
-        if self.budget is not None and self.ticks > self.budget:
-            raise _BudgetSpent
         if (
             self.deadline is not None
-            and self.ticks & 255 == 0
+            and self.ticks & self._clock_mask == 0
             and time.monotonic() > self.deadline
         ):
             raise LimitError("deadline exceeded")
@@ -258,10 +261,8 @@ class _OptSearch(_Engine):
     witness are deterministic.
     """
 
-    def __init__(
-        self, A: PartialMatrix, K: int, deadline: float | None, budget: int | None = None
-    ):
-        super().__init__(A, K, deadline, budget)
+    def __init__(self, A: PartialMatrix, K: int, deadline: float | None):
+        super().__init__(A, K, deadline)
         self.best = 0
         self.best_members: list[int] = [0]
         self.chosen: list[int] = [0]
@@ -404,11 +405,17 @@ class _OptSearch(_Engine):
     # -- search -----------------------------------------------------------
 
     def seed(self, members: Iterable[int]):
-        """Adopt a known solution as the incumbent if it improves it."""
-        ms = sorted(set(members) | {0})
+        """Adopt a known solution as the incumbent if it improves it,
+        translated so that it holds vertex 0."""
+        ms = set(members)
+        low = min(ms, default=0)
+        ms = sorted(v ^ low for v in ms | {low})
         if len(ms) > self.best:
             self.best = len(ms)
             self.best_members = ms
+
+    def incumbent(self) -> tuple[int, list[int]]:
+        return self.best, self.best_members
 
     def greedy_seed(self, cand: int):
         members = [0]
@@ -420,47 +427,66 @@ class _OptSearch(_Engine):
         self.seed(members)
 
     def run(self):
-        cand = self.full & ~self.K & ~1
-        self.greedy_seed(cand)
-        self._node(cand, 1)
-        return self.best, self.best_members
+        self.resume(None)
+        return self.incumbent()
 
-    def _node(self, cand: int, count: int):
-        self._tick()
-        added = 0
-        stale: int | None = None
-        stale_at = 0
-        while True:
-            if cand == 0:
+    def resume(self, stop: int | None) -> bool:
+        # A frame is one node: (cand, count, added, stale, stale_at, low).
+        # `added` counts the conflict-free vertices it took, `stale` is its
+        # last strong bound, taken at stale_at candidates, and `low` is -1
+        # until the node is entered, which takes its tick, then the bit of
+        # the vertex that its open branch took.
+        stack = self._stack
+        if stack is None:
+            cand = self.full & ~self.K & ~1
+            self.greedy_seed(cand)
+            stack = self._stack = [(cand, 1, 0, None, 0, -1)]
+        chosen = self.chosen
+        while stack:
+            cand, count, added, stale, stale_at, low = stack[-1]
+            if low < 0:
+                if stop is not None and self.ticks >= stop:
+                    return False
+                self._tick()
+            else:
+                # back from the branch that took low: go on without it
+                chosen.pop()
+                cand ^= low
+            child = None
+            while cand:
+                pc = cand.bit_count()
+                ub = pc if stale is None else min(pc, stale)
+                if count + ub <= self.best:
+                    break
+                if stale is None or pc <= stale_at - 8:
+                    stale = self._strong_bound(cand, self.best - count)
+                    stale_at = pc
+                    if count + min(pc, stale) <= self.best:
+                        break
+                low = cand & -cand
+                x = low.bit_length() - 1
+                nbrs = xor_translate(self.K, x, self.n) & cand
+                chosen.append(x)
+                if nbrs == 0:
+                    # no conflicts left: taking x is never worse
+                    added += 1
+                    cand ^= low
+                    count += 1
+                    continue
+                child = (cand & ~nbrs & ~low, count + 1, 0, None, 0, -1)
+                break
+            else:
                 if count > self.best:
                     self.best = count
-                    self.best_members = list(self.chosen)
-                break
-            pc = cand.bit_count()
-            ub = pc if stale is None else min(pc, stale)
-            if count + ub <= self.best:
-                break
-            if stale is None or pc <= stale_at - 8:
-                stale = self._strong_bound(cand, self.best - count)
-                stale_at = pc
-                if count + min(pc, stale) <= self.best:
-                    break
-            low = cand & -cand
-            x = low.bit_length() - 1
-            nbrs = xor_translate(self.K, x, self.n) & cand
-            if nbrs == 0:
-                # no conflicts left: taking x is never worse
-                self.chosen.append(x)
-                added += 1
-                cand ^= low
-                count += 1
+                    self.best_members = list(chosen)
+            if child is not None:
+                stack[-1] = (cand, count, added, stale, stale_at, low)
+                stack.append(child)
                 continue
-            self.chosen.append(x)
-            self._node(cand & ~nbrs & ~low, count + 1)
-            self.chosen.pop()
-            cand ^= low
-        if added:
-            del self.chosen[-added:]
+            if added:
+                del chosen[-added:]
+            stack.pop()
+        return True
 
 
 def _pair_choice_max(
@@ -654,10 +680,8 @@ class _ParityChoiceSearch(_Engine):
     vertex branching is easy.  Only built when every row is thin.
     """
 
-    def __init__(
-        self, A: PartialMatrix, K: int, deadline: float | None, budget: int | None = None
-    ):
-        super().__init__(A, K, deadline, budget)
+    def __init__(self, A: PartialMatrix, K: int, deadline: float | None):
+        super().__init__(A, K, deadline)
         rows = []
         seen = set()
         for a, s in zip(A.ones, A.stars):
@@ -680,6 +704,9 @@ class _ParityChoiceSearch(_Engine):
         if mask.bit_count() > self.best:
             self.best = mask.bit_count()
             self.best_mask = mask
+
+    def incumbent(self) -> tuple[int, list[int]]:
+        return self.best, sorted(_bits(self.best_mask))
 
     def _row_sum(self, alive: int, classes, cap: int) -> int:
         total = 0
@@ -744,8 +771,27 @@ class _ParityChoiceSearch(_Engine):
         self.best_mask = mask
 
     def run(self) -> tuple[int, list[int]]:
-        self._go(self.full & ~self.K, 0)
-        return self.best, sorted(_bits(self.best_mask))
+        self.resume(None)
+        return self.incumbent()
+
+    def resume(self, stop: int | None) -> bool:
+        # The stack holds the walks still to run, each as (alive, ri,
+        # order, suffix, t, prefix, guarded); a guarded walk is the second
+        # side of a branch and runs only if it can still beat the best.
+        stack = self._stack
+        if stack is None:
+            stack = self._stack = []
+            self._go(self.full & ~self.K, 0)
+        while stack:
+            alive, ri, order, suffix, t, prefix, guarded = stack[-1]
+            if guarded and prefix + suffix[t] <= self.best:
+                stack.pop()
+                continue
+            if stop is not None and self.ticks >= stop:
+                return False
+            stack.pop()
+            self._walk(alive, ri, order, suffix, t, prefix)
+        return True
 
     def _go(self, alive: int, ri: int):
         rows = self.rows
@@ -778,7 +824,7 @@ class _ParityChoiceSearch(_Engine):
                 b_other = v
         if min(b_other, suffix[0]) <= self.best:
             return
-        self._walk(alive, ri, order, suffix, 0, 0)
+        self._stack.append((alive, ri, order, suffix, 0, 0, False))
 
     def _walk(self, alive: int, ri: int, order, suffix, t: int, prefix: int):
         self._tick()
@@ -798,9 +844,13 @@ class _ParityChoiceSearch(_Engine):
                 kills = ((even, oc), (odd, ec))
             else:
                 kills = ((odd, ec), (even, oc))
-            self._walk(alive & ~kills[0][0], ri, order, suffix, t + 1, prefix + kills[0][1])
-            if prefix + kills[1][1] + suffix[t + 1] > self.best:
-                self._walk(alive & ~kills[1][0], ri, order, suffix, t + 1, prefix + kills[1][1])
+            # keeping the larger side first: pushed last, so it runs first
+            self._stack.append(
+                (alive & ~kills[1][0], ri, order, suffix, t + 1, prefix + kills[1][1], True)
+            )
+            self._stack.append(
+                (alive & ~kills[0][0], ri, order, suffix, t + 1, prefix + kills[0][1], False)
+            )
             return
         self._go(alive, ri + 1)
 
@@ -812,9 +862,11 @@ class _ParityChoiceSearch(_Engine):
 # with Python 3.11, so the cap comes to about 7 to 8 ms at each n.
 _SUBSPACE_WORK = 1 << 24
 
-# phase budgets for opt_exact: ticks before the next engine takes over
-_VERTEX_TICKS = 200_000
-_PARITY_TICKS = 400_000
+# The first slice of each engine in opt_exact's portfolio, in ticks; it
+# doubles every round.  256 vertex ticks take about 2 ms at n = 8 and
+# 14 ms at n = 12 (2-core x86 box, Python 3.11), so an instance that the
+# parity engine settles at once waits little for its first turn.
+_PORTFOLIO_SLICE = 256
 
 
 def _parity_choice_ready(
@@ -845,16 +897,18 @@ def opt_exact(
     first the column bound 2^(n - col_min_rank), then, only if that is
     not tight, Hoffman's ratio bound on the Cayley graph (_ratio_bound).
 
-    Otherwise two complementary exact engines run.  First a budgeted
-    branch and bound over independent sets of the Cayley graph generated
-    by the forbidden set (_OptSearch); if that exhausts its node budget
-    and every row is thin, a budgeted parity-choice search takes over
-    with the incumbent so far (_ParityChoiceSearch); if that also runs
-    out, the vertex search finishes unbounded.  Each engine alone is
-    exact, so whichever one completes settles the value.  Both adopt
-    only strictly larger sets than the warm start, so the witness is the
-    same kernel whenever opt = lin.  A search witness is verified before
-    it is returned, whatever its size.
+    Otherwise an exact search runs: branch and bound over independent
+    sets of the Cayley graph generated by the forbidden set
+    (_OptSearch).  Where every row is thin and distinct rows are few
+    (_parity_choice_ready), a parity-choice search (_ParityChoiceSearch)
+    runs beside it as a portfolio: the two take turns in slices of ticks
+    that double every round, each adopts the other's incumbent when it
+    is larger, and the first to exhaust its search settles the value,
+    since each alone is exact.  Slices are counted in ticks, never in
+    time, so the value and the witness do not depend on the host.  Both
+    engines adopt only strictly larger sets than the warm start, so the
+    witness is the same kernel whenever opt = lin.  A search witness is
+    verified before it is returned, whatever its size.
 
     Instances whose root bounds are not tight can still take minutes.
     """
@@ -891,6 +945,23 @@ def _opt_exact(
     return cnt << len(dropped), SolutionSet.of(members, A.n)
 
 
+def _portfolio(first: _Engine, second: _Engine) -> tuple[int, list[int]]:
+    """Run the two engines in turn, in slices of ticks that start at
+    _PORTFOLIO_SLICE and double every round, until one exhausts its
+    search.  After each slice the other adopts its incumbent if it is
+    larger.  Each engine alone is exact, so the first to finish settles
+    the value, and its incumbent is the witness."""
+    size = _PORTFOLIO_SLICE
+    while True:
+        for engine, other in ((first, second), (second, first)):
+            done = engine.resume(engine.ticks + size)
+            best, members = engine.incumbent()
+            if done:
+                return best, members
+            other.seed(members)
+        size *= 2
+
+
 def _opt_core(
     A: PartialMatrix, r: int, W: GF2Matrix, col: int, deadline: float | None
 ) -> tuple[int, SolutionSet]:
@@ -913,30 +984,14 @@ def _opt_core(
     if col == r or _ratio_bound(K, A.n) == lin:
         return lin, SolutionSet.of(V.vectors(), A.n)
 
-    if A.n >= 12:
-        need = (1 << (A.n - 1)) + 1000
-        if sys.getrecursionlimit() < need:
-            sys.setrecursionlimit(need)
-    search = _OptSearch(A, K, deadline, budget=_VERTEX_TICKS)
-    search.seed(V.vectors())
-    try:
-        best, members = search.run()
-    except _BudgetSpent:
-        best, members = search.best, search.best_members
-        settled = False
-        if _parity_choice_ready(A):
-            alt = _ParityChoiceSearch(A, K, deadline, budget=_PARITY_TICKS)
-            alt.seed(members)
-            try:
-                best, members = alt.run()
-                settled = True
-            except _BudgetSpent:
-                if alt.best > best:
-                    best, members = alt.best, sorted(_bits(alt.best_mask))
-        if not settled:
-            final = _OptSearch(A, K, deadline)
-            final.seed(members)
-            best, members = final.run()
+    vertex = _OptSearch(A, K, deadline)
+    vertex.seed(V.vectors())
+    if _parity_choice_ready(A):
+        parity = _ParityChoiceSearch(A, K, deadline)
+        parity.seed(V.vectors())
+        best, members = _portfolio(vertex, parity)
+    else:
+        best, members = vertex.run()
 
     if len(members) != best:
         raise InternalError("witness size disagrees with the optimum")

@@ -1,6 +1,7 @@
 """Unit tests for forbidden sets, solutions, and the exact opt search."""
 
 import random
+import sys
 import time
 from itertools import product
 
@@ -546,3 +547,101 @@ def test_expired_deadline_ends_opt_exact_before_the_search(monkeypatch):
     with pytest.raises(LimitError):
         opt_exact(A, deadline=time.monotonic() - 1)
     assert runs == []
+
+
+def test_opt_exact_leaves_the_recursion_limit_alone():
+    # sweep seed 5, item 6x12#8 reaches the search; both engines run on
+    # explicit stacks, so a deadline ends them with LimitError at the
+    # default recursion limit, which stays as it was
+    A = list(_random_matrices(6, 12, 9, 5))[8]
+    assert _reaches_search(A) and solutions._parity_choice_ready(A)
+    limit = sys.getrecursionlimit()
+    with pytest.raises(LimitError):
+        opt_exact(A, deadline=time.monotonic() + 0.3)
+    assert sys.getrecursionlimit() == limit
+
+
+def test_parity_engine_settles_what_the_vertex_search_stalls_on(monkeypatch):
+    # sweep seed 5, items 4x8#174 and #338: opt = lin = 16, which the
+    # parity engine proves in 13 and 199 ticks, while the vertex search
+    # alone takes 148,172 ticks on #174 and over 200,000 on #338
+    ticks = [0]
+    real = solutions._Engine._tick
+
+    def counted(self):
+        ticks[0] += 1
+        real(self)
+
+    monkeypatch.setattr(solutions._Engine, "_tick", counted)
+    drawn = list(_random_matrices(4, 8, 339, 5))
+    for k in (174, 338):
+        A = drawn[k]
+        assert _reaches_search(A)
+        _, W = min_rank_completion(A)
+        ticks[0] = 0
+        value, sol = opt_exact(A)
+        assert value == 16
+        assert sol.sorted_members() == sorted(kernel(W).vectors())
+        assert 0 < ticks[0] < 1000
+
+
+def _alone(engine, A, stop):
+    """opt by one engine alone, seeded with the kernel as opt_exact
+    seeds it, or None when it does not finish within `stop` ticks."""
+    _, W = min_rank_completion(A)
+    search = engine(A, forbidden_set(A).bitmap, None)
+    search.seed(kernel(W).vectors())
+    return search.best if search.resume(stop) else None
+
+
+def test_portfolio_agrees_with_each_engine_alone():
+    rng = random.Random(89)
+
+    def draw(count, make):
+        out = []
+        while len(out) < count:
+            A = make()
+            if (
+                solutions._drop_unused_columns(A)[0] is A
+                and solutions._parity_choice_ready(A)
+                and _reaches_search(A)
+            ):
+                out.append(A)
+        return out
+
+    tall = draw(40, lambda: random_matrix(rng, rng.randint(6, 14), rng.randint(5, 6)))
+    # the shape of H2
+    wide = draw(24, lambda: random_matrix(rng, 4, 8))
+    compared = [0, 0]
+    for A in tall + wide:
+        r, W = min_rank_completion(A)
+        vertex = _alone(_OptSearch, A, 4000)
+        parity = _alone(solutions._ParityChoiceSearch, A, 4000)
+        if vertex is None and parity is None:
+            continue
+        value, sol = opt_exact(A)
+        for i, alone in enumerate((vertex, parity)):
+            if alone is not None:
+                assert value == alone
+                compared[i] += 1
+        assert sol.size == value and is_solution(A, sol)
+        if value == 1 << (A.n - r):
+            assert sol.sorted_members() == sorted(kernel(W).vectors())
+        if A.n <= 5:
+            K = forbidden_set(A).bitmap
+            assert value == _max_independent(((1 << (1 << A.n)) - 1) & ~K, K, A.n)
+    assert compared[0] > 40 and compared[1] > 50
+
+
+def test_vertex_search_adopts_a_solution_without_vertex_0():
+    # the parity engine's incumbent need not hold 0; the vertex search
+    # adopts a translate of it, which is a solution of the same size
+    A = list(_random_matrices(4, 8, 339, 5))[338]
+    K = forbidden_set(A).bitmap
+    _, W = min_rank_completion(A)
+    V = list(kernel(W).vectors())
+    x = next(x for x in range(1, 1 << A.n) if x not in V)
+    search = _OptSearch(A, K, None)
+    search.seed(v ^ x for v in V)
+    assert search.best == len(V)
+    assert search.best_members == sorted(V)
