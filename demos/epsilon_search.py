@@ -12,8 +12,8 @@ import argparse
 from minrank import ToolConfig, best_epsilon, search
 
 
-def run(m, n, mode, count, seed, threads):
-    cfg = ToolConfig(seed=seed, threads=threads)
+def run(m, n, mode, count, seed):
+    cfg = ToolConfig(seed=seed)
     records = list(search(m, n, mode=mode, count=count, config=cfg))
     defined = [r for r in records if r.epsilon is not None]
     print(f"{mode} {m}x{n}: {len(records)} matrices, {len(defined)} with positive min-rank")
@@ -28,12 +28,11 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=300, help="random samples")
     ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
-    run(2, 3, "exhaustive", None, args.seed, args.threads)
+    run(2, 3, "exhaustive", None, args.seed)
     print()
-    run(3, 6, "random", args.count, args.seed, args.threads)
+    run(3, 6, "random", args.count, args.seed)
     print("\nnothing below 1 so far; the hunt continues")
 
 

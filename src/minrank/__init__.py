@@ -70,7 +70,6 @@ from .pmx import compact, emit_pmx, parse_pmx, row_text
 from .report import (
     SearchRecord,
     best_epsilon,
-    epsilon_of,
     evaluate_matrix,
     format_report,
     report,
@@ -85,6 +84,7 @@ from .solutions import (
     brute_force_opt_tiny,
     codistance,
     conjecture_epsilon,
+    epsilon_of,
     forbidden_set,
     is_solution,
     lin_exact,

@@ -10,7 +10,6 @@ import argparse
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .circuits import extract_linear_operator, linearize, metrics, parse_ckt
@@ -35,10 +34,8 @@ def _config(args) -> ToolConfig:
         limits = replace(limits, opt_n=args.limit_n)
     return ToolConfig(
         limits=limits,
-        threads=getattr(args, "threads", 1),
         seed=getattr(args, "seed", None),
         out=getattr(args, "out", None),
-        timeout_ms=getattr(args, "timeout_ms", None),
     )
 
 
@@ -49,12 +46,7 @@ def _deadline(args) -> float | None:
 
 def cmd_report(args) -> int:
     cfg = _config(args)
-    matrices = [parse_pmx(_read(path)) for path in args.files]
-    if cfg.threads == 1:
-        reports = [report(A, cfg) for A in matrices]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            reports = list(pool.map(lambda A: report(A, cfg), matrices))
+    reports = [report(parse_pmx(_read(path)), cfg) for path in args.files]
     for path, rep in zip(args.files, reports):
         if len(args.files) > 1:
             print(f"== {path}")
@@ -187,7 +179,6 @@ def _parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("report", help="every statistic for one or more matrices")
     q.add_argument("files", nargs="+", metavar="FILE")
-    q.add_argument("--threads", type=int, default=1)
     q.add_argument("--limit-n", type=int, default=None)
     q.set_defaults(func=cmd_report)
 
@@ -217,7 +208,6 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--count", type=int, default=None)
     q.add_argument("--seed", type=int, default=None)
     q.add_argument("--out", default=None, metavar="LOG")
-    q.add_argument("--threads", type=int, default=1)
     q.add_argument("--limit-n", type=int, default=None)
     q.set_defaults(func=cmd_search)
 

@@ -51,16 +51,13 @@ LIMITS = Limits()
 
 @dataclass(frozen=True)
 class ToolConfig:
-    """Knobs shared by the command line tools."""
+    """Knobs shared by report, search and the command line tools: size
+    limits, the random search's seed, the search log path, and the
+    epsilon below which a search record is flagged.  Deadlines are not
+    part of it; the routines that honour one take it as an argument."""
 
     limits: Limits = LIMITS
-    threads: int = 1
     seed: int | None = None
     out: str | None = None
-    timeout_ms: int | None = None
     # a search record whose epsilon drops below this value gets flagged
     epsilon_alarm: float = 0.5
-
-    def __post_init__(self):
-        if self.threads < 1:
-            raise ValueError("need at least one thread")

@@ -11,11 +11,9 @@ small epsilon is exactly what a counterexample hunt is after.
 from __future__ import annotations
 
 import json
-import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, TextIO
 
 from .config import LIMITS, VERSION, ToolConfig
@@ -31,7 +29,7 @@ from .partial import (
     row_min_rank,
 )
 from .pmx import compact, parse_pmx
-from .solutions import _opt_exact
+from .solutions import _opt_exact, epsilon_of
 
 _SKIPPED = "skipped: limit"
 
@@ -41,13 +39,6 @@ def _guarded(fn, *args):
         return fn(*args)
     except LimitError:
         return _SKIPPED
-
-
-def epsilon_of(n: int, opt: int, minrk: int) -> float | None:
-    """The exponent ratio (n - log2 opt) / minrk; None when minrk = 0."""
-    if minrk == 0:
-        return None
-    return (n - math.log2(opt)) / minrk
 
 
 def report(A: PartialMatrix, config: ToolConfig | None = None) -> dict:
@@ -249,8 +240,7 @@ def search(
     random mode draws `count` matrices from the configured seed.  Each
     record is appended to `log` (or the configured output path) as one
     JSON line before it is yielded, so interrupted runs keep their
-    prefix.  With several threads the evaluations are distributed but
-    the output order stays the input order.
+    prefix.
     """
     cfg = config or ToolConfig()
     if mode == "exhaustive":
@@ -275,27 +265,11 @@ def search(
         opened = open(cfg.out, "a", encoding="utf-8")
         sink = opened
     try:
-        if cfg.threads == 1:
-            for A in matrices:
-                rec = evaluate_matrix(A, cfg)
-                if sink is not None:
-                    sink.write(rec.to_json() + "\n")
-                yield rec
-        else:
-            # submit in blocks and drain in input order, so huge sweeps
-            # never queue more than one block of futures at a time
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                it = iter(matrices)
-                while True:
-                    block = list(islice(it, 64 * cfg.threads))
-                    if not block:
-                        break
-                    futs = [pool.submit(evaluate_matrix, A, cfg) for A in block]
-                    for f in futs:
-                        rec = f.result()
-                        if sink is not None:
-                            sink.write(rec.to_json() + "\n")
-                        yield rec
+        for A in matrices:
+            rec = evaluate_matrix(A, cfg)
+            if sink is not None:
+                sink.write(rec.to_json() + "\n")
+            yield rec
     finally:
         if opened is not None:
             opened.close()

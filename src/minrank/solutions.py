@@ -16,7 +16,6 @@ permutation of bitmap blocks, and neighbourhood queries are single ANDs.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable
@@ -42,6 +41,7 @@ from .gf2 import (
 )
 from .partial import (
     PartialMatrix,
+    _FIRST_SLICE,
     _Deadline,
     _avoiding_subspace,
     _column_floor,
@@ -68,6 +68,7 @@ __all__ = [
     "codistance",
     "linear_hull_check",
     "conjecture_epsilon",
+    "epsilon_of",
 ]
 
 
@@ -205,10 +206,8 @@ def _spread(w: int, positions: list[int]) -> int:
 
 class _Engine:
     """What both exact opt engines share: the instance, its forbidden set
-    K as a bitmap, and a tick count.  The deadline is read every
-    2^(10 - n) ticks, and every tick from n = 10 on, so a search ends
-    well within a millisecond or two of its deadline: a tick costs up to
-    about 60 us at n = 8 (a pair-choice step) and 180 us at n = 12.
+    K as a bitmap, and a search clock (partial._Deadline) that counts
+    their ticks and holds the deadline.
 
     Each engine searches on an explicit stack.  resume(stop) runs until
     the search is exhausted (True) or `stop` ticks are spent (False), and
@@ -220,20 +219,13 @@ class _Engine:
         self.n = A.n
         self.N = 1 << A.n
         self.full = (1 << self.N) - 1
-        self.deadline = deadline
-        self.ticks = 0
+        self.clock = _Deadline(deadline, A.n)
         self.K = K
-        self._clock_mask = (1 << max(0, 10 - A.n)) - 1
         self._stack: list | None = None
 
-    def _tick(self):
-        self.ticks += 1
-        if (
-            self.deadline is not None
-            and self.ticks & self._clock_mask == 0
-            and time.monotonic() > self.deadline
-        ):
-            raise LimitError("deadline exceeded")
+    def run(self) -> tuple[int, list[int]]:
+        self.resume(None)
+        return self.incumbent()
 
 
 class _OptSearch(_Engine):
@@ -318,7 +310,7 @@ class _OptSearch(_Engine):
         # ticks are capped at a fixed amount of bitmap work, and the
         # search deadline holds; any subspace found is a valid bound.
         K = self.K
-        clock = _Deadline(self.deadline)
+        clock = _Deadline(self.clock.deadline, self.n)
         clock.stop = _SUBSPACE_WORK // (self.N + 4096)
         basis: tuple[int, ...] = ()
         try:
@@ -426,10 +418,6 @@ class _OptSearch(_Engine):
             cand &= ~(1 << x)
         self.seed(members)
 
-    def run(self):
-        self.resume(None)
-        return self.incumbent()
-
     def resume(self, stop: int | None) -> bool:
         # A frame is one node: (cand, count, added, stale, stale_at, low).
         # `added` counts the conflict-free vertices it took, `stale` is its
@@ -445,9 +433,9 @@ class _OptSearch(_Engine):
         while stack:
             cand, count, added, stale, stale_at, low = stack[-1]
             if low < 0:
-                if stop is not None and self.ticks >= stop:
+                if stop is not None and self.clock.ticks >= stop:
                     return False
-                self._tick()
+                self.clock.check()
             else:
                 # back from the branch that took low: go on without it
                 chosen.pop()
@@ -754,7 +742,7 @@ class _ParityChoiceSearch(_Engine):
             ia = pats_a.setdefault(q & sa_, len(pats_a))
             ib = pats_b.setdefault(q & sb_, len(pats_b))
             cells.append((ia, ib, m2))
-        value, xa, yb = _pair_choice_max(cells, self.best, self._tick)
+        value, xa, yb = _pair_choice_max(cells, self.best, self.clock.check)
         if xa is None or value <= self.best:
             return
         mask = 0
@@ -770,10 +758,6 @@ class _ParityChoiceSearch(_Engine):
         self.best = value
         self.best_mask = mask
 
-    def run(self) -> tuple[int, list[int]]:
-        self.resume(None)
-        return self.incumbent()
-
     def resume(self, stop: int | None) -> bool:
         # The stack holds the walks still to run, each as (alive, ri,
         # order, suffix, t, prefix, guarded); a guarded walk is the second
@@ -787,7 +771,7 @@ class _ParityChoiceSearch(_Engine):
             if guarded and prefix + suffix[t] <= self.best:
                 stack.pop()
                 continue
-            if stop is not None and self.ticks >= stop:
+            if stop is not None and self.clock.ticks >= stop:
                 return False
             stack.pop()
             self._walk(alive, ri, order, suffix, t, prefix)
@@ -827,7 +811,7 @@ class _ParityChoiceSearch(_Engine):
         self._stack.append((alive, ri, order, suffix, 0, 0, False))
 
     def _walk(self, alive: int, ri: int, order, suffix, t: int, prefix: int):
-        self._tick()
+        self.clock.check()
         classes = self.rows[ri][2]
         while t < len(order):
             if prefix + suffix[t] <= self.best:
@@ -861,12 +845,6 @@ class _ParityChoiceSearch(_Engine):
 # of that: 1.9, 2.5 and 3.6 us at n = 8, 10 and 12 on a 2-core x86 box
 # with Python 3.11, so the cap comes to about 7 to 8 ms at each n.
 _SUBSPACE_WORK = 1 << 24
-
-# The first slice of each engine in opt_exact's portfolio, in ticks; it
-# doubles every round.  256 vertex ticks take about 2 ms at n = 8 and
-# 14 ms at n = 12 (2-core x86 box, Python 3.11), so an instance that the
-# parity engine settles at once waits little for its first turn.
-_PORTFOLIO_SLICE = 256
 
 
 def _parity_choice_ready(
@@ -947,14 +925,14 @@ def _opt_exact(
 
 def _portfolio(first: _Engine, second: _Engine) -> tuple[int, list[int]]:
     """Run the two engines in turn, in slices of ticks that start at
-    _PORTFOLIO_SLICE and double every round, until one exhausts its
+    _FIRST_SLICE and double every round, until one exhausts its
     search.  After each slice the other adopts its incumbent if it is
     larger.  Each engine alone is exact, so the first to finish settles
     the value, and its incumbent is the witness."""
-    size = _PORTFOLIO_SLICE
+    size = _FIRST_SLICE
     while True:
         for engine, other in ((first, second), (second, first)):
-            done = engine.resume(engine.ticks + size)
+            done = engine.resume(engine.clock.ticks + size)
             best, members = engine.incumbent()
             if done:
                 return best, members
@@ -1206,6 +1184,13 @@ def linear_hull_check(
 # the conjectured exponent
 
 
+def epsilon_of(n: int, opt: int, minrk: int) -> float | None:
+    """The exponent ratio (n - log2 opt) / minrk; None when minrk = 0."""
+    if minrk == 0:
+        return None
+    return (n - math.log2(opt)) / minrk
+
+
 @dataclass(frozen=True)
 class EpsilonRecord:
     """Exact witnesses for the exponent (n - log2 opt) / minrk."""
@@ -1216,7 +1201,8 @@ class EpsilonRecord:
 
     @property
     def value(self) -> float:
-        return (self.n - math.log2(self.opt)) / self.minrk
+        # conjecture_epsilon builds records only for minrk > 0
+        return epsilon_of(self.n, self.opt, self.minrk)
 
 
 def conjecture_epsilon(

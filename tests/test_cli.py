@@ -25,17 +25,21 @@ def test_report_command(a1_file, capsys):
     assert rep["min_rank"] == 2 and rep["opt"] == 16 and rep["epsilon"] == 1.0
 
 
-def test_report_threads_agree(tmp_path, capsys):
+def test_report_several_files(tmp_path, capsys):
     paths = []
     for i, text in enumerate((A1_TEXT, "11*1\n101*\n1*00\n", "01\n1*\n")):
         p = tmp_path / f"m{i}.pmx"
         p.write_text(text)
         paths.append(str(p))
-    assert main(["report", *paths, "--threads", "1"]) == 0
-    single = capsys.readouterr().out
-    assert main(["report", *paths, "--threads", "8"]) == 0
-    assert capsys.readouterr().out == single
-    assert single.count("==") == 3
+    assert main(["report", *paths]) == 0
+    out = capsys.readouterr().out
+    assert out.count("==") == 3
+    # one header per file, in argument order, each followed by its report
+    for path, chunk in zip(paths, out.split("== ")[1:]):
+        head, body = chunk.split("\n", 1)
+        assert head == path
+        assert main(["report", path]) == 0
+        assert capsys.readouterr().out == body
 
 
 def test_minrank_command(a1_file, capsys):

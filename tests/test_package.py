@@ -1,6 +1,11 @@
 """The names the minrank package exports."""
 
+import ast
+import dataclasses
+import inspect
+
 import minrank
+from minrank import cli
 
 EXPORTS = [
     "CodeMatrixSpec", "ConsistentOperator", "Depth2Circuit", "EpsilonRecord",
@@ -35,3 +40,15 @@ def test_star_import_brings_every_export():
     scope: dict = {}
     exec("from minrank import *", scope)
     assert sorted(k for k in scope if k != "__builtins__") == EXPORTS
+
+
+def test_tool_config_knobs_are_pinned():
+    fields = [f.name for f in dataclasses.fields(minrank.ToolConfig)]
+    assert fields == ["limits", "seed", "out", "epsilon_alarm"]
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(cli))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is not None:
+            imported.add(node.module)
+    assert not any(name.split(".")[0] == "concurrent" for name in imported)

@@ -361,7 +361,7 @@ def test_every_forced_independence_cut_holds_no_completion(monkeypatch):
         # every target up to the minimum, so the failing ones are cut too
         rows, _ = _prepare_rows(A)
         for target in range(min_rank(A) + 1):
-            partial._complete_within(rows, A.n, target, partial._Deadline(None), {})
+            partial._complete_within(rows, A.n, target, partial._Deadline(None, A.n), {})
     for rest, basis, target in cuts:
         n = max(v.bit_length() for row in rest for v in row)
         R = PartialMatrix(n, tuple(a for a, _ in rest), tuple(s for _, s in rest))
@@ -445,13 +445,25 @@ def test_kernel_side_agrees_with_the_rank_side_at_every_target():
         rows, _ = _prepare_rows(A)
         K = partial._forbidden_bitmap(rows, A.n)
         for t in range(A.n + 1):
-            clock = partial._Deadline(None)
+            clock = partial._Deadline(None, A.n)
             kernel_side = partial._avoiding_subspace(K, A.n, A.n - t, clock) is not None
             rank_side = partial._complete_within(rows, A.n, t, clock, {}) is not None
             assert kernel_side == rank_side
             feasible += kernel_side
             infeasible += not kernel_side
     assert feasible > 1000 and infeasible > 400
+
+
+def test_deadline_reads_the_clock_by_width():
+    # the clock is read every 2^(10 - n) ticks, so an expired deadline
+    # is noticed at that check, and at the first from n = 10 on
+    for n in (4, 8, 12):
+        period = 1 << max(0, 10 - n)
+        clock = partial._Deadline(time.monotonic() - 1, n)
+        with pytest.raises(LimitError):
+            for _ in range(period):
+                clock.check()
+        assert clock.ticks == period
 
 
 def test_min_rank_of_code_8_2_and_h1_within_a_deadline(monkeypatch):

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from minrank import partial
+from minrank.cli import main
 from minrank.codes import CodeMatrixSpec, code_matrix
 from minrank.config import LIMITS, ToolConfig
 from minrank.errors import LimitError
@@ -14,6 +15,7 @@ from minrank.partial import PartialMatrix
 from minrank.pmx import parse_pmx
 from minrank.report import (
     SearchRecord,
+    _random_matrices,
     best_epsilon,
     epsilon_of,
     evaluate_matrix,
@@ -161,12 +163,22 @@ def test_random_search_reproducible_and_logged():
     assert all(SearchRecord.from_json(line) in r1 for line in lines)
 
 
-def test_threaded_search_keeps_input_order():
-    base = list(search(2, 5, mode="random", count=40, config=ToolConfig(seed=3)))
-    par = list(
-        search(2, 5, mode="random", count=40, config=ToolConfig(seed=3, threads=4))
-    )
-    assert base == par
+def test_threads_option_is_gone(capsys):
+    # one sequential path: records come in input order, and neither the
+    # command line nor the config accepts a thread count
+    cfg = ToolConfig(seed=3)
+    recs = list(search(2, 5, mode="random", count=40, config=cfg))
+    assert recs == [evaluate_matrix(A, cfg) for A in _random_matrices(2, 5, 40, 3)]
+    for argv in (
+        ["search", "--shape", "2x5", "--count", "4", "--seed", "3", "--threads", "4"],
+        ["report", "a.pmx", "--threads", "4"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(TypeError):
+        ToolConfig(seed=3, threads=4)
 
 
 def test_counterexample_flagging():

@@ -441,7 +441,7 @@ def _opt_with(monkeypatch, engine, A):
             try:
                 return super().run()
             finally:
-                ticks.append(self.ticks)
+                ticks.append(self.clock.ticks)
 
     monkeypatch.setattr(solutions, "_OptSearch", Counted)
     value, sol = opt_exact(A)
@@ -565,24 +565,25 @@ def test_parity_engine_settles_what_the_vertex_search_stalls_on(monkeypatch):
     # sweep seed 5, items 4x8#174 and #338: opt = lin = 16, which the
     # parity engine proves in 13 and 199 ticks, while the vertex search
     # alone takes 148,172 ticks on #174 and over 200,000 on #338
-    ticks = [0]
-    real = solutions._Engine._tick
+    engines = []
+    real = solutions._Engine.__init__
 
-    def counted(self):
-        ticks[0] += 1
-        real(self)
+    def recorded(self, *args):
+        real(self, *args)
+        engines.append(self)
 
-    monkeypatch.setattr(solutions._Engine, "_tick", counted)
+    monkeypatch.setattr(solutions._Engine, "__init__", recorded)
     drawn = list(_random_matrices(4, 8, 339, 5))
     for k in (174, 338):
         A = drawn[k]
         assert _reaches_search(A)
         _, W = min_rank_completion(A)
-        ticks[0] = 0
+        engines.clear()
         value, sol = opt_exact(A)
         assert value == 16
         assert sol.sorted_members() == sorted(kernel(W).vectors())
-        assert 0 < ticks[0] < 1000
+        ticks = sum(engine.clock.ticks for engine in engines)
+        assert 0 < ticks < 1000
 
 
 def _alone(engine, A, stop):
