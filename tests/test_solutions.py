@@ -561,6 +561,41 @@ def test_opt_exact_leaves_the_recursion_limit_alone():
     assert sys.getrecursionlimit() == limit
 
 
+def test_pair_choice_max_against_every_side_choice():
+    # each cell (ia, ib, m2) counts vectors by their parity against row a
+    # and row b; keeping side xa[ia] of every a-class and side yb[ib] of
+    # every b-class keeps m2[xa[ia]][yb[ib]] of each cell
+    rng = random.Random(97)
+
+    def total(cells, xa, yb):
+        return sum(m2[xa[ia]][yb[ib]] for ia, ib, m2 in cells)
+
+    beaten = held = 0
+    for _ in range(1500):
+        na, nb = rng.randint(1, 4), rng.randint(1, 4)
+        cells = [
+            (ia, ib, [[rng.randint(0, 4) for _ in (0, 1)] for _ in (0, 1)])
+            for ia in range(na)
+            for ib in range(nb)
+            if rng.random() < 0.7
+        ]
+        top = max(
+            total(cells, pick[:na], pick[na:])
+            for pick in product((0, 1), repeat=na + nb)
+        )
+        best = rng.randint(max(0, top - 3), top + 1)
+        value, xa, yb = solutions._pair_choice_max(cells, best, lambda: None)
+        if top > best:
+            assert value == top
+            # a row left at -1 has equal counts on both sides
+            assert total(cells, [max(x, 0) for x in xa], [max(y, 0) for y in yb]) == top
+            beaten += 1
+        else:
+            assert (value, xa, yb) == (best, None, None)
+            held += 1
+    assert beaten > 600 and held > 300
+
+
 def test_parity_engine_settles_what_the_vertex_search_stalls_on(monkeypatch):
     # sweep seed 5, items 4x8#174 and #338: opt = lin = 16, which the
     # parity engine proves in 13 and 199 ticks, while the vertex search
