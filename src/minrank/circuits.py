@@ -23,7 +23,7 @@ from itertools import combinations
 from .config import LIMITS
 from .errors import InternalError, LimitError, ParseError
 from .gf2 import GF2Matrix, rank, rref, reduce_vector, solve
-from .partial import PartialMatrix, min_rank_completion
+from .partial import PartialMatrix, line_cover_number, min_rank_completion
 
 _MAX_GATE_WIRES = LIMITS.gate_wires
 _MAX_INPUTS = 16
@@ -318,21 +318,13 @@ def linearize_middle(F: Depth2Circuit) -> Depth2Circuit:
 
 
 def metrics(F: Depth2Circuit) -> dict[str, int]:
-    """Width, degree, and the maximum matching among direct wires."""
-    adj = [sorted(set(g.direct)) for g in F.outputs]
-    owner = [-1] * F.n
+    """Width, degree, and the maximum matching among direct wires.
 
-    def claim(i: int, seen: set[int]) -> bool:
-        for j in adj[i]:
-            if j in seen:
-                continue
-            seen.add(j)
-            if owner[j] < 0 or claim(owner[j], seen):
-                owner[j] = i
-                return True
-        return False
-
-    match = sum(claim(i, set()) for i in range(F.m))
+    The matching is the line cover number of the outputs' direct-wire
+    masks taken as star rows (Konig's theorem).
+    """
+    stars = tuple(sum(1 << w for w in g.direct) for g in F.outputs)
+    match = line_cover_number(PartialMatrix(F.n, (0,) * F.m, stars))
     return {"width": F.width, "degree": F.degree, "match_size": match}
 
 

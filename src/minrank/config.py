@@ -54,7 +54,11 @@ class ToolConfig:
     """Knobs shared by report, search and the command line tools: size
     limits, the random search's seed, the search log path, and the
     epsilon below which a search record is flagged.  Deadlines are not
-    part of it; the routines that honour one take it as an argument."""
+    part of it; the routines that honour one take it as an argument.
+
+    Of the limits, report, search and the command line read only opt_n,
+    subset_rows and search_space.  Most other limits are the default of
+    a routine's own limit argument; pass that argument to raise one."""
 
     limits: Limits = LIMITS
     seed: int | None = None

@@ -25,11 +25,11 @@ from .partial import (
     isolation,
     line_cover_number,
     max_rank,
-    min_rank_completion,
+    min_rank,
     row_min_rank,
 )
 from .pmx import compact, parse_pmx
-from .solutions import _opt_exact, epsilon_of
+from .solutions import epsilon_of, opt_exact
 
 _SKIPPED = "skipped: limit"
 
@@ -54,8 +54,7 @@ def report(A: PartialMatrix, config: ToolConfig | None = None) -> dict:
         "m": A.m,
         "star_count": A.star_count,
     }
-    completion = min_rank_completion(A)
-    minrk = completion[0]
+    minrk = min_rank(A)
     out["min_rank"] = minrk
     out["max_rank"] = _guarded(max_rank, A)
     out["line_cover"] = line_cover_number(A)
@@ -66,7 +65,7 @@ def report(A: PartialMatrix, config: ToolConfig | None = None) -> dict:
     out["strongly_isolated"] = isolation(A, strong=True) is not None
     out["lin"] = 1 << (A.n - minrk)
     if A.n <= lim.opt_n:
-        opt, _ = _opt_exact(A, lim.opt_n, None, completion)
+        opt, _ = opt_exact(A, lim.opt_n)
         out["opt"] = opt
         eps = epsilon_of(A.n, opt, minrk)
         out["epsilon"] = eps
@@ -141,11 +140,10 @@ def evaluate_matrix(
 ) -> SearchRecord:
     """The search record for one matrix."""
     cfg = config or ToolConfig()
-    completion = min_rank_completion(A)
-    minrk = completion[0]
+    minrk = min_rank(A)
     opt: int | None
     if A.n <= cfg.limits.opt_n:
-        opt, _ = _opt_exact(A, cfg.limits.opt_n, None, completion)
+        opt, _ = opt_exact(A, cfg.limits.opt_n)
     else:
         opt = None
     eps = epsilon_of(A.n, opt, minrk) if opt is not None else None

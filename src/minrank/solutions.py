@@ -206,8 +206,13 @@ def _spread(w: int, positions: list[int]) -> int:
 
 class _Engine:
     """What both exact opt engines share: the instance, its forbidden set
-    K as a bitmap, and a search clock (partial._Deadline) that counts
-    their ticks and holds the deadline.
+    K as a bitmap, a search clock (partial._Deadline) that counts their
+    ticks and holds the deadline, and the incumbent.
+
+    The incumbent is the largest solution found or adopted so far, kept
+    as its size `best` and its occupancy bitmap `best_mask`.  seed()
+    adopts a known solution only when it is strictly larger, and
+    incumbent() returns (best, sorted members).
 
     Each engine searches on an explicit stack.  resume(stop) runs until
     the search is exhausted (True) or `stop` ticks are spent (False), and
@@ -221,7 +226,20 @@ class _Engine:
         self.full = (1 << self.N) - 1
         self.clock = _Deadline(deadline, A.n)
         self.K = K
+        self.best = 0
+        self.best_mask = 0
         self._stack: list | None = None
+
+    def seed(self, members: Iterable[int]):
+        mask = 0
+        for v in members:
+            mask |= 1 << v
+        if mask.bit_count() > self.best:
+            self.best = mask.bit_count()
+            self.best_mask = mask
+
+    def incumbent(self) -> tuple[int, list[int]]:
+        return self.best, sorted(_bits(self.best_mask))
 
     def run(self) -> tuple[int, list[int]]:
         self.resume(None)
@@ -255,8 +273,6 @@ class _OptSearch(_Engine):
 
     def __init__(self, A: PartialMatrix, K: int, deadline: float | None):
         super().__init__(A, K, deadline)
-        self.best = 0
-        self.best_members: list[int] = [0]
         self.chosen: list[int] = [0]
         self._prepare_row_bounds()
         self._prepare_cliques()
@@ -397,17 +413,10 @@ class _OptSearch(_Engine):
     # -- search -----------------------------------------------------------
 
     def seed(self, members: Iterable[int]):
-        """Adopt a known solution as the incumbent if it improves it,
-        translated so that it holds vertex 0."""
-        ms = set(members)
-        low = min(ms, default=0)
-        ms = sorted(v ^ low for v in ms | {low})
-        if len(ms) > self.best:
-            self.best = len(ms)
-            self.best_members = ms
-
-    def incumbent(self) -> tuple[int, list[int]]:
-        return self.best, self.best_members
+        """Adopt a known solution translated so that it holds vertex 0."""
+        ms = set(members) or {0}
+        low = min(ms)
+        super().seed(v ^ low for v in ms)
 
     def greedy_seed(self, cand: int):
         members = [0]
@@ -466,7 +475,7 @@ class _OptSearch(_Engine):
             else:
                 if count > self.best:
                     self.best = count
-                    self.best_members = list(chosen)
+                    self.best_mask = sum(1 << v for v in chosen)
             if child is not None:
                 stack[-1] = (cand, count, added, stale, stale_at, low)
                 stack.append(child)
@@ -491,161 +500,74 @@ def _pair_choice_max(
     while letting every cell pick its own a-side, and the transpose.
     Returns the best total above `best` with the winning choices, or
     (best, None, None) when nothing beats it.
+
+    Row a is side 0 and row b side 1; each side keeps its classes'
+    choices pick[side] (-1 while open), its sums s[side][i][v] (the
+    count with v chosen for class i, the other side's open classes taken
+    at their larger side), and their bound contrib[side].
     """
-    na = max((ia for ia, _, _ in cells), default=-1) + 1
-    nb = max((ib for _, ib, _ in cells), default=-1) + 1
-    cells_of_a: list[list[tuple[int, list[list[int]]]]] = [[] for _ in range(na)]
-    cells_of_b: list[list[tuple[int, list[list[int]]]]] = [[] for _ in range(nb)]
+    size = [max((cell[side] for cell in cells), default=-1) + 1 for side in (0, 1)]
+    # cells_of[side][i]: (other class, counts as [own choice][other choice])
+    cells_of: list[list[list]] = [[[] for _ in range(k)] for k in size]
     for ia, ib, m2 in cells:
-        cells_of_a[ia].append((ib, m2))
-        cells_of_b[ib].append((ia, m2))
-    xa = [-1] * na
-    yb = [-1] * nb
-    # sb[ib][y]: count with y chosen for ib, open a-sides taken at their max
-    sb = [[0, 0] for _ in range(nb)]
-    sa = [[0, 0] for _ in range(na)]
-    for ia, ib, m2 in cells:
-        for y in (0, 1):
-            sb[ib][y] += max(m2[0][y], m2[1][y])
-        for x in (0, 1):
-            sa[ia][x] += max(m2[x][0], m2[x][1])
-    contrib_b = [max(v[0], v[1]) for v in sb]
-    contrib_a = [max(v[0], v[1]) for v in sa]
-    bound_a = sum(contrib_a)
-    bound_b = sum(contrib_b)
-    state = [bound_a, bound_b, best]
-    found: list[list[int] | None] = [None, None]
+        cells_of[0][ia].append((ib, m2))
+        cells_of[1][ib].append((ia, list(zip(*m2))))
+    pick = [[-1] * k for k in size]
+    s = [[[sum(max(c[v]) for _, c in own) for v in (0, 1)] for own in side] for side in cells_of]
+    contrib = [[max(sums) for sums in side] for side in s]
+    bound = [sum(contrib[0]), sum(contrib[1])]
 
-    def set_x(ia: int, x: int):
-        undo = []
-        da = sa[ia][x] - contrib_a[ia]
-        undo.append((0, ia, contrib_a[ia]))
-        contrib_a[ia] = sa[ia][x]
-        db = 0
-        for ib, m2 in cells_of_a[ia]:
-            y = yb[ib]
-            old = contrib_b[ib]
-            if y >= 0:
-                d = m2[x][y] - max(m2[0][y], m2[1][y])
-                sb[ib][y] += d
-                contrib_b[ib] = sb[ib][y]
-                undo.append((1, ib, y, d, old))
-            else:
-                d0 = m2[x][0] - max(m2[0][0], m2[1][0])
-                d1 = m2[x][1] - max(m2[0][1], m2[1][1])
-                sb[ib][0] += d0
-                sb[ib][1] += d1
-                contrib_b[ib] = max(sb[ib][0], sb[ib][1])
-                undo.append((2, ib, d0, d1, old))
-            db += contrib_b[ib] - old
-        xa[ia] = x
-        state[0] += da
-        state[1] += db
-        return undo, da, db
+    def shift(side: int, i: int, v: int, sign: int):
+        # add (sign 1) or take back (sign -1) what choosing v for class i
+        # costs the sums of the other side
+        o = 1 - side
+        for j, c in cells_of[side][i]:
+            sums = s[o][j]
+            sums[0] += sign * (c[v][0] - max(c[0][0], c[1][0]))
+            sums[1] += sign * (c[v][1] - max(c[0][1], c[1][1]))
+            w = pick[o][j]
+            now = sums[w] if w >= 0 else max(sums)
+            bound[o] += now - contrib[o][j]
+            contrib[o][j] = now
 
-    def unset_x(ia: int, undo, da: int, db: int):
-        xa[ia] = -1
-        for rec in reversed(undo):
-            if rec[0] == 0:
-                contrib_a[rec[1]] = rec[2]
-            elif rec[0] == 1:
-                _, ib, y, d, old = rec
-                sb[ib][y] -= d
-                contrib_b[ib] = old
-            else:
-                _, ib, d0, d1, old = rec
-                sb[ib][0] -= d0
-                sb[ib][1] -= d1
-                contrib_b[ib] = old
-        state[0] -= da
-        state[1] -= db
+    def choose(side: int, i: int, v: int):
+        shift(side, i, v, 1)
+        pick[side][i] = v
+        bound[side] += s[side][i][v] - contrib[side][i]
+        contrib[side][i] = s[side][i][v]
 
-    def set_y(ib: int, y: int):
-        undo = []
-        db = sb[ib][y] - contrib_b[ib]
-        undo.append((0, ib, contrib_b[ib]))
-        contrib_b[ib] = sb[ib][y]
-        da = 0
-        for ia, m2 in cells_of_b[ib]:
-            x = xa[ia]
-            old = contrib_a[ia]
-            if x >= 0:
-                d = m2[x][y] - max(m2[x][0], m2[x][1])
-                sa[ia][x] += d
-                contrib_a[ia] = sa[ia][x]
-                undo.append((1, ia, x, d, old))
-            else:
-                d0 = m2[0][y] - max(m2[0][0], m2[0][1])
-                d1 = m2[1][y] - max(m2[1][0], m2[1][1])
-                sa[ia][0] += d0
-                sa[ia][1] += d1
-                contrib_a[ia] = max(sa[ia][0], sa[ia][1])
-                undo.append((2, ia, d0, d1, old))
-            da += contrib_a[ia] - old
-        yb[ib] = y
-        state[0] += da
-        state[1] += db
-        return undo, da, db
+    def unchoose(side: int, i: int):
+        v = pick[side][i]
+        pick[side][i] = -1
+        shift(side, i, v, -1)
+        bound[side] += max(s[side][i]) - contrib[side][i]
+        contrib[side][i] = max(s[side][i])
 
-    def unset_y(ib: int, undo, da: int, db: int):
-        yb[ib] = -1
-        for rec in reversed(undo):
-            if rec[0] == 0:
-                contrib_b[rec[1]] = rec[2]
-            elif rec[0] == 1:
-                _, ia, x, d, old = rec
-                sa[ia][x] -= d
-                contrib_a[ia] = old
-            else:
-                _, ia, d0, d1, old = rec
-                sa[ia][0] -= d0
-                sa[ia][1] -= d1
-                contrib_a[ia] = old
-        state[0] -= da
-        state[1] -= db
+    def slack(side: int, i: int) -> int:
+        return sum(abs(c[0][w] - c[1][w]) for _, c in cells_of[side][i] for w in (0, 1))
 
-    def slack_a(ia: int) -> int:
-        t = 0
-        for _, m2 in cells_of_a[ia]:
-            for y in (0, 1):
-                t += max(m2[0][y], m2[1][y]) - min(m2[0][y], m2[1][y])
-        return t
-
-    def slack_b(ib: int) -> int:
-        t = 0
-        for _, m2 in cells_of_b[ib]:
-            for x in (0, 1):
-                t += max(m2[x][0], m2[x][1]) - min(m2[x][0], m2[x][1])
-        return t
-
-    ranked = [("a", i, slack_a(i)) for i in range(na)]
-    ranked += [("b", i, slack_b(i)) for i in range(nb)]
+    ranked = [(side, i, slack(side, i)) for side in (0, 1) for i in range(size[side])]
     order = [(side, i) for side, i, sl in sorted(ranked, key=lambda v: -v[2]) if sl > 0]
+    found = None
 
     def dive(t: int):
+        nonlocal best, found
         tick()
-        b = state[0] if state[0] < state[1] else state[1]
-        if b <= state[2]:
+        b = min(bound)
+        if b <= best:
             return
         if t == len(order):
-            state[2] = b
-            found[0] = list(xa)
-            found[1] = list(yb)
+            best = b
+            found = [list(pick[0]), list(pick[1])]
             return
         side, i = order[t]
-        if side == "a":
-            for x in (0, 1):
-                undo, da, db = set_x(i, x)
-                dive(t + 1)
-                unset_x(i, undo, da, db)
-        else:
-            for y in (0, 1):
-                undo, da, db = set_y(i, y)
-                dive(t + 1)
-                unset_y(i, undo, da, db)
+        for v in (0, 1):
+            choose(side, i, v)
+            dive(t + 1)
+            unchoose(side, i)
 
     dive(0)
-    return state[2], found[0], found[1]
+    return (best, *found) if found else (best, None, None)
 
 
 class _ParityChoiceSearch(_Engine):
@@ -682,19 +604,6 @@ class _ParityChoiceSearch(_Engine):
             rows.append((a, s, list(zip(classes[half:], classes[:half]))))
         rows.sort(key=lambda r: len(r[2]))
         self.rows = rows
-        self.best = 0
-        self.best_mask = 0
-
-    def seed(self, members: Iterable[int]):
-        mask = 0
-        for v in members:
-            mask |= 1 << v
-        if mask.bit_count() > self.best:
-            self.best = mask.bit_count()
-            self.best_mask = mask
-
-    def incumbent(self) -> tuple[int, list[int]]:
-        return self.best, sorted(_bits(self.best_mask))
 
     def _row_sum(self, alive: int, classes, cap: int) -> int:
         total = 0
@@ -847,19 +756,16 @@ class _ParityChoiceSearch(_Engine):
 _SUBSPACE_WORK = 1 << 24
 
 
-def _parity_choice_ready(
-    A: PartialMatrix, class_limit: int = 64, row_limit: int = 12
-) -> bool:
+def _parity_choice_ready(A: PartialMatrix) -> bool:
     """True when the parity-choice engine fits the instance shape.
 
     It branches within each row over star-pattern classes, so every
-    meaningful row must be thin (few stars), and its per-step row
-    bounds only pay off when there are few distinct rows.
+    meaningful row must be thin (at most 64 classes), and its per-step
+    row bounds only pay off when there are few distinct rows (at most
+    12).
     """
     rows = {(a, s) for a, s in zip(A.ones, A.stars) if a != 0}
-    return len(rows) <= row_limit and all(
-        (1 << s.bit_count()) <= class_limit for _, s in rows
-    )
+    return len(rows) <= 12 and all((1 << s.bit_count()) <= 64 for _, s in rows)
 
 
 def opt_exact(
@@ -888,25 +794,18 @@ def opt_exact(
     witness is the same kernel whenever opt = lin.  A search witness is
     verified before it is returned, whatever its size.
 
+    The min rank and its completion come from min_rank_completion, whose
+    memo hands them over without a second search when the caller has
+    just completed A (min_rank, report, conjecture_epsilon).
+
     Instances whose root bounds are not tight can still take minutes.
     """
-    return _opt_exact(A, limit_n, deadline, None)
-
-
-def _opt_exact(
-    A: PartialMatrix,
-    limit_n: int,
-    deadline: float | None,
-    completion: tuple[int, GF2Matrix] | None,
-) -> tuple[int, SolutionSet]:
-    """opt_exact, reusing `completion` when the caller already holds the
-    (min rank, completion) pair that min_rank_completion(A) returns."""
     if A.n > limit_n:
         raise LimitError(f"exact search over GF(2)^{A.n} exceeds n <= {limit_n}")
     if not any(A.ones):
         # edgeless graph: everything is one solution
         return 1 << A.n, SolutionSet.of(range(1 << A.n), A.n)
-    r, W = completion if completion is not None else min_rank_completion(A, deadline)
+    r, W = min_rank_completion(A, deadline)
     col = _column_floor(A, A.n)
     core, kept, dropped = _drop_unused_columns(A)
     if core is A:
@@ -1211,8 +1110,8 @@ def conjecture_epsilon(
     deadline: float | None = None,
 ) -> EpsilonRecord | None:
     """The observed exponent for A, or None when min rank is zero."""
-    r, W = min_rank_completion(A, deadline)
+    r = min_rank(A, deadline)
     if r == 0:
         return None
-    opt, _ = _opt_exact(A, limit_n, deadline, (r, W))
+    opt, _ = opt_exact(A, limit_n, deadline)
     return EpsilonRecord(A.n, opt, r)

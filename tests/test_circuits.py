@@ -23,7 +23,7 @@ from minrank.circuits import (
 )
 from minrank.errors import LimitError, ParseError
 from minrank.gf2 import GF2Matrix, rank, rref
-from minrank.partial import min_rank
+from minrank.partial import line_cover_number, min_rank
 from minrank.solutions import opt_exact
 
 # x0 and x1, fed to one output that copies it
@@ -90,6 +90,7 @@ def test_linearize_on_generated_circuits():
         assert L.operator().rows == target
         assert L.width == min_rank(matrix_of(F))
         assert L.degree <= F.degree
+        assert metrics(F)["match_size"] == line_cover_number(matrix_of(F))
 
 
 def test_linearize_width_bound_via_opt():

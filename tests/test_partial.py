@@ -29,7 +29,8 @@ from minrank.partial import (
     stars_independent,
 )
 from minrank.pmx import parse_pmx
-from minrank.solutions import opt_exact
+from minrank.report import evaluate_matrix, report
+from minrank.solutions import conjecture_epsilon, opt_exact
 
 A1 = parse_pmx("10*0*1\n*111**\n0**1**\n")
 A2 = parse_pmx("11*1\n101*\n1*00\n")
@@ -397,6 +398,13 @@ def test_min_rank_then_opt_exact_completes_once(dfs_calls):
     assert searched > 0
     assert opt_exact(A1)[0] > 0
     assert len(dfs_calls) == searched
+    # each of these completes A1 and then runs opt_exact on it, which
+    # takes the completion from the memo
+    for run in (report, evaluate_matrix, conjecture_epsilon):
+        partial._last_completion = None
+        dfs_calls.clear()
+        run(A1)
+        assert len(dfs_calls) == searched
 
 
 def test_memo_compares_matrices_by_value(dfs_calls):

@@ -680,4 +680,4 @@ def test_vertex_search_adopts_a_solution_without_vertex_0():
     search = _OptSearch(A, K, None)
     search.seed(v ^ x for v in V)
     assert search.best == len(V)
-    assert search.best_members == sorted(V)
+    assert search.incumbent() == (len(V), sorted(V))
