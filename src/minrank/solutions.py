@@ -501,34 +501,46 @@ def _pair_choice_max(
     Returns the best total above `best` with the winning choices, or
     (best, None, None) when nothing beats it.
 
-    Row a is side 0 and row b side 1; each side keeps its classes'
-    choices pick[side] (-1 while open), its sums s[side][i][v] (the
-    count with v chosen for class i, the other side's open classes taken
-    at their larger side), and their bound contrib[side].
+    Row a is side 0 and row b side 1.  Per side, pick[side][i] is the
+    choice of class i (-1 while open), s[side][i][v] the count with v
+    chosen for i, each of its cells taking the other side's choice where
+    made and the larger count where open, and contrib[side][i] the share of i in the side's bound: s[side][i] at
+    the choice, or the larger of the two while open.
     """
     size = [max((cell[side] for cell in cells), default=-1) + 1 for side in (0, 1)]
-    # cells_of[side][i]: (other class, counts as [own choice][other choice])
+    # cells_of[side][i] lists, per cell of class i, the other side's class
+    # j and, for each choice v of i, what v takes from j's two sums
     cells_of: list[list[list]] = [[[] for _ in range(k)] for k in size]
+    s = [[[0, 0] for _ in range(k)] for k in size]
+    slack = [[0] * k for k in size]
     for ia, ib, m2 in cells:
-        cells_of[0][ia].append((ib, m2))
-        cells_of[1][ib].append((ia, list(zip(*m2))))
+        for side, i, j, c in ((0, ia, ib, m2), (1, ib, ia, tuple(zip(*m2)))):
+            # c[v][w]: the count with v chosen for i and w for j
+            top = (max(c[0][0], c[1][0]), max(c[0][1], c[1][1]))
+            cells_of[side][i].append((j, [(c[v][0] - top[0], c[v][1] - top[1]) for v in (0, 1)]))
+            s[side][i][0] += max(c[0])
+            s[side][i][1] += max(c[1])
+            slack[side][i] += abs(c[0][0] - c[1][0]) + abs(c[0][1] - c[1][1])
     pick = [[-1] * k for k in size]
-    s = [[[sum(max(c[v]) for _, c in own) for v in (0, 1)] for own in side] for side in cells_of]
     contrib = [[max(sums) for sums in side] for side in s]
     bound = [sum(contrib[0]), sum(contrib[1])]
 
     def shift(side: int, i: int, v: int, sign: int):
         # add (sign 1) or take back (sign -1) what choosing v for class i
-        # costs the sums of the other side
+        # takes from the other side's sums
         o = 1 - side
-        for j, c in cells_of[side][i]:
-            sums = s[o][j]
-            sums[0] += sign * (c[v][0] - max(c[0][0], c[1][0]))
-            sums[1] += sign * (c[v][1] - max(c[0][1], c[1][1]))
-            w = pick[o][j]
+        s_o, pick_o, contrib_o = s[o], pick[o], contrib[o]
+        moved = 0
+        for j, deltas in cells_of[side][i]:
+            d0, d1 = deltas[v]
+            sums = s_o[j]
+            sums[0] += sign * d0
+            sums[1] += sign * d1
+            w = pick_o[j]
             now = sums[w] if w >= 0 else max(sums)
-            bound[o] += now - contrib[o][j]
-            contrib[o][j] = now
+            moved += now - contrib_o[j]
+            contrib_o[j] = now
+        bound[o] += moved
 
     def choose(side: int, i: int, v: int):
         shift(side, i, v, 1)
@@ -543,17 +555,14 @@ def _pair_choice_max(
         bound[side] += max(s[side][i]) - contrib[side][i]
         contrib[side][i] = max(s[side][i])
 
-    def slack(side: int, i: int) -> int:
-        return sum(abs(c[0][w] - c[1][w]) for _, c in cells_of[side][i] for w in (0, 1))
-
-    ranked = [(side, i, slack(side, i)) for side in (0, 1) for i in range(size[side])]
+    ranked = [(side, i, slack[side][i]) for side in (0, 1) for i in range(size[side])]
     order = [(side, i) for side, i, sl in sorted(ranked, key=lambda v: -v[2]) if sl > 0]
     found = None
 
     def dive(t: int):
         nonlocal best, found
         tick()
-        b = min(bound)
+        b = bound[0] if bound[0] < bound[1] else bound[1]
         if b <= best:
             return
         if t == len(order):
