@@ -260,7 +260,13 @@ def _forced_independent(rows, start: int, basis: tuple[int, ...], need: int) -> 
 
 
 def _complete_within(
-    rows, n: int, target: int, clock: _Deadline, reduced_units: dict, failed: set | None = None
+    rows,
+    n: int,
+    target: int,
+    clock: _Deadline,
+    reduced_units: dict,
+    failed: set | None = None,
+    cut: _KernelCut | None = None,
 ):
     """Completions of the worklist spanning at most `target` dimensions.
 
@@ -276,11 +282,18 @@ def _complete_within(
     outgrows the target.  Such a node holds no completion, so the cut
     leaves the search order and the result unchanged.  The test runs
     only at nodes with at most n rows still to place, so its cost per
-    node does not grow with m on tall matrices, where it seldom cuts.  `reduced_units` maps
-    each span met to its reduced unit vectors, across the targets of one
-    matrix.  `failed` holds the nodes proven empty at this target; a
-    caller that passes the same set again after a _BudgetSpent resumes
-    without searching them twice.
+    node does not grow with m on tall matrices, where it seldom cuts.
+
+    At nodes with more than n rows still to place, `cut`, when given,
+    cuts the nodes that it proves hold no completion (_KernelCut), so it
+    too leaves the result unchanged.  min_rank_completion passes it only
+    once the kernel side has shown the target feasible, where the
+    search would otherwise walk the empty subtrees to their ends.
+
+    `reduced_units` maps each span met to its reduced unit vectors,
+    across the targets of one matrix.  `failed` holds the nodes proven
+    empty at this target; a caller that passes the same set again after
+    a _BudgetSpent resumes without searching them twice.
     """
     if failed is None:
         failed = set()
@@ -311,7 +324,9 @@ def _complete_within(
             return None
         room = target - len(basis)
         if room <= 0 or (
-            len(rows) - idx <= n and _forced_independent(rows, idx, basis, room + 1) > room
+            _forced_independent(rows, idx, basis, room + 1) > room
+            if len(rows) - idx <= n
+            else cut is not None and cut(basis)
         ):
             failed.add(key)
             return None
@@ -384,6 +399,71 @@ def _avoiding_subspace(K: int, n: int, dim: int, clock: _Deadline) -> tuple[int,
     return tuple(reversed(basis)) if go(full & ~K, 0, full ^ 1) else None
 
 
+# The most ticks one search of the finish's kernel cut may take.  On
+# the code matrices with n <= 8 a cut settles within 931 ticks, and on
+# H1 within 401; on some random tall matrices a proof that a node is
+# empty takes 2,000 to 3,000 ticks where the rank side refutes the node
+# in a few hundred, and the first search that runs out turns the cut off
+# for the rest of the finish.
+_CUT_TICKS = 1024
+
+
+class _KernelCut:
+    """The finish's cut of _complete_within: called with the span
+    `basis` of a node, whether the node holds no completion within
+    `target` dimensions.
+
+    The node holds one iff some subspace W of dimension target contains
+    basis and a completion of every row still to place, i.e. iff W's
+    orthogonal complement, of dimension n - target inside basis^perp,
+    avoids the forbidden set of those rows.  The rows already placed
+    have completions inside span(basis), so their forbidden sets miss
+    basis^perp, and K, the forbidden set of all rows, with the vectors
+    outside basis^perp (odd against some basis vector) is the same
+    bitmap as the forbidden set of the remaining rows with them.
+
+    `found` holds the span bitmaps of the subspaces found so far; each
+    is tried first with one AND, and each new one joins them.  A search
+    gets at most _CUT_TICKS ticks of the clock, which must have no slice
+    limit; one that runs out answers no cut, and so does every later
+    call.
+    """
+
+    def __init__(self, K: int, n: int, target: int, clock: _Deadline, found: list[int]):
+        self.K, self.n, self.target, self.clock, self.found = K, n, target, clock, found
+        self.live = True
+
+    def __call__(self, basis: tuple[int, ...]) -> bool:
+        if not self.live:
+            return False
+        bm = self.K
+        for b in basis:
+            bm |= _parity_bitmap(b, self.n)
+        for space in self.found:
+            if not space & bm:
+                return False
+        clock = self.clock
+        clock.stop = clock.ticks + _CUT_TICKS
+        try:
+            V = _avoiding_subspace(bm, self.n, self.n - self.target, clock)
+        except _BudgetSpent:
+            self.live = False
+            return False
+        finally:
+            clock.stop = None
+        if V is None:
+            return True
+        self.found.append(_span_bitmap(V))
+        return False
+
+
+def _span_bitmap(basis: tuple[int, ...]) -> int:
+    members = [0]
+    for b in basis:
+        members += [u ^ b for u in members]
+    return sum(1 << u for u in members)
+
+
 # min_rank_completion races the kernel side only on matrices this
 # narrow.  Up to n = 8 (the code matrices and code (8, 2)) the race is
 # measured to win; on random 16 x 12 and 8 x 16 matrices the kernel side
@@ -426,6 +506,19 @@ def _column_floor(A: PartialMatrix, limit: int) -> int:
     return col_min_rank(A, limit)
 
 
+def _remembered_completion(
+    A: PartialMatrix, deadline: float | None = None
+) -> tuple[int, GF2Matrix]:
+    """min_rank_completion(A, deadline), read from the memo without
+    calling it when A is the last matrix completed, so that a caller
+    that follows min_rank (opt_exact) makes no second call for a lookup.
+    """
+    last = _last_completion
+    if last is not None and last[0] == A:
+        return last[1]
+    return min_rank_completion(A, deadline)
+
+
 def min_rank_completion(
     A: PartialMatrix, deadline: float | None = None
 ) -> tuple[int, GF2Matrix]:
@@ -447,13 +540,19 @@ def min_rank_completion(
     256; its memo of failed nodes is kept between slices.  After each
     slice it does not finish, the kernel side gets an equal slice.  If
     that proves t infeasible, t is skipped; if it finds a subspace, the
-    rank side finishes t without a slice limit.  Only matrices with
-    n <= 8 race; wider ones run the rank side alone, unsliced.
-    The first time a matrix reaches the kernel side, K is built and the
-    floor rises to n - floor(log2 of K's ratio bound), since
-    2^(n - min rank) = lin <= opt <= the ratio bound.  Every completion
-    returned is the one the rank side finds at the minimum, so the
-    answer does not depend on the race or the deadline.
+    rank side finishes t without a slice limit, and every branching node
+    with more than n rows still to place is first asked whether a
+    subspace of dimension n - t inside its span's orthogonal complement
+    avoids the forbidden set of those rows (_KernelCut), starting from
+    the subspace just found; a node where none does holds no completion
+    and is cut.  The first of those searches to run past _CUT_TICKS
+    turns the cut off for the rest of the finish.  Only matrices with
+    n <= 8 race; wider ones run the rank side alone, unsliced, with no
+    kernel cut.  The first time a matrix reaches the kernel side, K is
+    built and the floor rises to n - floor(log2 of K's ratio bound),
+    since 2^(n - min rank) = lin <= opt <= the ratio bound.  Every
+    completion returned is the one the rank side finds at the minimum,
+    so the answer does not depend on the race, the cut or the deadline.
 
     The answer for the last matrix completed is kept, so a call on an
     equal matrix right after (min_rank, then opt_exact) returns it
@@ -476,9 +575,11 @@ def min_rank_completion(
 
     def decide(target: int):
         nonlocal K, floor
+        if n > _KERNEL_SIDE_N:
+            return _complete_within(rows, n, target, clock, reduced_units)
         failed: set = set()
         budget = _FIRST_SLICE
-        while n <= _KERNEL_SIDE_N:
+        while True:
             clock.stop = clock.ticks + budget
             try:
                 return _complete_within(rows, n, target, clock, reduced_units, failed)
@@ -492,14 +593,16 @@ def min_rank_completion(
                 return None
             clock.stop = clock.ticks + budget
             try:
-                if _avoiding_subspace(K, n, n - target, clock) is None:
+                V = _avoiding_subspace(K, n, n - target, clock)
+                if V is None:
                     return None
                 break
             except _BudgetSpent:
                 pass
             budget *= 2
         clock.stop = None
-        return _complete_within(rows, n, target, clock, reduced_units, failed)
+        cut = _KernelCut(K, n, target, clock, [_span_bitmap(V)])
+        return _complete_within(rows, n, target, clock, reduced_units, failed, cut)
 
     target = floor
     while (found := decide(target)) is None:

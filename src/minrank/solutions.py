@@ -46,10 +46,10 @@ from .partial import (
     _avoiding_subspace,
     _column_floor,
     _forbidden_bitmap,
+    _remembered_completion,
     canonical_completion,
     enumerate_completions,
     min_rank,
-    min_rank_completion,
 )
 
 __all__ = [
@@ -803,9 +803,10 @@ def opt_exact(
     witness is the same kernel whenever opt = lin.  A search witness is
     verified before it is returned, whatever its size.
 
-    The min rank and its completion come from min_rank_completion, whose
-    memo hands them over without a second search when the caller has
-    just completed A (min_rank, report, conjecture_epsilon).
+    The min rank and its completion come from min_rank_completion's
+    memo when the caller has just completed A (min_rank, report,
+    conjecture_epsilon), with no call and no second search; otherwise
+    from a call to min_rank_completion.
 
     Instances whose root bounds are not tight can still take minutes.
     """
@@ -814,7 +815,7 @@ def opt_exact(
     if not any(A.ones):
         # edgeless graph: everything is one solution
         return 1 << A.n, SolutionSet.of(range(1 << A.n), A.n)
-    r, W = min_rank_completion(A, deadline)
+    r, W = _remembered_completion(A, deadline)
     col = _column_floor(A, A.n)
     core, kept, dropped = _drop_unused_columns(A)
     if core is A:

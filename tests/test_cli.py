@@ -1,11 +1,14 @@
 """End-to-end tests for the command line layer."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import minrank
 from minrank.circuits import Depth2Circuit, MiddleGate, OutputGate, emit_ckt
 from minrank.cli import main
 
@@ -151,10 +154,15 @@ def test_circuit_commands(tmp_path, capsys):
 
 
 def test_module_entry_point(a1_file):
+    # the child imports the package the tests import, also when pytest
+    # found it through its own pythonpath setting
+    src = str(Path(minrank.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     got = subprocess.run(
         [sys.executable, "-m", "minrank.cli", "lin", a1_file],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert got.returncode == 0
     assert got.stdout == "lin: 16\n"

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from minrank import partial
+from minrank import partial, solutions
 from minrank.codes import CodeMatrixSpec, code_matrix
 from minrank.errors import LimitError
 from minrank.gf2 import GF2Matrix, dot, rank, reduce_vector, rref
@@ -372,6 +372,119 @@ def test_every_forced_independence_cut_holds_no_completion(monkeypatch):
     assert sum(1 for _, basis, _ in cuts if basis) > 80  # below the root
 
 
+def fits_within(rows, basis, target):
+    """Whether some completion of rows keeps span(basis) within `target`
+    dimensions, trying every completion of every row."""
+    failed = set()
+
+    def go(idx, span):
+        if len(span) > target:
+            return False
+        if idx == len(rows):
+            return True
+        if (idx, span) in failed:
+            return False
+        a, s = rows[idx]
+        stars = [1 << j for j in range(s.bit_length()) if (s >> j) & 1]
+        for fill in range(1 << len(stars)):
+            v = a
+            for k, e in enumerate(stars):
+                if (fill >> k) & 1:
+                    v |= e
+            if go(idx + 1, rref(span + (v,))):
+                return True
+        failed.add((idx, span))
+        return False
+
+    return go(0, rref(basis))
+
+
+def test_every_kernel_cut_holds_no_completion(monkeypatch):
+    # the rows a cut node has placed lie in span(basis), so no completion
+    # of its remaining rows stays within the target iff none of all rows
+    # does, starting from basis
+    cuts = []
+    worklist = []
+    real = partial._KernelCut.__call__
+
+    def spy(self, basis):
+        cut = real(self, basis)
+        if cut:
+            cuts.append((tuple(worklist), basis, self.target))
+        return cut
+
+    monkeypatch.setattr(partial._KernelCut, "__call__", spy)
+
+    def search_every_target(A):
+        # every target up to the minimum, so the failing ones are cut too
+        worklist[:] = _prepare_rows(A)[0]
+        K = partial._forbidden_bitmap(worklist, A.n)
+        for target in range(min_rank(A) + 1):
+            clock = partial._Deadline(None, A.n)
+            cut = partial._KernelCut(K, A.n, target, clock, [])
+            partial._complete_within(worklist, A.n, target, clock, {}, None, cut)
+
+    rng = random.Random(61)
+    for _ in range(150):
+        n = rng.randint(5, 7)
+        search_every_target(
+            star_heavy_matrix(rng, rng.randint(n + 1, 3 * n), n, rng.uniform(0.3, 0.6))
+        )
+    for n in range(3, 7):
+        for r in range(1, n):
+            search_every_target(shuffled_rows(code_matrix(CodeMatrixSpec(n, r)), rng))
+    # min_rank_completion itself cuts only in the finish, after the race
+    searched = len(cuts)
+    A = shuffled_rows(code_matrix(CodeMatrixSpec(7, 3)), rng)
+    monkeypatch.setattr(partial, "_last_completion", None)
+    worklist[:] = _prepare_rows(A)[0]
+    min_rank_completion(A)
+    assert len(cuts) > searched
+    for rows, basis, target in cuts:
+        assert not fits_within(rows, basis, target)
+    assert len(cuts) > 400
+    assert sum(1 for _, basis, _ in cuts if basis) > 90  # below the root
+
+
+def test_kernel_cut_turns_off_when_a_search_runs_out(monkeypatch):
+    monkeypatch.setattr(partial, "_CUT_TICKS", 4)
+    cuts = []
+    real = partial._KernelCut.__init__
+
+    def kept(self, *args):
+        real(self, *args)
+        cuts.append(self)
+
+    monkeypatch.setattr(partial._KernelCut, "__init__", kept)
+    for spec in ((6, 2), (7, 3)):
+        A = code_matrix(CodeMatrixSpec(*spec))
+        monkeypatch.setattr(partial, "_last_completion", None)
+        assert min_rank_completion(A) == reference_min_rank_completion(A)
+    assert len(cuts) == 2 and not any(cut.live for cut in cuts)
+
+
+def completion_ticks(monkeypatch, A):
+    """The ticks of every search clock of one min_rank_completion(A)."""
+    clocks = []
+
+    class Counted(partial._Deadline):
+        def __init__(self, *args):
+            super().__init__(*args)
+            clocks.append(self)
+
+    monkeypatch.setattr(partial, "_Deadline", Counted)
+    monkeypatch.setattr(partial, "_last_completion", None)
+    min_rank_completion(A)
+    return sum(clock.ticks for clock in clocks)
+
+
+def test_kernel_cut_saves_completion_ticks(monkeypatch):
+    # without the cut the finish walks infeasible subtrees: 6,858 ticks
+    # on code (7, 3) and 19,539 on H1 = code (7, 2)
+    for (n, r), most in (((7, 3), 2000), ((7, 2), 4000)):
+        assert completion_ticks(monkeypatch, code_matrix(CodeMatrixSpec(n, r))) <= most
+
+
 def test_code_matrix_min_ranks():
     for r, want in ((3, 4), (4, 6), (5, 6)):
         assert min_rank(code_matrix(CodeMatrixSpec(7, r))) == want
@@ -405,6 +518,24 @@ def test_min_rank_then_opt_exact_completes_once(dfs_calls):
         dfs_calls.clear()
         run(A1)
         assert len(dfs_calls) == searched
+
+
+def test_opt_exact_reads_the_memo_without_a_completion_call(monkeypatch):
+    calls = []
+    real = partial.min_rank_completion
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for A in (A1, A2, code_matrix(CodeMatrixSpec(6, 2))):
+        monkeypatch.setattr(partial, "_last_completion", None)
+        min_rank(A)
+        for module in (partial, solutions):
+            monkeypatch.setattr(module, "min_rank_completion", counted, raising=False)
+        opt_exact(A)
+        assert calls == []
+        monkeypatch.undo()
 
 
 def test_memo_compares_matrices_by_value(dfs_calls):
