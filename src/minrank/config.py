@@ -23,7 +23,7 @@ class Limits:
     opt_n: int = 16
     # total stars for completion enumeration and enumeration-based oracles
     stars: int = 24
-    # columns for full subspace enumeration
+    # columns for enumerate_subspaces and separating_min_rank
     subspace_n: int = 8
     # dimension for minimum-weight scans over a subspace
     min_weight_dim: int = 24

@@ -367,9 +367,10 @@ def _avoiding_subspace(K: int, n: int, dim: int, clock: _Deadline) -> tuple[int,
     fewer than 2^(dim - k) - 1 such candidates is cut (k vectors built).
 
     min_rank_completion decides min rank with it: a completion of rank at
-    most n - dim exists iff a subspace avoids the forbidden set.
-    _OptSearch finds its coset bound's U, whose nonzero members all lie
-    in the forbidden set, as a subspace avoiding the rest of GF(2)^n.
+    most n - dim exists iff a subspace avoids the forbidden set, and
+    separating_min_rank is n minus the largest such dim.  _OptSearch
+    finds its coset bound's U, whose nonzero members all lie in the
+    forbidden set, as a subspace avoiding the rest of GF(2)^n.
     """
     full = (1 << (1 << n)) - 1
     basis: list[int] = []  # filled on the way back up, so last vector first

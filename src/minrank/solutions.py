@@ -36,7 +36,6 @@ from .gf2 import (
     orthogonal_complement,
     rank,
     rref,
-    subspaces_of_dim,
     xor_translate,
 )
 from .partial import (
@@ -252,7 +251,7 @@ class _OptSearch(_Engine):
     Vertex 0 is fixed into the solution (solutions translate, so some
     optimum contains 0).  Candidates are kept as an occupancy bitmap;
     choosing x deletes the translate x ^ K from the candidates.  The
-    basic bound |chosen| + |candidates| is strengthened by three
+    basic bound |chosen| + |candidates| is strengthened by two
     admissible relaxations:
 
     * star-set bound: members in one class of a star set S (equal on S)
@@ -263,9 +262,7 @@ class _OptSearch(_Engine):
       of S-classes touched, counted by folding;
     * coset bound: for a subspace U inside K + {0}, the largest that the
       kernel-side search _avoiding_subspace finds within a fixed cap,
-      every U-coset is a clique, so candidates allow one pick per coset;
-    * clique bound: for a clique C through 0 other than U, translates of
-      C tile the graph fractionally, giving |touched| / |C|.
+      every U-coset is a clique, so candidates allow one pick per coset.
 
     All tie-breaking is by ascending vector index, so the search and its
     witness are deterministic.
@@ -275,7 +272,7 @@ class _OptSearch(_Engine):
         super().__init__(A, K, deadline)
         self.chosen: list[int] = [0]
         self._prepare_row_bounds()
-        self._prepare_cliques()
+        self._prepare_coset_bound()
 
     # -- setup ------------------------------------------------------------
 
@@ -318,41 +315,26 @@ class _OptSearch(_Engine):
         self.fold_entries = folds
         self.class_entries = entries
 
-    def _prepare_cliques(self):
+    def _prepare_coset_bound(self):
         # Largest subspace U with U \ {0} inside K: every coset of U is a
         # clique, so solutions pick at most one vector per coset.  Such a
         # U avoids the rest of GF(2)^n, so the kernel-side search finds
         # it, one dimension higher at a time, until none exists.  Its
         # ticks are capped at a fixed amount of bitmap work, and the
         # search deadline holds; any subspace found is a valid bound.
-        K = self.K
         clock = _Deadline(self.clock.deadline, self.n)
         clock.stop = _SUBSPACE_WORK // (self.N + 4096)
         basis: tuple[int, ...] = ()
         try:
             for dim in range(1, self.n + 1):
                 clock.check_time()
-                found = _avoiding_subspace(self.full & ~K & ~1, self.n, dim, clock)
+                found = _avoiding_subspace(self.full & ~self.K & ~1, self.n, dim, clock)
                 if found is None:
                     break
                 basis = found
         except _BudgetSpent:
             pass
         self.coset_basis = basis
-
-        # greedy clique through 0; need not be a subspace, so it can beat
-        # the coset bound on very dense forbidden sets
-        C = [0]
-        for scanned, x in enumerate(_bits(K)):
-            if len(C) >= 64 or scanned >= 4096:
-                break
-            if all((K >> (x ^ c)) & 1 for c in C if c != 0):
-                C.append(x)
-        # a clique equal to U as a set repeats the coset bound
-        U = [0]
-        for u in basis:
-            U += [u ^ v for v in U]
-        self.clique_C = C if len(C) > 2 and set(C) != set(U) else None
 
     # -- bounds -----------------------------------------------------------
 
@@ -399,15 +381,6 @@ class _OptSearch(_Engine):
             b = touched.bit_count() >> len(self.coset_basis)
             if b < bound:
                 bound = b
-                if bound < needed:
-                    return bound
-        if self.clique_C is not None:
-            touched = cand
-            for c in self.clique_C[1:]:
-                touched |= xor_translate(cand, c, self.n)
-            b = touched.bit_count() // len(self.clique_C)
-            if b < bound:
-                bound = b
         return bound
 
     # -- search -----------------------------------------------------------
@@ -418,15 +391,6 @@ class _OptSearch(_Engine):
         low = min(ms)
         super().seed(v ^ low for v in ms)
 
-    def greedy_seed(self, cand: int):
-        members = [0]
-        while cand:
-            x = (cand & -cand).bit_length() - 1
-            members.append(x)
-            cand &= ~xor_translate(self.K, x, self.n)
-            cand &= ~(1 << x)
-        self.seed(members)
-
     def resume(self, stop: int | None) -> bool:
         # A frame is one node: (cand, count, added, stale, stale_at, low).
         # `added` counts the conflict-free vertices it took, `stale` is its
@@ -435,9 +399,7 @@ class _OptSearch(_Engine):
         # the vertex that its open branch took.
         stack = self._stack
         if stack is None:
-            cand = self.full & ~self.K & ~1
-            self.greedy_seed(cand)
-            stack = self._stack = [(cand, 1, 0, None, 0, -1)]
+            stack = self._stack = [(self.full & ~self.K & ~1, 1, 0, None, 0, -1)]
         chosen = self.chosen
         while stack:
             cand, count, added, stale, stale_at, low = stack[-1]
@@ -504,8 +466,9 @@ def _pair_choice_max(
     Row a is side 0 and row b side 1.  Per side, pick[side][i] is the
     choice of class i (-1 while open), s[side][i][v] the count with v
     chosen for i, each of its cells taking the other side's choice where
-    made and the larger count where open, and contrib[side][i] the share of i in the side's bound: s[side][i] at
-    the choice, or the larger of the two while open.
+    made and the larger count where open, and contrib[side][i] the share
+    of i in the side's bound: s[side][i] at the choice, or the larger of
+    the two while open.
     """
     size = [max((cell[side] for cell in cells), default=-1) + 1 for side in (0, 1)]
     # cells_of[side][i] lists, per cell of class i, the other side's class
@@ -588,15 +551,14 @@ class _ParityChoiceSearch(_Engine):
     assigns a kept parity side per class, row by row, pruning with the
     per-row sums of the larger sides.  Killing a side of class k never
     changes later classes of the same row, so within one row the bound
-    updates in constant time from a precomputed suffix.  The last row
-    needs no branching (take the larger side of each class), and the
-    last two rows are finished together by _pair_choice_max on their
-    joint pattern cells.
+    updates in constant time from a precomputed suffix.  The last two
+    rows are finished together by _pair_choice_max on their joint
+    pattern cells, so the engine needs at least two distinct rows.
 
     Complements _OptSearch: this engine shines when rows have few stars
     (few, large classes), which is where vertex branching drowns in
     near-ties; it degrades when some row has many stars, which is where
-    vertex branching is easy.  Only built when every row is thin.
+    vertex branching is easy.  Only built when _parity_choice_ready.
     """
 
     def __init__(self, A: PartialMatrix, K: int, deadline: float | None):
@@ -623,23 +585,6 @@ class _ParityChoiceSearch(_Engine):
             if total >= cap:
                 return total
         return total
-
-    def _finish_one_row(self, alive: int, classes):
-        total = 0
-        mask = 0
-        for om, em in classes:
-            odd = alive & om
-            even = alive & em
-            oc, ec = odd.bit_count(), even.bit_count()
-            if oc > ec:
-                total += oc
-                mask |= odd
-            else:
-                total += ec
-                mask |= even
-        if total > self.best:
-            self.best = total
-            self.best_mask = mask
 
     def _finish_two_rows(self, alive: int, rowa, rowb):
         aa, sa_, _ = rowa
@@ -697,17 +642,7 @@ class _ParityChoiceSearch(_Engine):
 
     def _go(self, alive: int, ri: int):
         rows = self.rows
-        remaining = len(rows) - ri
-        if remaining == 0:
-            c = alive.bit_count()
-            if c > self.best:
-                self.best = c
-                self.best_mask = alive
-            return
-        if remaining == 1:
-            self._finish_one_row(alive, rows[ri][2])
-            return
-        if remaining == 2:
+        if len(rows) - ri == 2:
             self._finish_two_rows(alive, rows[ri], rows[ri + 1])
             return
         classes = rows[ri][2]
@@ -771,10 +706,12 @@ def _parity_choice_ready(A: PartialMatrix) -> bool:
     It branches within each row over star-pattern classes, so every
     meaningful row must be thin (at most 64 classes), and its per-step
     row bounds only pay off when there are few distinct rows (at most
-    12).
+    12).  It finishes the last two rows together, so it needs two; with
+    one distinct nonzero row min rank is 1, which the column bound meets
+    at the root.
     """
     rows = {(a, s) for a, s in zip(A.ones, A.stars) if a != 0}
-    return len(rows) <= 12 and all((1 << s.bit_count()) <= 64 for _, s in rows)
+    return 2 <= len(rows) <= 12 and all((1 << s.bit_count()) <= 64 for _, s in rows)
 
 
 def opt_exact(
@@ -945,39 +882,27 @@ def lin_exact(A: PartialMatrix, deadline: float | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# separating rank via subspace enumeration
-
-_subspace_cache: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-
-
-def _subspace_bases(n: int, k: int):
-    if n > 6:
-        return (S.basis for S in subspaces_of_dim(n, k))
-    key = (n, k)
-    got = _subspace_cache.get(key)
-    if got is None:
-        got = _subspace_cache[key] = [S.basis for S in subspaces_of_dim(n, k)]
-    return got
+# separating rank via the kernel-side search
 
 
 def separating_min_rank(A: PartialMatrix, limit: int = LIMITS.subspace_n) -> int:
-    """n minus the largest dimension of a subspace avoiding the forbidden set."""
+    """n minus the largest dimension of a subspace avoiding the forbidden set.
+
+    The kernel-side search of min_rank_completion (_avoiding_subspace)
+    tries the dimensions in ascending order.  A subspace of one that
+    avoids the set has subspaces of every lower dimension, so the first
+    dimension with none is one past the largest, and only that search
+    has to run to its end.
+    """
     if A.n > limit:
         raise LimitError(f"subspace sweep over GF(2)^{A.n} exceeds n <= {limit}")
     K = forbidden_set(A).bitmap
     assert K is not None
-    for k in range(A.n, -1, -1):
-        for basis in _subspace_bases(A.n, k):
-            cur = 0
-            hit = False
-            for i in range(1, 1 << k):
-                cur ^= basis[(i & -i).bit_length() - 1]
-                if (K >> cur) & 1:
-                    hit = True
-                    break
-            if not hit:
-                return A.n - k
-    raise AssertionError("unreachable: the zero subspace avoids everything")
+    clock = _Deadline(None, A.n)
+    dim = 0
+    while dim < A.n and _avoiding_subspace(K, A.n, dim + 1, clock) is not None:
+        dim += 1
+    return A.n - dim
 
 
 # ---------------------------------------------------------------------------

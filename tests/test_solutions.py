@@ -212,9 +212,14 @@ def test_lin_exact_value():
 
 def test_separating_min_rank_equals_min_rank():
     rng = random.Random(23)
-    for _ in range(120):
-        A = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
+    cases = [random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5)) for _ in range(120)]
+    # up to the n = 8 limit: H2, and the code matrices, which hold
+    # H1 = code (7, 2) and code (8, 2), each also shuffled
+    cases += [H2] + _shuffled_codes(rng, 8, 1)
+    for A in cases:
         assert separating_min_rank(A) == min_rank(A)
+    with pytest.raises(LimitError):
+        separating_min_rank(PartialMatrix(9, (1,), (0,)))
 
 
 def test_brute_force_guards():
@@ -289,9 +294,8 @@ def test_conjecture_epsilon_flagship():
 
 class _RowBoundSearch(_OptSearch):
     """_OptSearch with the bound it had before rows were grouped by star
-    set: one entry per distinct row, the coset bound over every member
-    of U, and the clique bound even where C equals U.  The oracle for
-    the star-set bound."""
+    set: one entry per distinct row, and the coset bound over every
+    member of U.  The oracle for the star-set bound."""
 
     def _prepare_row_bounds(self):
         rows = []
@@ -311,20 +315,12 @@ class _RowBoundSearch(_OptSearch):
         rows.sort(key=lambda e: len(e[1]))
         self.bound_rows = rows
 
-    def _prepare_cliques(self):
-        super()._prepare_cliques()
+    def _prepare_coset_bound(self):
+        super()._prepare_coset_bound()
         span = [0]
         for u in self.coset_basis:
             span += [u ^ v for v in span]
         self.coset_U = span if len(span) > 1 else None
-        K = self.K
-        C = [0]
-        for scanned, x in enumerate(_bits(K)):
-            if len(C) >= 64 or scanned >= 4096:
-                break
-            if all((K >> (x ^ c)) & 1 for c in C if c != 0):
-                C.append(x)
-        self.clique_C = C if len(C) > 2 else None
 
     def _strong_bound(self, cand, needed):
         bound = cand.bit_count()
@@ -342,16 +338,13 @@ class _RowBoundSearch(_OptSearch):
                 bound = total
                 if bound < needed:
                     return bound
-        for T in (self.coset_U, self.clique_C):
-            if T is not None:
-                touched = cand
-                for t in T[1:]:
-                    touched |= xor_translate(cand, t, self.n)
-                b = touched.bit_count() // len(T)
-                if b < bound:
-                    bound = b
-                    if bound < needed:
-                        return bound
+        if self.coset_U is not None:
+            touched = cand
+            for t in self.coset_U[1:]:
+                touched |= xor_translate(cand, t, self.n)
+            b = touched.bit_count() // len(self.coset_U)
+            if b < bound:
+                bound = b
         return bound
 
 
@@ -619,6 +612,36 @@ def test_parity_engine_settles_what_the_vertex_search_stalls_on(monkeypatch):
         assert sol.sorted_members() == sorted(kernel(W).vectors())
         ticks = sum(engine.clock.ticks for engine in engines)
         assert 0 < ticks < 1000
+
+
+def test_one_distinct_row_settles_at_the_root(monkeypatch):
+    # one distinct nonzero row, repeated, among zero and all-star rows:
+    # min rank 1 meets the column bound, so no engine is built, and the
+    # parity engine, which finishes two rows together, is never ready
+    engines = []
+    real = solutions._Engine.__init__
+
+    def recorded(self, *args):
+        real(self, *args)
+        engines.append(self)
+
+    monkeypatch.setattr(solutions._Engine, "__init__", recorded)
+    rng = random.Random(101)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        j = rng.randrange(n)
+        s = rng.getrandbits(n) & ~(1 << j)
+        a = rng.getrandbits(n) & ~s | 1 << j
+        rows = [(a, s)] * rng.randint(1, 3)
+        rows += [(0, rng.choice((0, (1 << n) - 1))) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(rows)
+        A = PartialMatrix(n, tuple(r for r, _ in rows), tuple(t for _, t in rows))
+        assert not solutions._parity_choice_ready(A)
+        _, W = min_rank_completion(A)
+        value, sol = opt_exact(A)
+        assert value == 1 << (n - 1)
+        assert sol.sorted_members() == sorted(kernel(W).vectors())
+    assert engines == []
 
 
 def _alone(engine, A, stop):
