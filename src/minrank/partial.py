@@ -200,10 +200,13 @@ class _Deadline:
     both deciders of min_rank_completion and for the opt engines.
 
     The deadline is read every 2^(10 - n) ticks, and every tick from
-    n = 10 on, so a search over GF(2)^n ends well within a millisecond
-    or two of its deadline: a tick costs up to about 60 us at n = 8 (a
-    pair-choice step) and 180 us at n = 12, a check that reads the clock
-    about 0.3 us (2-core x86 box, Python 3.11).
+    n = 10 on, so a search over GF(2)^n ends within a millisecond or two
+    of its deadline.  99% of ticks cost at most about 0.4 ms at n = 8
+    and 0.6 ms at n = 12.  The costliest are the parity engine's two-row
+    finishes, where a tick covers the finish's set-up or one phase of
+    its roof-bound flow.
+    A check that reads the clock costs about 0.3 us (2-core x86 box,
+    Python 3.11).
 
     `stop`, when set, is the tick count at which the running slice ends.
     """

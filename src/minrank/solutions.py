@@ -448,6 +448,109 @@ class _OptSearch(_Engine):
         return True
 
 
+def _roof_bound(
+    cells: list[tuple[int, int, list[list[int]]]],
+    size: list[int],
+    best: int,
+    tick,
+) -> int:
+    """The roof dual of _pair_choice_max's joint count, rounded down: an
+    upper bound on its maximum over all side choices (Hammer, Hansen &
+    Simeone 1984), equal to it when the count is supermodular up to
+    flipping some classes.
+
+    As a function of x (the side of each a-class) and y (of each
+    b-class) the count is K + sum alpha_i x_i + sum beta_j y_j + sum
+    q_ij x_i y_j, one product per cell, with q = c00 + c11 - c01 - c10.
+    Its negation, written as a posiform (nonnegative terms over x, y and
+    their complements), gives the implication network: a term a u w
+    adds arcs u -> not w and w -> not u of capacity a / 2, and a linear
+    term a u is a u x0, where the literal x0 = 1 is the source and its
+    complement the sink.  The count is at most minus the posiform's
+    constant, lowered by the max flow; capacities are doubled here to
+    stay integral.  One Dinic phase is one tick, and the flow stops as
+    soon as the bound is at most `best`.
+    """
+    # node 0 is the source and 1 the sink; a variable's literal is
+    # 2 + 2v and its complement 3 + 2v, so complements differ in bit 0.
+    # top is minus the posiform's constant.
+    na = size[0]
+    alpha = [0] * (na + size[1])
+    top = 0
+    terms = []
+    for ia, ib, ((c00, c01), (c10, c11)) in cells:
+        top += c00
+        jb = na + ib
+        alpha[ia] += c10 - c00
+        alpha[jb] += c01 - c00
+        q = c00 + c11 - c01 - c10
+        if q < 0:
+            terms.append((2 + 2 * ia, 2 + 2 * jb, -q))
+        elif q > 0:
+            # in the negation, -q x y = -q x + q x (not y)
+            alpha[ia] += q
+            terms.append((2 + 2 * ia, 3 + 2 * jb, q))
+    for v, a in enumerate(alpha):
+        if a > 0:
+            top += a
+            terms.append((3 + 2 * v, 0, a))
+        elif a < 0:
+            terms.append((2 + 2 * v, 0, -a))
+    # with doubled capacities the bound is top - flow / 2, rounded down
+    goal = 2 * (top - best) - 1
+    nodes = 2 * len(alpha) + 2
+    adj: list[list[int]] = [[] for _ in range(nodes)]
+    head: list[int] = []
+    cap: list[int] = []
+    for u, w, a in terms:
+        for s, t in ((u, w ^ 1), (w, u ^ 1)):
+            adj[s].append(len(head))
+            head.append(t)
+            cap.append(a)
+            adj[t].append(len(head))
+            head.append(s)
+            cap.append(0)
+
+    def push(u: int, f: int) -> int:
+        if u == 1:
+            return f
+        arcs = adj[u]
+        nxt = level[u] + 1
+        while at[u] < len(arcs):
+            e = arcs[at[u]]
+            v = head[e]
+            if cap[e] and level[v] == nxt:
+                d = push(v, f if f < cap[e] else cap[e])
+                if d:
+                    cap[e] -= d
+                    cap[e ^ 1] += d
+                    return d
+            at[u] += 1
+        return 0
+
+    flow = 0
+    while flow < goal:
+        tick()
+        level = [-1] * nodes
+        level[0] = 0
+        queue = [0]
+        for u in queue:
+            for e in adj[u]:
+                v = head[e]
+                if cap[e] and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        if level[1] < 0:
+            break
+        at = [0] * nodes
+        while flow < goal:
+            d = push(0, goal - flow)
+            if not d:
+                break
+            flow += d
+    return top - (flow + 1) // 2
+
+
 def _pair_choice_max(
     cells: list[tuple[int, int, list[list[int]]]],
     best: int,
@@ -460,6 +563,9 @@ def _pair_choice_max(
     parity per class.  Branch and bound over the choices, pruned with
     two relaxations kept incrementally: fixing consistency per b-class
     while letting every cell pick its own a-side, and the transpose.
+    Before any branching, the root is closed when the smaller of the two
+    is at most `best`, or else when the roof bound (_roof_bound), never
+    looser, is; either way it takes one tick, besides the flow's.
     Returns the best total above `best` with the winning choices, or
     (best, None, None) when nothing beats it.
 
@@ -471,22 +577,31 @@ def _pair_choice_max(
     the two while open.
     """
     size = [max((cell[side] for cell in cells), default=-1) + 1 for side in (0, 1)]
+    s = [[[0, 0] for _ in range(k)] for k in size]
+    for ia, ib, ((c00, c01), (c10, c11)) in cells:
+        sums = s[0][ia]
+        sums[0] += c00 if c00 > c01 else c01
+        sums[1] += c10 if c10 > c11 else c11
+        sums = s[1][ib]
+        sums[0] += c00 if c00 > c10 else c10
+        sums[1] += c01 if c01 > c11 else c11
+    contrib = [[max(sums) for sums in side] for side in s]
+    bound = [sum(contrib[0]), sum(contrib[1])]
+    if min(bound) <= best or _roof_bound(cells, size, best, tick) <= best:
+        tick()  # the root, closed by a bound
+        return best, None, None
+    pick = [[-1] * k for k in size]
+
     # cells_of[side][i] lists, per cell of class i, the other side's class
     # j and, for each choice v of i, what v takes from j's two sums
     cells_of: list[list[list]] = [[[] for _ in range(k)] for k in size]
-    s = [[[0, 0] for _ in range(k)] for k in size]
     slack = [[0] * k for k in size]
     for ia, ib, m2 in cells:
         for side, i, j, c in ((0, ia, ib, m2), (1, ib, ia, tuple(zip(*m2)))):
             # c[v][w]: the count with v chosen for i and w for j
             top = (max(c[0][0], c[1][0]), max(c[0][1], c[1][1]))
             cells_of[side][i].append((j, [(c[v][0] - top[0], c[v][1] - top[1]) for v in (0, 1)]))
-            s[side][i][0] += max(c[0])
-            s[side][i][1] += max(c[1])
             slack[side][i] += abs(c[0][0] - c[1][0]) + abs(c[0][1] - c[1][1])
-    pick = [[-1] * k for k in size]
-    contrib = [[max(sums) for sums in side] for side in s]
-    bound = [sum(contrib[0]), sum(contrib[1])]
 
     def shift(side: int, i: int, v: int, sign: int):
         # add (sign 1) or take back (sign -1) what choosing v for class i
@@ -553,7 +668,10 @@ class _ParityChoiceSearch(_Engine):
     changes later classes of the same row, so within one row the bound
     updates in constant time from a precomputed suffix.  The last two
     rows are finished together by _pair_choice_max on their joint
-    pattern cells, so the engine needs at least two distinct rows.
+    pattern cells, so the engine needs at least two distinct rows.  A
+    finish is skipped when the sum of larger sides of either row alone
+    cannot beat the best, and the roof bound closes most of the others
+    at their root.
 
     Complements _OptSearch: this engine shines when rows have few stars
     (few, large classes), which is where vertex branching drowns in
@@ -643,7 +761,10 @@ class _ParityChoiceSearch(_Engine):
     def _go(self, alive: int, ri: int):
         rows = self.rows
         if len(rows) - ri == 2:
-            self._finish_two_rows(alive, rows[ri], rows[ri + 1])
+            # each row alone keeps at most its sum of larger sides
+            cap = self.best + 1
+            if all(self._row_sum(alive, row[2], cap) >= cap for row in rows[ri:]):
+                self._finish_two_rows(alive, rows[ri], rows[ri + 1])
             return
         classes = rows[ri][2]
         pairs = []
@@ -738,14 +859,18 @@ def opt_exact(
     time, so the value and the witness do not depend on the host.  Both
     engines adopt only strictly larger sets than the warm start, so the
     witness is the same kernel whenever opt = lin.  A search witness is
-    verified before it is returned, whatever its size.
+    verified before it is returned, whatever its size.  The parity
+    search finishes its last two rows together, skipping a finish that
+    either row's own sum rules out and closing most others at their
+    root with the roof-duality bound, one max-flow.
 
     The min rank and its completion come from min_rank_completion's
     memo when the caller has just completed A (min_rank, report,
     conjecture_epsilon), with no call and no second search; otherwise
     from a call to min_rank_completion.
 
-    Instances whose root bounds are not tight can still take minutes.
+    Instances whose root bounds are not tight can still take more than
+    a minute at n = 8.
     """
     if A.n > limit_n:
         raise LimitError(f"exact search over GF(2)^{A.n} exceeds n <= {limit_n}")

@@ -554,16 +554,32 @@ def test_opt_exact_leaves_the_recursion_limit_alone():
     assert sys.getrecursionlimit() == limit
 
 
-def test_pair_choice_max_against_every_side_choice():
-    # each cell (ia, ib, m2) counts vectors by their parity against row a
-    # and row b; keeping side xa[ia] of every a-class and side yb[ib] of
-    # every b-class keeps m2[xa[ia]][yb[ib]] of each cell
+@pytest.fixture
+def built_engines(monkeypatch):
+    """Every opt engine built while the test runs."""
+    engines = []
+    real = solutions._Engine.__init__
+
+    def recorded(self, *args):
+        real(self, *args)
+        engines.append(self)
+
+    monkeypatch.setattr(solutions._Engine, "__init__", recorded)
+    return engines
+
+
+def _total(cells, xa, yb):
+    # keeping side xa[ia] of every a-class and side yb[ib] of every
+    # b-class keeps m2[xa[ia]][yb[ib]] of each cell
+    return sum(m2[xa[ia]][yb[ib]] for ia, ib, m2 in cells)
+
+
+def _random_cell_sets():
+    """Seeded two-row finishes: cells (ia, ib, m2) counting vectors by
+    their parity against row a and row b, over na a-classes and nb
+    b-classes, with their maximum over every side choice and a `best`
+    to beat near it."""
     rng = random.Random(97)
-
-    def total(cells, xa, yb):
-        return sum(m2[xa[ia]][yb[ib]] for ia, ib, m2 in cells)
-
-    beaten = held = 0
     for _ in range(1500):
         na, nb = rng.randint(1, 4), rng.randint(1, 4)
         cells = [
@@ -573,15 +589,21 @@ def test_pair_choice_max_against_every_side_choice():
             if rng.random() < 0.7
         ]
         top = max(
-            total(cells, pick[:na], pick[na:])
+            _total(cells, pick[:na], pick[na:])
             for pick in product((0, 1), repeat=na + nb)
         )
         best = rng.randint(max(0, top - 3), top + 1)
+        yield cells, na, nb, top, best
+
+
+def test_pair_choice_max_against_every_side_choice():
+    beaten = held = 0
+    for cells, _, _, top, best in _random_cell_sets():
         value, xa, yb = solutions._pair_choice_max(cells, best, lambda: None)
         if top > best:
             assert value == top
             # a row left at -1 has equal counts on both sides
-            assert total(cells, [max(x, 0) for x in xa], [max(y, 0) for y in yb]) == top
+            assert _total(cells, [max(x, 0) for x in xa], [max(y, 0) for y in yb]) == top
             beaten += 1
         else:
             assert (value, xa, yb) == (best, None, None)
@@ -589,43 +611,88 @@ def test_pair_choice_max_against_every_side_choice():
     assert beaten > 600 and held > 300
 
 
-def test_parity_engine_settles_what_the_vertex_search_stalls_on(monkeypatch):
+def test_roof_bound_on_random_cell_sets():
+    exact = 0
+    for cells, na, nb, top, best in _random_cell_sets():
+        # the two relaxations that _pair_choice_max keeps: each a-class
+        # (then each b-class) takes one side, every cell the best of the
+        # other side
+        by_a = [[0, 0] for _ in range(na)]
+        by_b = [[0, 0] for _ in range(nb)]
+        for ia, ib, m2 in cells:
+            for v in (0, 1):
+                by_a[ia][v] += max(m2[v])
+                by_b[ib][v] += max(m2[0][v], m2[1][v])
+        relaxed = min(sum(map(max, by_a)), sum(map(max, by_b)))
+        size = [na, nb]
+        roof = solutions._roof_bound(cells, size, -1, lambda: None)
+        assert top <= roof <= relaxed
+        # stopped early, the flow still decides the comparison with best
+        assert (solutions._roof_bound(cells, size, best, lambda: None) <= best) == (roof <= best)
+        # flipping b-class j negates the interactions of its cells; when
+        # every b-class sees one sign, the function is supermodular after
+        # the flip and the roof dual is exact
+        signs = [set() for _ in range(nb)]
+        for ia, ib, ((c00, c01), (c10, c11)) in cells:
+            q = c00 + c11 - c01 - c10
+            if q:
+                signs[ib].add(q > 0)
+        if all(len(s) < 2 for s in signs):
+            assert roof == top
+            exact += 1
+    assert exact > 500
+
+
+def test_parity_engine_settles_what_the_vertex_search_stalls_on(built_engines):
     # sweep seed 5, items 4x8#174 and #338: opt = lin = 16, which the
     # parity engine proves in 13 and 199 ticks, while the vertex search
     # alone takes 148,172 ticks on #174 and over 200,000 on #338
-    engines = []
-    real = solutions._Engine.__init__
-
-    def recorded(self, *args):
-        real(self, *args)
-        engines.append(self)
-
-    monkeypatch.setattr(solutions._Engine, "__init__", recorded)
     drawn = list(_random_matrices(4, 8, 339, 5))
     for k in (174, 338):
         A = drawn[k]
         assert _reaches_search(A)
         _, W = min_rank_completion(A)
-        engines.clear()
+        built_engines.clear()
         value, sol = opt_exact(A)
         assert value == 16
         assert sol.sorted_members() == sorted(kernel(W).vectors())
-        ticks = sum(engine.clock.ticks for engine in engines)
+        ticks = sum(engine.clock.ticks for engine in built_engines)
         assert 0 < ticks < 1000
 
 
-def test_one_distinct_row_settles_at_the_root(monkeypatch):
+def test_roof_bound_settles_h2(built_engines):
+    # only an exhaustive search proves opt = lin = 32 on H2; the roof
+    # bound closes each two-row finish at its root, and without it the
+    # parity engine alone needs 3.73M ticks
+    _, W = min_rank_completion(H2)
+    value, sol = opt_exact(H2)
+    assert value == 32
+    assert sol.sorted_members() == sorted(kernel(W).vectors())
+    ticks = sum(engine.clock.ticks for engine in built_engines)
+    assert 0 < ticks < 10_000
+
+
+def test_single_row_sums_skip_every_finish_of_113(monkeypatch):
+    # sweep seed 0, item 4x8#113: each finish's own row sums already
+    # cannot beat the best (1,024 pair-choice calls without that check)
+    calls = []
+    real = solutions._pair_choice_max
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(solutions, "_pair_choice_max", counted)
+    A = list(_random_matrices(4, 8, 114, 0))[113]
+    assert _reaches_search(A) and solutions._parity_choice_ready(A)
+    assert opt_exact(A)[0] == 32
+    assert calls == []
+
+
+def test_one_distinct_row_settles_at_the_root(built_engines):
     # one distinct nonzero row, repeated, among zero and all-star rows:
     # min rank 1 meets the column bound, so no engine is built, and the
     # parity engine, which finishes two rows together, is never ready
-    engines = []
-    real = solutions._Engine.__init__
-
-    def recorded(self, *args):
-        real(self, *args)
-        engines.append(self)
-
-    monkeypatch.setattr(solutions._Engine, "__init__", recorded)
     rng = random.Random(101)
     for _ in range(300):
         n = rng.randint(1, 8)
@@ -641,7 +708,7 @@ def test_one_distinct_row_settles_at_the_root(monkeypatch):
         value, sol = opt_exact(A)
         assert value == 1 << (n - 1)
         assert sol.sorted_members() == sorted(kernel(W).vectors())
-    assert engines == []
+    assert built_engines == []
 
 
 def _alone(engine, A, stop):
