@@ -113,6 +113,17 @@ def forbidden_set(A: PartialMatrix, bitmap_limit: int = LIMITS.ka_bitmap_n) -> F
     return ForbiddenSet(A.n, rows, _forbidden_bitmap(rows, A.n))
 
 
+def _required_bitmap(A: PartialMatrix) -> int:
+    """The forbidden-set bitmap that the exact searches run on, or
+    LimitError past the columns that forbidden_set materializes."""
+    K = forbidden_set(A).bitmap
+    if K is None:
+        raise LimitError(
+            f"forbidden-set bitmap over GF(2)^{A.n} exceeds n <= {LIMITS.ka_bitmap_n}"
+        )
+    return K
+
+
 # ---------------------------------------------------------------------------
 # solution sets
 
@@ -559,23 +570,22 @@ def _pair_choice_max(
     """Maximum joint count over the side choices of two remaining rows.
 
     Each cell (ia, ib, m2) counts surviving vectors by their parity
-    against row a and row b; choosing a side per pattern keeps one
-    parity per class.  Branch and bound over the choices, pruned with
-    two relaxations kept incrementally: fixing consistency per b-class
-    while letting every cell pick its own a-side, and the transpose.
-    Before any branching, the root is closed when the smaller of the two
-    is at most `best`, or else when the roof bound (_roof_bound), never
-    looser, is; either way it takes one tick, besides the flow's.
-    Returns the best total above `best` with the winning choices, or
-    (best, None, None) when nothing beats it.
-
-    Row a is side 0 and row b side 1.  Per side, pick[side][i] is the
-    choice of class i (-1 while open), s[side][i][v] the count with v
-    chosen for i, each of its cells taking the other side's choice where
-    made and the larger count where open, and contrib[side][i] the share
-    of i in the side's bound: s[side][i] at the choice, or the larger of
-    the two while open.
+    against row a (side 0) and row b (side 1); choosing a side per
+    pattern class keeps one parity per class, so the cell keeps
+    m2[x][y] for the choices x of its a-class and y of its b-class.
+    Two relaxations bound the count: each a-class takes one side while
+    every cell takes the better side of b, and the transpose.  A node
+    is closed when the smaller of the two is at most `best`, or else
+    when the roof bound (_roof_bound), never looser, is; a node costs
+    one tick, besides the flow's.  When no choice on one side changes
+    any cell's count, the other side's relaxation is exact and is
+    returned with its choices.  Otherwise the class whose choice moves
+    the most counts is fixed both ways, by writing each choice into
+    its cells, and each is solved the same way.  Returns the best total
+    above `best` with the winning choices (0 or 1 per class), or (best,
+    None, None) when nothing beats it.
     """
+    tick()
     size = [max((cell[side] for cell in cells), default=-1) + 1 for side in (0, 1)]
     s = [[[0, 0] for _ in range(k)] for k in size]
     for ia, ib, ((c00, c01), (c10, c11)) in cells:
@@ -585,75 +595,33 @@ def _pair_choice_max(
         sums = s[1][ib]
         sums[0] += c00 if c00 > c10 else c10
         sums[1] += c01 if c01 > c11 else c11
-    contrib = [[max(sums) for sums in side] for side in s]
-    bound = [sum(contrib[0]), sum(contrib[1])]
+    bound = [sum(map(max, side)) for side in s]
     if min(bound) <= best or _roof_bound(cells, size, best, tick) <= best:
-        tick()  # the root, closed by a bound
         return best, None, None
-    pick = [[-1] * k for k in size]
-
-    # cells_of[side][i] lists, per cell of class i, the other side's class
-    # j and, for each choice v of i, what v takes from j's two sums
-    cells_of: list[list[list]] = [[[] for _ in range(k)] for k in size]
+    # slack[side][i]: how much the choice of class i moves its cells' counts
     slack = [[0] * k for k in size]
-    for ia, ib, m2 in cells:
-        for side, i, j, c in ((0, ia, ib, m2), (1, ib, ia, tuple(zip(*m2)))):
-            # c[v][w]: the count with v chosen for i and w for j
-            top = (max(c[0][0], c[1][0]), max(c[0][1], c[1][1]))
-            cells_of[side][i].append((j, [(c[v][0] - top[0], c[v][1] - top[1]) for v in (0, 1)]))
-            slack[side][i] += abs(c[0][0] - c[1][0]) + abs(c[0][1] - c[1][1])
-
-    def shift(side: int, i: int, v: int, sign: int):
-        # add (sign 1) or take back (sign -1) what choosing v for class i
-        # takes from the other side's sums
-        o = 1 - side
-        s_o, pick_o, contrib_o = s[o], pick[o], contrib[o]
-        moved = 0
-        for j, deltas in cells_of[side][i]:
-            d0, d1 = deltas[v]
-            sums = s_o[j]
-            sums[0] += sign * d0
-            sums[1] += sign * d1
-            w = pick_o[j]
-            now = sums[w] if w >= 0 else max(sums)
-            moved += now - contrib_o[j]
-            contrib_o[j] = now
-        bound[o] += moved
-
-    def choose(side: int, i: int, v: int):
-        shift(side, i, v, 1)
-        pick[side][i] = v
-        bound[side] += s[side][i][v] - contrib[side][i]
-        contrib[side][i] = s[side][i][v]
-
-    def unchoose(side: int, i: int):
-        v = pick[side][i]
-        pick[side][i] = -1
-        shift(side, i, v, -1)
-        bound[side] += max(s[side][i]) - contrib[side][i]
-        contrib[side][i] = max(s[side][i])
-
-    ranked = [(side, i, slack[side][i]) for side in (0, 1) for i in range(size[side])]
-    order = [(side, i) for side, i, sl in sorted(ranked, key=lambda v: -v[2]) if sl > 0]
+    for ia, ib, ((c00, c01), (c10, c11)) in cells:
+        slack[0][ia] += abs(c00 - c10) + abs(c01 - c11)
+        slack[1][ib] += abs(c00 - c01) + abs(c10 - c11)
+    for side in (0, 1):
+        if not any(slack[1 - side]):
+            picks = [[0] * k for k in size]
+            picks[side] = [int(v1 > v0) for v0, v1 in s[side]]
+            return bound[side], *picks
+    side, i = max(
+        ((side, i) for side in (0, 1) for i in range(size[side])),
+        key=lambda c: slack[c[0]][c[1]],
+    )
     found = None
-
-    def dive(t: int):
-        nonlocal best, found
-        tick()
-        b = bound[0] if bound[0] < bound[1] else bound[1]
-        if b <= best:
-            return
-        if t == len(order):
-            best = b
-            found = [list(pick[0]), list(pick[1])]
-            return
-        side, i = order[t]
-        for v in (0, 1):
-            choose(side, i, v)
-            dive(t + 1)
-            unchoose(side, i)
-
-    dive(0)
+    for v in (0, 1):
+        if side == 0:
+            fixed = [(ia, ib, [m2[v]] * 2 if ia == i else m2) for ia, ib, m2 in cells]
+        else:
+            fixed = [(ia, ib, [[c[v]] * 2 for c in m2] if ib == i else m2) for ia, ib, m2 in cells]
+        value, *picks = _pair_choice_max(fixed, best, tick)
+        if picks[0] is not None:
+            picks[side][i] = v
+            best, found = value, picks
     return (best, *found) if found else (best, None, None)
 
 
@@ -671,7 +639,8 @@ class _ParityChoiceSearch(_Engine):
     pattern cells, so the engine needs at least two distinct rows.  A
     finish is skipped when the sum of larger sides of either row alone
     cannot beat the best, and the roof bound closes most of the others
-    at their root.
+    at their root; the rest branch one class at a time under the same
+    bounds.
 
     Complements _OptSearch: this engine shines when rows have few stars
     (few, large classes), which is where vertex branching drowns in
@@ -730,9 +699,7 @@ class _ParityChoiceSearch(_Engine):
         for u in _bits(alive):
             ia = pats_a[u & sa_]
             ib = pats_b[u & sb_]
-            x = xa[ia] if xa[ia] >= 0 else 0
-            y = yb[ib] if yb[ib] >= 0 else 0
-            if ((aa & u).bit_count() & 1) == x and ((ab & u).bit_count() & 1) == y:
+            if ((aa & u).bit_count() & 1) == xa[ia] and ((ab & u).bit_count() & 1) == yb[ib]:
                 mask |= 1 << u
         if mask.bit_count() != value:  # pragma: no cover - bookkeeping guard
             raise InternalError("pair choice count disagrees with its witness")
@@ -862,7 +829,9 @@ def opt_exact(
     verified before it is returned, whatever its size.  The parity
     search finishes its last two rows together, skipping a finish that
     either row's own sum rules out and closing most others at their
-    root with the roof-duality bound, one max-flow.
+    root with the roof-duality bound, one max-flow; the few that pass
+    their root branch on one pattern class at a time, each node bounded
+    the same way.
 
     The min rank and its completion come from min_rank_completion's
     memo when the caller has just completed A (min_rank, report,
@@ -916,8 +885,7 @@ def _opt_core(
 ) -> tuple[int, SolutionSet]:
     """opt_exact on a matrix with a fixed one and no unused column, given
     its min rank r, a completion W attaining r, and col_min_rank(A)."""
-    K = forbidden_set(A).bitmap
-    assert K is not None
+    K = _required_bitmap(A)
 
     # a verified linear warm start: the kernel of a min-rank completion
     V = kernel(W)
@@ -1021,8 +989,7 @@ def separating_min_rank(A: PartialMatrix, limit: int = LIMITS.subspace_n) -> int
     """
     if A.n > limit:
         raise LimitError(f"subspace sweep over GF(2)^{A.n} exceeds n <= {limit}")
-    K = forbidden_set(A).bitmap
-    assert K is not None
+    K = _required_bitmap(A)
     clock = _Deadline(None, A.n)
     dim = 0
     while dim < A.n and _avoiding_subspace(K, A.n, dim + 1, clock) is not None:

@@ -75,6 +75,13 @@ def test_opt_limit_refusal(a1_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_opt_past_the_bitmap_cap_exits_3(tmp_path, capsys):
+    wide = tmp_path / "w.pmx"
+    wide.write_text("1" * 25 + "\n")
+    assert main(["opt", "--limit-n", "25", str(wide)]) == 3
+    assert capsys.readouterr().err.startswith("error: forbidden-set bitmap")
+
+
 def test_parse_failures_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.pmx"
     bad.write_text("01\n1\n")

@@ -204,6 +204,13 @@ def test_opt_refuses_above_limit():
         opt_exact(A, limit_n=16)
 
 
+def test_opt_refuses_past_the_bitmap_cap():
+    # a raised opt_n does not lift the forbidden-set bitmap's 24 columns
+    A = parse_pmx("1" * 25 + "\n")
+    with pytest.raises(LimitError, match="bitmap"):
+        opt_exact(A, limit_n=25)
+
+
 def test_lin_exact_value():
     assert lin_exact(A1) == 16
     all_star = parse_pmx("**\n**\n")
@@ -220,6 +227,12 @@ def test_separating_min_rank_equals_min_rank():
         assert separating_min_rank(A) == min_rank(A)
     with pytest.raises(LimitError):
         separating_min_rank(PartialMatrix(9, (1,), (0,)))
+
+
+def test_separating_min_rank_refuses_past_the_bitmap_cap():
+    A = parse_pmx("1" * 25 + "\n")
+    with pytest.raises(LimitError, match="bitmap"):
+        separating_min_rank(A, limit=30)
 
 
 def test_brute_force_guards():
@@ -578,37 +591,53 @@ def _random_cell_sets():
     """Seeded two-row finishes: cells (ia, ib, m2) counting vectors by
     their parity against row a and row b, over na a-classes and nb
     b-classes, with their maximum over every side choice and a `best`
-    to beat near it."""
+    to beat near it.  1,500 sets of 1 to 4 classes a side with counts up
+    to 4, then 200 deeper ones of 3 to 5 classes a side with counts up
+    to 6, most of which pass their root."""
     rng = random.Random(97)
-    for _ in range(1500):
-        na, nb = rng.randint(1, 4), rng.randint(1, 4)
-        cells = [
-            (ia, ib, [[rng.randint(0, 4) for _ in (0, 1)] for _ in (0, 1)])
-            for ia in range(na)
-            for ib in range(nb)
-            if rng.random() < 0.7
-        ]
-        top = max(
-            _total(cells, pick[:na], pick[na:])
-            for pick in product((0, 1), repeat=na + nb)
-        )
-        best = rng.randint(max(0, top - 3), top + 1)
-        yield cells, na, nb, top, best
+    for low, high, count, sets in ((1, 4, 4, 1500), (3, 5, 6, 200)):
+        for _ in range(sets):
+            na, nb = rng.randint(low, high), rng.randint(low, high)
+            cells = [
+                (ia, ib, [[rng.randint(0, count) for _ in (0, 1)] for _ in (0, 1)])
+                for ia in range(na)
+                for ib in range(nb)
+                if rng.random() < 0.7
+            ]
+            top = max(
+                _total(cells, pick[:na], pick[na:])
+                for pick in product((0, 1), repeat=na + nb)
+            )
+            best = rng.randint(max(0, top - 3), top + 1)
+            yield cells, na, nb, top, best
 
 
-def test_pair_choice_max_against_every_side_choice():
+def test_pair_choice_max_against_every_side_choice(monkeypatch):
+    # nodes counts the calls of each finish, its recursion included
+    nodes = []
+    real = solutions._pair_choice_max
+
+    def counted(*args):
+        nodes[-1] += 1
+        return real(*args)
+
+    monkeypatch.setattr(solutions, "_pair_choice_max", counted)
     beaten = held = 0
     for cells, _, _, top, best in _random_cell_sets():
+        nodes.append(0)
         value, xa, yb = solutions._pair_choice_max(cells, best, lambda: None)
         if top > best:
             assert value == top
-            # a row left at -1 has equal counts on both sides
-            assert _total(cells, [max(x, 0) for x in xa], [max(y, 0) for y in yb]) == top
+            assert set(xa) <= {0, 1} and set(yb) <= {0, 1}
+            assert _total(cells, xa, yb) == top
             beaten += 1
         else:
             assert (value, xa, yb) == (best, None, None)
             held += 1
     assert beaten > 600 and held > 300
+    # a finish that branches k times makes 2k + 1 calls; the deeper
+    # batch branches three times or more on most of its sets
+    assert sum(count >= 7 for count in nodes[1500:]) > 100
 
 
 def test_roof_bound_on_random_cell_sets():
@@ -687,6 +716,27 @@ def test_single_row_sums_skip_every_finish_of_113(monkeypatch):
     assert _reaches_search(A) and solutions._parity_choice_ready(A)
     assert opt_exact(A)[0] == 32
     assert calls == []
+
+
+def test_a_finish_past_its_root_on_27(monkeypatch):
+    # sweep seed 1, item 4x8#27: opt = 40 > lin = 32, and two of its
+    # two-row finishes pass their root and branch before they settle
+    A = list(_random_matrices(4, 8, 28, 1))[27]
+    assert _reaches_search(A) and solutions._parity_choice_ready(A)
+    chose = []
+    real = solutions._pair_choice_max
+
+    def spy(*args):
+        out = real(*args)
+        chose.append(out[1] is not None)
+        return out
+
+    monkeypatch.setattr(solutions, "_pair_choice_max", spy)
+    limit = sys.getrecursionlimit()
+    value, sol = opt_exact(A)
+    assert value == 40 and sol.size == 40 and is_solution(A, sol)
+    assert any(chose)
+    assert sys.getrecursionlimit() == limit
 
 
 def test_one_distinct_row_settles_at_the_root(built_engines):
