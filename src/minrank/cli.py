@@ -17,10 +17,10 @@ from .codes import CodeMatrixSpec, code_matrix, gv_bound, hamming_bound, verify_
 from .config import LIMITS, ToolConfig
 from .errors import InternalError, LimitError, ParseError, ToolkitError
 from .gf2 import vec_text
-from .partial import min_rank, min_rank_completion
+from .partial import min_rank_completion
 from .pmx import emit_pmx, parse_pmx
 from .report import best_epsilon, format_report, report, search
-from .solutions import forbidden_set, opt_exact
+from .solutions import forbidden_set, lin_exact, opt_exact
 
 
 def _read(path: str) -> str:
@@ -77,8 +77,7 @@ def cmd_opt(args) -> int:
 
 def cmd_lin(args) -> int:
     A = parse_pmx(_read(args.file))
-    r = min_rank(A)
-    print(f"lin: {1 << (A.n - r)}")
+    print(f"lin: {lin_exact(A)}")
     return 0
 
 

@@ -483,45 +483,44 @@ _KERNEL_SIDE_N = 8
 # for its first turn.
 _FIRST_SLICE = 256
 
-# The last matrix min_rank_completion completed, its answer, and its
-# column floor (None when col_min_rank refused at its default limit).
-# The answer does not depend on the deadline, so a hit is exact; a call
+@dataclass(frozen=True)
+class _Completed:
+    """What min_rank_completion found for one matrix A: its answer (min
+    rank, completion), its column floor (None when col_min_rank refused
+    at its default limit), and the forbidden set K and its ratio bound
+    when the race built them, so that min_rank followed by opt_exact or
+    report finds each of them once per matrix.  The answer does not
+    depend on the deadline, so the record is exact.
+    """
+
+    A: PartialMatrix
+    answer: tuple[int, GF2Matrix]
+    column_floor: int | None
+    K: int | None = None
+    ratio: int | None = None
+
+    def col_min_rank(self, limit: int) -> int:
+        """col_min_rank(A, limit).  The floor was found at the default
+        limit; a limit of at least that default, or at least n (which
+        bounds the distinct columns), refuses nowhere the default
+        accepted, and a smaller one may, so it asks col_min_rank again.
+        """
+        if self.column_floor is not None and limit >= min(self.A.n, LIMITS.subset_rows):
+            return self.column_floor
+        return col_min_rank(self.A, limit)
+
+
+# The record of the last matrix min_rank_completion completed; a call
 # that raises stores nothing.
-_last_completion: tuple[PartialMatrix, tuple[int, GF2Matrix], int | None] | None = None
+_memo: _Completed | None = None
 
 
-def _column_floor(A: PartialMatrix, limit: int) -> int:
-    """col_min_rank(A, limit), read from the memo when A is the last
-    matrix completed, so that min_rank followed by opt_exact or report
-    finds it once per matrix.
-
-    The memo's floor was found at the default limit.  A limit of at
-    least that default, or at least n (which bounds the distinct
-    columns), refuses nowhere the default accepted; a smaller one may,
-    so it asks col_min_rank again.
-    """
-    last = _last_completion
-    if (
-        last is not None
-        and last[0] == A
-        and last[2] is not None
-        and limit >= min(A.n, LIMITS.subset_rows)
-    ):
-        return last[2]
-    return col_min_rank(A, limit)
-
-
-def _remembered_completion(
-    A: PartialMatrix, deadline: float | None = None
-) -> tuple[int, GF2Matrix]:
-    """min_rank_completion(A, deadline), read from the memo without
-    calling it when A is the last matrix completed, so that a caller
-    that follows min_rank (opt_exact) makes no second call for a lookup.
-    """
-    last = _last_completion
-    if last is not None and last[0] == A:
-        return last[1]
-    return min_rank_completion(A, deadline)
+def _completed(A: PartialMatrix, deadline: float | None = None) -> _Completed:
+    """The record of A, read from the memo when A is the last matrix
+    completed, else made by a call to min_rank_completion(A, deadline)."""
+    if _memo is None or _memo.A != A:
+        min_rank_completion(A, deadline)
+    return _memo
 
 
 def min_rank_completion(
@@ -559,14 +558,15 @@ def min_rank_completion(
     completion returned is the one the rank side finds at the minimum,
     so the answer does not depend on the race, the cut or the deadline.
 
-    The answer for the last matrix completed is kept, so a call on an
-    equal matrix right after (min_rank, then opt_exact) returns it
-    without searching again.
+    The last matrix completed keeps a record (_Completed) of its answer,
+    its column floor, and K and its ratio bound when the race built
+    them.  A call on an equal matrix right after returns the answer
+    without searching again, and opt_exact reads the rest, so min_rank
+    followed by opt_exact builds K and the ratio bound once each.
     """
-    global _last_completion
-    last = _last_completion
-    if last is not None and last[0] == A:
-        return last[1]
+    global _memo
+    if _memo is not None and _memo.A == A:
+        return _memo.answer
     n = A.n
     try:
         column_floor = col_min_rank(A)
@@ -576,10 +576,10 @@ def min_rank_completion(
     rows, remap = _prepare_rows(A)
     clock = _Deadline(deadline, n)
     reduced_units: dict = {}
-    K = None  # the forbidden set, built when the kernel side first runs
+    K = ratio = None  # built when the kernel side first runs
 
     def decide(target: int):
-        nonlocal K, floor
+        nonlocal K, ratio, floor
         if n > _KERNEL_SIDE_N:
             return _complete_within(rows, n, target, clock, reduced_units)
         failed: set = set()
@@ -593,7 +593,8 @@ def min_rank_completion(
             clock.check_time()
             if K is None:
                 K = _forbidden_bitmap(rows, n)
-                floor = max(floor, n + 1 - _ratio_bound(K, n).bit_length())
+                ratio = _ratio_bound(K, n)
+                floor = max(floor, n + 1 - ratio.bit_length())
             if target < floor:
                 return None
             clock.stop = clock.ticks + budget
@@ -614,7 +615,7 @@ def min_rank_completion(
         target = max(target + 1, floor)
     full = [0 if t is None else found[t] for t in remap]
     answer = target, GF2Matrix(n, tuple(full))
-    _last_completion = A, answer, column_floor
+    _memo = _Completed(A, answer, column_floor, K, ratio)
     return answer
 
 

@@ -20,7 +20,7 @@ from .config import LIMITS, VERSION, ToolConfig
 from .errors import LimitError
 from .partial import (
     PartialMatrix,
-    _column_floor,
+    _completed,
     is_star_monotone,
     isolation,
     line_cover_number,
@@ -59,7 +59,7 @@ def report(A: PartialMatrix, config: ToolConfig | None = None) -> dict:
     out["max_rank"] = _guarded(max_rank, A)
     out["line_cover"] = line_cover_number(A)
     out["row_min_rank"] = _guarded(row_min_rank, A, lim.subset_rows)
-    out["col_min_rank"] = _guarded(_column_floor, A, lim.subset_rows)
+    out["col_min_rank"] = _guarded(_completed(A).col_min_rank, lim.subset_rows)
     out["star_monotone"] = is_star_monotone(A)
     out["isolated"] = isolation(A) is not None
     out["strongly_isolated"] = isolation(A, strong=True) is not None

@@ -43,9 +43,10 @@ from .partial import (
     _FIRST_SLICE,
     _Deadline,
     _avoiding_subspace,
-    _column_floor,
+    _Completed,
+    _completed,
     _forbidden_bitmap,
-    _remembered_completion,
+    _prepare_rows,
     canonical_completion,
     enumerate_completions,
     min_rank,
@@ -650,18 +651,12 @@ class _ParityChoiceSearch(_Engine):
 
     def __init__(self, A: PartialMatrix, K: int, deadline: float | None):
         super().__init__(A, K, deadline)
-        rows = []
-        seen = set()
-        for a, s in zip(A.ones, A.stars):
-            if a == 0 or (a, s) in seen:
-                continue
-            seen.add((a, s))
+        self.rows = []
+        for a, s in _prepare_rows(A)[0]:
             # (odd, even) sides of each star-pattern class against the row
             classes = _star_classes(s, self.n, (a,))
             half = len(classes) // 2
-            rows.append((a, s, list(zip(classes[half:], classes[:half]))))
-        rows.sort(key=lambda r: len(r[2]))
-        self.rows = rows
+            self.rows.append((a, s, list(zip(classes[half:], classes[:half]))))
 
     def _row_sum(self, alive: int, classes, cap: int) -> int:
         total = 0
@@ -798,7 +793,7 @@ def _parity_choice_ready(A: PartialMatrix) -> bool:
     one distinct nonzero row min rank is 1, which the column bound meets
     at the root.
     """
-    rows = {(a, s) for a, s in zip(A.ones, A.stars) if a != 0}
+    rows = _prepare_rows(A)[0]
     return 2 <= len(rows) <= 12 and all((1 << s.bit_count()) <= 64 for _, s in rows)
 
 
@@ -833,10 +828,13 @@ def opt_exact(
     their root branch on one pattern class at a time, each node bounded
     the same way.
 
-    The min rank and its completion come from min_rank_completion's
-    memo when the caller has just completed A (min_rank, report,
-    conjecture_epsilon), with no call and no second search; otherwise
-    from a call to min_rank_completion.
+    The min rank, its completion and the column floor come from
+    min_rank_completion's record of A (partial._Completed) when the
+    caller has just completed A (min_rank, report, conjecture_epsilon),
+    with no call and no second search; otherwise from a call to
+    min_rank_completion.  The record also holds K and the ratio bound
+    when the completion's race built them, so min_rank followed by
+    opt_exact builds each once.
 
     Instances whose root bounds are not tight can still take more than
     a minute at n = 8.
@@ -846,15 +844,15 @@ def opt_exact(
     if not any(A.ones):
         # edgeless graph: everything is one solution
         return 1 << A.n, SolutionSet.of(range(1 << A.n), A.n)
-    r, W = _remembered_completion(A, deadline)
-    col = _column_floor(A, A.n)
+    rec = _completed(A, deadline)
     core, kept, dropped = _drop_unused_columns(A)
     if core is A:
-        return _opt_core(A, r, W, col, deadline)
+        return _opt_core(rec, deadline)
     # the unused columns are zero in every completion and in no
     # independent set of columns
+    r, W = rec.answer
     W = GF2Matrix(core.n, tuple(_pack(w, kept) for w in W.rows))
-    cnt, sol = _opt_core(core, r, W, col, deadline)
+    cnt, sol = _opt_core(_Completed(core, (r, W), rec.col_min_rank(A.n)), deadline)
     members = [
         _spread(w, kept) | _spread(d, dropped)
         for w in sol.members
@@ -880,12 +878,11 @@ def _portfolio(first: _Engine, second: _Engine) -> tuple[int, list[int]]:
         size *= 2
 
 
-def _opt_core(
-    A: PartialMatrix, r: int, W: GF2Matrix, col: int, deadline: float | None
-) -> tuple[int, SolutionSet]:
+def _opt_core(rec: _Completed, deadline: float | None) -> tuple[int, SolutionSet]:
     """opt_exact on a matrix with a fixed one and no unused column, given
-    its min rank r, a completion W attaining r, and col_min_rank(A)."""
-    K = _required_bitmap(A)
+    its completion record."""
+    A, (r, W) = rec.A, rec.answer
+    K = _required_bitmap(A) if rec.K is None else rec.K
 
     # a verified linear warm start: the kernel of a min-rank completion
     V = kernel(W)
@@ -898,7 +895,7 @@ def _opt_core(
     # root certificates: a subspace avoiding K is a solution, so a bound
     # meeting its size proves it optimal
     lin = 1 << (A.n - r)
-    if col == r or _ratio_bound(K, A.n) == lin:
+    if rec.col_min_rank(A.n) == r or (rec.ratio or _ratio_bound(K, A.n)) == lin:
         return lin, SolutionSet.of(V.vectors(), A.n)
 
     vertex = _OptSearch(A, K, deadline)
@@ -1095,14 +1092,7 @@ def linear_hull_check(
     cod = codistance(W)
     applicable = cod is None or cod >= s + 1
     F = forbidden_set(A)
-    span = Subspace.span(L.members, A.n)
-    holds = True
-    cur = 0
-    for i in range(1, 1 << span.dim):
-        cur ^= span.basis[(i & -i).bit_length() - 1]
-        if F.contains(cur):
-            holds = False
-            break
+    holds = not any(map(F.contains, Subspace.span(L.members, A.n).vectors()))
     return HullVerdict(applicable, holds, s, cod)
 
 

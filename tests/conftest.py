@@ -1,6 +1,21 @@
 """Shared fixture builders for the test suite."""
 
+import pytest
+
+from minrank import partial
 from minrank.circuits import Depth2Circuit, MiddleGate, OutputGate
+
+
+@pytest.fixture
+def forget(monkeypatch):
+    """Clear min_rank_completion's memo now; the fixture's value clears
+    it again when called, and the test's end puts the old record back."""
+
+    def clear():
+        monkeypatch.setattr(partial, "_memo", None)
+
+    clear()
+    return clear
 
 
 def parity_table(arity, subset):

@@ -5,7 +5,7 @@ import dataclasses
 import inspect
 
 import minrank
-from minrank import cli, solutions
+from minrank import cli, partial, solutions
 
 EXPORTS = [
     "CodeMatrixSpec", "ConsistentOperator", "Depth2Circuit", "EpsilonRecord",
@@ -52,10 +52,11 @@ def test_tool_config_knobs_are_pinned():
         elif isinstance(node, ast.ImportFrom) and node.module is not None:
             imported.add(node.module)
     assert not any(name.split(".")[0] == "concurrent" for name in imported)
-    # no module cache in solutions: library code keeps only
-    # partial._last_completion and gf2._half_masks
-    assert not [
-        name
-        for name, value in vars(solutions).items()
-        if not name.startswith("__") and isinstance(value, dict)
-    ]
+    # no module cache in partial or solutions: library code keeps only
+    # partial._memo, one completion record, and gf2._half_masks
+    for module in (partial, solutions):
+        assert not [
+            name
+            for name, value in vars(module).items()
+            if not name.startswith("__") and isinstance(value, dict)
+        ]

@@ -399,7 +399,7 @@ def fits_within(rows, basis, target):
     return go(0, rref(basis))
 
 
-def test_every_kernel_cut_holds_no_completion(monkeypatch):
+def test_every_kernel_cut_holds_no_completion(monkeypatch, forget):
     # the rows a cut node has placed lie in span(basis), so no completion
     # of its remaining rows stays within the target iff none of all rows
     # does, starting from basis
@@ -436,7 +436,7 @@ def test_every_kernel_cut_holds_no_completion(monkeypatch):
     # min_rank_completion itself cuts only in the finish, after the race
     searched = len(cuts)
     A = shuffled_rows(code_matrix(CodeMatrixSpec(7, 3)), rng)
-    monkeypatch.setattr(partial, "_last_completion", None)
+    forget()
     worklist[:] = _prepare_rows(A)[0]
     min_rank_completion(A)
     assert len(cuts) > searched
@@ -446,7 +446,7 @@ def test_every_kernel_cut_holds_no_completion(monkeypatch):
     assert sum(1 for _, basis, _ in cuts if basis) > 90  # below the root
 
 
-def test_kernel_cut_turns_off_when_a_search_runs_out(monkeypatch):
+def test_kernel_cut_turns_off_when_a_search_runs_out(monkeypatch, forget):
     monkeypatch.setattr(partial, "_CUT_TICKS", 4)
     cuts = []
     real = partial._KernelCut.__init__
@@ -458,12 +458,12 @@ def test_kernel_cut_turns_off_when_a_search_runs_out(monkeypatch):
     monkeypatch.setattr(partial._KernelCut, "__init__", kept)
     for spec in ((6, 2), (7, 3)):
         A = code_matrix(CodeMatrixSpec(*spec))
-        monkeypatch.setattr(partial, "_last_completion", None)
+        forget()
         assert min_rank_completion(A) == reference_min_rank_completion(A)
     assert len(cuts) == 2 and not any(cut.live for cut in cuts)
 
 
-def completion_ticks(monkeypatch, A):
+def completion_ticks(monkeypatch, forget, A):
     """The ticks of every search clock of one min_rank_completion(A)."""
     clocks = []
 
@@ -473,16 +473,16 @@ def completion_ticks(monkeypatch, A):
             clocks.append(self)
 
     monkeypatch.setattr(partial, "_Deadline", Counted)
-    monkeypatch.setattr(partial, "_last_completion", None)
+    forget()
     min_rank_completion(A)
     return sum(clock.ticks for clock in clocks)
 
 
-def test_kernel_cut_saves_completion_ticks(monkeypatch):
+def test_kernel_cut_saves_completion_ticks(monkeypatch, forget):
     # without the cut the finish walks infeasible subtrees: 6,858 ticks
     # on code (7, 3) and 19,539 on H1 = code (7, 2)
     for (n, r), most in (((7, 3), 2000), ((7, 2), 4000)):
-        assert completion_ticks(monkeypatch, code_matrix(CodeMatrixSpec(n, r))) <= most
+        assert completion_ticks(monkeypatch, forget, code_matrix(CodeMatrixSpec(n, r))) <= most
 
 
 def test_code_matrix_min_ranks():
@@ -491,7 +491,7 @@ def test_code_matrix_min_ranks():
 
 
 @pytest.fixture
-def dfs_calls(monkeypatch):
+def dfs_calls(monkeypatch, forget):
     """Clear the min_rank_completion memo and count target searches."""
     calls = []
     real = partial._complete_within
@@ -501,11 +501,10 @@ def dfs_calls(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(partial, "_complete_within", counted)
-    monkeypatch.setattr(partial, "_last_completion", None)
     return calls
 
 
-def test_min_rank_then_opt_exact_completes_once(dfs_calls):
+def test_min_rank_then_opt_exact_completes_once(dfs_calls, forget):
     assert min_rank(A1) == 2
     searched = len(dfs_calls)
     assert searched > 0
@@ -514,13 +513,13 @@ def test_min_rank_then_opt_exact_completes_once(dfs_calls):
     # each of these completes A1 and then runs opt_exact on it, which
     # takes the completion from the memo
     for run in (report, evaluate_matrix, conjecture_epsilon):
-        partial._last_completion = None
+        forget()
         dfs_calls.clear()
         run(A1)
         assert len(dfs_calls) == searched
 
 
-def test_opt_exact_reads_the_memo_without_a_completion_call(monkeypatch):
+def test_opt_exact_reads_the_memo_without_a_completion_call(monkeypatch, forget):
     calls = []
     real = partial.min_rank_completion
 
@@ -529,13 +528,47 @@ def test_opt_exact_reads_the_memo_without_a_completion_call(monkeypatch):
         return real(*args)
 
     for A in (A1, A2, code_matrix(CodeMatrixSpec(6, 2))):
-        monkeypatch.setattr(partial, "_last_completion", None)
+        forget()
         min_rank(A)
         for module in (partial, solutions):
             monkeypatch.setattr(module, "min_rank_completion", counted, raising=False)
         opt_exact(A)
         assert calls == []
         monkeypatch.undo()
+
+
+def test_min_rank_then_opt_exact_builds_k_and_the_ratio_bound_once(monkeypatch, forget):
+    # K is built by the race (partial._forbidden_bitmap) or by opt_exact
+    # (solutions._required_bitmap), and opt_exact takes the race's K and
+    # ratio bound from the completion record
+    builds = {"K": 0, "ratio": 0}
+
+    def spy(module, name, kind):
+        real = getattr(module, name)
+
+        def counted(*args):
+            builds[kind] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(partial, "_forbidden_bitmap", "K")
+    spy(solutions, "_required_bitmap", "K")
+    spy(partial, "_ratio_bound", "ratio")
+    spy(solutions, "_ratio_bound", "ratio")
+    rng = random.Random(67)
+    raced = 0
+    for n in range(2, 8):
+        for r in range(1, n):
+            code = code_matrix(CodeMatrixSpec(n, r))
+            for A in (code, shuffled_rows(code, rng)):
+                forget()
+                builds.update(K=0, ratio=0)
+                min_rank(A)
+                raced += builds["K"]
+                opt_exact(A)
+                assert builds["K"] == 1 and builds["ratio"] <= 1, (n, r, builds)
+    assert raced >= 10  # 16 of the 42 reach the race's kernel side
 
 
 def test_memo_compares_matrices_by_value(dfs_calls):
@@ -553,7 +586,7 @@ def test_deadline_refusal_is_not_memoized(dfs_calls):
     A = code_matrix(CodeMatrixSpec(6, 3))
     with pytest.raises(LimitError):
         min_rank_completion(A, deadline=time.monotonic() - 1)
-    assert partial._last_completion is None
+    assert partial._memo is None
     assert min_rank_completion(A) == reference_min_rank_completion(A)
 
 
@@ -605,9 +638,9 @@ def test_deadline_reads_the_clock_by_width():
         assert clock.ticks == period
 
 
-def test_min_rank_of_code_8_2_and_h1_within_a_deadline(monkeypatch):
+def test_min_rank_of_code_8_2_and_h1_within_a_deadline(forget):
     for (n, r), want in (((8, 2), 4), ((7, 2), 3)):
-        monkeypatch.setattr(partial, "_last_completion", None)
+        forget()
         A = code_matrix(CodeMatrixSpec(n, r))
         assert min_rank(A, deadline=time.monotonic() + 10) == want
 
@@ -622,16 +655,16 @@ def test_expired_deadline_on_the_race_leaves_the_memo(monkeypatch):
 
     monkeypatch.setattr(partial, "_avoiding_subspace", spy)
     held = min_rank_completion(A1)
-    entry = partial._last_completion
+    entry = partial._memo
     A = code_matrix(CodeMatrixSpec(6, 3))
     with pytest.raises(LimitError):
         min_rank_completion(A, deadline=time.monotonic() - 1)
-    assert partial._last_completion is entry and entry[1] == held
+    assert partial._memo is entry and entry.answer == held
     assert min_rank_completion(A) == reference_min_rank_completion(A)
     assert kernel_calls  # the race reached the kernel side
 
 
-def test_wide_matrices_run_the_rank_side_alone_within_a_deadline(monkeypatch):
+def test_wide_matrices_run_the_rank_side_alone_within_a_deadline(monkeypatch, forget):
     # on these the kernel side proves nothing and its ticks cost about
     # n * 2^n / 64 words; the rank side alone takes about 0.3 s on each
     kernel_calls = []
@@ -641,13 +674,13 @@ def test_wide_matrices_run_the_rank_side_alone_within_a_deadline(monkeypatch):
     star_heavy_matrix(rng, 8, 16, 0.4)
     wide = star_heavy_matrix(rng, 16, 12, 0.5)
     for A, want in ((tall, 4), (wide, 5)):
-        monkeypatch.setattr(partial, "_last_completion", None)
+        forget()
         r, W = min_rank_completion(A, deadline=time.monotonic() + 5)
         assert r == want and rank(W) == r and is_completion(A, W)
     assert kernel_calls == []
 
 
-def test_min_rank_then_opt_exact_finds_the_column_floor_once(monkeypatch):
+def test_min_rank_then_opt_exact_finds_the_column_floor_once(monkeypatch, forget):
     calls = []
     real = partial.col_min_rank
 
@@ -656,10 +689,6 @@ def test_min_rank_then_opt_exact_finds_the_column_floor_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(partial, "col_min_rank", counted)
-
-    def forget():
-        monkeypatch.setattr(partial, "_last_completion", None)
-
     rng = random.Random(59)
     cases = [A1, A2, PartialMatrix(8, A1.ones, A1.stars)]  # two unused columns
     cases += [random_matrix(rng, rng.randint(2, 5), rng.randint(4, 9)) for _ in range(40)]

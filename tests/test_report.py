@@ -60,7 +60,7 @@ def test_report_marks_skipped_fields():
     assert rep["min_rank"] == 2  # unaffected fields still computed
 
 
-def test_report_reads_col_min_rank_from_the_completion(monkeypatch):
+def test_report_reads_col_min_rank_from_the_completion(monkeypatch, forget):
     calls = []
     real = partial.col_min_rank
 
@@ -91,7 +91,7 @@ def test_report_reads_col_min_rank_from_the_completion(monkeypatch):
         (wide, 22, real(wide, 22), [D, 22]),
     ]
     for A, limit, want, want_calls in cases:
-        monkeypatch.setattr(partial, "_last_completion", None)
+        forget()
         calls.clear()
         rep = report(A, ToolConfig(limits=replace(LIMITS, subset_rows=limit)))
         assert rep["col_min_rank"] == want
