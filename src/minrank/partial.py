@@ -476,8 +476,9 @@ def _span_bitmap(basis: tuple[int, ...]) -> int:
 # which costs about n * 2^n / 64 machine words there.
 _KERNEL_SIDE_N = 8
 
-# The first slice of every sliced search (both deciders here, both
-# engines of opt_exact's portfolio), in ticks; it doubles every round.
+# The first slice of every sliced search (both deciders here, every
+# engine of opt_exact's portfolio), in ticks; it doubles every round.
+# opt_exact's row-subset check also gives each row this many ticks.
 # 256 vertex ticks take about 2 ms at n = 8 and 14 ms at n = 12 (2-core
 # x86 box, Python 3.11), so a search that settles at once waits little
 # for its first turn.

@@ -43,6 +43,7 @@ from .partial import (
     _FIRST_SLICE,
     _Deadline,
     _avoiding_subspace,
+    _complete_within,
     _Completed,
     _completed,
     _forbidden_bitmap,
@@ -828,6 +829,14 @@ def opt_exact(
     their root branch on one pattern class at a time, each node bounded
     the same way.
 
+    When A has three distinct rows or more, a third engine may take the
+    third turn of each round: the parity search on A without one row
+    whose removal keeps min rank r (_row_subset).  Every solution of A
+    is a solution of the rows kept, so an exhausted search there that
+    finds nothing above lin proves opt(A) = lin, and the kernel is
+    returned.  It shares no incumbent with A's engines, and it stops
+    once either side finds a set above lin.
+
     The min rank, its completion and the column floor come from
     min_rank_completion's record of A (partial._Completed) when the
     caller has just completed A (min_rank, report, conjecture_epsilon),
@@ -861,12 +870,23 @@ def opt_exact(
     return cnt << len(dropped), SolutionSet.of(members, A.n)
 
 
-def _portfolio(first: _Engine, second: _Engine) -> tuple[int, list[int]]:
+def _portfolio(
+    first: _Engine, second: _Engine, relaxed: _Engine | None, lin: int
+) -> tuple[int, list[int]]:
     """Run the two engines in turn, in slices of ticks that start at
     _FIRST_SLICE and double every round, until one exhausts its
     search.  After each slice the other adopts its incumbent if it is
     larger.  Each engine alone is exact, so the first to finish settles
-    the value, and its incumbent is the witness."""
+    the value, and its incumbent is the witness.
+
+    `relaxed`, when given, searches a matrix made of some of A's rows
+    (_row_subset), whose optimum is at least A's.  It takes the third
+    turn of each round, with the same slice, while both its incumbent
+    and A's are still lin.  If it exhausts there, opt(A) <= lin, so A's
+    incumbent, which is still the warm start, is the witness.  It is
+    dropped once its incumbent passes lin or it exhausts above lin, and
+    its incumbent never reaches A's engines: it need not be a solution
+    of A."""
     size = _FIRST_SLICE
     while True:
         for engine, other in ((first, second), (second, first)):
@@ -875,7 +895,43 @@ def _portfolio(first: _Engine, second: _Engine) -> tuple[int, list[int]]:
             if done:
                 return best, members
             other.seed(members)
+        if relaxed is not None and best == lin:
+            done = relaxed.resume(relaxed.clock.ticks + size)
+            if done and relaxed.best == lin:
+                return first.incumbent()
+            if done or relaxed.best > lin:
+                relaxed = None
         size *= 2
+
+
+def _row_subset(A: PartialMatrix, r: int, deadline: float | None) -> _Engine | None:
+    """A parity engine on A without one of its distinct rows, or None.
+
+    Each row's function depends only on that row's stars, so every
+    solution of A is a solution of any matrix B made of some of A's rows:
+    K(B) lies inside K(A) and opt(A) <= opt(B).  B can only certify
+    opt(A) = lin = 2^(n - r) when it keeps min rank r, so the worklist is
+    walked in order and B drops the first row without which no
+    completion has rank below r.  The rank side decides that within
+    _FIRST_SLICE ticks, and a row it does not settle in time is kept.
+    Needs three distinct rows, so that B keeps the two the parity engine
+    finishes together.
+    """
+    rows = _prepare_rows(A)[0]
+    if len(rows) < 3:
+        return None
+    for i in range(len(rows)):
+        rest = rows[:i] + rows[i + 1 :]
+        clock = _Deadline(deadline, A.n)
+        clock.stop = _FIRST_SLICE
+        try:
+            if _complete_within(rest, A.n, r - 1, clock, {}) is not None:
+                continue
+        except _BudgetSpent:
+            continue
+        B = PartialMatrix(A.n, tuple(a for a, _ in rest), tuple(s for _, s in rest))
+        return _ParityChoiceSearch(B, _forbidden_bitmap(rest, A.n), deadline)
+    return None
 
 
 def _opt_core(rec: _Completed, deadline: float | None) -> tuple[int, SolutionSet]:
@@ -903,7 +959,10 @@ def _opt_core(rec: _Completed, deadline: float | None) -> tuple[int, SolutionSet
     if _parity_choice_ready(A):
         parity = _ParityChoiceSearch(A, K, deadline)
         parity.seed(V.vectors())
-        best, members = _portfolio(vertex, parity)
+        relaxed = _row_subset(A, r, deadline)
+        if relaxed is not None:
+            relaxed.seed(V.vectors())
+        best, members = _portfolio(vertex, parity, relaxed, lin)
     else:
         best, members = vertex.run()
 

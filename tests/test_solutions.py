@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from minrank.codes import CodeMatrixSpec, code_matrix
-from minrank.errors import LimitError, OperatorConflict
+from minrank.errors import LimitError, OperatorConflict, _BudgetSpent
 from minrank import solutions
 from minrank.gf2 import Subspace, _bits, _half_mask, _parity_bitmap, dot, kernel
 from minrank.partial import PartialMatrix, col_min_rank, min_rank, min_rank_completion
@@ -690,9 +690,10 @@ def test_parity_engine_settles_what_the_vertex_search_stalls_on(built_engines):
 
 
 def test_roof_bound_settles_h2(built_engines):
-    # only an exhaustive search proves opt = lin = 32 on H2; the roof
-    # bound closes each two-row finish at its root, and without it the
-    # parity engine alone needs 3.73M ticks
+    # no root bound meets lin = 32 on H2, so only an exhausted search
+    # proves opt = lin: of H2 itself, or of three of its rows (the
+    # relaxed engine); the roof bound closes each two-row finish at its
+    # root, and without it the parity engine alone needs 3.73M ticks
     _, W = min_rank_completion(H2)
     value, sol = opt_exact(H2)
     assert value == 32
@@ -701,9 +702,62 @@ def test_roof_bound_settles_h2(built_engines):
     assert 0 < ticks < 10_000
 
 
+@pytest.fixture
+def relaxations(monkeypatch):
+    """What _row_subset returned in each opt_exact call while the test
+    runs: None, or the relaxed engine, whose `turns` lists its incumbent
+    size after each of its portfolio turns."""
+    out = []
+    real = solutions._row_subset
+
+    def recorded(*args):
+        engine = real(*args)
+        out.append(engine)
+        if engine is not None:
+            engine.turns = []
+            resume = engine.resume
+
+            def counted(stop):
+                done = resume(stop)
+                engine.turns.append(engine.best)
+                return done
+
+            engine.resume = counted
+        return engine
+
+    monkeypatch.setattr(solutions, "_row_subset", recorded)
+    return out
+
+
+def test_three_rows_of_h2_settle_it_in_every_row_order(relaxations):
+    # H2 keeps min rank 3 without one of its rows, and the parity engine
+    # on the other three exhausts at 32 = lin within two turns, while
+    # both of H2's own engines are still searching
+    rng = random.Random(113)
+    ticks = 0
+    for _ in range(4):
+        rows = list(zip(H2.ones, H2.stars))
+        rng.shuffle(rows)
+        A = PartialMatrix(H2.n, tuple(a for a, _ in rows), tuple(s for _, s in rows))
+        _, W = min_rank_completion(A)
+        relaxations.clear()
+        value, sol = opt_exact(A)
+        assert value == 32
+        assert sol.sorted_members() == sorted(kernel(W).vectors())
+        [relaxed] = relaxations
+        B = relaxed.A
+        assert B.m == 3 and set(zip(B.ones, B.stars)) < set(rows)
+        assert relaxed._stack == [] and relaxed.best == 32
+        ticks += relaxed.clock.ticks
+    assert 0 < ticks < 2_500
+
+
 def test_single_row_sums_skip_every_finish_of_113(monkeypatch):
-    # sweep seed 0, item 4x8#113: each finish's own row sums already
-    # cannot beat the best (1,024 pair-choice calls without that check)
+    # sweep seed 0, item 4x8#113: in the parity engine on A, seeded with
+    # the kernel as opt_exact seeds it, each finish's own row sums
+    # already cannot beat the best (1,024 pair-choice calls without that
+    # check).  opt_exact also runs the relaxed engine on three of A's
+    # rows, whose finishes do reach the pair choice.
     calls = []
     real = solutions._pair_choice_max
 
@@ -714,8 +768,93 @@ def test_single_row_sums_skip_every_finish_of_113(monkeypatch):
     monkeypatch.setattr(solutions, "_pair_choice_max", counted)
     A = list(_random_matrices(4, 8, 114, 0))[113]
     assert _reaches_search(A) and solutions._parity_choice_ready(A)
-    assert opt_exact(A)[0] == 32
+    _, W = min_rank_completion(A)
+    V = sorted(kernel(W).vectors())
+    parity = solutions._ParityChoiceSearch(A, forbidden_set(A).bitmap, None)
+    parity.seed(V)
+    assert parity.run() == (32, V)
     assert calls == []
+    value, sol = opt_exact(A)
+    assert value == 32 and sol.sorted_members() == V
+
+
+def test_a_relaxed_incumbent_never_reaches_the_engines_of_a(monkeypatch, relaxations):
+    # a relaxation qualifies on each, but none proves opt = lin.  On the
+    # first two the vertex search passes lin = 16 in its first slice,
+    # so the relaxed engine never takes a turn.  On the third opt = lin
+    # = 16, and the relaxed engine finds 18 in its first turn, a set that
+    # is no solution of A, and takes no turn after it.
+    seeded = []
+    real = solutions._Engine.seed
+
+    def spy(self, members):
+        members = list(members)
+        seeded.append((self, members))
+        real(self, members)
+
+    monkeypatch.setattr(solutions._Engine, "seed", spy)
+    cases = (
+        ("*11*1*1/0*1**1*/1**1000/*01***0/0110111/*01*11*", 20, []),
+        ("*0100**/**10**1/00**010/0*1*1*1/*111*0*", 20, []),
+        ("*11*00*0/1*11***0/11*01110/0**11***/01*10*01/1111*11*", 16, [18]),
+    )
+    for text, opt, turns in cases:
+        A = parse_pmx(text.replace("/", "\n"))
+        seeded.clear()
+        relaxations.clear()
+        value, sol = opt_exact(A)
+        assert value == opt and sol.size == opt and is_solution(A, sol)
+        [relaxed] = relaxations
+        assert relaxed is not None and relaxed.turns == turns
+        if turns:
+            assert not is_solution(A, relaxed.incumbent()[1])
+        for engine, members in seeded:
+            if engine is not relaxed:
+                assert is_solution(A, members)
+
+
+def test_the_relaxation_changes_no_answer(monkeypatch, relaxations):
+    # opt_exact with and without the relaxed engine on seeded random
+    # parity-ready matrices with three distinct rows or more that reach
+    # the search, the same value and witness.  Draws on which an engine
+    # without it passes 4,000 ticks are skipped, which keeps the run
+    # short.  brute_force_opt_tiny refuses every matrix here (and no
+    # matrix it accepts reaches the search), so at n = 6 the check is
+    # the exhaustive _max_independent.
+    def capped(self, *args):
+        real(self, *args)
+        self.clock.stop = 4000
+
+    real = solutions._Engine.__init__
+    rng = random.Random(107)
+    drawn = compared = settled = 0
+    while drawn < 60:
+        A = random_matrix(rng, rng.randint(3, 6), rng.randint(6, 8))
+        if not (
+            len(solutions._prepare_rows(A)[0]) >= 3
+            and solutions._parity_choice_ready(A)
+            and _reaches_search(A)
+        ):
+            continue
+        drawn += 1
+        with monkeypatch.context() as m:
+            m.setattr(solutions, "_row_subset", lambda *args: None)
+            m.setattr(solutions._Engine, "__init__", capped)
+            try:
+                without = opt_exact(A)
+            except _BudgetSpent:
+                continue
+        relaxations.clear()
+        value, sol = opt_exact(A)
+        assert (value, sol.sorted_members()) == (without[0], without[1].sorted_members())
+        compared += 1
+        relaxed = relaxations[0]
+        if relaxed is not None and relaxed._stack == [] and relaxed.best == value:
+            settled += 1
+        if A.n == 6:
+            K = forbidden_set(A).bitmap
+            assert value == _max_independent(((1 << 64) - 1) & ~K, K, 6)
+    assert compared > 40 and settled >= 5
 
 
 def test_a_finish_past_its_root_on_27(monkeypatch):
