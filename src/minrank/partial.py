@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .config import LIMITS
-from .errors import LimitError, _BudgetSpent
+from .errors import InternalError, LimitError, _BudgetSpent
 from .gf2 import (
     GF2Matrix,
     _bits,
@@ -21,6 +21,7 @@ from .gf2 import (
     _parity_bitmap,
     _ratio_bound,
     _vanishes_bitmap,
+    dot,
     rank,
     reduce_vector,
     rref,
@@ -270,7 +271,6 @@ def _complete_within(
     clock: _Deadline,
     reduced_units: dict,
     failed: set | None = None,
-    cut: _KernelCut | None = None,
 ):
     """Completions of the worklist spanning at most `target` dimensions.
 
@@ -287,12 +287,6 @@ def _complete_within(
     leaves the search order and the result unchanged.  The test runs
     only at nodes with at most n rows still to place, so its cost per
     node does not grow with m on tall matrices, where it seldom cuts.
-
-    At nodes with more than n rows still to place, `cut`, when given,
-    cuts the nodes that it proves hold no completion (_KernelCut), so it
-    too leaves the result unchanged.  min_rank_completion passes it only
-    once the kernel side has shown the target feasible, where the
-    search would otherwise walk the empty subtrees to their ends.
 
     `reduced_units` maps each span met to its reduced unit vectors,
     across the targets of one matrix.  `failed` holds the nodes proven
@@ -328,9 +322,8 @@ def _complete_within(
             return None
         room = target - len(basis)
         if room <= 0 or (
-            _forced_independent(rows, idx, basis, room + 1) > room
-            if len(rows) - idx <= n
-            else cut is not None and cut(basis)
+            len(rows) - idx <= n
+            and _forced_independent(rows, idx, basis, room + 1) > room
         ):
             failed.add(key)
             return None
@@ -404,77 +397,35 @@ def _avoiding_subspace(K: int, n: int, dim: int, clock: _Deadline) -> tuple[int,
     return tuple(reversed(basis)) if go(full & ~K, 0, full ^ 1) else None
 
 
-# The most ticks one search of the finish's kernel cut may take.  On
-# the code matrices with n <= 8 a cut settles within 931 ticks, and on
-# H1 within 401; on some random tall matrices a proof that a node is
-# empty takes 2,000 to 3,000 ticks where the rank side refutes the node
-# in a few hundred, and the first search that runs out turns the cut off
-# for the rest of the finish.
-_CUT_TICKS = 1024
+def _orthogonal_completion(rows, n: int, V: tuple[int, ...]) -> list[int]:
+    """The completion of every (fixed ones, stars) row that is orthogonal
+    to each vector of V, its stars the canonical solution of one GF(2)
+    system: stars x within s with <x, v> = <a, v> for every v in V.
 
-
-class _KernelCut:
-    """The finish's cut of _complete_within: called with the span
-    `basis` of a node, whether the node holds no completion within
-    `target` dimensions.
-
-    The node holds one iff some subspace W of dimension target contains
-    basis and a completion of every row still to place, i.e. iff W's
-    orthogonal complement, of dimension n - target inside basis^perp,
-    avoids the forbidden set of those rows.  The rows already placed
-    have completions inside span(basis), so their forbidden sets miss
-    basis^perp, and K, the forbidden set of all rows, with the vectors
-    outside basis^perp (odd against some basis vector) is the same
-    bitmap as the forbidden set of the remaining rows with them.
-
-    `found` holds the span bitmaps of the subspaces found so far; each
-    is tried first with one AND, and each new one joins them.  A search
-    gets at most _CUT_TICKS ticks of the clock, which must have no slice
-    limit; one that runs out answers no cut, and so does every later
-    call.
+    Row (a, s) has no such completion iff some member of span(V)
+    vanishes on s and is odd against a, i.e. lies in the row's forbidden
+    set, so a V that avoids the forbidden set completes every row.
     """
-
-    def __init__(self, K: int, n: int, target: int, clock: _Deadline, found: list[int]):
-        self.K, self.n, self.target, self.clock, self.found = K, n, target, clock, found
-        self.live = True
-
-    def __call__(self, basis: tuple[int, ...]) -> bool:
-        if not self.live:
-            return False
-        bm = self.K
-        for b in basis:
-            bm |= _parity_bitmap(b, self.n)
-        for space in self.found:
-            if not space & bm:
-                return False
-        clock = self.clock
-        clock.stop = clock.ticks + _CUT_TICKS
-        try:
-            V = _avoiding_subspace(bm, self.n, self.n - self.target, clock)
-        except _BudgetSpent:
-            self.live = False
-            return False
-        finally:
-            clock.stop = None
-        if V is None:
-            return True
-        self.found.append(_span_bitmap(V))
-        return False
-
-
-def _span_bitmap(basis: tuple[int, ...]) -> int:
-    members = [0]
-    for b in basis:
-        members += [u ^ b for u in members]
-    return sum(1 << u for u in members)
+    out = []
+    for a, s in rows:
+        rhs = sum(dot(a, v) << i for i, v in enumerate(V))
+        x = solve(GF2Matrix(n, tuple(v & s for v in V)), rhs)
+        if x is None:
+            raise InternalError("the subspace found meets a row's forbidden set")
+        out.append(a ^ x)
+    return out
 
 
 # min_rank_completion races the kernel side only on matrices this
-# narrow.  Up to n = 8 (the code matrices and code (8, 2)) the race is
-# measured to win; on random 16 x 12 and 8 x 16 matrices the kernel side
-# proved no target infeasible and only added its slices, each tick of
-# which costs about n * 2^n / 64 machine words there.
-_KERNEL_SIDE_N = 8
+# narrow: each of its ticks costs about n * 2^n / 64 machine words.
+# From n = 9 to 12 the race settles code (n, 2) in 0.01-0.03 s, where
+# the rank side alone takes 74 s on code (9, 2).  Over 450 seeded random
+# 3-8 x 9-12 and 10-24 x 9-12 star-heavy matrices with a 5 s deadline
+# each, it cut the total time from 80 s to 58 s.  Where the kernel side
+# proves nothing the rank side gets half the ticks: 6 of the matrices
+# got more than 1.5 times slower, one 17 x 12 from 3.5 s to 5.6 s (2-core
+# x86 box, Python 3.11).
+_KERNEL_SIDE_N = 12
 
 # The first slice of every sliced search (both deciders here, every
 # engine of opt_exact's portfolio), in ticks; it doubles every round.
@@ -544,20 +495,19 @@ def min_rank_completion(
     The rank side always runs first, in slices of ticks that double from
     256; its memo of failed nodes is kept between slices.  After each
     slice it does not finish, the kernel side gets an equal slice.  If
-    that proves t infeasible, t is skipped; if it finds a subspace, the
-    rank side finishes t without a slice limit, and every branching node
-    with more than n rows still to place is first asked whether a
-    subspace of dimension n - t inside its span's orthogonal complement
-    avoids the forbidden set of those rows (_KernelCut), starting from
-    the subspace just found; a node where none does holds no completion
-    and is cut.  The first of those searches to run past _CUT_TICKS
-    turns the cut off for the rest of the finish.  Only matrices with
-    n <= 8 race; wider ones run the rank side alone, unsliced, with no
-    kernel cut.  The first time a matrix reaches the kernel side, K is
-    built and the floor rises to n - floor(log2 of K's ratio bound),
-    since 2^(n - min rank) = lin <= opt <= the ratio bound.  Every
-    completion returned is the one the rank side finds at the minimum,
-    so the answer does not depend on the race, the cut or the deadline.
+    that proves t infeasible, t is skipped; if it finds a subspace V,
+    the completion is built from V (_orthogonal_completion): every row
+    gets the stars that make it orthogonal to V, which V's avoiding K
+    makes possible.  Its kernel contains V, so its rank is at most t,
+    and every lower target is refuted, so its rank is t and its kernel
+    is span(V).  Only matrices with n <= 12 race; wider ones run the
+    rank side alone, unsliced.  The first time a matrix reaches the
+    kernel side, K is built and the floor rises to n - floor(log2 of
+    K's ratio bound), since 2^(n - min rank) = lin <= opt <= the ratio
+    bound.  The completion returned is the rank side's when the rank
+    side settles the minimum within its slice, else the one built from
+    the kernel side's V.  Both sides count ticks, not time, so the
+    answer does not depend on the deadline, which can only end the call.
 
     The last matrix completed keeps a record (_Completed) of its answer,
     its column floor, and K and its ratio bound when the race built
@@ -601,15 +551,10 @@ def min_rank_completion(
             clock.stop = clock.ticks + budget
             try:
                 V = _avoiding_subspace(K, n, n - target, clock)
-                if V is None:
-                    return None
-                break
             except _BudgetSpent:
-                pass
-            budget *= 2
-        clock.stop = None
-        cut = _KernelCut(K, n, target, clock, [_span_bitmap(V)])
-        return _complete_within(rows, n, target, clock, reduced_units, failed, cut)
+                budget *= 2
+                continue
+            return None if V is None else _orthogonal_completion(rows, n, V)
 
     target = floor
     while (found := decide(target)) is None:

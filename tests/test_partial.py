@@ -8,8 +8,8 @@ import pytest
 
 from minrank import partial, solutions
 from minrank.codes import CodeMatrixSpec, code_matrix
-from minrank.errors import LimitError
-from minrank.gf2 import GF2Matrix, dot, rank, reduce_vector, rref
+from minrank.errors import InternalError, LimitError
+from minrank.gf2 import GF2Matrix, Subspace, dot, kernel, rank, reduce_vector, rref
 from minrank.partial import (
     _insert,
     _prepare_rows,
@@ -323,6 +323,16 @@ def reference_min_rank_completion(A):
     raise AssertionError("the canonical completion always fits")
 
 
+def assert_min_rank_completion(A):
+    """min_rank_completion(A) has the unpruned search's min rank, and its
+    completion is a completion of A of that rank.  The race may return
+    the completion built from the kernel side's subspace, so the entries
+    need not match the rank side's."""
+    r, W = min_rank_completion(A)
+    assert r == reference_min_rank_completion(A)[0]
+    assert is_completion(A, W) and rank(W) == r
+
+
 def shuffled_rows(A, rng):
     rows = list(zip(A.ones, A.stars))
     rng.shuffle(rows)
@@ -340,7 +350,7 @@ def test_min_rank_completion_matches_the_unpruned_search():
             if (n, r) != (7, 2):
                 cases.append(shuffled_rows(code_matrix(CodeMatrixSpec(n, r)), rng))
     for A in cases:
-        assert min_rank_completion(A) == reference_min_rank_completion(A)
+        assert_min_rank_completion(A)
 
 
 def test_every_forced_independence_cut_holds_no_completion(monkeypatch):
@@ -372,95 +382,72 @@ def test_every_forced_independence_cut_holds_no_completion(monkeypatch):
     assert sum(1 for _, basis, _ in cuts if basis) > 80  # below the root
 
 
-def fits_within(rows, basis, target):
-    """Whether some completion of rows keeps span(basis) within `target`
-    dimensions, trying every completion of every row."""
-    failed = set()
-
-    def go(idx, span):
-        if len(span) > target:
-            return False
-        if idx == len(rows):
-            return True
-        if (idx, span) in failed:
-            return False
-        a, s = rows[idx]
-        stars = [1 << j for j in range(s.bit_length()) if (s >> j) & 1]
-        for fill in range(1 << len(stars)):
-            v = a
-            for k, e in enumerate(stars):
-                if (fill >> k) & 1:
-                    v |= e
-            if go(idx + 1, rref(span + (v,))):
-                return True
-        failed.add((idx, span))
-        return False
-
-    return go(0, rref(basis))
+def completed_from(A, V):
+    """The completion of A built from a subspace V that avoids its
+    forbidden set, as min_rank_completion builds it."""
+    rows, remap = _prepare_rows(A)
+    found = partial._orthogonal_completion(rows, A.n, V)
+    return GF2Matrix(A.n, tuple(0 if t is None else found[t] for t in remap))
 
 
-def test_every_kernel_cut_holds_no_completion(monkeypatch, forget):
-    # the rows a cut node has placed lie in span(basis), so no completion
-    # of its remaining rows stays within the target iff none of all rows
-    # does, starting from basis
-    cuts = []
-    worklist = []
-    real = partial._KernelCut.__call__
+def test_the_orthogonal_finish_completes_from_every_subspace_found(monkeypatch, forget):
+    # V avoids the forbidden set, so every row has stars that make it
+    # orthogonal to V; the completion's kernel then holds V, and at the
+    # minimum it is span(V)
+    def check(A, V, t, least):
+        W = completed_from(A, V)
+        assert is_completion(A, W) and rank(W) <= t
+        assert all(dot(w, v) == 0 for w in W.rows for v in V)
+        if t == least:
+            assert kernel(W) == Subspace.span(V, A.n)
+        return W
 
-    def spy(self, basis):
-        cut = real(self, basis)
-        if cut:
-            cuts.append((tuple(worklist), basis, self.target))
-        return cut
-
-    monkeypatch.setattr(partial._KernelCut, "__call__", spy)
-
-    def search_every_target(A):
-        # every target up to the minimum, so the failing ones are cut too
-        worklist[:] = _prepare_rows(A)[0]
-        K = partial._forbidden_bitmap(worklist, A.n)
-        for target in range(min_rank(A) + 1):
-            clock = partial._Deadline(None, A.n)
-            cut = partial._KernelCut(K, A.n, target, clock, [])
-            partial._complete_within(worklist, A.n, target, clock, {}, None, cut)
+    def every_target(A):
+        rows, _ = _prepare_rows(A)
+        K = partial._forbidden_bitmap(rows, A.n)
+        least = min_rank(A)
+        for t in range(least, A.n + 1):
+            V = partial._avoiding_subspace(K, A.n, A.n - t, partial._Deadline(None, A.n))
+            check(A, V, t, least)
 
     rng = random.Random(61)
     for _ in range(150):
         n = rng.randint(5, 7)
-        search_every_target(
-            star_heavy_matrix(rng, rng.randint(n + 1, 3 * n), n, rng.uniform(0.3, 0.6))
-        )
+        every_target(star_heavy_matrix(rng, rng.randint(n + 1, 3 * n), n, rng.uniform(0.3, 0.6)))
     for n in range(3, 7):
         for r in range(1, n):
-            search_every_target(shuffled_rows(code_matrix(CodeMatrixSpec(n, r)), rng))
-    # min_rank_completion itself cuts only in the finish, after the race
-    searched = len(cuts)
-    A = shuffled_rows(code_matrix(CodeMatrixSpec(7, 3)), rng)
-    forget()
-    worklist[:] = _prepare_rows(A)[0]
-    min_rank_completion(A)
-    assert len(cuts) > searched
-    for rows, basis, target in cuts:
-        assert not fits_within(rows, basis, target)
-    assert len(cuts) > 400
-    assert sum(1 for _, basis, _ in cuts if basis) > 90  # below the root
+            every_target(shuffled_rows(code_matrix(CodeMatrixSpec(n, r)), rng))
+    # from n = 9 on, proving the minimum from the kernel side alone can
+    # take seconds, so these take the subspaces the race finds
+    found = []
+    real = partial._avoiding_subspace
 
+    def spy(*args):
+        V = real(*args)
+        if V is not None:
+            found.append(V)
+        return V
 
-def test_kernel_cut_turns_off_when_a_search_runs_out(monkeypatch, forget):
-    monkeypatch.setattr(partial, "_CUT_TICKS", 4)
-    cuts = []
-    real = partial._KernelCut.__init__
-
-    def kept(self, *args):
-        real(self, *args)
-        cuts.append(self)
-
-    monkeypatch.setattr(partial._KernelCut, "__init__", kept)
-    for spec in ((6, 2), (7, 3)):
-        A = code_matrix(CodeMatrixSpec(*spec))
+    monkeypatch.setattr(partial, "_avoiding_subspace", spy)
+    cases = [shuffled_rows(code_matrix(CodeMatrixSpec(n, 2)), rng) for n in range(9, 13)]
+    cases += [
+        star_heavy_matrix(rng, rng.randint(10, 14), rng.randint(9, 12), 0.7) for _ in range(40)
+    ]
+    settled = 0
+    for A in cases:
         forget()
-        assert min_rank_completion(A) == reference_min_rank_completion(A)
-    assert len(cuts) == 2 and not any(cut.live for cut in cuts)
+        found.clear()
+        r, W = min_rank_completion(A)
+        for V in found:
+            assert check(A, V, r, r) == W
+        settled += bool(found)
+    assert settled >= 10  # 13 of the 44 settle from the kernel side
+
+
+def test_a_subspace_meeting_the_forbidden_set_is_an_internal_error():
+    # the row 1* forbids 10: zero on the star and odd against the one
+    with pytest.raises(InternalError):
+        partial._orthogonal_completion([(0b01, 0b10)], 2, (0b01,))
 
 
 def completion_ticks(monkeypatch, forget, A):
@@ -478,11 +465,30 @@ def completion_ticks(monkeypatch, forget, A):
     return sum(clock.ticks for clock in clocks)
 
 
-def test_kernel_cut_saves_completion_ticks(monkeypatch, forget):
-    # without the cut the finish walks infeasible subtrees: 6,858 ticks
-    # on code (7, 3) and 19,539 on H1 = code (7, 2)
-    for (n, r), most in (((7, 3), 2000), ((7, 2), 4000)):
+def test_the_orthogonal_finish_saves_completion_ticks(monkeypatch, forget):
+    # once the kernel side finds its subspace no search is left: 737
+    # ticks on code (7, 3), and 517 on H1 = code (7, 2) and on code
+    # (8, 2), where finishing the target by the rank side's search takes
+    # 6,858, 19,539 and 66,349 ticks
+    for (n, r), most in (((7, 3), 800), ((7, 2), 600), ((8, 2), 600)):
         assert completion_ticks(monkeypatch, forget, code_matrix(CodeMatrixSpec(n, r))) <= most
+
+
+def test_min_rank_of_codes_past_n_8_within_a_deadline(monkeypatch, forget):
+    subspaces = []
+    real = partial._orthogonal_completion
+
+    def spy(rows, n, V):
+        subspaces.append(Subspace.span(V, n))
+        return real(rows, n, V)
+
+    monkeypatch.setattr(partial, "_orthogonal_completion", spy)
+    for n in (9, 10, 11):
+        forget()
+        A = code_matrix(CodeMatrixSpec(n, 2))
+        r, W = min_rank_completion(A, deadline=time.monotonic() + 5)
+        assert r == 4 and rank(W) == r and is_completion(A, W)
+        assert kernel(W) == subspaces[-1]
 
 
 def test_code_matrix_min_ranks():
@@ -578,7 +584,7 @@ def test_memo_compares_matrices_by_value(dfs_calls):
     assert twin is not A1 and twin.ones is not A1.ones
     assert min_rank_completion(twin) == first
     assert len(dfs_calls) == searched
-    assert min_rank_completion(A2) == reference_min_rank_completion(A2)
+    assert_min_rank_completion(A2)
     assert len(dfs_calls) > searched
 
 
@@ -587,7 +593,7 @@ def test_deadline_refusal_is_not_memoized(dfs_calls):
     with pytest.raises(LimitError):
         min_rank_completion(A, deadline=time.monotonic() - 1)
     assert partial._memo is None
-    assert min_rank_completion(A) == reference_min_rank_completion(A)
+    assert_min_rank_completion(A)
 
 
 def star_heavy_matrix(rng, m, n, density):
@@ -660,24 +666,62 @@ def test_expired_deadline_on_the_race_leaves_the_memo(monkeypatch):
     with pytest.raises(LimitError):
         min_rank_completion(A, deadline=time.monotonic() - 1)
     assert partial._memo is entry and entry.answer == held
-    assert min_rank_completion(A) == reference_min_rank_completion(A)
+    assert_min_rank_completion(A)
     assert kernel_calls  # the race reached the kernel side
 
 
 def test_wide_matrices_run_the_rank_side_alone_within_a_deadline(monkeypatch, forget):
-    # on these the kernel side proves nothing and its ticks cost about
-    # n * 2^n / 64 words; the rank side alone takes about 0.3 s on each
-    kernel_calls = []
-    monkeypatch.setattr(partial, "_avoiding_subspace", lambda *args: kernel_calls.append(args))
+    # only matrices with n <= 12 race: the 8 x 16 matrix runs the rank
+    # side alone (about 0.3 s), while the 16 x 12 one reaches the kernel
+    # side, whose subspace settles it in about 0.01 s against about 0.4 s
+    # for the rank side alone
+    kernel_widths = []
+    real = partial._avoiding_subspace
+
+    def spy(K, n, dim, clock):
+        kernel_widths.append(n)
+        return real(K, n, dim, clock)
+
+    monkeypatch.setattr(partial, "_avoiding_subspace", spy)
     tall = star_heavy_matrix(random.Random(3), 8, 16, 0.4)
     rng = random.Random(6)
     star_heavy_matrix(rng, 8, 16, 0.4)
     wide = star_heavy_matrix(rng, 16, 12, 0.5)
-    for A, want in ((tall, 4), (wide, 5)):
+    for A, want, widths in ((tall, 4, set()), (wide, 5, {12})):
         forget()
+        kernel_widths.clear()
         r, W = min_rank_completion(A, deadline=time.monotonic() + 5)
         assert r == want and rank(W) == r and is_completion(A, W)
-    assert kernel_calls == []
+        assert set(kernel_widths) == widths
+
+
+def test_the_race_agrees_with_the_rank_side_alone_from_n_9_to_12(monkeypatch, forget):
+    rng = random.Random(71)
+    cases = [random_matrix(rng, rng.randint(3, 8), rng.randint(9, 12)) for _ in range(40)]
+    cases += [
+        star_heavy_matrix(rng, rng.randint(10, 14), rng.randint(9, 12), 0.7) for _ in range(20)
+    ]
+    built = []
+    real = partial._orthogonal_completion
+
+    def spy(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(partial, "_orthogonal_completion", spy)
+    raced = []
+    for A in cases:
+        forget()
+        r, W = min_rank_completion(A)
+        assert is_completion(A, W) and rank(W) == r
+        raced.append(r)
+    settled = len(built)
+    assert settled >= 4  # answers built from the kernel side's subspace: 4 of the 60
+    monkeypatch.setattr(partial, "_KERNEL_SIDE_N", 0)  # the rank side alone
+    for A, r in zip(cases, raced):
+        forget()
+        assert min_rank(A) == r
+    assert len(built) == settled
 
 
 def test_min_rank_then_opt_exact_finds_the_column_floor_once(monkeypatch, forget):
