@@ -15,7 +15,7 @@ from dataclasses import replace
 from .circuits import extract_linear_operator, linearize, metrics, parse_ckt
 from .codes import CodeMatrixSpec, code_matrix, gv_bound, hamming_bound, verify_ka_is_ball
 from .config import LIMITS, ToolConfig
-from .errors import InternalError, LimitError, ParseError, ToolkitError
+from .errors import LimitError, ParseError, ToolkitError
 from .gf2 import vec_text
 from .partial import min_rank_completion
 from .pmx import emit_pmx, parse_pmx
@@ -229,18 +229,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InternalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

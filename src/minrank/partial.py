@@ -427,12 +427,13 @@ def _orthogonal_completion(rows, n: int, V: tuple[int, ...]) -> list[int]:
 # x86 box, Python 3.11).
 _KERNEL_SIDE_N = 12
 
-# The first slice of every sliced search (both deciders here, every
-# engine of opt_exact's portfolio), in ticks; it doubles every round.
+# The first slice of every sliced search (both deciders here, both
+# parity engines of opt_exact), in ticks; it doubles every round.
 # opt_exact's row-subset check also gives each row this many ticks.
-# 256 vertex ticks take about 2 ms at n = 8 and 14 ms at n = 12 (2-core
-# x86 box, Python 3.11), so a search that settles at once waits little
-# for its first turn.
+# A first slice of 256 parity-engine ticks takes 3 to 42 ms on the
+# parity-ready 4x8, 5x10 and 6x12 items of `minrank search --seed 0`
+# that reach it (2-core x86 box, Python 3.11), so a relaxed search that
+# settles at once waits little for its first turn.
 _FIRST_SLICE = 256
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .partial import (
     min_rank,
     row_min_rank,
 )
-from .pmx import compact, parse_pmx
+from .pmx import compact, parse_pmx, row_text
 from .solutions import epsilon_of, opt_exact
 
 _SKIPPED = "skipped: limit"
@@ -200,8 +200,6 @@ def _exhaustive_matrices(m: int, n: int) -> Iterator[PartialMatrix]:
 
 
 def _row_key(row: tuple[int, int], n: int) -> str:
-    from .pmx import row_text
-
     return row_text(row[0], row[1], n)
 
 

@@ -223,7 +223,8 @@ class _Engine:
 
     The incumbent is the largest solution found or adopted so far, kept
     as its size `best` and its occupancy bitmap `best_mask`.  seed()
-    adopts a known solution only when it is strictly larger, and
+    sets it to a known solution before the search starts: opt_exact
+    seeds every engine with the kernel of a min-rank completion.
     incumbent() returns (best, sorted members).
 
     Each engine searches on an explicit stack.  resume(stop) runs until
@@ -246,9 +247,8 @@ class _Engine:
         mask = 0
         for v in members:
             mask |= 1 << v
-        if mask.bit_count() > self.best:
-            self.best = mask.bit_count()
-            self.best_mask = mask
+        self.best = mask.bit_count()
+        self.best_mask = mask
 
     def incumbent(self) -> tuple[int, list[int]]:
         return self.best, sorted(_bits(self.best_mask))
@@ -397,12 +397,6 @@ class _OptSearch(_Engine):
         return bound
 
     # -- search -----------------------------------------------------------
-
-    def seed(self, members: Iterable[int]):
-        """Adopt a known solution translated so that it holds vertex 0."""
-        ms = set(members) or {0}
-        low = min(ms)
-        super().seed(v ^ low for v in ms)
 
     def resume(self, stop: int | None) -> bool:
         # A frame is one node: (cand, count, added, stale, stale_at, low).
@@ -644,10 +638,11 @@ class _ParityChoiceSearch(_Engine):
     at their root; the rest branch one class at a time under the same
     bounds.
 
-    Complements _OptSearch: this engine shines when rows have few stars
-    (few, large classes), which is where vertex branching drowns in
-    near-ties; it degrades when some row has many stars, which is where
-    vertex branching is easy.  Only built when _parity_choice_ready.
+    It shines when rows have few stars (few, large classes), which is
+    where vertex branching drowns in near-ties; it degrades when some
+    row has many stars, which is where vertex branching is easy.  Only
+    built when _parity_choice_ready and _OptSearch's root node does not
+    close the search; it then searches A alone.
     """
 
     def __init__(self, A: PartialMatrix, K: int, deadline: float | None):
@@ -814,12 +809,12 @@ def opt_exact(
     Otherwise an exact search runs: branch and bound over independent
     sets of the Cayley graph generated by the forbidden set
     (_OptSearch).  Where every row is thin and distinct rows are few
-    (_parity_choice_ready), a parity-choice search (_ParityChoiceSearch)
-    runs beside it as a portfolio: the two take turns in slices of ticks
-    that double every round, each adopts the other's incumbent when it
-    is larger, and the first to exhaust its search settles the value,
-    since each alone is exact.  Slices are counted in ticks, never in
-    time, so the value and the witness do not depend on the host.  Both
+    (_parity_choice_ready), that search gets only its root node, where
+    its star-set and coset bounds close it or not; if they do not, a
+    parity-choice search (_ParityChoiceSearch) settles the value alone.
+    It runs in slices of ticks that double every round
+    (_parity_then_relaxed).  Slices are counted in ticks, never in
+    time, so the value and the witness do not depend on the host.  The
     engines adopt only strictly larger sets than the warm start, so the
     witness is the same kernel whenever opt = lin.  A search witness is
     verified before it is returned, whatever its size.  The parity
@@ -829,13 +824,13 @@ def opt_exact(
     their root branch on one pattern class at a time, each node bounded
     the same way.
 
-    When A has three distinct rows or more, a third engine may take the
-    third turn of each round: the parity search on A without one row
-    whose removal keeps min rank r (_row_subset).  Every solution of A
-    is a solution of the rows kept, so an exhausted search there that
-    finds nothing above lin proves opt(A) = lin, and the kernel is
-    returned.  It shares no incumbent with A's engines, and it stops
-    once either side finds a set above lin.
+    When A has three distinct rows or more, a second parity search may
+    take a turn after each slice: on A without one row whose removal
+    keeps min rank r (_row_subset).  Every solution of A is a solution
+    of the rows kept, so an exhausted search there that finds nothing
+    above lin proves opt(A) = lin, and the kernel is returned.  It
+    shares no incumbent with A's engine, and it stops once either side
+    finds a set above lin.
 
     The min rank, its completion and the column floor come from
     min_rank_completion's record of A (partial._Completed) when the
@@ -870,35 +865,30 @@ def opt_exact(
     return cnt << len(dropped), SolutionSet.of(members, A.n)
 
 
-def _portfolio(
-    first: _Engine, second: _Engine, relaxed: _Engine | None, lin: int
+def _parity_then_relaxed(
+    parity: _Engine, relaxed: _Engine | None, lin: int
 ) -> tuple[int, list[int]]:
-    """Run the two engines in turn, in slices of ticks that start at
-    _FIRST_SLICE and double every round, until one exhausts its
-    search.  After each slice the other adopts its incumbent if it is
-    larger.  Each engine alone is exact, so the first to finish settles
-    the value, and its incumbent is the witness.
+    """Run the parity engine, then the relaxed one, in slices of ticks
+    that start at _FIRST_SLICE and double every round, until the parity
+    engine exhausts its search.  It is exact, so its incumbent is then
+    the value and the witness.
 
     `relaxed`, when given, searches a matrix made of some of A's rows
-    (_row_subset), whose optimum is at least A's.  It takes the third
-    turn of each round, with the same slice, while both its incumbent
-    and A's are still lin.  If it exhausts there, opt(A) <= lin, so A's
-    incumbent, which is still the warm start, is the witness.  It is
-    dropped once its incumbent passes lin or it exhausts above lin, and
-    its incumbent never reaches A's engines: it need not be a solution
-    of A."""
+    (_row_subset), whose optimum is at least A's.  It takes a turn after
+    each parity slice, with the same slice, while both its incumbent
+    and the parity engine's are still lin.  If it exhausts there,
+    opt(A) <= lin, so the parity incumbent, which is still the warm
+    start, is the witness.  It is dropped once its incumbent passes lin
+    or it exhausts above lin, and its incumbent never reaches the parity
+    engine: it need not be a solution of A."""
     size = _FIRST_SLICE
     while True:
-        for engine, other in ((first, second), (second, first)):
-            done = engine.resume(engine.clock.ticks + size)
-            best, members = engine.incumbent()
-            if done:
-                return best, members
-            other.seed(members)
-        if relaxed is not None and best == lin:
+        if parity.resume(parity.clock.ticks + size):
+            return parity.incumbent()
+        if relaxed is not None and parity.best == lin:
             done = relaxed.resume(relaxed.clock.ticks + size)
             if done and relaxed.best == lin:
-                return first.incumbent()
+                return parity.incumbent()
             if done or relaxed.best > lin:
                 relaxed = None
         size *= 2
@@ -956,15 +946,18 @@ def _opt_core(rec: _Completed, deadline: float | None) -> tuple[int, SolutionSet
 
     vertex = _OptSearch(A, K, deadline)
     vertex.seed(V.vectors())
-    if _parity_choice_ready(A):
+    if not _parity_choice_ready(A):
+        best, members = vertex.run()
+    elif vertex.resume(1):
+        # the star-set and coset bounds closed the search at its root
+        best, members = vertex.incumbent()
+    else:
         parity = _ParityChoiceSearch(A, K, deadline)
         parity.seed(V.vectors())
         relaxed = _row_subset(A, r, deadline)
         if relaxed is not None:
             relaxed.seed(V.vectors())
-        best, members = _portfolio(vertex, parity, relaxed, lin)
-    else:
-        best, members = vertex.run()
+        best, members = _parity_then_relaxed(parity, relaxed, lin)
 
     if len(members) != best:
         raise InternalError("witness size disagrees with the optimum")
@@ -1069,17 +1062,8 @@ class ConsistentOperator:
     star_masks: tuple[int, ...]
     tables: tuple[tuple[tuple[int, int], ...], ...]
 
-    def _proj(self, i: int, x: int) -> int:
-        p = 0
-        t = 0
-        s = self.star_masks[i]
-        for j in _bits(s):
-            p |= ((x >> j) & 1) << t
-            t += 1
-        return p
-
     def component(self, i: int, x: int) -> int:
-        p = self._proj(i, x)
+        p = _pack(x, list(_bits(self.star_masks[i])))
         for key, val in self.tables[i]:
             if key == p:
                 return val
@@ -1101,9 +1085,7 @@ def reconstruct_operator(A: PartialMatrix, L: SolutionSet | Iterable[int]) -> Co
         positions = list(_bits(s))
         seen: dict[int, tuple[int, int]] = {}
         for x in members:
-            p = 0
-            for t, j in enumerate(positions):
-                p |= ((x >> j) & 1) << t
+            p = _pack(x, positions)
             val = dot(a, x)
             if p in seen:
                 if seen[p][0] != val:

@@ -11,6 +11,7 @@ import pytest
 import minrank
 from minrank.circuits import Depth2Circuit, MiddleGate, OutputGate, emit_ckt
 from minrank.cli import main
+from minrank.errors import InternalError
 
 A1_TEXT = "10*0*1\n*111**\n0**1**\n"
 
@@ -80,6 +81,15 @@ def test_opt_past_the_bitmap_cap_exits_3(tmp_path, capsys):
     wide.write_text("1" * 25 + "\n")
     assert main(["opt", "--limit-n", "25", str(wide)]) == 3
     assert capsys.readouterr().err.startswith("error: forbidden-set bitmap")
+
+
+def test_internal_error_exits_4(a1_file, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InternalError("witness fails the solution check")
+
+    monkeypatch.setattr(minrank.cli, "opt_exact", broken)
+    assert main(["opt", a1_file]) == 4
+    assert capsys.readouterr().err == "error: witness fails the solution check\n"
 
 
 def test_parse_failures_exit_2(tmp_path, capsys):

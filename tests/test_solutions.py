@@ -543,13 +543,13 @@ def test_expired_deadline_ends_opt_exact_before_the_search(monkeypatch):
     A = list(_random_matrices(6, 12, 9, 5))[8]
     assert _reaches_search(A)  # and min rank is memoised, so opt_exact gets past it
     runs = []
-    real = _OptSearch.run
+    real = _OptSearch.resume
 
-    def spy(self):
+    def spy(self, stop):
         runs.append(self)
-        return real(self)
+        return real(self, stop)
 
-    monkeypatch.setattr(_OptSearch, "run", spy)
+    monkeypatch.setattr(_OptSearch, "resume", spy)
     with pytest.raises(LimitError):
         opt_exact(A, deadline=time.monotonic() - 1)
     assert runs == []
@@ -689,6 +689,48 @@ def test_parity_engine_settles_what_the_vertex_search_stalls_on(built_engines):
         assert 0 < ticks < 1000
 
 
+def test_the_vertex_search_gets_only_its_root_on_parity_ready_matrices(
+    monkeypatch, built_engines
+):
+    # on a parity-ready matrix the vertex search runs its root node, 1
+    # tick; if its bounds do not close it there, the parity engine,
+    # seeded with the kernel, settles the value alone
+    subsets = []
+    real = solutions._row_subset
+
+    def recorded(*args):
+        subsets.append(real(*args))
+        return subsets[-1]
+
+    monkeypatch.setattr(solutions, "_row_subset", recorded)
+    # sweep seed 0, 4x8#365: no three of its rows keep min rank 3, and
+    # the parity engine proves opt = lin = 32 in 939 ticks
+    A = list(_random_matrices(4, 8, 366, 0))[365]
+    assert _reaches_search(A) and solutions._parity_choice_ready(A)
+    _, W = min_rank_completion(A)
+    value, sol = opt_exact(A)
+    assert value == 32
+    assert sol.sorted_members() == sorted(kernel(W).vectors())
+    vertex, parity = built_engines
+    assert isinstance(vertex, _OptSearch) and vertex.clock.ticks == 1
+    assert isinstance(parity, solutions._ParityChoiceSearch)
+    assert parity._stack == [] and parity.clock.ticks == 939
+    assert subsets == [None]
+    # sweep seed 2, 5x10#148: the root's bounds close the search, so
+    # neither the parity engine nor the row subset is built
+    A = list(_random_matrices(5, 10, 149, 2))[148]
+    assert _reaches_search(A) and solutions._parity_choice_ready(A)
+    _, W = min_rank_completion(A)
+    built_engines.clear()
+    subsets.clear()
+    value, sol = opt_exact(A)
+    assert value == 64
+    assert sol.sorted_members() == sorted(kernel(W).vectors())
+    [vertex] = built_engines
+    assert isinstance(vertex, _OptSearch) and vertex.clock.ticks == 1
+    assert vertex._stack == [] and subsets == []
+
+
 def test_roof_bound_settles_h2(built_engines):
     # no root bound meets lin = 32 on H2, so only an exhausted search
     # proves opt = lin: of H2 itself, or of three of its rows (the
@@ -706,7 +748,7 @@ def test_roof_bound_settles_h2(built_engines):
 def relaxations(monkeypatch):
     """What _row_subset returned in each opt_exact call while the test
     runs: None, or the relaxed engine, whose `turns` lists its incumbent
-    size after each of its portfolio turns."""
+    size after each of its turns."""
     out = []
     real = solutions._row_subset
 
@@ -732,7 +774,7 @@ def relaxations(monkeypatch):
 def test_three_rows_of_h2_settle_it_in_every_row_order(relaxations):
     # H2 keeps min rank 3 without one of its rows, and the parity engine
     # on the other three exhausts at 32 = lin within two turns, while
-    # both of H2's own engines are still searching
+    # H2's own parity engine is still searching
     rng = random.Random(113)
     ticks = 0
     for _ in range(4):
@@ -780,7 +822,7 @@ def test_single_row_sums_skip_every_finish_of_113(monkeypatch):
 
 def test_a_relaxed_incumbent_never_reaches_the_engines_of_a(monkeypatch, relaxations):
     # a relaxation qualifies on each, but none proves opt = lin.  On the
-    # first two the vertex search passes lin = 16 in its first slice,
+    # first two the parity search passes lin = 16 in its first slice,
     # so the relaxed engine never takes a turn.  On the third opt = lin
     # = 16, and the relaxed engine finds 18 in its first turn, a set that
     # is no solution of A, and takes no turn after it.
@@ -813,21 +855,22 @@ def test_a_relaxed_incumbent_never_reaches_the_engines_of_a(monkeypatch, relaxat
                 assert is_solution(A, members)
 
 
-def test_the_relaxation_changes_no_answer(monkeypatch, relaxations):
+def test_the_relaxation_changes_no_answer(monkeypatch, relaxations, built_engines):
     # opt_exact with and without the relaxed engine on seeded random
     # parity-ready matrices with three distinct rows or more that reach
     # the search, the same value and witness.  Draws on which an engine
     # without it passes 4,000 ticks are skipped, which keeps the run
-    # short.  brute_force_opt_tiny refuses every matrix here (and no
-    # matrix it accepts reaches the search), so at n = 6 the check is
-    # the exhaustive _max_independent.
+    # short.  Where the vertex search's root closes a draw, it spends 1
+    # tick and no other engine is built.  brute_force_opt_tiny refuses
+    # every matrix here (and no matrix it accepts reaches the search), so
+    # at n = 6 the check is the exhaustive _max_independent.
     def capped(self, *args):
         real(self, *args)
         self.clock.stop = 4000
 
     real = solutions._Engine.__init__
     rng = random.Random(107)
-    drawn = compared = settled = 0
+    drawn = compared = settled = rooted = 0
     while drawn < 60:
         A = random_matrix(rng, rng.randint(3, 6), rng.randint(6, 8))
         if not (
@@ -845,16 +888,22 @@ def test_the_relaxation_changes_no_answer(monkeypatch, relaxations):
             except _BudgetSpent:
                 continue
         relaxations.clear()
+        built_engines.clear()
         value, sol = opt_exact(A)
         assert (value, sol.sorted_members()) == (without[0], without[1].sorted_members())
         compared += 1
-        relaxed = relaxations[0]
-        if relaxed is not None and relaxed._stack == [] and relaxed.best == value:
-            settled += 1
+        if relaxations:
+            relaxed = relaxations[0]
+            if relaxed is not None and relaxed._stack == [] and relaxed.best == value:
+                settled += 1
+        else:
+            [vertex] = built_engines
+            assert isinstance(vertex, _OptSearch) and vertex.clock.ticks == 1
+            rooted += 1
         if A.n == 6:
             K = forbidden_set(A).bitmap
             assert value == _max_independent(((1 << 64) - 1) & ~K, K, 6)
-    assert compared > 40 and settled >= 5
+    assert compared > 40 and settled >= 5 and rooted >= 5
 
 
 def test_a_finish_past_its_root_on_27(monkeypatch):
@@ -947,16 +996,3 @@ def test_portfolio_agrees_with_each_engine_alone():
             assert value == _max_independent(((1 << (1 << A.n)) - 1) & ~K, K, A.n)
     assert compared[0] > 40 and compared[1] > 50
 
-
-def test_vertex_search_adopts_a_solution_without_vertex_0():
-    # the parity engine's incumbent need not hold 0; the vertex search
-    # adopts a translate of it, which is a solution of the same size
-    A = list(_random_matrices(4, 8, 339, 5))[338]
-    K = forbidden_set(A).bitmap
-    _, W = min_rank_completion(A)
-    V = list(kernel(W).vectors())
-    x = next(x for x in range(1, 1 << A.n) if x not in V)
-    search = _OptSearch(A, K, None)
-    search.seed(v ^ x for v in V)
-    assert search.best == len(V)
-    assert search.incumbent() == (len(V), sorted(V))
