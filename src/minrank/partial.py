@@ -433,7 +433,8 @@ _KERNEL_SIDE_N = 12
 # A first slice of 256 parity-engine ticks takes 3 to 42 ms on the
 # parity-ready 4x8, 5x10 and 6x12 items of `minrank search --seed 0`
 # that reach it (2-core x86 box, Python 3.11), so a relaxed search that
-# settles at once waits little for its first turn.
+# settles within its first turn, of twice this many ticks, waits little
+# for it.
 _FIRST_SLICE = 256
 
 @dataclass(frozen=True)

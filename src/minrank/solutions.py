@@ -825,12 +825,12 @@ def opt_exact(
     the same way.
 
     When A has three distinct rows or more, a second parity search may
-    take a turn after each slice: on A without one row whose removal
-    keeps min rank r (_row_subset).  Every solution of A is a solution
-    of the rows kept, so an exhausted search there that finds nothing
-    above lin proves opt(A) = lin, and the kernel is returned.  It
-    shares no incumbent with A's engine, and it stops once either side
-    finds a set above lin.
+    take a turn after each slice, twice as long as that slice: on A
+    without one row whose removal keeps min rank r (_row_subset).  Every
+    solution of A is a solution of the rows kept, so an exhausted search
+    there that finds nothing above lin proves opt(A) = lin, and the
+    kernel is returned.  It shares no incumbent with A's engine, and it
+    stops once either side finds a set above lin.
 
     The min rank, its completion and the column floor come from
     min_rank_completion's record of A (partial._Completed) when the
@@ -868,15 +868,20 @@ def opt_exact(
 def _parity_then_relaxed(
     parity: _Engine, relaxed: _Engine | None, lin: int
 ) -> tuple[int, list[int]]:
-    """Run the parity engine, then the relaxed one, in slices of ticks
-    that start at _FIRST_SLICE and double every round, until the parity
-    engine exhausts its search.  It is exact, so its incumbent is then
-    the value and the witness.
+    """Run the parity engine in slices of ticks that start at
+    _FIRST_SLICE and double every round, until it exhausts its search.
+    It is exact, so its incumbent is then the value and the witness.
 
     `relaxed`, when given, searches a matrix made of some of A's rows
     (_row_subset), whose optimum is at least A's.  It takes a turn after
-    each parity slice, with the same slice, while both its incumbent
-    and the parity engine's are still lin.  If it exhausts there,
+    each parity slice, as long as the parity engine's next slice (256
+    parity ticks, 512 relaxed, 512 parity, 1,024 relaxed, ...), while
+    both its incumbent and the parity engine's are still lin.  So an
+    item the parity engine settles in its first slice costs what it
+    would cost alone, and a relaxation that needs up to twice that
+    settles in its first turn: three rows of the 4x8
+    ***1*111/100**0*1/**011110/11*0***1 (opt = lin = 32) take 439 to
+    455 ticks.  If the relaxed engine exhausts with nothing above lin,
     opt(A) <= lin, so the parity incumbent, which is still the warm
     start, is the witness.  It is dropped once its incumbent passes lin
     or it exhausts above lin, and its incumbent never reaches the parity
@@ -885,13 +890,13 @@ def _parity_then_relaxed(
     while True:
         if parity.resume(parity.clock.ticks + size):
             return parity.incumbent()
+        size *= 2
         if relaxed is not None and parity.best == lin:
             done = relaxed.resume(relaxed.clock.ticks + size)
             if done and relaxed.best == lin:
                 return parity.incumbent()
             if done or relaxed.best > lin:
                 relaxed = None
-        size *= 2
 
 
 def _row_subset(A: PartialMatrix, r: int, deadline: float | None) -> _Engine | None:

@@ -771,10 +771,11 @@ def relaxations(monkeypatch):
     return out
 
 
-def test_three_rows_of_h2_settle_it_in_every_row_order(relaxations):
+def test_three_rows_of_h2_settle_it_in_every_row_order(relaxations, built_engines):
     # H2 keeps min rank 3 without one of its rows, and the parity engine
-    # on the other three exhausts at 32 = lin within two turns, while
-    # H2's own parity engine is still searching
+    # on the other three exhausts at 32 = lin in its first turn, of
+    # 2 * _FIRST_SLICE ticks (439 to 455 needed), so H2's own parity
+    # engine stops after its first slice
     rng = random.Random(113)
     ticks = 0
     for _ in range(4):
@@ -783,6 +784,7 @@ def test_three_rows_of_h2_settle_it_in_every_row_order(relaxations):
         A = PartialMatrix(H2.n, tuple(a for a, _ in rows), tuple(s for _, s in rows))
         _, W = min_rank_completion(A)
         relaxations.clear()
+        built_engines.clear()
         value, sol = opt_exact(A)
         assert value == 32
         assert sol.sorted_members() == sorted(kernel(W).vectors())
@@ -790,8 +792,31 @@ def test_three_rows_of_h2_settle_it_in_every_row_order(relaxations):
         B = relaxed.A
         assert B.m == 3 and set(zip(B.ones, B.stars)) < set(rows)
         assert relaxed._stack == [] and relaxed.best == 32
+        assert relaxed.turns == [32]
+        _, parity, built = built_engines
+        assert built is relaxed and isinstance(parity, solutions._ParityChoiceSearch)
+        assert parity._stack and parity.clock.ticks <= solutions._FIRST_SLICE + 1
         ticks += relaxed.clock.ticks
     assert 0 < ticks < 2_500
+
+
+def test_the_parity_engine_keeps_its_first_slice(relaxations, built_engines):
+    # sweep seed 0, 4x8#320: three of its rows keep min rank 3, but A's
+    # own parity engine proves opt = lin = 32 in 135 ticks, within its
+    # first slice, so the relaxed engine is built and takes no turn
+    A = list(_random_matrices(4, 8, 321, 0))[320]
+    assert _reaches_search(A) and solutions._parity_choice_ready(A)
+    _, W = min_rank_completion(A)
+    built_engines.clear()
+    value, sol = opt_exact(A)
+    assert value == 32
+    assert sol.sorted_members() == sorted(kernel(W).vectors())
+    [relaxed] = relaxations
+    assert relaxed is not None and relaxed.turns == [] and relaxed.clock.ticks == 0
+    vertex, parity, built = built_engines
+    assert isinstance(vertex, _OptSearch) and vertex.clock.ticks == 1
+    assert built is relaxed and isinstance(parity, solutions._ParityChoiceSearch)
+    assert parity._stack == [] and parity.clock.ticks == 135 <= solutions._FIRST_SLICE
 
 
 def test_single_row_sums_skip_every_finish_of_113(monkeypatch):
@@ -824,8 +849,8 @@ def test_a_relaxed_incumbent_never_reaches_the_engines_of_a(monkeypatch, relaxat
     # a relaxation qualifies on each, but none proves opt = lin.  On the
     # first two the parity search passes lin = 16 in its first slice,
     # so the relaxed engine never takes a turn.  On the third opt = lin
-    # = 16, and the relaxed engine finds 18 in its first turn, a set that
-    # is no solution of A, and takes no turn after it.
+    # = 16, and the relaxed engine finds 20 in its first turn, of 512
+    # ticks, a set that is no solution of A, and takes no turn after it.
     seeded = []
     real = solutions._Engine.seed
 
@@ -838,7 +863,7 @@ def test_a_relaxed_incumbent_never_reaches_the_engines_of_a(monkeypatch, relaxat
     cases = (
         ("*11*1*1/0*1**1*/1**1000/*01***0/0110111/*01*11*", 20, []),
         ("*0100**/**10**1/00**010/0*1*1*1/*111*0*", 20, []),
-        ("*11*00*0/1*11***0/11*01110/0**11***/01*10*01/1111*11*", 16, [18]),
+        ("*11*00*0/1*11***0/11*01110/0**11***/01*10*01/1111*11*", 16, [20]),
     )
     for text, opt, turns in cases:
         A = parse_pmx(text.replace("/", "\n"))
