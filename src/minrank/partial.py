@@ -365,9 +365,10 @@ def _avoiding_subspace(K: int, n: int, dim: int, clock: _Deadline) -> tuple[int,
 
     min_rank_completion decides min rank with it: a completion of rank at
     most n - dim exists iff a subspace avoids the forbidden set, and
-    separating_min_rank is n minus the largest such dim.  _OptSearch
-    finds its coset bound's U, whose nonzero members all lie in the
-    forbidden set, as a subspace avoiding the rest of GF(2)^n.
+    separating_min_rank is n minus the largest such dim.  opt_exact's
+    coset certificate (solutions._coset_basis) finds its U, whose nonzero
+    members all lie in the forbidden set, as a subspace avoiding the rest
+    of GF(2)^n.
     """
     full = (1 << (1 << n)) - 1
     basis: list[int] = []  # filled on the way back up, so last vector first

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, TextIO
 
-from .config import LIMITS, VERSION, ToolConfig
+from .config import VERSION, ToolConfig
 from .errors import LimitError
 from .partial import (
     PartialMatrix,
@@ -28,7 +28,7 @@ from .partial import (
     min_rank,
     row_min_rank,
 )
-from .pmx import compact, parse_pmx, row_text
+from .pmx import compact, row_text
 from .solutions import epsilon_of, opt_exact
 
 _SKIPPED = "skipped: limit"

@@ -34,7 +34,6 @@ from .gf2 import (
     kernel,
     min_weight_nonzero,
     orthogonal_complement,
-    rank,
     rref,
     xor_translate,
 )
@@ -160,9 +159,19 @@ def _avoids(lbm: int, K: int, n: int) -> bool:
     return all(xor_translate(lbm, k, n) & lbm == 0 for k in _bits(K))
 
 
-def is_solution(A: PartialMatrix, L: SolutionSet | Iterable[int]) -> bool:
-    """Whether no two members of L differ by a forbidden vector."""
+def _members(L: SolutionSet | Iterable[int], n: int) -> frozenset[int]:
+    """The members of L, or ValueError if one lies outside GF(2)^n."""
     members = L.members if isinstance(L, SolutionSet) else frozenset(L)
+    for x in members:
+        if not 0 <= x < 1 << n:
+            raise ValueError(f"member {x} lies outside GF(2)^{n}")
+    return members
+
+
+def is_solution(A: PartialMatrix, L: SolutionSet | Iterable[int]) -> bool:
+    """Whether no two members of L differ by a forbidden vector; raises
+    ValueError when a member lies outside GF(2)^n."""
+    members = _members(L, A.n)
     F = forbidden_set(A)
     if F.bitmap is not None:
         lbm = 0
@@ -235,8 +244,7 @@ class _Engine:
     def __init__(self, A: PartialMatrix, K: int, deadline: float | None):
         self.A = A
         self.n = A.n
-        self.N = 1 << A.n
-        self.full = (1 << self.N) - 1
+        self.full = (1 << (1 << A.n)) - 1
         self.clock = _Deadline(deadline, A.n)
         self.K = K
         self.best = 0
@@ -268,86 +276,43 @@ class _OptSearch(_Engine):
     admissible relaxations:
 
     * star-set bound: members in one class of a star set S (equal on S)
-      agree on their parity against every row with stars S, so each
-      class contributes its largest joint parity fibre only.  Rows
-      sharing S give one entry; where their ones span all coordinates
-      outside S, every fibre is one vector and the entry is the number
-      of S-classes touched, counted by folding;
-    * coset bound: for a subspace U inside K + {0}, the largest that the
-      kernel-side search _avoiding_subspace finds within a fixed cap,
-      every U-coset is a clique, so candidates allow one pick per coset.
+      agree on their parity against every row with stars S.  Where the
+      ones of the rows sharing S span all coordinates outside S, a class
+      holds at most one member, so the entry is the number of S-classes
+      touched, counted by folding;
+    * coset bound: U, the subspace that opt_exact's coset certificate
+      found (_coset_basis), has every nonzero member in K, so every
+      U-coset is a clique and candidates allow one pick per coset.
 
     All tie-breaking is by ascending vector index, so the search and its
     witness are deterministic.
     """
 
-    def __init__(self, A: PartialMatrix, K: int, deadline: float | None):
+    def __init__(self, A: PartialMatrix, K: int, U: tuple[int, ...], deadline: float | None):
         super().__init__(A, K, deadline)
         self.chosen: list[int] = [0]
+        self.coset_basis = U
         self._prepare_row_bounds()
-        self._prepare_coset_bound()
 
     # -- setup ------------------------------------------------------------
 
     def _prepare_row_bounds(self):
         # Two members equal on a star set S differ by a vector vanishing
-        # on S, so they agree on <a, x> for every row with stars S: the
-        # members in one S-class share one joint parity fibre of those
-        # rows' ones outside S.  Rows sharing S therefore give one entry.
+        # on S, so they agree on <a, x> for every row with stars S.  Where
+        # those rows' ones span every coordinate outside S, an S-class
+        # holds at most one member, so the entry counts the S-classes cand
+        # touches: fold out the other coordinates, highest first so the
+        # bitmap shrinks.
         n = self.n
         groups: dict[int, list[int]] = {}
         for a, s in zip(self.A.ones, self.A.stars):
             if 0 < s.bit_count() <= 8 and a & ~s:
                 groups.setdefault(s, []).append(a & ~s)
-        folds, entries = [], []
-        for s, ones in groups.items():
-            k = s.bit_count()
-            if k + len(rref(ones)) == n:
-                # each fibre of an S-class is a single vector, so the entry
-                # counts the S-classes cand touches: fold out the other
-                # coordinates, highest first so the bitmap shrinks
-                outside = [j for j in reversed(range(n)) if not (s >> j) & 1]
-                folds.append([(1 << j, _half_mask(n, j)) for j in outside])
-                continue
-            # at most 2^9 cells per entry (256 star classes of two parity
-            # sides); a larger group splits into chunks that each span
-            # their own rows
-            chunks = [()]
-            for a in ones:
-                grown = rref(chunks[-1] + (a,))
-                if k + len(grown) <= 9:
-                    chunks[-1] = grown
-                else:
-                    chunks.append((a,))
-            classes = _star_classes(s, n)
-            for basis in chunks:
-                # the last fibre of a class is counted by subtraction
-                entries.append((classes, _star_classes(0, n, basis)[:-1]))
-        # fewer cells first: cheaper to evaluate and often tighter
-        entries.sort(key=lambda e: len(e[0]) * (len(e[1]) + 1))
-        self.fold_entries = folds
-        self.class_entries = entries
-
-    def _prepare_coset_bound(self):
-        # Largest subspace U with U \ {0} inside K: every coset of U is a
-        # clique, so solutions pick at most one vector per coset.  Such a
-        # U avoids the rest of GF(2)^n, so the kernel-side search finds
-        # it, one dimension higher at a time, until none exists.  Its
-        # ticks are capped at a fixed amount of bitmap work, and the
-        # search deadline holds; any subspace found is a valid bound.
-        clock = _Deadline(self.clock.deadline, self.n)
-        clock.stop = _SUBSPACE_WORK // (self.N + 4096)
-        basis: tuple[int, ...] = ()
-        try:
-            for dim in range(1, self.n + 1):
-                clock.check_time()
-                found = _avoiding_subspace(self.full & ~self.K & ~1, self.n, dim, clock)
-                if found is None:
-                    break
-                basis = found
-        except _BudgetSpent:
-            pass
-        self.coset_basis = basis
+        self.fold_entries = [
+            [(1 << j, _half_mask(n, j)) for j in reversed(range(n)) if not (s >> j) & 1]
+            for s, ones in groups.items()
+            if s.bit_count() + len(rref(ones)) == n
+        ]
 
     # -- bounds -----------------------------------------------------------
 
@@ -365,26 +330,6 @@ class _OptSearch(_Engine):
             b = touched.bit_count()
             if b < bound:
                 bound = b
-                if bound < needed:
-                    return bound
-        for classes, fibres in self.class_entries:
-            total = 0
-            for cls in classes:
-                inside = cand & cls
-                if inside == 0:
-                    continue
-                last = inside.bit_count()
-                top = 0
-                for f in fibres:
-                    c = (inside & f).bit_count()
-                    last -= c
-                    if c > top:
-                        top = c
-                total += top if top > last else last
-                if total >= bound:
-                    break
-            if total < bound:
-                bound = total
                 if bound < needed:
                     return bound
         if self.coset_basis:
@@ -640,9 +585,9 @@ class _ParityChoiceSearch(_Engine):
 
     It shines when rows have few stars (few, large classes), which is
     where vertex branching drowns in near-ties; it degrades when some
-    row has many stars, which is where vertex branching is easy.  Only
-    built when _parity_choice_ready and _OptSearch's root node does not
-    close the search; it then searches A alone.
+    row has many stars, which is where vertex branching is easy.
+    opt_exact builds it in place of _OptSearch when _parity_choice_ready
+    and no root certificate settles A.
     """
 
     def __init__(self, A: PartialMatrix, K: int, deadline: float | None):
@@ -771,12 +716,41 @@ class _ParityChoiceSearch(_Engine):
         self._go(alive, ri + 1)
 
 
-# The subspace search of _OptSearch's coset bound stops after
-# _SUBSPACE_WORK // (2^n + 4096) ticks.  A tick translates 2^n-bit
-# bitmaps, and its interpreter overhead costs about as much as 4096 bits
-# of that: 1.9, 2.5 and 3.6 us at n = 8, 10 and 12 on a 2-core x86 box
-# with Python 3.11, so the cap comes to about 7 to 8 ms at each n.
+# The subspace search of opt_exact's coset certificate (_coset_basis)
+# stops after _SUBSPACE_WORK // (2^n + 4096) ticks.  A tick translates
+# 2^n-bit bitmaps, and its interpreter overhead costs about as much as
+# 4096 bits of that: 1.9, 2.5 and 3.6 us at n = 8, 10 and 12 on a 2-core
+# x86 box with Python 3.11, so the cap comes to about 7 to 8 ms at each n.
 _SUBSPACE_WORK = 1 << 24
+
+
+def _coset_basis(K: int, n: int, r: int, deadline: float | None = None) -> tuple[int, ...]:
+    """A basis of the largest subspace U whose nonzero members all lie in
+    K, as far as a capped search finds one.
+
+    Every coset of U is a clique of the Cayley graph, so a solution picks
+    at most one vector per coset: opt <= 2^(n - dim U).  U meets the
+    kernel of a min-rank completion only in 0, so dim U <= r, and dim U
+    = r proves opt = lin.  Such a U avoids the rest of GF(2)^n, so the
+    kernel-side search _avoiding_subspace finds it, one dimension higher
+    at a time up to r, until none exists.  Its ticks are capped at
+    _SUBSPACE_WORK // (2^n + 4096), and the deadline holds; any subspace
+    found is a valid bound.
+    """
+    clock = _Deadline(deadline, n)
+    clock.stop = _SUBSPACE_WORK // ((1 << n) + 4096)
+    rest = ((1 << (1 << n)) - 1) & ~K & ~1
+    basis: tuple[int, ...] = ()
+    try:
+        for dim in range(1, r + 1):
+            clock.check_time()
+            found = _avoiding_subspace(rest, n, dim, clock)
+            if found is None:
+                break
+            basis = found
+    except _BudgetSpent:
+        pass
+    return basis
 
 
 def _parity_choice_ready(A: PartialMatrix) -> bool:
@@ -802,27 +776,28 @@ def opt_exact(
 
     Starts from a verified linear warm start: the kernel of a min-rank
     completion, a solution of size lin = 2^(n - min_rank).  When a
-    certified upper bound meets lin, that kernel is returned at once:
-    first the column bound 2^(n - col_min_rank), then, only if that is
-    not tight, Hoffman's ratio bound on the Cayley graph (_ratio_bound).
+    certified upper bound meets lin, that kernel is returned at once.
+    Three are tried in turn: the column bound 2^(n - col_min_rank),
+    Hoffman's ratio bound on the Cayley graph (_ratio_bound), and the
+    coset bound 2^(n - dim U) of a subspace U whose nonzero members all
+    lie in the forbidden set (_coset_basis), which meets lin when dim U
+    = min_rank.
 
-    Otherwise an exact search runs: branch and bound over independent
-    sets of the Cayley graph generated by the forbidden set
-    (_OptSearch).  Where every row is thin and distinct rows are few
-    (_parity_choice_ready), that search gets only its root node, where
-    its star-set and coset bounds close it or not; if they do not, a
-    parity-choice search (_ParityChoiceSearch) settles the value alone.
-    It runs in slices of ticks that double every round
-    (_parity_then_relaxed).  Slices are counted in ticks, never in
-    time, so the value and the witness do not depend on the host.  The
-    engines adopt only strictly larger sets than the warm start, so the
-    witness is the same kernel whenever opt = lin.  A search witness is
-    verified before it is returned, whatever its size.  The parity
-    search finishes its last two rows together, skipping a finish that
-    either row's own sum rules out and closing most others at their
-    root with the roof-duality bound, one max-flow; the few that pass
-    their root branch on one pattern class at a time, each node bounded
-    the same way.
+    Otherwise exactly one exact search runs.  Where every row is thin
+    and distinct rows are few (_parity_choice_ready), it is a
+    parity-choice search (_ParityChoiceSearch), in slices of ticks that
+    double every round (_parity_then_relaxed); elsewhere it is branch
+    and bound over independent sets of the Cayley graph generated by the
+    forbidden set (_OptSearch), which takes U for its coset bound.
+    Slices are counted in ticks, never in time, so the value and the
+    witness do not depend on the host.  The engines adopt only strictly
+    larger sets than the warm start, so the witness is the same kernel
+    whenever opt = lin.  A search witness is verified before it is
+    returned, whatever its size.  The parity search finishes its last
+    two rows together, skipping a finish that either row's own sum rules
+    out and closing most others at their root with the roof-duality
+    bound, one max-flow; the few that pass their root branch on one
+    pattern class at a time, each node bounded the same way.
 
     When A has three distinct rows or more, a second parity search may
     take a turn after each slice, twice as long as that slice: on A
@@ -948,21 +923,21 @@ def _opt_core(rec: _Completed, deadline: float | None) -> tuple[int, SolutionSet
     lin = 1 << (A.n - r)
     if rec.col_min_rank(A.n) == r or (rec.ratio or _ratio_bound(K, A.n)) == lin:
         return lin, SolutionSet.of(V.vectors(), A.n)
+    U = _coset_basis(K, A.n, r, deadline)
+    if len(U) == r:
+        return lin, SolutionSet.of(V.vectors(), A.n)
 
-    vertex = _OptSearch(A, K, deadline)
-    vertex.seed(V.vectors())
-    if not _parity_choice_ready(A):
-        best, members = vertex.run()
-    elif vertex.resume(1):
-        # the star-set and coset bounds closed the search at its root
-        best, members = vertex.incumbent()
-    else:
+    if _parity_choice_ready(A):
         parity = _ParityChoiceSearch(A, K, deadline)
         parity.seed(V.vectors())
         relaxed = _row_subset(A, r, deadline)
         if relaxed is not None:
             relaxed.seed(V.vectors())
         best, members = _parity_then_relaxed(parity, relaxed, lin)
+    else:
+        vertex = _OptSearch(A, K, U, deadline)
+        vertex.seed(V.vectors())
+        best, members = vertex.run()
 
     if len(members) != best:
         raise InternalError("witness size disagrees with the optimum")
@@ -1082,8 +1057,9 @@ class ConsistentOperator:
 
 
 def reconstruct_operator(A: PartialMatrix, L: SolutionSet | Iterable[int]) -> ConsistentOperator:
-    """Fit row operators to L; raises OperatorConflict when none exist."""
-    members = sorted(L.members if isinstance(L, SolutionSet) else set(L))
+    """Fit row operators to L; raises OperatorConflict when none exist,
+    and ValueError when a member lies outside GF(2)^n."""
+    members = sorted(_members(L, A.n))
     tables = []
     for i in range(A.m):
         a, s = A.ones[i], A.stars[i]

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import inspect
+from pathlib import Path
 
 import minrank
 from minrank import cli, partial, solutions
@@ -60,3 +61,23 @@ def test_tool_config_knobs_are_pinned():
             for name, value in vars(module).items()
             if not name.startswith("__") and isinstance(value, dict)
         ]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports only to re-export
+    unused = []
+    for path in sorted(Path(minrank.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

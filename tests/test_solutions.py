@@ -17,6 +17,7 @@ from minrank.report import _random_matrices
 from minrank.solutions import (
     SolutionSet,
     _avoids,
+    _coset_basis,
     _OptSearch,
     _ratio_bound,
     brute_force_opt_tiny,
@@ -163,7 +164,7 @@ def test_root_certificate_matches_the_seeded_search():
             fired["ratio"] += 1
         else:
             continue
-        search = _OptSearch(A, K, None)
+        search = _OptSearch(A, K, _coset_basis(K, A.n, r), None)
         search.seed(kernel(W).vectors())
         best, members = search.run()
         value, sol = opt_exact(A)
@@ -260,6 +261,18 @@ def test_reconstruct_operator_conflict():
         reconstruct_operator(A, [0b10, 0b11])
 
 
+def test_members_outside_the_space_are_refused():
+    # over GF(2)^2 only 0..3 are vectors: 5 once passed as a solution
+    # and -1 failed with a negative shift count
+    A = parse_pmx("11\n")
+    assert is_solution(A, [0, 3]) and not is_solution(A, [0, 1])
+    for bad in ([0, 5], [0, -1], SolutionSet.of([4], 2)):
+        with pytest.raises(ValueError, match="outside GF"):
+            is_solution(A, bad)
+        with pytest.raises(ValueError, match="outside GF"):
+            reconstruct_operator(A, bad)
+
+
 def test_codistance_frozen():
     # repetition code {00, 11}: dual is {00, 11}, distance 2
     S = Subspace.span([0b11], 2)
@@ -310,6 +323,13 @@ class _RowBoundSearch(_OptSearch):
     set: one entry per distinct row, and the coset bound over every
     member of U.  The oracle for the star-set bound."""
 
+    def __init__(self, *args):
+        super().__init__(*args)
+        span = [0]
+        for u in self.coset_basis:
+            span += [u ^ v for v in span]
+        self.coset_U = span if len(span) > 1 else None
+
     def _prepare_row_bounds(self):
         rows = []
         seen = set()
@@ -327,13 +347,6 @@ class _RowBoundSearch(_OptSearch):
             rows.append((parity, classes))
         rows.sort(key=lambda e: len(e[1]))
         self.bound_rows = rows
-
-    def _prepare_coset_bound(self):
-        super()._prepare_coset_bound()
-        span = [0]
-        for u in self.coset_basis:
-            span += [u ^ v for v in span]
-        self.coset_U = span if len(span) > 1 else None
 
     def _strong_bound(self, cand, needed):
         bound = cand.bit_count()
@@ -400,12 +413,10 @@ def test_star_set_bound_is_admissible_and_within_the_row_bound():
         rows = [(rng.getrandbits(n), rng.choice(pool)) for _ in range(rng.randint(2, 7))]
         cases.append(PartialMatrix(n, tuple(a & ~s for a, s in rows), tuple(s for _, s in rows)))
     cases += _shuffled_codes(rng, 6, 1)
-    grouped = folded = 0
+    folded = 0
     for A in cases:
         K = forbidden_set(A).bitmap
-        new = _OptSearch(A, K, None)
-        old = _RowBoundSearch(A, K, None)
-        grouped += len(new.class_entries) + len(new.fold_entries) < len(old.bound_rows)
+        new = _OptSearch(A, K, _coset_basis(K, A.n, min_rank(A)), None)
         folded += bool(new.fold_entries)
         free = ((1 << (1 << A.n)) - 1) & ~K & ~1
         for _ in range(6):
@@ -413,30 +424,8 @@ def test_star_set_bound_is_admissible_and_within_the_row_bound():
             if cand.bit_count() > 22:
                 # keep the brute force small on the wider code matrices
                 cand = sum(1 << x for x in rng.sample(list(_bits(cand)), 22))
-            b_new = new._strong_bound(cand, 0)
-            assert old._strong_bound(cand, 0) >= b_new >= _max_independent(cand, K, A.n)
-    assert grouped > 40 and folded > 20
-
-
-def test_star_set_bound_splits_groups_past_the_class_cap():
-    # 7 stars and four independent rows outside them: 2^(7 + 4) cells
-    # pass the cap, so the rows split into chunks of at most 2^9 cells
-    n = 12
-    s = 0b1111111
-    ones = (1 << 7, 1 << 8, 1 << 9, 1 << 10 | 1 << 7)
-    A = PartialMatrix(n, ones, (s,) * 4)
-    search = _OptSearch(A, forbidden_set(A).bitmap, None)
-    assert not search.fold_entries
-    assert [len(f) + 1 for _, f in search.class_entries] == [4, 4]
-    for classes, fibres in search.class_entries:
-        assert len(classes) == 128
-    # every row lies in the span of one chunk: the entries are at least
-    # as tight as the row bound on random candidate sets
-    old = _RowBoundSearch(A, search.K, None)
-    rng = random.Random(67)
-    for _ in range(20):
-        cand = rng.getrandbits(1 << n) & ~search.K & ~1
-        assert search._strong_bound(cand, 0) <= old._strong_bound(cand, 0)
+            assert new._strong_bound(cand, 0) >= _max_independent(cand, K, A.n)
+    assert folded > 20
 
 
 def _opt_with(monkeypatch, engine, A):
@@ -522,7 +511,7 @@ def test_coset_subspace_matches_the_extend_oracle():
         K = forbidden_set(A).bitmap
         if not K:
             continue
-        got = _OptSearch(A, K, None).coset_basis
+        got = _coset_basis(K, A.n, min_rank(A))
         want, cap_bound = _extend_oracle(K)
         if not cap_bound:
             assert got == want
@@ -537,22 +526,15 @@ def test_coset_subspace_matches_the_extend_oracle():
     assert exact > 250 and capped > 20
 
 
-def test_expired_deadline_ends_opt_exact_before_the_search(monkeypatch):
-    # sweep seed 5, item 6x12#8: no root bound settles it, so opt_exact
-    # builds _OptSearch, whose subspace search must honour the deadline
+def test_expired_deadline_ends_opt_exact_before_the_search(built_engines):
+    # sweep seed 5, item 6x12#8: neither the column nor the ratio bound
+    # settles it, so opt_exact runs the coset certificate's subspace
+    # search, which must honour the deadline before any engine is built
     A = list(_random_matrices(6, 12, 9, 5))[8]
     assert _reaches_search(A)  # and min rank is memoised, so opt_exact gets past it
-    runs = []
-    real = _OptSearch.resume
-
-    def spy(self, stop):
-        runs.append(self)
-        return real(self, stop)
-
-    monkeypatch.setattr(_OptSearch, "resume", spy)
     with pytest.raises(LimitError):
         opt_exact(A, deadline=time.monotonic() - 1)
-    assert runs == []
+    assert built_engines == []
 
 
 def test_opt_exact_leaves_the_recursion_limit_alone():
@@ -689,12 +671,9 @@ def test_parity_engine_settles_what_the_vertex_search_stalls_on(built_engines):
         assert 0 < ticks < 1000
 
 
-def test_the_vertex_search_gets_only_its_root_on_parity_ready_matrices(
-    monkeypatch, built_engines
-):
-    # on a parity-ready matrix the vertex search runs its root node, 1
-    # tick; if its bounds do not close it there, the parity engine,
-    # seeded with the kernel, settles the value alone
+def test_no_vertex_search_on_parity_ready_matrices(monkeypatch, built_engines):
+    # on a parity-ready matrix that no root certificate settles, the
+    # parity engine, seeded with the kernel, settles the value alone
     subsets = []
     real = solutions._row_subset
 
@@ -711,12 +690,11 @@ def test_the_vertex_search_gets_only_its_root_on_parity_ready_matrices(
     value, sol = opt_exact(A)
     assert value == 32
     assert sol.sorted_members() == sorted(kernel(W).vectors())
-    vertex, parity = built_engines
-    assert isinstance(vertex, _OptSearch) and vertex.clock.ticks == 1
+    [parity] = built_engines
     assert isinstance(parity, solutions._ParityChoiceSearch)
     assert parity._stack == [] and parity.clock.ticks == 939
     assert subsets == [None]
-    # sweep seed 2, 5x10#148: the root's bounds close the search, so
+    # sweep seed 2, 5x10#148: the coset certificate settles it, so
     # neither the parity engine nor the row subset is built
     A = list(_random_matrices(5, 10, 149, 2))[148]
     assert _reaches_search(A) and solutions._parity_choice_ready(A)
@@ -726,9 +704,29 @@ def test_the_vertex_search_gets_only_its_root_on_parity_ready_matrices(
     value, sol = opt_exact(A)
     assert value == 64
     assert sol.sorted_members() == sorted(kernel(W).vectors())
-    [vertex] = built_engines
-    assert isinstance(vertex, _OptSearch) and vertex.clock.ticks == 1
-    assert vertex._stack == [] and subsets == []
+    assert built_engines == [] and subsets == []
+
+
+def test_the_coset_certificate_settles_at_the_root(built_engines):
+    # sweep items (seed, shape, index) that neither the column nor the
+    # ratio bound settles, on which some subspace U with every nonzero
+    # member forbidden has dim U = min rank r: its cosets are cliques, so
+    # opt <= 2^(n - r) = lin, the kernel is the witness and no engine is
+    # built.  The last is not parity-ready.
+    for seed, m, n, k, ready in (
+        (2, 5, 10, 148, True),
+        (4, 5, 10, 121, True),
+        (7, 4, 8, 256, True),
+        (5, 6, 12, 60, False),
+    ):
+        A = list(_random_matrices(m, n, k + 1, seed))[k]
+        assert _reaches_search(A) and solutions._parity_choice_ready(A) == ready
+        r, W = min_rank_completion(A)
+        assert len(_coset_basis(forbidden_set(A).bitmap, n, r)) == r
+        value, sol = opt_exact(A)
+        assert value == 1 << (n - r)
+        assert sol.sorted_members() == sorted(kernel(W).vectors())
+    assert built_engines == []
 
 
 def test_roof_bound_settles_h2(built_engines):
@@ -793,7 +791,7 @@ def test_three_rows_of_h2_settle_it_in_every_row_order(relaxations, built_engine
         assert B.m == 3 and set(zip(B.ones, B.stars)) < set(rows)
         assert relaxed._stack == [] and relaxed.best == 32
         assert relaxed.turns == [32]
-        _, parity, built = built_engines
+        parity, built = built_engines
         assert built is relaxed and isinstance(parity, solutions._ParityChoiceSearch)
         assert parity._stack and parity.clock.ticks <= solutions._FIRST_SLICE + 1
         ticks += relaxed.clock.ticks
@@ -813,8 +811,7 @@ def test_the_parity_engine_keeps_its_first_slice(relaxations, built_engines):
     assert sol.sorted_members() == sorted(kernel(W).vectors())
     [relaxed] = relaxations
     assert relaxed is not None and relaxed.turns == [] and relaxed.clock.ticks == 0
-    vertex, parity, built = built_engines
-    assert isinstance(vertex, _OptSearch) and vertex.clock.ticks == 1
+    parity, built = built_engines
     assert built is relaxed and isinstance(parity, solutions._ParityChoiceSearch)
     assert parity._stack == [] and parity.clock.ticks == 135 <= solutions._FIRST_SLICE
 
@@ -885,8 +882,8 @@ def test_the_relaxation_changes_no_answer(monkeypatch, relaxations, built_engine
     # parity-ready matrices with three distinct rows or more that reach
     # the search, the same value and witness.  Draws on which an engine
     # without it passes 4,000 ticks are skipped, which keeps the run
-    # short.  Where the vertex search's root closes a draw, it spends 1
-    # tick and no other engine is built.  brute_force_opt_tiny refuses
+    # short.  No vertex search is built, and where the coset certificate
+    # settles a draw, no engine at all.  brute_force_opt_tiny refuses
     # every matrix here (and no matrix it accepts reaches the search), so
     # at n = 6 the check is the exhaustive _max_independent.
     def capped(self, *args):
@@ -916,14 +913,14 @@ def test_the_relaxation_changes_no_answer(monkeypatch, relaxations, built_engine
         built_engines.clear()
         value, sol = opt_exact(A)
         assert (value, sol.sorted_members()) == (without[0], without[1].sorted_members())
+        assert not any(isinstance(engine, _OptSearch) for engine in built_engines)
         compared += 1
         if relaxations:
             relaxed = relaxations[0]
             if relaxed is not None and relaxed._stack == [] and relaxed.best == value:
                 settled += 1
         else:
-            [vertex] = built_engines
-            assert isinstance(vertex, _OptSearch) and vertex.clock.ticks == 1
+            assert built_engines == []
             rooted += 1
         if A.n == 6:
             K = forbidden_set(A).bitmap
@@ -977,8 +974,12 @@ def test_one_distinct_row_settles_at_the_root(built_engines):
 def _alone(engine, A, stop):
     """opt by one engine alone, seeded with the kernel as opt_exact
     seeds it, or None when it does not finish within `stop` ticks."""
-    _, W = min_rank_completion(A)
-    search = engine(A, forbidden_set(A).bitmap, None)
+    r, W = min_rank_completion(A)
+    K = forbidden_set(A).bitmap
+    if engine is _OptSearch:
+        search = _OptSearch(A, K, _coset_basis(K, A.n, r), None)
+    else:
+        search = engine(A, K, None)
     search.seed(kernel(W).vectors())
     return search.best if search.resume(stop) else None
 
