@@ -32,14 +32,6 @@ class LimitError(ToolkitError):
     """An exact computation was refused because a size limit was exceeded."""
 
 
-class _BudgetSpent(Exception):
-    """Internal: a bounded search used up its tick budget.
-
-    Not a ToolkitError: the caller that set the budget always catches it,
-    then resumes, hands over to another search or lifts the budget.
-    """
-
-
 class InternalError(ToolkitError):
     """A cross-check that must hold by construction failed."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .config import LIMITS
-from .errors import InternalError, LimitError, _BudgetSpent
+from .errors import InternalError, LimitError
 from .gf2 import (
     GF2Matrix,
     _bits,
@@ -209,20 +209,15 @@ class _Deadline:
     roof-bound flow.
     A check that reads the clock costs about 0.3 us (2-core x86 box,
     Python 3.11).
-
-    `stop`, when set, is the tick count at which the running slice ends.
     """
 
     def __init__(self, deadline: float | None, n: int):
         self.deadline = deadline
         self.ticks = 0
-        self.stop: int | None = None
         self._mask = (1 << max(0, 10 - n)) - 1
 
     def check(self):
         self.ticks += 1
-        if self.stop is not None and self.ticks > self.stop:
-            raise _BudgetSpent
         if self.ticks & self._mask == 0 and self.deadline is not None:
             self.check_time()
 
@@ -264,15 +259,22 @@ def _forced_independent(rows, start: int, basis: tuple[int, ...], need: int) -> 
     return count
 
 
-def _complete_within(
-    rows,
-    n: int,
-    target: int,
-    clock: _Deadline,
-    reduced_units: dict,
-    failed: set | None = None,
-):
-    """Completions of the worklist spanning at most `target` dimensions.
+class _Decider:
+    """A search on an explicit stack, paused as the opt engines are:
+    resume(stop) runs it until it ends (True) or just before the tick
+    that would pass `stop` (False), and a later call goes on from there.
+    `found` is then its result, or None; run() searches to the end."""
+
+    found = None
+
+    def run(self):
+        self.resume(None)
+        return self.found
+
+
+class _RankSide(_Decider):
+    """A completion of the worklist spanning at most `target` dimensions,
+    as its list of completed rows.
 
     Depth-first over rows.  When some completion of the current row
     already lies in the running span we take it and never branch: any
@@ -288,25 +290,47 @@ def _complete_within(
     only at nodes with at most n rows still to place, so its cost per
     node does not grow with m on tall matrices, where it seldom cuts.
 
-    `reduced_units` maps each span met to its reduced unit vectors,
-    across the targets of one matrix.  `failed` holds the nodes proven
-    empty at this target; a caller that passes the same set again after
-    a _BudgetSpent resumes without searching them twice.
+    Each node entered takes a tick.  `failed` holds the nodes proven
+    empty; `reduced_units` maps spans to their reduced unit vectors.
     """
-    if failed is None:
-        failed = set()
 
-    def go(idx: int, basis: tuple[int, ...]):
-        if idx == len(rows):
+    def __init__(self, rows, n: int, target: int, clock: _Deadline, reduced_units: dict):
+        self.rows, self.n, self.target, self.clock = rows, n, target, clock
+        self.reduced_units, self.failed = reduced_units, set()
+        # a frame is (idx, basis, branches, k): once the node is entered,
+        # branches lists (vector adjoined or None, stars set), k taken
+        self._stack = [(0, (), None, 0)]
+
+    def resume(self, stop: int | None) -> bool:
+        stack, clock, end = self._stack, self.clock, len(self.rows)
+        while stack:
+            idx, basis, branches, k = stack[-1]
+            if idx == end:  # the rows as the open branches complete them
+                self.found = [self.rows[i][0] ^ b[j - 1][1] for i, _, b, j in stack[:-1]]
+                stack.clear()
+                return True
+            if branches is None:
+                if stop is not None and clock.ticks >= stop:
+                    return False
+                clock.check()
+                branches = self._branches(idx, basis)
+            if k == len(branches):
+                self.failed.add((idx, basis))
+                stack.pop()
+                continue
+            u = branches[k][0]
+            stack[-1] = (idx, basis, branches, k + 1)
+            stack.append((idx + 1, basis if u is None else _insert(basis, u), None, 0))
+        return True
+
+    def _branches(self, idx: int, basis: tuple[int, ...]) -> list:
+        if (idx, basis) in self.failed:
             return []
-        clock.check()
-        key = (idx, basis)
-        if key in failed:
-            return None
+        rows, n = self.rows, self.n
         a, s = rows[idx]
-        units = reduced_units.get(basis)
+        units = self.reduced_units.get(basis)
         if units is None:
-            units = reduced_units[basis] = [reduce_vector(1 << j, basis) for j in range(n)]
+            units = self.reduced_units[basis] = [reduce_vector(1 << j, basis) for j in range(n)]
         red = _star_basis(s, units)
         ra = reduce_vector(a, basis)
         v, t = ra, 0
@@ -315,29 +339,16 @@ def _complete_within(
                 v ^= bv
                 t ^= bt
         if v == 0:
-            rest = go(idx + 1, basis)
-            if rest is not None:
-                return [a ^ t] + rest
-            failed.add(key)
-            return None
-        room = target - len(basis)
+            return [(None, t)]
+        room = self.target - len(basis)
         if room <= 0 or (
-            len(rows) - idx <= n
-            and _forced_independent(rows, idx, basis, room + 1) > room
+            len(rows) - idx <= n and _forced_independent(rows, idx, basis, room + 1) > room
         ):
-            failed.add(key)
-            return None
+            return []
         span = [(0, 0)]
         for bv, bt in red:
             span += [(u ^ bv, ut ^ bt) for u, ut in span]
-        for u, ut in sorted((ra ^ u, ut) for u, ut in span):
-            rest = go(idx + 1, _insert(basis, u))
-            if rest is not None:
-                return [a ^ ut] + rest
-        failed.add(key)
-        return None
-
-    return go(0, ())
+        return sorted((ra ^ u, ut) for u, ut in span)
 
 
 def _forbidden_bitmap(rows, n: int) -> int:
@@ -351,9 +362,9 @@ def _forbidden_bitmap(rows, n: int) -> int:
     return bm
 
 
-def _avoiding_subspace(K: int, n: int, dim: int, clock: _Deadline) -> tuple[int, ...] | None:
+class _KernelSide(_Decider):
     """The first subspace of GF(2)^n of dimension `dim` with no member in
-    K, as its reduced echelon basis, or None if there is none.
+    K, as its reduced echelon basis.
 
     Bases are visited in ascending order, each subspace once: the pivot of
     a vector is its high bit, basis vectors ascend, and each one is zero
@@ -362,40 +373,56 @@ def _avoiding_subspace(K: int, n: int, dim: int, clock: _Deadline) -> tuple[int,
     The nonzero vectors that the rest of the basis spans lie in cand,
     above the last pivot and zero on every pivot so far, so a node with
     fewer than 2^(dim - k) - 1 such candidates is cut (k vectors built).
+    Each candidate tried takes a tick; entering a node takes none.
 
-    min_rank_completion decides min rank with it: a completion of rank at
-    most n - dim exists iff a subspace avoids the forbidden set, and
-    separating_min_rank is n minus the largest such dim.  opt_exact's
-    coset certificate (solutions._coset_basis) finds its U, whose nonzero
-    members all lie in the forbidden set, as a subspace avoiding the rest
-    of GF(2)^n.
+    Some completion has rank at most n - dim iff such a subspace avoids
+    the forbidden set, so min_rank_completion and separating_min_rank
+    decide min rank with it; opt_exact's coset certificate
+    (solutions._coset_basis) finds its U as one avoiding the rest.
     """
-    full = (1 << (1 << n)) - 1
-    basis: list[int] = []  # filled on the way back up, so last vector first
 
-    def go(cand: int, k: int, allowed: int) -> bool:
+    def __init__(self, K: int, n: int, dim: int, clock: _Deadline):
+        self.n, self.dim, self.clock = n, dim, clock
+        full = (1 << (1 << n)) - 1
+        # a frame is [cand, k, allowed, xs, left, x], a node built on _path[:k]:
+        # xs yields its candidates, `left` of them from x on; x awaits a tick
+        self._stack: list = []
+        self._path: list[int] = []
+        self._enter(full & ~K, 0, full ^ 1)
+
+    def _enter(self, cand: int, k: int, allowed: int):
         nxt = cand & allowed
-        need = (1 << (dim - k)) - 1
-        left = nxt.bit_count()  # candidates from x on, x included
-        if left < need:
-            return False
-        if k + 1 >= dim:
-            if k < dim:  # the last vector: the lowest candidate
-                basis.append((nxt & -nxt).bit_length() - 1)
-            return True
-        for x in _bits(nxt):
-            clock.check()
-            if left < need:
+        left = nxt.bit_count()
+        if left < (1 << (self.dim - k)) - 1:
+            return
+        if k + 1 < self.dim:
+            self._stack.append([cand, k, allowed, _bits(nxt), left, None])
+            return
+        last = [(nxt & -nxt).bit_length() - 1] if k < self.dim else []
+        self.found = tuple(self._path[:k] + last)
+        self._stack.clear()
+
+    def resume(self, stop: int | None) -> bool:
+        stack, path, clock, n, dim = self._stack, self._path, self.clock, self.n, self.dim
+        while stack:
+            frame = stack[-1]
+            cand, k, allowed, xs, left, x = frame
+            if x is None:  # at least 2^(dim - k) - 2 candidates are left
+                x = next(xs)
+            if stop is not None and clock.ticks >= stop:
+                frame[5] = x
                 return False
-            left -= 1
+            clock.check()
+            if left < (1 << (dim - k)) - 1:
+                stack.pop()
+                continue
+            frame[4:] = left - 1, None
+            del path[k:]
+            path.append(x)
             top = 1 << x.bit_length()  # the first vector above x's pivot
             rest = (allowed & _half_mask(n, x.bit_length() - 1)) >> top << top
-            if go(cand & xor_translate(cand, x, n), k + 1, rest):
-                basis.append(x)
-                return True
-        return False
-
-    return tuple(reversed(basis)) if go(full & ~K, 0, full ^ 1) else None
+            self._enter(cand & xor_translate(cand, x, n), k + 1, rest)
+        return True
 
 
 def _orthogonal_completion(rows, n: int, V: tuple[int, ...]) -> list[int]:
@@ -488,29 +515,25 @@ def min_rank_completion(
     col_min_rank(A), a proven lower bound.  Two exact deciders race on
     each target t:
 
-    * the rank side, _complete_within, a depth-first search for the
+    * the rank side, _RankSide, a depth-first search for the
       completion itself that cuts every node whose remaining rows are
       forced to outgrow t;
-    * the kernel side, _avoiding_subspace, a search for a subspace of
+    * the kernel side, _KernelSide, a search for a subspace of
       dimension n - t avoiding the forbidden set K, which exists iff some
       completion has rank at most t.
 
-    The rank side always runs first, in slices of ticks that double from
-    256; its memo of failed nodes is kept between slices.  After each
-    slice it does not finish, the kernel side gets an equal slice.  If
-    that proves t infeasible, t is skipped; if it finds a subspace V,
-    the completion is built from V (_orthogonal_completion): every row
-    gets the stars that make it orthogonal to V, which V's avoiding K
-    makes possible.  Its kernel contains V, so its rank is at most t,
-    and every lower target is refuted, so its rank is t and its kernel
-    is span(V).  Only matrices with n <= 12 race; wider ones run the
-    rank side alone, unsliced.  The first time a matrix reaches the
-    kernel side, K is built and the floor rises to n - floor(log2 of
-    K's ratio bound), since 2^(n - min rank) = lin <= opt <= the ratio
-    bound.  The completion returned is the rank side's when the rank
-    side settles the minimum within its slice, else the one built from
-    the kernel side's V.  Both sides count ticks, not time, so the
-    answer does not depend on the deadline, which can only end the call.
+    The rank side runs first, in slices of ticks that double from 256,
+    and after each slice it does not finish the kernel side gets an
+    equal slice; each side resumes where its last slice ended.  Only
+    matrices with n <= 12 race; wider ones run the rank side alone.  The
+    first time a matrix reaches the kernel side, K is built and the floor
+    rises to n - floor(log2 of K's ratio bound), since 2^(n - min rank)
+    = lin <= opt <= the ratio bound.  If the kernel side proves t
+    infeasible, t is skipped; if it finds a subspace V first, every row
+    gets the stars that make it orthogonal to V (_orthogonal_completion).
+    That completion's kernel contains V and every lower target is
+    refuted, so its rank is t and its kernel is span(V).  Both sides
+    count ticks, not time: a deadline can end the call, not change it.
 
     The last matrix completed keeps a record (_Completed) of its answer,
     its column floor, and K and its ratio bound when the race built
@@ -534,16 +557,11 @@ def min_rank_completion(
 
     def decide(target: int):
         nonlocal K, ratio, floor
+        rank_side = _RankSide(rows, n, target, clock, reduced_units)
         if n > _KERNEL_SIDE_N:
-            return _complete_within(rows, n, target, clock, reduced_units)
-        failed: set = set()
-        budget = _FIRST_SLICE
-        while True:
-            clock.stop = clock.ticks + budget
-            try:
-                return _complete_within(rows, n, target, clock, reduced_units, failed)
-            except _BudgetSpent:
-                pass
+            return rank_side.run()
+        kernel_side, budget = None, _FIRST_SLICE
+        while not rank_side.resume(clock.ticks + budget):
             clock.check_time()
             if K is None:
                 K = _forbidden_bitmap(rows, n)
@@ -551,13 +569,12 @@ def min_rank_completion(
                 floor = max(floor, n + 1 - ratio.bit_length())
             if target < floor:
                 return None
-            clock.stop = clock.ticks + budget
-            try:
-                V = _avoiding_subspace(K, n, n - target, clock)
-            except _BudgetSpent:
-                budget *= 2
-                continue
-            return None if V is None else _orthogonal_completion(rows, n, V)
+            kernel_side = kernel_side or _KernelSide(K, n, n - target, clock)
+            if kernel_side.resume(clock.ticks + budget):
+                V = kernel_side.found
+                return None if V is None else _orthogonal_completion(rows, n, V)
+            budget *= 2
+        return rank_side.found
 
     target = floor
     while (found := decide(target)) is None:

@@ -21,7 +21,7 @@ from itertools import product
 from typing import Iterable
 
 from .config import LIMITS
-from .errors import InternalError, LimitError, OperatorConflict, _BudgetSpent
+from .errors import InternalError, LimitError, OperatorConflict
 from .gf2 import (
     GF2Matrix,
     Subspace,
@@ -41,8 +41,8 @@ from .partial import (
     PartialMatrix,
     _FIRST_SLICE,
     _Deadline,
-    _avoiding_subspace,
-    _complete_within,
+    _KernelSide,
+    _RankSide,
     _Completed,
     _completed,
     _forbidden_bitmap,
@@ -236,10 +236,8 @@ class _Engine:
     seeds every engine with the kernel of a min-rank completion.
     incumbent() returns (best, sorted members).
 
-    Each engine searches on an explicit stack.  resume(stop) runs until
-    the search is exhausted (True) or `stop` ticks are spent (False), and
-    a later call goes on from where it stopped; run() searches to the
-    end."""
+    Each engine searches on an explicit stack and pauses as a
+    partial._Decider does; run() searches to the end."""
 
     def __init__(self, A: PartialMatrix, K: int, deadline: float | None):
         self.A = A
@@ -732,24 +730,21 @@ def _coset_basis(K: int, n: int, r: int, deadline: float | None = None) -> tuple
     at most one vector per coset: opt <= 2^(n - dim U).  U meets the
     kernel of a min-rank completion only in 0, so dim U <= r, and dim U
     = r proves opt = lin.  Such a U avoids the rest of GF(2)^n, so the
-    kernel-side search _avoiding_subspace finds it, one dimension higher
-    at a time up to r, until none exists.  Its ticks are capped at
+    kernel-side search _KernelSide finds it, one dimension higher at a
+    time up to r, until none exists.  Its ticks are capped at
     _SUBSPACE_WORK // (2^n + 4096), and the deadline holds; any subspace
     found is a valid bound.
     """
     clock = _Deadline(deadline, n)
-    clock.stop = _SUBSPACE_WORK // ((1 << n) + 4096)
+    cap = _SUBSPACE_WORK // ((1 << n) + 4096)
     rest = ((1 << (1 << n)) - 1) & ~K & ~1
     basis: tuple[int, ...] = ()
-    try:
-        for dim in range(1, r + 1):
-            clock.check_time()
-            found = _avoiding_subspace(rest, n, dim, clock)
-            if found is None:
-                break
-            basis = found
-    except _BudgetSpent:
-        pass
+    for dim in range(1, r + 1):
+        clock.check_time()
+        search = _KernelSide(rest, n, dim, clock)
+        if not search.resume(cap) or search.found is None:
+            break
+        basis = search.found
     return basis
 
 
@@ -892,12 +887,8 @@ def _row_subset(A: PartialMatrix, r: int, deadline: float | None) -> _Engine | N
         return None
     for i in range(len(rows)):
         rest = rows[:i] + rows[i + 1 :]
-        clock = _Deadline(deadline, A.n)
-        clock.stop = _FIRST_SLICE
-        try:
-            if _complete_within(rest, A.n, r - 1, clock, {}) is not None:
-                continue
-        except _BudgetSpent:
+        search = _RankSide(rest, A.n, r - 1, _Deadline(deadline, A.n), {})
+        if not search.resume(_FIRST_SLICE) or search.found is not None:
             continue
         B = PartialMatrix(A.n, tuple(a for a, _ in rest), tuple(s for _, s in rest))
         return _ParityChoiceSearch(B, _forbidden_bitmap(rest, A.n), deadline)
@@ -1010,7 +1001,7 @@ def lin_exact(A: PartialMatrix, deadline: float | None = None) -> int:
 def separating_min_rank(A: PartialMatrix, limit: int = LIMITS.subspace_n) -> int:
     """n minus the largest dimension of a subspace avoiding the forbidden set.
 
-    The kernel-side search of min_rank_completion (_avoiding_subspace)
+    The kernel-side search of min_rank_completion (_KernelSide)
     tries the dimensions in ascending order.  A subspace of one that
     avoids the set has subspaces of every lower dimension, so the first
     dimension with none is one past the largest, and only that search
@@ -1021,7 +1012,7 @@ def separating_min_rank(A: PartialMatrix, limit: int = LIMITS.subspace_n) -> int
     K = _required_bitmap(A)
     clock = _Deadline(None, A.n)
     dim = 0
-    while dim < A.n and _avoiding_subspace(K, A.n, dim + 1, clock) is not None:
+    while dim < A.n and _KernelSide(K, A.n, dim + 1, clock).run() is not None:
         dim += 1
     return A.n - dim
 

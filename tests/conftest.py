@@ -1,9 +1,12 @@
 """Shared fixture builders for the test suite."""
 
+import random
+
 import pytest
 
 from minrank import partial
 from minrank.circuits import Depth2Circuit, MiddleGate, OutputGate
+from minrank.partial import PartialMatrix
 
 
 @pytest.fixture
@@ -16,6 +19,19 @@ def forget(monkeypatch):
 
     clear()
     return clear
+
+
+@pytest.fixture
+def tall_matrix():
+    """1,100 distinct seeded rows over 14 columns, each entry a star with
+    probability 0.1: a worklist deeper than the default recursion limit.
+    Its min rank is 14."""
+    rng = random.Random(0)
+    rows: dict = {}
+    while len(rows) < 1100:
+        s = sum(1 << j for j in range(14) if rng.random() < 0.1)
+        rows.setdefault((rng.getrandbits(14) & ~s, s), None)
+    return PartialMatrix(14, tuple(a for a, _ in rows), tuple(s for _, s in rows))
 
 
 def parity_table(arity, subset):

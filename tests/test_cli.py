@@ -12,6 +12,7 @@ import minrank
 from minrank.circuits import Depth2Circuit, MiddleGate, OutputGate, emit_ckt
 from minrank.cli import main
 from minrank.errors import InternalError
+from minrank.pmx import emit_pmx
 
 A1_TEXT = "10*0*1\n*111**\n0**1**\n"
 
@@ -52,6 +53,14 @@ def test_minrank_command(a1_file, capsys):
     assert out[0] == "min_rank: 2"
     assert out[1] == "completion:"
     assert len(out) == 5
+
+
+def test_minrank_command_past_the_recursion_limit(tall_matrix, tmp_path, capsys):
+    p = tmp_path / "tall.pmx"
+    p.write_text(emit_pmx(tall_matrix))
+    assert main(["minrank", str(p)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "min_rank: 14" and len(out) == 2 + tall_matrix.m
 
 
 def test_opt_command_with_witness(a1_file, capsys):

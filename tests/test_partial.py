@@ -1,6 +1,7 @@
 """Unit tests for partial matrices and their rank parameters."""
 
 import random
+import sys
 import time
 from itertools import combinations
 
@@ -271,7 +272,7 @@ def reference_star_basis(s, basis):
 
 
 def reference_complete_within(rows, target):
-    """The depth-first search of _complete_within without the
+    """The depth-first search of _RankSide without the
     forced-independence cut and the cache of reduced unit vectors: the
     oracle that min_rank_completion must agree with byte for byte."""
     failed = set()
@@ -372,7 +373,7 @@ def test_every_forced_independence_cut_holds_no_completion(monkeypatch):
         # every target up to the minimum, so the failing ones are cut too
         rows, _ = _prepare_rows(A)
         for target in range(min_rank(A) + 1):
-            partial._complete_within(rows, A.n, target, partial._Deadline(None, A.n), {})
+            partial._RankSide(rows, A.n, target, partial._Deadline(None, A.n), {}).run()
     for rest, basis, target in cuts:
         n = max(v.bit_length() for row in rest for v in row)
         R = PartialMatrix(n, tuple(a for a, _ in rest), tuple(s for _, s in rest))
@@ -407,7 +408,7 @@ def test_the_orthogonal_finish_completes_from_every_subspace_found(monkeypatch, 
         K = partial._forbidden_bitmap(rows, A.n)
         least = min_rank(A)
         for t in range(least, A.n + 1):
-            V = partial._avoiding_subspace(K, A.n, A.n - t, partial._Deadline(None, A.n))
+            V = partial._KernelSide(K, A.n, A.n - t, partial._Deadline(None, A.n)).run()
             check(A, V, t, least)
 
     rng = random.Random(61)
@@ -420,15 +421,15 @@ def test_the_orthogonal_finish_completes_from_every_subspace_found(monkeypatch, 
     # from n = 9 on, proving the minimum from the kernel side alone can
     # take seconds, so these take the subspaces the race finds
     found = []
-    real = partial._avoiding_subspace
 
-    def spy(*args):
-        V = real(*args)
-        if V is not None:
-            found.append(V)
-        return V
+    class Spy(partial._KernelSide):
+        def resume(self, stop):
+            done = super().resume(stop)
+            if done and self.found is not None:
+                found.append(self.found)
+            return done
 
-    monkeypatch.setattr(partial, "_avoiding_subspace", spy)
+    monkeypatch.setattr(partial, "_KernelSide", Spy)
     cases = [shuffled_rows(code_matrix(CodeMatrixSpec(n, 2)), rng) for n in range(9, 13)]
     cases += [
         star_heavy_matrix(rng, rng.randint(10, 14), rng.randint(9, 12), 0.7) for _ in range(40)
@@ -466,8 +467,8 @@ def completion_ticks(monkeypatch, forget, A):
 
 
 def test_the_orthogonal_finish_saves_completion_ticks(monkeypatch, forget):
-    # once the kernel side finds its subspace no search is left: 737
-    # ticks on code (7, 3), and 517 on H1 = code (7, 2) and on code
+    # once the kernel side finds its subspace no search is left: 735
+    # ticks on code (7, 3), and 515 on H1 = code (7, 2) and on code
     # (8, 2), where finishing the target by the rank side's search takes
     # 6,858, 19,539 and 66,349 ticks
     for (n, r), most in (((7, 3), 800), ((7, 2), 600), ((8, 2), 600)):
@@ -491,6 +492,52 @@ def test_min_rank_of_codes_past_n_8_within_a_deadline(monkeypatch, forget):
         assert kernel(W) == subspaces[-1]
 
 
+def sliced(search, size):
+    """Run a decider in slices of `size` ticks: its result and ticks."""
+    while not search.resume(search.clock.ticks + size):
+        pass
+    return search.found, search.clock.ticks
+
+
+def test_deciders_resume_in_slices_as_in_one_run(monkeypatch, forget):
+    # paused every 1, 7 or 256 ticks, each search finds what one run
+    # finds with the same ticks, so no pause walks a node twice: the rank
+    # side and the kernel side on both sides of the min rank r, and the
+    # coset certificate's search for subspaces inside K
+    rng = random.Random(73)
+    cases = [star_heavy_matrix(rng, rng.randint(4, 12), rng.randint(4, 8), 0.4) for _ in range(30)]
+    cases += [shuffled_rows(code_matrix(CodeMatrixSpec(7, r)), rng) for r in (2, 3)]
+    paused = 0
+    for A in cases:
+        n, r = A.n, min_rank(A)
+        rows, _ = _prepare_rows(A)
+        K = partial._forbidden_bitmap(rows, n)
+        inside = ((1 << (1 << n)) - 1) & ~K & ~1
+        makes = [lambda c, t=t: partial._RankSide(rows, n, t, c, {}) for t in {max(r - 1, 0), r}]
+        makes += [lambda c, d=d: partial._KernelSide(K, n, d, c) for d in (n - r, n - r + 1)]
+        makes += [lambda c, d=d: partial._KernelSide(inside, n, d, c) for d in range(1, r + 2)]
+        for make in makes:
+            whole = make(partial._Deadline(None, n))
+            whole.run()
+            for size in (1, 7, 256):
+                assert sliced(make(partial._Deadline(None, n)), size) == (
+                    whole.found,
+                    whole.clock.ticks,
+                )
+            paused += whole.clock.ticks > 256
+    assert paused >= 10
+    # the race on code (8, 3) takes 6,966 ticks; restarting the rank
+    # side at the root after every slice took 14,912
+    assert completion_ticks(monkeypatch, forget, code_matrix(CodeMatrixSpec(8, 3))) <= 8000
+
+
+def test_a_worklist_past_the_recursion_limit(tall_matrix, forget):
+    limit = sys.getrecursionlimit()
+    assert len(_prepare_rows(tall_matrix)[0]) > limit
+    assert min_rank(tall_matrix) == 14
+    assert sys.getrecursionlimit() == limit
+
+
 def test_code_matrix_min_ranks():
     for r, want in ((3, 4), (4, 6), (5, 6)):
         assert min_rank(code_matrix(CodeMatrixSpec(7, r))) == want
@@ -500,13 +547,13 @@ def test_code_matrix_min_ranks():
 def dfs_calls(monkeypatch, forget):
     """Clear the min_rank_completion memo and count target searches."""
     calls = []
-    real = partial._complete_within
 
-    def counted(*args):
-        calls.append(args[2])
-        return real(*args)
+    class Counted(partial._RankSide):
+        def __init__(self, rows, n, target, *args):
+            calls.append(target)
+            super().__init__(rows, n, target, *args)
 
-    monkeypatch.setattr(partial, "_complete_within", counted)
+    monkeypatch.setattr(partial, "_RankSide", Counted)
     return calls
 
 
@@ -624,8 +671,8 @@ def test_kernel_side_agrees_with_the_rank_side_at_every_target():
         K = partial._forbidden_bitmap(rows, A.n)
         for t in range(A.n + 1):
             clock = partial._Deadline(None, A.n)
-            kernel_side = partial._avoiding_subspace(K, A.n, A.n - t, clock) is not None
-            rank_side = partial._complete_within(rows, A.n, t, clock, {}) is not None
+            kernel_side = partial._KernelSide(K, A.n, A.n - t, clock).run() is not None
+            rank_side = partial._RankSide(rows, A.n, t, clock, {}).run() is not None
             assert kernel_side == rank_side
             feasible += kernel_side
             infeasible += not kernel_side
@@ -653,13 +700,13 @@ def test_min_rank_of_code_8_2_and_h1_within_a_deadline(forget):
 
 def test_expired_deadline_on_the_race_leaves_the_memo(monkeypatch):
     kernel_calls = []
-    real = partial._avoiding_subspace
 
-    def spy(*args):
-        kernel_calls.append(args[2])
-        return real(*args)
+    class Spy(partial._KernelSide):
+        def __init__(self, K, n, dim, clock):
+            kernel_calls.append(dim)
+            super().__init__(K, n, dim, clock)
 
-    monkeypatch.setattr(partial, "_avoiding_subspace", spy)
+    monkeypatch.setattr(partial, "_KernelSide", Spy)
     held = min_rank_completion(A1)
     entry = partial._memo
     A = code_matrix(CodeMatrixSpec(6, 3))
@@ -676,13 +723,13 @@ def test_wide_matrices_run_the_rank_side_alone_within_a_deadline(monkeypatch, fo
     # side, whose subspace settles it in about 0.01 s against about 0.4 s
     # for the rank side alone
     kernel_widths = []
-    real = partial._avoiding_subspace
 
-    def spy(K, n, dim, clock):
-        kernel_widths.append(n)
-        return real(K, n, dim, clock)
+    class Spy(partial._KernelSide):
+        def __init__(self, K, n, dim, clock):
+            kernel_widths.append(n)
+            super().__init__(K, n, dim, clock)
 
-    monkeypatch.setattr(partial, "_avoiding_subspace", spy)
+    monkeypatch.setattr(partial, "_KernelSide", Spy)
     tall = star_heavy_matrix(random.Random(3), 8, 16, 0.4)
     rng = random.Random(6)
     star_heavy_matrix(rng, 8, 16, 0.4)

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from minrank.codes import CodeMatrixSpec, code_matrix
-from minrank.errors import LimitError, OperatorConflict, _BudgetSpent
+from minrank.errors import LimitError, OperatorConflict
 from minrank import solutions
 from minrank.gf2 import Subspace, _bits, _half_mask, _parity_bitmap, dot, kernel
 from minrank.partial import PartialMatrix, col_min_rank, min_rank, min_rank_completion
@@ -403,7 +403,7 @@ def _shuffled_codes(rng, max_n, shuffles):
     return out
 
 
-def test_star_set_bound_is_admissible_and_within_the_row_bound():
+def test_star_set_bound_is_admissible():
     rng = random.Random(61)
     cases = [random_matrix(rng, rng.randint(1, 8), rng.randint(2, 5)) for _ in range(150)]
     # rows drawn from two star sets, so groups hold several rows
@@ -886,11 +886,20 @@ def test_the_relaxation_changes_no_answer(monkeypatch, relaxations, built_engine
     # settles a draw, no engine at all.  brute_force_opt_tiny refuses
     # every matrix here (and no matrix it accepts reaches the search), so
     # at n = 6 the check is the exhaustive _max_independent.
-    def capped(self, *args):
-        real(self, *args)
-        self.clock.stop = 4000
+    class Capped(Exception):
+        pass
 
-    real = solutions._Engine.__init__
+    def capped(real):
+        # a slice that ends at 4,000 ticks with a tick still to take, or
+        # that passes them, means the search needs more than 4,000
+        def resume(self, stop):
+            done = real(self, 4000 if stop is None else min(stop, 4000))
+            if self.clock.ticks > 4000 or not done and self.clock.ticks >= 4000:
+                raise Capped
+            return done
+
+        return resume
+
     rng = random.Random(107)
     drawn = compared = settled = rooted = 0
     while drawn < 60:
@@ -904,10 +913,11 @@ def test_the_relaxation_changes_no_answer(monkeypatch, relaxations, built_engine
         drawn += 1
         with monkeypatch.context() as m:
             m.setattr(solutions, "_row_subset", lambda *args: None)
-            m.setattr(solutions._Engine, "__init__", capped)
+            for engine in (_OptSearch, solutions._ParityChoiceSearch):
+                m.setattr(engine, "resume", capped(engine.resume))
             try:
                 without = opt_exact(A)
-            except _BudgetSpent:
+            except Capped:
                 continue
         relaxations.clear()
         built_engines.clear()
