@@ -430,34 +430,49 @@ def _orthogonal_completion(rows, n: int, V: tuple[int, ...]) -> list[int]:
     to each vector of V, its stars the canonical solution of one GF(2)
     system: stars x within s with <x, v> = <a, v> for every v in V.
 
+    The system (v_i & s) | e_{n+i} is reduced once per star set s, so
+    each reduced row's bits from n on name its combination of V, whose
+    parity against a is its right-hand side; free stars stay zero.
+
     Row (a, s) has no such completion iff some member of span(V)
     vanishes on s and is odd against a, i.e. lies in the row's forbidden
     set, so a V that avoids the forbidden set completes every row.
     """
+    systems: dict[int, tuple[int, ...]] = {}
     out = []
     for a, s in rows:
-        rhs = sum(dot(a, v) << i for i, v in enumerate(V))
-        x = solve(GF2Matrix(n, tuple(v & s for v in V)), rhs)
-        if x is None:
-            raise InternalError("the subspace found meets a row's forbidden set")
+        system = systems.get(s)
+        if system is None:
+            system = systems[s] = rref((v & s) | 1 << (n + i) for i, v in enumerate(V))
+        rhs = sum(dot(a, v) << i for i, v in enumerate(V)) << n
+        x = 0
+        for r in system:
+            if dot(r, rhs):
+                p = r & -r
+                if p >> n:  # a combination of V that vanishes on s
+                    raise InternalError("the subspace found meets a row's forbidden set")
+                x |= p
         out.append(a ^ x)
     return out
 
 
 # min_rank_completion races the kernel side only on matrices this
-# narrow: each of its ticks costs about n * 2^n / 64 machine words.
-# From n = 9 to 12 the race settles code (n, 2) in 0.01-0.03 s, where
-# the rank side alone takes 74 s on code (9, 2).  Over 450 seeded random
-# 3-8 x 9-12 and 10-24 x 9-12 star-heavy matrices with a 5 s deadline
-# each, it cut the total time from 80 s to 58 s.  Where the kernel side
-# proves nothing the rank side gets half the ticks: 6 of the matrices
-# got more than 1.5 times slower, one 17 x 12 from 3.5 s to 5.6 s (2-core
-# x86 box, Python 3.11).
+# narrow.  On seeded star-heavy matrices a kernel-side tick costs about
+# 6 us up to n = 12 and 16 us at n = 14, a rank-side tick 13-19 us, and
+# building K and its ratio bound 0.4, 1.2, 2.8 and 14 ms at n = 8, 10,
+# 12 and 14.  From n = 9 to 12 the race settles code (n, 2) in 0.01-0.03
+# s, where the rank side alone takes 74 s on code (9, 2).  Over 450
+# seeded random 3-8 x 9-12 and 10-24 x 9-12 star-heavy matrices with a
+# 5 s deadline each, it cut the total time from 80 s to 58 s.  Where the
+# kernel side proves nothing the rank side gets half the ticks: 6 of the
+# matrices got more than 1.5 times slower, one 17 x 12 from 3.5 s to
+# 5.6 s (2-core x86 box, Python 3.11).
 _KERNEL_SIDE_N = 12
 
-# The first slice of every sliced search (both deciders here, both
-# parity engines of opt_exact), in ticks; it doubles every round.
-# opt_exact's row-subset check also gives each row this many ticks.
+# The first slice of both parity engines of opt_exact, in ticks; it
+# doubles every round.  opt_exact's row-subset check also gives each row
+# this many ticks, and min_rank_completion's race caps its first slice
+# at it.
 # A first slice of 256 parity-engine ticks takes 3 to 42 ms on the
 # parity-ready 4x8, 5x10 and 6x12 items of `minrank search --seed 0`
 # that reach it (2-core x86 box, Python 3.11), so a relaxed search that
@@ -522,18 +537,23 @@ def min_rank_completion(
       dimension n - t avoiding the forbidden set K, which exists iff some
       completion has rank at most t.
 
-    The rank side runs first, in slices of ticks that double from 256,
-    and after each slice it does not finish the kernel side gets an
-    equal slice; each side resumes where its last slice ended.  Only
-    matrices with n <= 12 race; wider ones run the rank side alone.  The
-    first time a matrix reaches the kernel side, K is built and the floor
-    rises to n - floor(log2 of K's ratio bound), since 2^(n - min rank)
-    = lin <= opt <= the ratio bound.  If the kernel side proves t
-    infeasible, t is skipped; if it finds a subspace V first, every row
-    gets the stars that make it orthogonal to V (_orthogonal_completion).
-    That completion's kernel contains V and every lower target is
-    refuted, so its rank is t and its kernel is span(V).  Both sides
-    count ticks, not time: a deadline can end the call, not change it.
+    The rank side runs first, in slices of ticks that double, and after
+    each slice it does not finish the kernel side gets an equal slice;
+    each side resumes where its last slice ended.  The first slice is
+    min(256, max(16, n * 2^n / 128)) ticks, about what building K costs
+    in rank-side ticks: 16 up to n = 8, 36 to 176 at n = 9 to 11, and
+    256 from n = 12 on, so a kernel side that settles a target within a
+    few dozen ticks, as on code matrices, waits little for its turn.
+    Only matrices with n <= 12 race; wider ones run the rank side alone.
+    The first time a matrix reaches the kernel side, K is built and the
+    floor rises to n - floor(log2 of K's ratio bound), since
+    2^(n - min rank) = lin <= opt <= the ratio bound.  If the kernel
+    side proves t infeasible, t is skipped; if it finds a subspace V
+    first, every row gets the stars that make it orthogonal to V
+    (_orthogonal_completion).  That completion's kernel contains V and
+    every lower target is refuted, so its rank is t and its kernel is
+    span(V).  Both sides count ticks, not time: a deadline can end the
+    call, not change it.
 
     The last matrix completed keeps a record (_Completed) of its answer,
     its column floor, and K and its ratio bound when the race built
@@ -560,7 +580,7 @@ def min_rank_completion(
         rank_side = _RankSide(rows, n, target, clock, reduced_units)
         if n > _KERNEL_SIDE_N:
             return rank_side.run()
-        kernel_side, budget = None, _FIRST_SLICE
+        kernel_side, budget = None, min(_FIRST_SLICE, max(16, (n << n) >> 7))
         while not rank_side.resume(clock.ticks + budget):
             clock.check_time()
             if K is None:

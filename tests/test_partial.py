@@ -10,7 +10,7 @@ import pytest
 from minrank import partial, solutions
 from minrank.codes import CodeMatrixSpec, code_matrix
 from minrank.errors import InternalError, LimitError
-from minrank.gf2 import GF2Matrix, Subspace, dot, kernel, rank, reduce_vector, rref
+from minrank.gf2 import GF2Matrix, Subspace, dot, kernel, rank, reduce_vector, rref, solve
 from minrank.partial import (
     _insert,
     _prepare_rows,
@@ -451,6 +451,57 @@ def test_a_subspace_meeting_the_forbidden_set_is_an_internal_error():
         partial._orthogonal_completion([(0b01, 0b10)], 2, (0b01,))
 
 
+def per_row_completion(rows, n, V):
+    """_orthogonal_completion by one gf2.solve per row; None for a row
+    with no completion orthogonal to V."""
+    out = []
+    for a, s in rows:
+        rhs = sum(dot(a, v) << i for i, v in enumerate(V))
+        x = solve(GF2Matrix(n, tuple(v & s for v in V)), rhs)
+        out.append(None if x is None else a ^ x)
+    return out
+
+
+def test_one_elimination_per_star_set_completes_as_one_solve_per_row():
+    # many rows share each star set, as the r + 1 rows of each star set
+    # of a code matrix do; every V the kernel side finds completes them
+    # all, and a random V either completes them as the per-row solve does
+    # or meets a row's forbidden set
+    rng = random.Random(89)
+    cases = [shuffled_rows(code_matrix(CodeMatrixSpec(n, r)), rng) for n, r in ((6, 2), (7, 3))]
+    for _ in range(40):
+        n = rng.randint(4, 8)
+        star_sets = [rng.getrandbits(n) for _ in range(rng.randint(1, 4))]
+        rows = [
+            (a, s)
+            for s in star_sets
+            for a in {rng.getrandbits(n) & ~s for _ in range(rng.randint(2, 8))} - {0}
+        ]
+        rng.shuffle(rows)
+        cases.append(PartialMatrix(n, tuple(a for a, _ in rows), tuple(s for _, s in rows)))
+    found = refused = 0
+    for A in cases:
+        rows, _ = _prepare_rows(A)
+        n = A.n
+        K = partial._forbidden_bitmap(rows, n)
+        for dim in range(1, n + 1):
+            V = partial._KernelSide(K, n, dim, partial._Deadline(None, n)).run()
+            if V is None:
+                break
+            assert partial._orthogonal_completion(rows, n, V) == per_row_completion(rows, n, V)
+            found += 1
+        for _ in range(5):
+            V = rref(rng.getrandbits(n) for _ in range(rng.randint(1, n)))
+            want = per_row_completion(rows, n, V)
+            if None in want:
+                with pytest.raises(InternalError):
+                    partial._orthogonal_completion(rows, n, V)
+                refused += 1
+            else:
+                assert partial._orthogonal_completion(rows, n, V) == want
+    assert found >= 50 and refused >= 50  # 102 and 161
+
+
 def completion_ticks(monkeypatch, forget, A):
     """The ticks of every search clock of one min_rank_completion(A)."""
     clocks = []
@@ -467,11 +518,14 @@ def completion_ticks(monkeypatch, forget, A):
 
 
 def test_the_orthogonal_finish_saves_completion_ticks(monkeypatch, forget):
-    # once the kernel side finds its subspace no search is left: 735
-    # ticks on code (7, 3), and 515 on H1 = code (7, 2) and on code
-    # (8, 2), where finishing the target by the rank side's search takes
-    # 6,858, 19,539 and 66,349 ticks
-    for (n, r), most in (((7, 3), 800), ((7, 2), 600), ((8, 2), 600)):
+    # once the kernel side finds its subspace no search is left, and up
+    # to n = 8 the race's first slices are 16 ticks: 479 ticks on code
+    # (7, 3), 34 on code (6, 2), 35 on H1 = code (7, 2) and on code
+    # (8, 2), and 108 on code (7, 4); finishing the target by the rank
+    # side's search takes 6,858 ticks on code (7, 3), 19,539 on code
+    # (7, 2) and 66,349 on code (8, 2)
+    pins = (((7, 3), 550), ((6, 2), 60), ((7, 2), 60), ((8, 2), 60), ((7, 4), 150))
+    for (n, r), most in pins:
         assert completion_ticks(monkeypatch, forget, code_matrix(CodeMatrixSpec(n, r))) <= most
 
 
