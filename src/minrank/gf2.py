@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator
 
 from .config import LIMITS
-from .errors import LimitError
+from .errors import InternalError, LimitError
 
 __all__ = [
     "vec",
@@ -331,7 +332,9 @@ def _bits(v: int):
 
 
 def _ratio_bound(K: int, n: int) -> int:
-    """Hoffman's ratio bound on the solutions of a nonempty forbidden set.
+    """An upper bound on the solutions of a nonempty forbidden set: the
+    smaller of Hoffman's ratio bound and, when K holds whole Hamming
+    weight classes, Delsarte's LP bound on them (_delsarte_bound).
 
     The Cayley graph generated by K is |K|-regular, and its eigenvalues
     are the Walsh-Hadamard transform of K's indicator, so no independent
@@ -345,4 +348,104 @@ def _ratio_bound(K: int, n: int) -> int:
         even, odd = v[0::2], v[1::2]
         v = [a + b for a, b in zip(even, odd)] + [a - b for a, b in zip(even, odd)]
     low = min(v)
-    return ((1 << n) * -low) // (K.bit_count() - low)
+    hoffman = ((1 << n) * -low) // (K.bit_count() - low)
+    W = 0
+    for w, cls in enumerate(_weight_classes(n)):
+        if w and K & cls == cls:
+            W |= 1 << w
+    return min(hoffman, _delsarte_bound(n, W)) if W else hoffman
+
+
+def _weight_classes(n: int) -> list[int]:
+    """Bitmaps of the vectors of Hamming weight 0, 1, ..., n, built by
+    doubling over coordinates."""
+    masks = [1]
+    for j in range(n):
+        masks = [
+            (masks[w] if w <= j else 0) | (masks[w - 1] << (1 << j) if w else 0)
+            for w in range(j + 2)
+        ]
+    return masks
+
+
+def _krawtchouk(n: int, k: int, i: int) -> int:
+    """K_k(i): the sum of (-1)^<x, y> over the y of weight k, for any x
+    of weight i."""
+    return sum((-1) ** j * comb(i, j) * comb(n - i, k - j) for j in range(k + 1))
+
+
+def _delsarte_lp(n: int, W: int) -> tuple[tuple[int, ...], int]:
+    """An optimal dual y_1..y_n of Delsarte's LP for codes in GF(2)^n
+    with no two words at a distance w for any bit w of W, as integer
+    numerators over one positive denominator D.
+
+    A code's distance distribution (A_i = the mean number of words at
+    distance i from a word) has A_0 = 1, A_i = 0 on W, and nonnegative
+    transforms sum_i A_i K_k(i) >= 0 (Delsarte 1973).  So its size
+    1 + sum A_i is at most the maximum over A >= 0 on the allowed
+    weights i of 1 + sum_i A_i subject to -sum_i K_k(i) A_i <= C(n, k)
+    for k = 1..n, which equals the dual's 1 + sum_k y_k C(n, k).  Every
+    C(n, k) is positive, so the slack basis is feasible and the simplex
+    needs no first phase; Bland's rule keeps it from cycling.  The dual
+    is read off the slack columns of the objective row.
+    """
+    free = [i for i in range(1, n + 1) if not (W >> i) & 1]
+    p = len(free)
+    # row k - 1: the constraint of K_k, then its slack, then C(n, k); row
+    # n: the reduced costs, then minus the objective.  Entries are kept
+    # as integers over the common denominator D, and each pivot divides
+    # exactly (Bareiss), so the arithmetic is exact.
+    T = [
+        [-_krawtchouk(n, k, i) for i in free]
+        + [int(t == k) for t in range(1, n + 1)]
+        + [comb(n, k)]
+        for k in range(1, n + 1)
+    ]
+    T.append([1] * p + [0] * (n + 1))
+    basis = list(range(p, p + n))
+    D = 1
+    while (enter := next((j for j in range(p + n) if T[n][j] > 0), None)) is not None:
+        # the least ratio, ties to the lowest basic variable; some row
+        # qualifies, as the constraints sum to sum_i A_i <= 2^n - 1
+        t = None
+        for u in range(n):
+            if T[u][enter] > 0:
+                d = 0 if t is None else T[u][-1] * T[t][enter] - T[t][-1] * T[u][enter]
+                if t is None or d < 0 or d == 0 and basis[u] < basis[t]:
+                    t = u
+        pivot = T[t]
+        e = pivot[enter]
+        for u, row in enumerate(T):
+            if u != t:
+                f = row[enter]
+                T[u] = [(x * e - f * y) // D for x, y in zip(row, pivot)]
+        D = e
+        basis[t] = enter
+    return tuple(-x for x in T[n][p : p + n]), D
+
+
+def _delsarte_check(n: int, W: int, y: tuple[int, ...], D: int) -> int:
+    """floor(1 + sum_k y_k C(n, k) / D), once y_1..y_n over D > 0 is
+    checked to be a feasible dual of _delsarte_lp: y >= 0 and
+    D + sum_k y_k K_k(i) <= 0 at every weight i >= 1 outside W.  Then
+    every code avoiding the distances W has at most that many words
+    (weak duality)."""
+    if D <= 0 or any(v < 0 for v in y):
+        raise InternalError("Delsarte dual is not nonnegative")
+    for i in range(1, n + 1):
+        if not (W >> i) & 1 and D + sum(v * _krawtchouk(n, k, i) for k, v in enumerate(y, 1)) > 0:
+            raise InternalError(f"Delsarte dual fails at weight {i}")
+    return (D + sum(v * comb(n, k) for k, v in enumerate(y, 1))) // D
+
+
+_delsarte_bounds: dict[tuple[int, int], int] = {}
+
+
+def _delsarte_bound(n: int, W: int) -> int:
+    """Delsarte's LP bound for the distances W, floored, from a dual
+    checked exactly; solved once per (n, W)."""
+    key = (n, W)
+    got = _delsarte_bounds.get(key)
+    if got is None:
+        got = _delsarte_bounds[key] = _delsarte_check(n, W, *_delsarte_lp(n, W))
+    return got

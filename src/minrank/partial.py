@@ -485,9 +485,10 @@ class _Completed:
     """What min_rank_completion found for one matrix A: its answer (min
     rank, completion), its column floor (None when col_min_rank refused
     at its default limit), and the forbidden set K and its ratio bound
-    when the race built them, so that min_rank followed by opt_exact or
-    report finds each of them once per matrix.  The answer does not
-    depend on the deadline, so the record is exact.
+    (the smaller of Hoffman's and Delsarte's, gf2._ratio_bound) when the
+    race built them, so that min_rank followed by opt_exact or report
+    finds each of them once per matrix.  The answer does not depend on
+    the deadline, so the record is exact.
     """
 
     A: PartialMatrix
@@ -547,19 +548,22 @@ def min_rank_completion(
     Only matrices with n <= 12 race; wider ones run the rank side alone.
     The first time a matrix reaches the kernel side, K is built and the
     floor rises to n - floor(log2 of K's ratio bound), since
-    2^(n - min rank) = lin <= opt <= the ratio bound.  If the kernel
-    side proves t infeasible, t is skipped; if it finds a subspace V
-    first, every row gets the stars that make it orthogonal to V
-    (_orthogonal_completion).  That completion's kernel contains V and
-    every lower target is refuted, so its rank is t and its kernel is
-    span(V).  Both sides count ticks, not time: a deadline can end the
-    call, not change it.
+    2^(n - min rank) = lin <= opt <= the ratio bound, the smaller of
+    Hoffman's bound and Delsarte's LP bound (gf2._ratio_bound).  On code
+    matrices that floor is the min rank itself, so the race searches no
+    lower target.  If the kernel side proves t infeasible, t is
+    skipped; if it finds a subspace V first, every row gets the stars
+    that make it orthogonal to V (_orthogonal_completion).  That
+    completion's kernel contains V and every lower target is refuted,
+    so its rank is t and its kernel is span(V).  Both sides count ticks,
+    not time: a deadline can end the call, not change it.
 
     The last matrix completed keeps a record (_Completed) of its answer,
     its column floor, and K and its ratio bound when the race built
     them.  A call on an equal matrix right after returns the answer
     without searching again, and opt_exact reads the rest, so min_rank
-    followed by opt_exact builds K and the ratio bound once each.
+    followed by opt_exact builds K and the ratio bound once each, and
+    solves Delsarte's LP at most once.
     """
     global _memo
     if _memo is not None and _memo.A == A:

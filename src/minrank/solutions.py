@@ -772,11 +772,16 @@ def opt_exact(
     Starts from a verified linear warm start: the kernel of a min-rank
     completion, a solution of size lin = 2^(n - min_rank).  When a
     certified upper bound meets lin, that kernel is returned at once.
-    Three are tried in turn: the column bound 2^(n - col_min_rank),
-    Hoffman's ratio bound on the Cayley graph (_ratio_bound), and the
-    coset bound 2^(n - dim U) of a subspace U whose nonzero members all
-    lie in the forbidden set (_coset_basis), which meets lin when dim U
-    = min_rank.
+    Three are tried in turn: the column bound 2^(n - col_min_rank), the
+    ratio bound (_ratio_bound), and the coset bound 2^(n - dim U) of a
+    subspace U whose nonzero members all lie in the forbidden set
+    (_coset_basis), which meets lin when dim U = min_rank.  The ratio
+    bound is the smaller of Hoffman's bound on the Cayley graph and,
+    when K holds whole Hamming weight classes W, Delsarte's LP bound on
+    codes avoiding the distances W, whose dual is checked exactly before
+    it is used.  On code matrices K is a punctured Hamming ball, and the
+    LP settles codes (5, 3), (6, 3), (7, 3), (8, 3) and others at the
+    root.
 
     Otherwise exactly one exact search runs.  Where every row is thin
     and distinct rows are few (_parity_choice_ready), it is a
@@ -808,7 +813,7 @@ def opt_exact(
     with no call and no second search; otherwise from a call to
     min_rank_completion.  The record also holds K and the ratio bound
     when the completion's race built them, so min_rank followed by
-    opt_exact builds each once.
+    opt_exact builds each once and solves Delsarte's LP at most once.
 
     Instances whose root bounds are not tight can still take more than
     a minute at n = 8.

@@ -1,14 +1,19 @@
 """Unit tests for the packed GF(2) linear algebra."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
-from minrank.errors import LimitError
+from minrank.errors import InternalError, LimitError
 from minrank.gf2 import (
     GF2Matrix,
+    _delsarte_check,
+    _delsarte_lp,
     _star_classes,
+    _weight_classes,
     Subspace,
     dot,
     enumerate_subspaces,
@@ -233,3 +238,50 @@ def test_star_classes_index_by_star_pattern_then_parities():
             p = sum(((x >> j) & 1) << t for t, j in enumerate(stars))
             p |= sum(dot(b, x) << (len(stars) + t) for t, b in enumerate(basis))
             assert [(c >> x) & 1 for c in classes] == [int(i == p) for i in range(len(classes))]
+
+
+def test_weight_classes_split_the_space_by_weight():
+    for n in range(1, 9):
+        classes = _weight_classes(n)
+        assert len(classes) == n + 1
+        for x in range(1 << n):
+            weight = x.bit_count()
+            assert [(c >> x) & 1 for c in classes] == [int(w == weight) for w in range(n + 1)]
+
+
+def punctured_ball(r):
+    # the distances 1..r, as bits of W
+    return (1 << (r + 1)) - 2
+
+
+def test_delsarte_lp_values_on_punctured_balls():
+    # Delsarte's LP for codes of length n and minimum distance r + 1:
+    # its optimum is the dual objective 1 + sum_k y_k C(n, k)
+    for (n, r), want in (
+        ((7, 3), 8),
+        ((7, 4), 3),
+        ((8, 2), Fraction(128, 5)),
+        ((8, 3), 16),
+        ((9, 2), Fraction(128, 3)),
+    ):
+        W = punctured_ball(r)
+        y, D = _delsarte_lp(n, W)
+        assert Fraction(D + sum(v * comb(n, k) for k, v in enumerate(y, 1)), D) == want
+        assert _delsarte_check(n, W, y, D) == int(want)
+
+
+def test_delsarte_check_refuses_a_tampered_dual():
+    # y is optimal and every C(n, k) > 0, so lowering any positive y_k
+    # gives a smaller objective, which no feasible dual reaches
+    lowered = 0
+    cases = ((7, punctured_ball(3)), (8, punctured_ball(2)), (9, punctured_ball(2)), (6, 0b1010))
+    for n, W in cases:
+        y, D = _delsarte_lp(n, W)
+        for k, v in enumerate(y):
+            if v > 0:
+                with pytest.raises(InternalError):
+                    _delsarte_check(n, W, y[:k] + (v - 1,) + y[k + 1 :], D)
+                lowered += 1
+        with pytest.raises(InternalError):
+            _delsarte_check(n, W, (-1,) + y[1:], D)
+    assert lowered >= 8

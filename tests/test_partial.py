@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from minrank import partial, solutions
+from minrank import gf2, partial, solutions
 from minrank.codes import CodeMatrixSpec, code_matrix
 from minrank.errors import InternalError, LimitError
 from minrank.gf2 import GF2Matrix, Subspace, dot, kernel, rank, reduce_vector, rref, solve
@@ -518,13 +518,14 @@ def completion_ticks(monkeypatch, forget, A):
 
 
 def test_the_orthogonal_finish_saves_completion_ticks(monkeypatch, forget):
-    # once the kernel side finds its subspace no search is left, and up
-    # to n = 8 the race's first slices are 16 ticks: 479 ticks on code
-    # (7, 3), 34 on code (6, 2), 35 on H1 = code (7, 2) and on code
-    # (8, 2), and 108 on code (7, 4); finishing the target by the rank
-    # side's search takes 6,858 ticks on code (7, 3), 19,539 on code
-    # (7, 2) and 66,349 on code (8, 2)
-    pins = (((7, 3), 550), ((6, 2), 60), ((7, 2), 60), ((8, 2), 60), ((7, 4), 150))
+    # once the kernel side finds its subspace no search is left, up to
+    # n = 8 the race's first slices are 16 ticks, and Delsarte's LP puts
+    # the floor at the min rank: 34 ticks on code (7, 3) and on code
+    # (6, 2), 35 on H1 = code (7, 2) and on code (8, 2), and 32 on code
+    # (7, 4); finishing the target by the rank side's search takes 6,858
+    # ticks on code (7, 3), 19,539 on code (7, 2) and 66,349 on code
+    # (8, 2)
+    pins = (((7, 3), 60), ((6, 2), 60), ((7, 2), 60), ((8, 2), 60), ((7, 4), 60))
     for (n, r), most in pins:
         assert completion_ticks(monkeypatch, forget, code_matrix(CodeMatrixSpec(n, r))) <= most
 
@@ -538,11 +539,11 @@ def test_min_rank_of_codes_past_n_8_within_a_deadline(monkeypatch, forget):
         return real(rows, n, V)
 
     monkeypatch.setattr(partial, "_orthogonal_completion", spy)
-    for n in (9, 10, 11):
+    for (n, d), want in (((9, 2), 4), ((10, 2), 4), ((11, 2), 4), ((10, 3), 5), ((12, 3), 5)):
         forget()
-        A = code_matrix(CodeMatrixSpec(n, 2))
-        r, W = min_rank_completion(A, deadline=time.monotonic() + 5)
-        assert r == 4 and rank(W) == r and is_completion(A, W)
+        A = code_matrix(CodeMatrixSpec(n, d))
+        r, W = min_rank_completion(A, deadline=time.monotonic() + 2)
+        assert r == want and rank(W) == r and is_completion(A, W)
         assert kernel(W) == subspaces[-1]
 
 
@@ -647,8 +648,8 @@ def test_opt_exact_reads_the_memo_without_a_completion_call(monkeypatch, forget)
 def test_min_rank_then_opt_exact_builds_k_and_the_ratio_bound_once(monkeypatch, forget):
     # K is built by the race (partial._forbidden_bitmap) or by opt_exact
     # (solutions._required_bitmap), and opt_exact takes the race's K and
-    # ratio bound from the completion record
-    builds = {"K": 0, "ratio": 0}
+    # ratio bound, Delsarte's LP included, from the completion record
+    builds = {"K": 0, "ratio": 0, "lp": 0}
 
     def spy(module, name, kind):
         real = getattr(module, name)
@@ -663,19 +664,24 @@ def test_min_rank_then_opt_exact_builds_k_and_the_ratio_bound_once(monkeypatch, 
     spy(solutions, "_required_bitmap", "K")
     spy(partial, "_ratio_bound", "ratio")
     spy(solutions, "_ratio_bound", "ratio")
+    spy(gf2, "_delsarte_lp", "lp")
     rng = random.Random(67)
-    raced = 0
+    raced = solved = 0
     for n in range(2, 8):
         for r in range(1, n):
             code = code_matrix(CodeMatrixSpec(n, r))
             for A in (code, shuffled_rows(code, rng)):
                 forget()
-                builds.update(K=0, ratio=0)
+                monkeypatch.setattr(gf2, "_delsarte_bounds", {})
+                builds.update(K=0, ratio=0, lp=0)
                 min_rank(A)
                 raced += builds["K"]
                 opt_exact(A)
                 assert builds["K"] == 1 and builds["ratio"] <= 1, (n, r, builds)
+                assert builds["lp"] <= builds["ratio"], (n, r, builds)
+                solved += builds["lp"]
     assert raced >= 10  # 16 of the 42 reach the race's kernel side
+    assert solved >= 30  # 34 of the 42 solve the LP
 
 
 def test_memo_compares_matrices_by_value(dfs_calls):

@@ -10,7 +10,15 @@ import pytest
 from minrank.codes import CodeMatrixSpec, code_matrix
 from minrank.errors import LimitError, OperatorConflict
 from minrank import solutions
-from minrank.gf2 import Subspace, _bits, _half_mask, _parity_bitmap, dot, kernel
+from minrank.gf2 import (
+    Subspace,
+    _bits,
+    _delsarte_bound,
+    _half_mask,
+    _parity_bitmap,
+    dot,
+    kernel,
+)
 from minrank.partial import PartialMatrix, col_min_rank, min_rank, min_rank_completion
 from minrank.pmx import parse_pmx
 from minrank.report import _random_matrices
@@ -387,6 +395,47 @@ def _max_independent(cand: int, K: int, n: int) -> int:
     )
 
 
+def test_delsarte_bound_is_admissible():
+    # on random matrices whose K holds whole weight classes W, opt is at
+    # most the ratio bound, which is at most Delsarte's LP on W
+    rng = random.Random(103)
+    checked = tight = 0
+    while checked < 120:
+        n = rng.randint(3, 5)
+        A = random_matrix(rng, rng.randint(2, 8), n)
+        K = forbidden_set(A).bitmap
+        W = sum(
+            1 << w
+            for w in range(1, n + 1)
+            if all((K >> x) & 1 for x in range(1 << n) if x.bit_count() == w)
+        )
+        if not W:
+            continue
+        opt = _max_independent(((1 << (1 << n)) - 1) & ~K, K, n)
+        bound = _delsarte_bound(n, W)
+        assert opt <= _ratio_bound(K, n) <= bound
+        checked += 1
+        tight += bound == opt
+    assert tight > 20
+
+
+def test_delsarte_floor_is_the_min_rank_of_every_code():
+    # K of code (n, r) holds the weights 1..r, so 2^(n - min rank) = lin
+    # <= opt <= Delsarte's LP; the LP's floor meets min rank on every
+    # code up to n = 8, where separating_min_rank, which reads no floor,
+    # finds it too, and on (9..12, 3), whose min rank is 5
+    for n in range(2, 9):
+        for r in range(1, n):
+            try:
+                A = code_matrix(CodeMatrixSpec(n, r))
+            except (ValueError, LimitError):
+                continue
+            floor = n + 1 - _delsarte_bound(n, (1 << (r + 1)) - 2).bit_length()
+            assert floor == min_rank(A) == separating_min_rank(A), (n, r)
+    for n in range(9, 13):
+        assert n + 1 - _delsarte_bound(n, 0b1110).bit_length() == 5
+
+
 def _shuffled_codes(rng, max_n, shuffles):
     out = []
     for n in range(2, max_n + 1):
@@ -444,7 +493,7 @@ def _opt_with(monkeypatch, engine, A):
 
 
 def _reaches_search(A):
-    # no root certificate settles opt_exact on A
+    # neither the column bound nor the ratio bound settles opt_exact on A
     K = forbidden_set(A).bitmap
     if not K:
         return False
@@ -452,11 +501,23 @@ def _reaches_search(A):
     return col_min_rank(A, A.n) != r and _ratio_bound(K, A.n) != 1 << (A.n - r)
 
 
-def test_star_set_bound_keeps_every_answer_and_witness(monkeypatch):
+def _reaches_the_vertex_engine(A):
+    # what _opt_core asks of A's core before it builds _OptSearch: no
+    # root certificate (column, ratio, coset) settles it, and it is not
+    # parity-ready
+    A = solutions._drop_unused_columns(A)[0]
+    if solutions._parity_choice_ready(A) or not _reaches_search(A):
+        return False
+    r = min_rank(A)
+    return len(_coset_basis(forbidden_set(A).bitmap, A.n, r)) != r
+
+
+def test_star_set_bound_keeps_every_answer_and_witness(monkeypatch, built_engines):
     rng = random.Random(71)
     cases = _shuffled_codes(rng, 7, 2)
     cases += [random_matrix(rng, rng.randint(3, 10), rng.randint(4, 7)) for _ in range(200)]
-    # most random matrices settle at the root; these tall ones reach the search
+    # most random matrices settle at the root; these tall ones pass the
+    # column and ratio bounds
     tall = []
     while len(tall) < 60:
         A = random_matrix(rng, rng.randint(6, 14), rng.randint(5, 6))
@@ -467,10 +528,29 @@ def test_star_set_bound_keeps_every_answer_and_witness(monkeypatch):
         old = _opt_with(monkeypatch, _RowBoundSearch, A)
         assert new[:2] == old[:2]
         assert sum(new[2]) <= sum(old[2])
-    # code (7, 3): the ticks its search takes, deterministic
+    # and these reach the vertex engine itself
+    searched = []
+    while len(searched) < 60:
+        A = random_matrix(rng, rng.randint(6, 14), rng.randint(5, 6))
+        if _reaches_the_vertex_engine(A):
+            searched.append(A)
+    for A in searched:
+        new = _opt_with(monkeypatch, _OptSearch, A)
+        old = _opt_with(monkeypatch, _RowBoundSearch, A)
+        assert new[:2] == old[:2]
+        assert len(new[2]) == len(old[2]) == 1
+    # code (7, 3): Delsarte's LP settles it at the root, so no engine is
+    # built; on its K and coset U, the ticks each search takes
     A = code_matrix(CodeMatrixSpec(7, 3))
-    assert _opt_with(monkeypatch, _RowBoundSearch, A)[2] == [720]
-    assert _opt_with(monkeypatch, _OptSearch, A)[2] == [489]
+    built_engines.clear()
+    assert opt_exact(A)[0] == 8 and built_engines == []
+    r, W = min_rank_completion(A)
+    K = forbidden_set(A).bitmap
+    U = _coset_basis(K, A.n, r)
+    for engine, ticks in ((_RowBoundSearch, 720), (_OptSearch, 489)):
+        search = engine(A, K, U, None)
+        search.seed(kernel(W).vectors())
+        assert search.run()[0] == 8 and search.clock.ticks == ticks
 
 
 def _extend_oracle(K):
