@@ -57,9 +57,9 @@ class ToolConfig:
     part of it; the routines that honour one take it as an argument.
 
     Of the limits, report, search and the command line read only opt_n,
-    subset_rows and search_space.  Some others are the default of a
-    routine's own limit argument; pass that argument to raise one.  The
-    README's Limits section says which."""
+    subset_rows, stars and search_space.  Some others are the default of
+    a routine's own limit argument; pass that argument to raise one.
+    The README's Limits section says which."""
 
     limits: Limits = LIMITS
     seed: int | None = None

@@ -83,13 +83,14 @@ class GF2Matrix:
         return out
 
     def transpose(self) -> "GF2Matrix":
-        cols = []
-        for j in range(self.n):
-            c = 0
-            for i, r in enumerate(self.rows):
-                c |= ((r >> j) & 1) << i
-            cols.append(c)
-        return GF2Matrix(max(self.m, 1), tuple(cols))
+        return GF2Matrix(max(self.m, 1), _columns(self.rows, self.n))
+
+
+def _columns(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The n columns of the rows: one bitstring holds row i at offset
+    (m - 1 - i) * n, high bit first, so column j is its slice [n - 1 - j::n]."""
+    text = (f"{{:0{n}b}}" * len(rows)).format(*reversed(rows))
+    return tuple([int(text[j::n] or "0", 2) for j in range(n - 1, -1, -1)])
 
 
 def rref(vectors: Iterable[int]) -> tuple[int, ...]:
@@ -333,8 +334,9 @@ def _bits(v: int):
 
 def _ratio_bound(K: int, n: int) -> int:
     """An upper bound on the solutions of a nonempty forbidden set: the
-    smaller of Hoffman's ratio bound and, when K holds whole Hamming
-    weight classes, Delsarte's LP bound on them (_delsarte_bound).
+    smallest of Hoffman's ratio bound and, when K holds whole Hamming
+    weight classes, Delsarte's LP bound on them (_delsarte_bound) and
+    Plotkin's bound.
 
     The Cayley graph generated by K is |K|-regular, and its eigenvalues
     are the Walsh-Hadamard transform of K's indicator, so no independent
@@ -342,6 +344,11 @@ def _ratio_bound(K: int, n: int) -> int:
     the eigenvalue side of Delsarte's 1973 LP bound).  Each pass below
     transforms the lowest index bit and rotates it to the top, so n
     passes give every eigenvalue once.
+
+    When K holds the weights 1..d - 1 and d <= n, every solution is a
+    code of minimum distance d, so Plotkin's bound applies: A(n, d) <= 2
+    * floor(d / (2d - n)) for even d with 2d > n, and A(n, d) = A(n + 1,
+    d + 1) for odd d (MacWilliams and Sloane, ch. 2).
     """
     v = list(map(int, reversed(format(K, f"0{1 << n}b"))))
     for _ in range(n):
@@ -353,7 +360,12 @@ def _ratio_bound(K: int, n: int) -> int:
     for w, cls in enumerate(_weight_classes(n)):
         if w and K & cls == cls:
             W |= 1 << w
-    return min(hoffman, _delsarte_bound(n, W)) if W else hoffman
+    d = 1
+    while W >> d & 1:
+        d += 1
+    n1, d1 = n + (d & 1), d + (d & 1)  # the even distance of the extended code
+    plotkin = 2 * (d1 // (2 * d1 - n1)) if d <= n and 2 * d1 > n1 else hoffman
+    return min(hoffman, _delsarte_bound(n, W), plotkin) if W else hoffman
 
 
 def _weight_classes(n: int) -> list[int]:

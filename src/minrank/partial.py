@@ -17,10 +17,9 @@ from .errors import InternalError, LimitError
 from .gf2 import (
     GF2Matrix,
     _bits,
+    _columns,
     _half_mask,
-    _parity_bitmap,
     _ratio_bound,
-    _vanishes_bitmap,
     dot,
     rank,
     reduce_vector,
@@ -85,15 +84,10 @@ class PartialMatrix:
 
     def transpose(self) -> "PartialMatrix":
         """Columns become rows, stars staying stars."""
-        cols_a, cols_s = [], []
-        for j in range(self.n):
-            a = s = 0
-            for i in range(self.m):
-                a |= ((self.ones[i] >> j) & 1) << i
-                s |= ((self.stars[i] >> j) & 1) << i
-            cols_a.append(a)
-            cols_s.append(s)
-        return PartialMatrix(max(self.m, 1), tuple(cols_a), tuple(cols_s))
+        m, low = self.m, (1 << self.m) - 1
+        cols = _columns(self.ones + self.stars, self.n)  # the stars from bit m on
+        ones = tuple([c & low for c in cols])
+        return PartialMatrix(max(m, 1), ones, tuple([c >> m for c in cols]))
 
 
 @dataclass(frozen=True)
@@ -353,12 +347,18 @@ class _RankSide(_Decider):
 
 def _forbidden_bitmap(rows, n: int) -> int:
     """Bitmap of the forbidden set of (fixed ones, stars) rows: every x
-    that vanishes on the stars of some row with a fixed one and has odd
-    inner product with that row's fixed ones."""
+    that vanishes on the stars of some row and has odd inner product with
+    that row's fixed ones, built per row by doubling over the coordinates
+    outside its stars (`van`: the x so far that vanish on them)."""
     bm = 0
     for a, s in rows:
-        if a:
-            bm |= _vanishes_bitmap(s, n) & _parity_bitmap(a, n)
+        odd, van, size = 0, 1, 1
+        for j in range(n if a else 0):
+            if not s >> j & 1:
+                odd |= (odd ^ van if a >> j & 1 else odd) << size
+                van |= van << size
+            size <<= 1
+        bm |= odd
     return bm
 
 
@@ -485,10 +485,10 @@ class _Completed:
     """What min_rank_completion found for one matrix A: its answer (min
     rank, completion), its column floor (None when col_min_rank refused
     at its default limit), and the forbidden set K and its ratio bound
-    (the smaller of Hoffman's and Delsarte's, gf2._ratio_bound) when the
-    race built them, so that min_rank followed by opt_exact or report
-    finds each of them once per matrix.  The answer does not depend on
-    the deadline, so the record is exact.
+    (the smallest of Hoffman's, Delsarte's and Plotkin's bounds,
+    gf2._ratio_bound) when the race built them, so that min_rank followed
+    by opt_exact or report finds each of them once per matrix.  The
+    answer does not depend on the deadline, so the record is exact.
     """
 
     A: PartialMatrix
@@ -548,11 +548,11 @@ def min_rank_completion(
     Only matrices with n <= 12 race; wider ones run the rank side alone.
     The first time a matrix reaches the kernel side, K is built and the
     floor rises to n - floor(log2 of K's ratio bound), since
-    2^(n - min rank) = lin <= opt <= the ratio bound, the smaller of
-    Hoffman's bound and Delsarte's LP bound (gf2._ratio_bound).  On code
-    matrices that floor is the min rank itself, so the race searches no
-    lower target.  If the kernel side proves t infeasible, t is
-    skipped; if it finds a subspace V first, every row gets the stars
+    2^(n - min rank) = lin <= opt <= the ratio bound, the smallest of
+    Hoffman's, Delsarte's and Plotkin's bounds (gf2._ratio_bound).  On
+    code matrices that floor is the min rank itself, so the race
+    searches no lower target.  If the kernel side proves t infeasible, t
+    is skipped; if it finds a subspace V first, every row gets the stars
     that make it orthogonal to V (_orthogonal_completion).  That
     completion's kernel contains V and every lower target is refuted,
     so its rank is t and its kernel is span(V).  Both sides count ticks,
@@ -618,19 +618,20 @@ def min_rank(A: PartialMatrix, deadline: float | None = None) -> int:
 # maximum rank and star covers
 
 
-def max_rank(A: PartialMatrix) -> int:
+def max_rank(A: PartialMatrix, limit: int = LIMITS.stars) -> int:
     """Maximum rank over all completions.
 
     Uses the line-cover identity: the maximum equals the minimum over
     line sets X covering all stars of rank(A with X removed) + |X|.
     Covers are scanned from the smaller side of the matrix, which caps
-    the work at 2^min(m, n) rank computations.
+    the work at 2^min(m, n) rank computations.  Past 13 rows and 13
+    columns it enumerates the completions instead, up to `limit` stars.
     """
     B = A if A.m <= A.n else A.transpose()
     if B.m <= 13:
         return _max_rank_cover(B)
-    if A.star_count <= LIMITS.stars:
-        return max(rank(M) for M in enumerate_completions(A))
+    if A.star_count <= limit:
+        return max(rank(M) for M in enumerate_completions(A, limit))
     raise LimitError("matrix too large for either exact max-rank strategy")
 
 
@@ -660,13 +661,14 @@ def star_matching(A: PartialMatrix) -> tuple[tuple[int, int], ...]:
     """A maximum matching of star positions, as (row, column) pairs.
 
     Augmenting-path search; rows are tried in order and columns in
-    ascending index, so the result is deterministic.
+    ascending index, so the result is deterministic.  It stops once every
+    star column is matched, as a failed try changes no match.
     """
     match_col: dict[int, int] = {}
 
     def try_row(i: int, seen: set[int]) -> bool:
-        for j in range(A.n):
-            if not (A.stars[i] >> j) & 1 or j in seen:
+        for j in _bits(A.stars[i]):
+            if j in seen:
                 continue
             seen.add(j)
             if j not in match_col or try_row(match_col[j], seen):
@@ -674,7 +676,12 @@ def star_matching(A: PartialMatrix) -> tuple[tuple[int, int], ...]:
                 return True
         return False
 
+    star_columns = 0
+    for s in A.stars:
+        star_columns |= s
     for i in range(A.m):
+        if len(match_col) == star_columns.bit_count():
+            break
         try_row(i, set())
     return tuple(sorted((i, j) for j, i in match_col.items()))
 

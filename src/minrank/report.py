@@ -56,7 +56,7 @@ def report(A: PartialMatrix, config: ToolConfig | None = None) -> dict:
     }
     minrk = min_rank(A)
     out["min_rank"] = minrk
-    out["max_rank"] = _guarded(max_rank, A)
+    out["max_rank"] = _guarded(max_rank, A, lim.stars)
     out["line_cover"] = line_cover_number(A)
     out["row_min_rank"] = _guarded(row_min_rank, A, lim.subset_rows)
     out["col_min_rank"] = _guarded(_completed(A).col_min_rank, lim.subset_rows)

@@ -776,12 +776,13 @@ def opt_exact(
     ratio bound (_ratio_bound), and the coset bound 2^(n - dim U) of a
     subspace U whose nonzero members all lie in the forbidden set
     (_coset_basis), which meets lin when dim U = min_rank.  The ratio
-    bound is the smaller of Hoffman's bound on the Cayley graph and,
+    bound is the smallest of Hoffman's bound on the Cayley graph and,
     when K holds whole Hamming weight classes W, Delsarte's LP bound on
     codes avoiding the distances W, whose dual is checked exactly before
-    it is used.  On code matrices K is a punctured Hamming ball, and the
+    it is used, and Plotkin's bound on codes of the least distance
+    outside W.  On code matrices K is a punctured Hamming ball, and the
     LP settles codes (5, 3), (6, 3), (7, 3), (8, 3) and others at the
-    root.
+    root, and Plotkin's bound settles (7, 4) and (8, 5).
 
     Otherwise exactly one exact search runs.  Where every row is thin
     and distinct rows are few (_parity_choice_ready), it is a

@@ -11,7 +11,9 @@ from minrank.errors import InternalError, LimitError
 from minrank.gf2 import (
     GF2Matrix,
     _delsarte_check,
+    _delsarte_bound,
     _delsarte_lp,
+    _ratio_bound,
     _star_classes,
     _weight_classes,
     Subspace,
@@ -285,3 +287,28 @@ def test_delsarte_check_refuses_a_tampered_dual():
         with pytest.raises(InternalError):
             _delsarte_check(n, W, (-1,) + y[1:], D)
     assert lowered >= 8
+
+
+def ball_bitmap(n, r):
+    # the vectors of weight 1..r
+    return sum(cls for w, cls in enumerate(_weight_classes(n)) if 1 <= w <= r)
+
+
+def test_plotkin_bound_meets_a_n_d_where_it_is_tight():
+    # A(n, d) from MacWilliams and Sloane's table: Plotkin's bound is the
+    # ratio bound here.  Delsarte's LP alone is looser on (7, 5), (8, 6)
+    # and (12, 7); on (12, 7), an odd d, only the bound of length n + 1
+    # and distance d + 1 is tight
+    cases = ((7, 5), 2), ((8, 6), 2), ((9, 5), 6), ((11, 7), 4), ((12, 7), 4)
+    for (n, d), want in cases:
+        assert _ratio_bound(ball_bitmap(n, d - 1), n) == want, (n, d)
+        assert _delsarte_bound(n, punctured_ball(d - 1)) >= want
+    lp = [_delsarte_bound(n, punctured_ball(d - 1)) for n, d in ((7, 5), (8, 6), (12, 7))]
+    assert lp == [3, 3, 5]
+
+
+def test_plotkin_bound_past_the_length_leaves_one_vector():
+    # K holds every nonzero vector, so d = n + 1 and every solution is a
+    # single vector; Plotkin's bound is not used there
+    for n in range(1, 9):
+        assert _ratio_bound((1 << (1 << n)) - 2, n) == 1

@@ -147,6 +147,84 @@ def test_star_matching_is_a_valid_matching():
             assert (A.stars[i] >> j) & 1
 
 
+def per_bit_columns(rows, n):
+    # column j of the rows, bit by bit
+    return tuple(sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(n))
+
+
+def per_row_star_matching(A):
+    # the augmenting-path matching with a try from every row
+    match_col = {}
+
+    def try_row(i, seen):
+        for j in range(A.n):
+            if (A.stars[i] >> j) & 1 and j not in seen:
+                seen.add(j)
+                if j not in match_col or try_row(match_col[j], seen):
+                    match_col[j] = i
+                    return True
+        return False
+
+    for i in range(A.m):
+        try_row(i, set())
+    return tuple(sorted((i, j) for j, i in match_col.items()))
+
+
+def per_row_forbidden_bitmap(rows, n):
+    # row by row, the vanishing bitmap of the stars ANDed with the parity
+    # bitmap of the ones
+    bm = 0
+    for a, s in rows:
+        if a:
+            bm |= gf2._vanishes_bitmap(s, n) & gf2._parity_bitmap(a, n)
+    return bm
+
+
+def shape_cases(rng, tall_matrix):
+    """Seeded matrices with no rows, one row, wide, square and tall
+    shapes, some with rows drawn from a few star sets, and the tall
+    fixture."""
+    cases = [PartialMatrix(n, (), ()) for n in (1, 5)]
+    cases += [random_matrix(rng, 1, n) for n in (1, 4, 9)]
+    for _ in range(40):
+        cases.append(random_matrix(rng, rng.randint(2, 5), rng.randint(6, 12)))
+        cases.append(star_heavy_matrix(rng, rng.randint(15, 60), rng.randint(3, 9), 0.3))
+    for _ in range(20):
+        n = rng.randint(3, 8)
+        pool = [rng.getrandbits(n) for _ in range(3)]
+        rows = [(rng.getrandbits(n), rng.choice(pool)) for _ in range(rng.randint(4, 40))]
+        cases.append(PartialMatrix(n, tuple(a & ~s for a, s in rows), tuple(s for _, s in rows)))
+    return cases + [tall_matrix]
+
+
+def test_transpose_by_column_slices_matches_the_per_bit_reference(tall_matrix):
+    for A in shape_cases(random.Random(29), tall_matrix):
+        T = A.transpose()
+        assert T == PartialMatrix(
+            max(A.m, 1), per_bit_columns(A.ones, A.n), per_bit_columns(A.stars, A.n)
+        )
+        M = GF2Matrix(A.n, A.ones)
+        assert M.transpose() == GF2Matrix(max(A.m, 1), per_bit_columns(A.ones, A.n))
+
+
+def test_saturating_star_matching_is_the_per_row_matching(tall_matrix):
+    saturated_early = 0
+    for A in shape_cases(random.Random(31), tall_matrix):
+        got = star_matching(A)
+        assert got == per_row_star_matching(A)
+        columns = 0
+        for s in A.stars:
+            columns |= s
+        saturated_early += bool(got) and len(got) == columns.bit_count() and got[-1][0] < A.m - 1
+    assert saturated_early > 40
+
+
+def test_one_doubling_pass_per_row_matches_the_vanish_and_parity_bitmap(tall_matrix):
+    for A in shape_cases(random.Random(37), tall_matrix):
+        rows = list(zip(A.ones, A.stars))
+        assert partial._forbidden_bitmap(rows, A.n) == per_row_forbidden_bitmap(rows, A.n)
+
+
 def brute_cover(A):
     lines = [("r", i) for i in range(A.m)] + [("c", j) for j in range(A.n)]
     stars = [

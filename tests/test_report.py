@@ -60,6 +60,16 @@ def test_report_marks_skipped_fields():
     assert rep["min_rank"] == 2  # unaffected fields still computed
 
 
+def test_report_passes_its_star_limit_to_max_rank():
+    # 14 x 14 with 3 stars: past the line-cover scan's 13 rows and 13
+    # columns, so max_rank enumerates the 8 completions, up to the
+    # configured number of stars
+    A = PartialMatrix(14, tuple(1 << i for i in range(14)), (2, 4, 8) + (0,) * 11)
+    assert report(A)["max_rank"] == 14
+    assert report(A, ToolConfig(limits=replace(LIMITS, stars=2)))["max_rank"] == "skipped: limit"
+    assert report(A, ToolConfig(limits=replace(LIMITS, stars=3)))["max_rank"] == 14
+
+
 def test_report_reads_col_min_rank_from_the_completion(monkeypatch, forget):
     calls = []
     real = partial.col_min_rank

@@ -16,6 +16,7 @@ from minrank.gf2 import (
     _delsarte_bound,
     _half_mask,
     _parity_bitmap,
+    _weight_classes,
     dot,
     kernel,
 )
@@ -434,6 +435,55 @@ def test_delsarte_floor_is_the_min_rank_of_every_code():
             assert floor == min_rank(A) == separating_min_rank(A), (n, r)
     for n in range(9, 13):
         assert n + 1 - _delsarte_bound(n, 0b1110).bit_length() == 5
+
+
+def _plotkin(n, d):
+    # Plotkin's bound on A(n, d), or None where it does not apply
+    if d & 1:
+        n, d = n + 1, d + 1
+    return 2 * (d // (2 * d - n)) if 2 * d > n else None
+
+
+def test_plotkin_bound_is_admissible():
+    # code (n, r) rows and a few seeded random rows: K holds the weights
+    # 1..r and maybe more, so W holds 1..d - 1 for some d > r, and opt
+    # is at most the ratio bound, which is at most Plotkin's bound on d;
+    # at n = 7 and 8 Plotkin's bound can be below Delsarte's LP
+    rng = random.Random(107)
+    checked = active = below_lp = 0
+    while checked < 80:
+        n = rng.randint(4, 8)
+        r = rng.randint(max(2, n - 3), n - 1)
+        code = code_matrix(CodeMatrixSpec(n, r))
+        extra = random_matrix(rng, rng.randint(0, 3), n)
+        A = PartialMatrix(n, code.ones + extra.ones, code.stars + extra.stars)
+        K = forbidden_set(A).bitmap
+        d = 1
+        while d <= n and all((K >> x) & 1 for x in range(1 << n) if x.bit_count() == d):
+            d += 1
+        plotkin = _plotkin(n, d) if d <= n else None
+        if plotkin is None:
+            continue
+        opt = _max_independent(((1 << (1 << n)) - 1) & ~K, K, n)
+        assert opt <= _ratio_bound(K, n) <= plotkin, (n, r, d)
+        checked += 1
+        active += _ratio_bound(K, n) == plotkin == opt
+        W = sum(1 << w for w, cls in enumerate(_weight_classes(n)) if w and K & cls == cls)
+        below_lp += plotkin < _delsarte_bound(n, W)
+    assert active > 40 and below_lp > 5
+
+
+def test_opt_exact_builds_no_engine_on_the_codes_up_to_n_8(built_engines):
+    # the column, ratio and coset certificates settle every code (n, r)
+    # with n <= 8 but (8, 2), whose search no certificate closes
+    for n in range(2, 9):
+        for r in range(1, n):
+            if (n, r) == (8, 2):
+                continue
+            A = code_matrix(CodeMatrixSpec(n, r))
+            built_engines.clear()
+            opt_exact(A)
+            assert built_engines == [], (n, r)
 
 
 def _shuffled_codes(rng, max_n, shuffles):
