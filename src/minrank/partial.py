@@ -469,10 +469,10 @@ def _orthogonal_completion(rows, n: int, V: tuple[int, ...]) -> list[int]:
 # 5.6 s (2-core x86 box, Python 3.11).
 _KERNEL_SIDE_N = 12
 
-# The first slice of both parity engines of opt_exact, in ticks; it
-# doubles every round.  opt_exact's row-subset check also gives each row
-# this many ticks, and min_rank_completion's race caps its first slice
-# at it.
+# The first slice of opt_exact's engines, vertex or parity, and of its
+# relaxed parity engine, in ticks; it doubles every round.  opt_exact's
+# row-subset check also gives each row this many ticks, and
+# min_rank_completion's race caps its first slice at it.
 # A first slice of 256 parity-engine ticks takes 3 to 42 ms on the
 # parity-ready 4x8, 5x10 and 6x12 items of `minrank search --seed 0`
 # that reach it (2-core x86 box, Python 3.11), so a relaxed search that

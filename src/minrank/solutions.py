@@ -26,7 +26,6 @@ from .gf2 import (
     GF2Matrix,
     Subspace,
     _bits,
-    _half_mask,
     _parity_bitmap,
     _ratio_bound,
     _star_classes,
@@ -34,7 +33,6 @@ from .gf2 import (
     kernel,
     min_weight_nonzero,
     orthogonal_complement,
-    rref,
     xor_translate,
 )
 from .partial import (
@@ -237,7 +235,8 @@ class _Engine:
     incumbent() returns (best, sorted members).
 
     Each engine searches on an explicit stack and pauses as a
-    partial._Decider does; run() searches to the end."""
+    partial._Decider does.  opt_exact runs either engine in slices
+    (_sliced_search); run() searches to the end in one call."""
 
     def __init__(self, A: PartialMatrix, K: int, deadline: float | None):
         self.A = A
@@ -270,17 +269,11 @@ class _OptSearch(_Engine):
     Vertex 0 is fixed into the solution (solutions translate, so some
     optimum contains 0).  Candidates are kept as an occupancy bitmap;
     choosing x deletes the translate x ^ K from the candidates.  The
-    basic bound |chosen| + |candidates| is strengthened by two
-    admissible relaxations:
-
-    * star-set bound: members in one class of a star set S (equal on S)
-      agree on their parity against every row with stars S.  Where the
-      ones of the rows sharing S span all coordinates outside S, a class
-      holds at most one member, so the entry is the number of S-classes
-      touched, counted by folding;
-    * coset bound: U, the subspace that opt_exact's coset certificate
-      found (_coset_basis), has every nonzero member in K, so every
-      U-coset is a clique and candidates allow one pick per coset.
+    basic bound |chosen| + |candidates| is strengthened by one
+    admissible relaxation, the coset bound: U, the subspace that
+    opt_exact's coset certificate found (_coset_basis), has every
+    nonzero member in K, so every U-coset is a clique and candidates
+    allow one pick per coset.
 
     All tie-breaking is by ascending vector index, so the search and its
     witness are deterministic.
@@ -290,61 +283,21 @@ class _OptSearch(_Engine):
         super().__init__(A, K, deadline)
         self.chosen: list[int] = [0]
         self.coset_basis = U
-        self._prepare_row_bounds()
 
-    # -- setup ------------------------------------------------------------
-
-    def _prepare_row_bounds(self):
-        # Two members equal on a star set S differ by a vector vanishing
-        # on S, so they agree on <a, x> for every row with stars S.  Where
-        # those rows' ones span every coordinate outside S, an S-class
-        # holds at most one member, so the entry counts the S-classes cand
-        # touches: fold out the other coordinates, highest first so the
-        # bitmap shrinks.
-        n = self.n
-        groups: dict[int, list[int]] = {}
-        for a, s in zip(self.A.ones, self.A.stars):
-            if 0 < s.bit_count() <= 8 and a & ~s:
-                groups.setdefault(s, []).append(a & ~s)
-        self.fold_entries = [
-            [(1 << j, _half_mask(n, j)) for j in reversed(range(n)) if not (s >> j) & 1]
-            for s, ones in groups.items()
-            if s.bit_count() + len(rref(ones)) == n
-        ]
-
-    # -- bounds -----------------------------------------------------------
-
-    def _strong_bound(self, cand: int, needed: int) -> int:
-        """An upper bound on the independent vertices inside cand.
-
-        Stops early once some bound drops below `needed`, since the
-        caller only uses the value to prune.
-        """
-        bound = cand.bit_count()
-        for fold in self.fold_entries:
-            touched = cand
-            for shift, zero in fold:
-                touched = (touched | touched >> shift) & zero
-            b = touched.bit_count()
-            if b < bound:
-                bound = b
-                if bound < needed:
-                    return bound
-        if self.coset_basis:
-            touched = cand
-            for u in self.coset_basis:
-                touched |= xor_translate(touched, u, self.n)
-            b = touched.bit_count() >> len(self.coset_basis)
-            if b < bound:
-                bound = b
-        return bound
+    def _coset_bound(self, cand: int) -> int:
+        """The number of U-cosets that cand touches, an upper bound on
+        the independent vertices inside cand."""
+        touched = cand
+        for u in self.coset_basis:
+            touched |= xor_translate(touched, u, self.n)
+        return touched.bit_count() >> len(self.coset_basis)
 
     # -- search -----------------------------------------------------------
 
     def resume(self, stop: int | None) -> bool:
         # A frame is one node: (cand, count, added, stale, stale_at, low).
         # `added` counts the conflict-free vertices it took, `stale` is its
-        # last strong bound, taken at stale_at candidates, and `low` is -1
+        # last coset bound, taken at stale_at candidates, and `low` is -1
         # until the node is entered, which takes its tick, then the bit of
         # the vertex that its open branch took.
         stack = self._stack
@@ -368,7 +321,7 @@ class _OptSearch(_Engine):
                 if count + ub <= self.best:
                     break
                 if stale is None or pc <= stale_at - 8:
-                    stale = self._strong_bound(cand, self.best - count)
+                    stale = self._coset_bound(cand)
                     stale_at = pc
                     if count + min(pc, stale) <= self.best:
                         break
@@ -784,21 +737,23 @@ def opt_exact(
     LP settles codes (5, 3), (6, 3), (7, 3), (8, 3) and others at the
     root, and Plotkin's bound settles (7, 4) and (8, 5).
 
-    Otherwise exactly one exact search runs.  Where every row is thin
-    and distinct rows are few (_parity_choice_ready), it is a
-    parity-choice search (_ParityChoiceSearch), in slices of ticks that
-    double every round (_parity_then_relaxed); elsewhere it is branch
-    and bound over independent sets of the Cayley graph generated by the
-    forbidden set (_OptSearch), which takes U for its coset bound.
-    Slices are counted in ticks, never in time, so the value and the
-    witness do not depend on the host.  The engines adopt only strictly
-    larger sets than the warm start, so the witness is the same kernel
-    whenever opt = lin.  A search witness is verified before it is
-    returned, whatever its size.  The parity search finishes its last
-    two rows together, skipping a finish that either row's own sum rules
-    out and closing most others at their root with the roof-duality
-    bound, one max-flow; the few that pass their root branch on one
-    pattern class at a time, each node bounded the same way.
+    Otherwise exactly one exact search runs, in slices of ticks that
+    double every round (_sliced_search).  Where every row is thin and
+    distinct rows are few (_parity_choice_ready), it is a parity-choice
+    search (_ParityChoiceSearch); elsewhere it is branch and bound over
+    independent sets of the Cayley graph generated by the forbidden set
+    (_OptSearch), which takes U for its coset bound.  Either stops when
+    it exhausts, or when its incumbent reaches the smallest of the three
+    root bounds, which proves it optimal.  Slices are counted in ticks,
+    never in time, so the value and the witness do not depend on the
+    host.  The engines adopt only strictly larger sets than the warm
+    start, so the witness is the same kernel whenever opt = lin.  A
+    search witness is verified before it is returned, whatever its
+    size.  The parity search finishes its last two rows together,
+    skipping a finish that either row's own sum rules out and closing
+    most others at their root with the roof-duality bound, one
+    max-flow; the few that pass their root branch on one pattern class
+    at a time, each node bounded the same way.
 
     When A has three distinct rows or more, a second parity search may
     take a turn after each slice, twice as long as that slice: on A
@@ -841,36 +796,41 @@ def opt_exact(
     return cnt << len(dropped), SolutionSet.of(members, A.n)
 
 
-def _parity_then_relaxed(
-    parity: _Engine, relaxed: _Engine | None, lin: int
+def _sliced_search(
+    engine: _Engine, relaxed: _Engine | None, lin: int, ceiling: int
 ) -> tuple[int, list[int]]:
-    """Run the parity engine in slices of ticks that start at
-    _FIRST_SLICE and double every round, until it exhausts its search.
-    It is exact, so its incumbent is then the value and the witness.
+    """Run the engine in slices of ticks that start at _FIRST_SLICE and
+    double every round, until it exhausts its search or its incumbent
+    reaches `ceiling`, the smallest upper bound certified at the root.
+    Either way its incumbent is then the value and the witness: the
+    engine adopts only strictly larger sets, so an exhausted search
+    would have returned the same one.  Code (9, 4), where Plotkin's
+    bound gives 6 = A(9, 5), stops after the vertex search's first
+    slice instead of 62,350 ticks.
 
     `relaxed`, when given, searches a matrix made of some of A's rows
     (_row_subset), whose optimum is at least A's.  It takes a turn after
-    each parity slice, as long as the parity engine's next slice (256
+    each slice of the engine, as long as the engine's next slice (256
     parity ticks, 512 relaxed, 512 parity, 1,024 relaxed, ...), while
-    both its incumbent and the parity engine's are still lin.  So an
-    item the parity engine settles in its first slice costs what it
-    would cost alone, and a relaxation that needs up to twice that
-    settles in its first turn: three rows of the 4x8
-    ***1*111/100**0*1/**011110/11*0***1 (opt = lin = 32) take 439 to
-    455 ticks.  If the relaxed engine exhausts with nothing above lin,
-    opt(A) <= lin, so the parity incumbent, which is still the warm
-    start, is the witness.  It is dropped once its incumbent passes lin
-    or it exhausts above lin, and its incumbent never reaches the parity
-    engine: it need not be a solution of A."""
+    both its incumbent and the engine's are still lin.  So an item the
+    engine settles in its first slice costs what it would cost alone,
+    and a relaxation that needs up to twice that settles in its first
+    turn: three rows of the 4x8 ***1*111/100**0*1/**011110/11*0***1
+    (opt = lin = 32) take 439 to 455 ticks.  If the relaxed engine
+    exhausts with nothing above lin, opt(A) <= lin, so the engine's
+    incumbent, which is still the warm start, is the witness.  It is
+    dropped once its incumbent passes lin or it exhausts above lin, and
+    its incumbent never reaches the engine: it need not be a solution
+    of A."""
     size = _FIRST_SLICE
     while True:
-        if parity.resume(parity.clock.ticks + size):
-            return parity.incumbent()
+        if engine.resume(engine.clock.ticks + size) or engine.best >= ceiling:
+            return engine.incumbent()
         size *= 2
-        if relaxed is not None and parity.best == lin:
+        if relaxed is not None and engine.best == lin:
             done = relaxed.resume(relaxed.clock.ticks + size)
             if done and relaxed.best == lin:
-                return parity.incumbent()
+                return engine.incumbent()
             if done or relaxed.best > lin:
                 relaxed = None
 
@@ -916,25 +876,27 @@ def _opt_core(rec: _Completed, deadline: float | None) -> tuple[int, SolutionSet
         raise InternalError("kernel of a completion intersects the forbidden set")
 
     # root certificates: a subspace avoiding K is a solution, so a bound
-    # meeting its size proves it optimal
+    # meeting its size proves it optimal.  The column bound, the ratio
+    # bound and the coset bound are tried in turn, and the smallest is
+    # the search's ceiling.
     lin = 1 << (A.n - r)
-    if rec.col_min_rank(A.n) == r or (rec.ratio or _ratio_bound(K, A.n)) == lin:
-        return lin, SolutionSet.of(V.vectors(), A.n)
-    U = _coset_basis(K, A.n, r, deadline)
-    if len(U) == r:
+    ceiling = 1 << (A.n - rec.col_min_rank(A.n))
+    if ceiling > lin:
+        ceiling = min(ceiling, rec.ratio or _ratio_bound(K, A.n))
+    U = _coset_basis(K, A.n, r, deadline) if ceiling > lin else ()
+    ceiling = min(ceiling, 1 << (A.n - len(U)))
+    if ceiling == lin:
         return lin, SolutionSet.of(V.vectors(), A.n)
 
     if _parity_choice_ready(A):
-        parity = _ParityChoiceSearch(A, K, deadline)
-        parity.seed(V.vectors())
+        engine = _ParityChoiceSearch(A, K, deadline)
         relaxed = _row_subset(A, r, deadline)
-        if relaxed is not None:
-            relaxed.seed(V.vectors())
-        best, members = _parity_then_relaxed(parity, relaxed, lin)
     else:
-        vertex = _OptSearch(A, K, U, deadline)
-        vertex.seed(V.vectors())
-        best, members = vertex.run()
+        engine, relaxed = _OptSearch(A, K, U, deadline), None
+    for search in (engine, relaxed):
+        if search is not None:
+            search.seed(V.vectors())
+    best, members = _sliced_search(engine, relaxed, lin, ceiling)
 
     if len(members) != best:
         raise InternalError("witness size disagrees with the optimum")

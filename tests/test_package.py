@@ -81,3 +81,38 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_every_private_definition_is_referenced():
+    # a private function, class, method or constant that nothing in the
+    # package refers to is left over from a deleted path
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(minrank.__file__).parent.glob("*.py"))
+    }
+    # an assignment is not a reference
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.attr)
+    unreferenced = []
+    for name, tree in trees.items():
+        for top in tree.body:
+            for node in [top] + (top.body if isinstance(top, ast.ClassDef) else []):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined = [node.name]
+                elif isinstance(node, ast.Assign):
+                    defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    defined = [node.target.id]
+                else:
+                    continue
+                unreferenced += [
+                    f"{name}:{node.lineno} {d}"
+                    for d in defined
+                    if d.startswith("_") and not d.startswith("__") and d not in referenced
+                ]
+    assert unreferenced == []

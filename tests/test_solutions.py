@@ -328,9 +328,10 @@ def test_conjecture_epsilon_flagship():
 
 
 class _RowBoundSearch(_OptSearch):
-    """_OptSearch with the bound it had before rows were grouped by star
-    set: one entry per distinct row, and the coset bound over every
-    member of U.  The oracle for the star-set bound."""
+    """_OptSearch with a bound that takes one entry per distinct row
+    besides the coset bound, which it takes over every member of U.
+    Both bounds are admissible, so both searches must find the same
+    incumbents: the oracle for _OptSearch's answers and witnesses."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -338,8 +339,6 @@ class _RowBoundSearch(_OptSearch):
         for u in self.coset_basis:
             span += [u ^ v for v in span]
         self.coset_U = span if len(span) > 1 else None
-
-    def _prepare_row_bounds(self):
         rows = []
         seen = set()
         for a, s in zip(self.A.ones, self.A.stars):
@@ -357,7 +356,7 @@ class _RowBoundSearch(_OptSearch):
         rows.sort(key=lambda e: len(e[1]))
         self.bound_rows = rows
 
-    def _strong_bound(self, cand, needed):
+    def _coset_bound(self, cand):
         bound = cand.bit_count()
         for parity, classes in self.bound_rows:
             total = 0
@@ -371,8 +370,6 @@ class _RowBoundSearch(_OptSearch):
                     break
             if total < bound:
                 bound = total
-                if bound < needed:
-                    return bound
         if self.coset_U is not None:
             touched = cand
             for t in self.coset_U[1:]:
@@ -486,6 +483,26 @@ def test_opt_exact_builds_no_engine_on_the_codes_up_to_n_8(built_engines):
             assert built_engines == [], (n, r)
 
 
+def test_the_vertex_engine_stops_at_the_root_ceiling(built_engines):
+    # codes (9, 4) and (10, 5): Plotkin's bound gives 6 = A(9, 5) =
+    # A(10, 6) at the root, against lin 4.  The vertex search finds a
+    # 6-word code within its first slice and stops there, with the
+    # witness that its exhausted search returns after 62,350 and 61,202
+    # ticks
+    for n, r, witness in (
+        (9, 4, [0, 31, 227, 364, 437, 474]),
+        (10, 5, [0, 63, 455, 729, 874, 948]),
+    ):
+        A = code_matrix(CodeMatrixSpec(n, r))
+        assert _ratio_bound(forbidden_set(A).bitmap, n) == 6 and lin_exact(A) == 4
+        built_engines.clear()
+        value, sol = opt_exact(A)
+        assert (value, sol.sorted_members()) == (6, witness)
+        [vertex] = built_engines
+        assert isinstance(vertex, _OptSearch) and vertex._stack
+        assert vertex.clock.ticks <= solutions._FIRST_SLICE
+
+
 def _shuffled_codes(rng, max_n, shuffles):
     out = []
     for n in range(2, max_n + 1):
@@ -502,43 +519,38 @@ def _shuffled_codes(rng, max_n, shuffles):
     return out
 
 
-def test_star_set_bound_is_admissible():
+def test_coset_bound_is_admissible():
     rng = random.Random(61)
     cases = [random_matrix(rng, rng.randint(1, 8), rng.randint(2, 5)) for _ in range(150)]
-    # rows drawn from two star sets, so groups hold several rows
+    # rows drawn from two star sets, so that star sets hold several rows
     for _ in range(60):
         n = rng.randint(3, 5)
         pool = [rng.getrandbits(n) for _ in range(2)]
         rows = [(rng.getrandbits(n), rng.choice(pool)) for _ in range(rng.randint(2, 7))]
         cases.append(PartialMatrix(n, tuple(a & ~s for a, s in rows), tuple(s for _, s in rows)))
     cases += _shuffled_codes(rng, 6, 1)
-    folded = 0
+    cosets = 0
     for A in cases:
         K = forbidden_set(A).bitmap
         new = _OptSearch(A, K, _coset_basis(K, A.n, min_rank(A)), None)
-        folded += bool(new.fold_entries)
+        cosets += bool(new.coset_basis)
         free = ((1 << (1 << A.n)) - 1) & ~K & ~1
         for _ in range(6):
             cand = free & rng.getrandbits(1 << A.n)
             if cand.bit_count() > 22:
                 # keep the brute force small on the wider code matrices
                 cand = sum(1 << x for x in rng.sample(list(_bits(cand)), 22))
-            assert new._strong_bound(cand, 0) >= _max_independent(cand, K, A.n)
-    assert folded > 20
+            assert new._coset_bound(cand) >= _max_independent(cand, K, A.n)
+    assert cosets > 200
 
 
-def _opt_with(monkeypatch, engine, A):
-    ticks = []
-
-    class Counted(engine):
-        def run(self):
-            try:
-                return super().run()
-            finally:
-                ticks.append(self.clock.ticks)
-
-    monkeypatch.setattr(solutions, "_OptSearch", Counted)
+def _opt_with(monkeypatch, built_engines, engine, A):
+    # opt_exact with `engine` as its vertex search, and the ticks of each
+    # vertex search it built
+    monkeypatch.setattr(solutions, "_OptSearch", engine)
+    built_engines.clear()
     value, sol = opt_exact(A)
+    ticks = [e.clock.ticks for e in built_engines if isinstance(e, engine)]
     return value, sol.sorted_members(), ticks
 
 
@@ -562,7 +574,7 @@ def _reaches_the_vertex_engine(A):
     return len(_coset_basis(forbidden_set(A).bitmap, A.n, r)) != r
 
 
-def test_star_set_bound_keeps_every_answer_and_witness(monkeypatch, built_engines):
+def test_coset_bound_keeps_every_answer_and_witness(monkeypatch, built_engines):
     rng = random.Random(71)
     cases = _shuffled_codes(rng, 7, 2)
     cases += [random_matrix(rng, rng.randint(3, 10), rng.randint(4, 7)) for _ in range(200)]
@@ -574,10 +586,9 @@ def test_star_set_bound_keeps_every_answer_and_witness(monkeypatch, built_engine
         if _reaches_search(A):
             tall.append(A)
     for A in cases + tall:
-        new = _opt_with(monkeypatch, _OptSearch, A)
-        old = _opt_with(monkeypatch, _RowBoundSearch, A)
+        new = _opt_with(monkeypatch, built_engines, _OptSearch, A)
+        old = _opt_with(monkeypatch, built_engines, _RowBoundSearch, A)
         assert new[:2] == old[:2]
-        assert sum(new[2]) <= sum(old[2])
     # and these reach the vertex engine itself
     searched = []
     while len(searched) < 60:
@@ -585,8 +596,8 @@ def test_star_set_bound_keeps_every_answer_and_witness(monkeypatch, built_engine
         if _reaches_the_vertex_engine(A):
             searched.append(A)
     for A in searched:
-        new = _opt_with(monkeypatch, _OptSearch, A)
-        old = _opt_with(monkeypatch, _RowBoundSearch, A)
+        new = _opt_with(monkeypatch, built_engines, _OptSearch, A)
+        old = _opt_with(monkeypatch, built_engines, _RowBoundSearch, A)
         assert new[:2] == old[:2]
         assert len(new[2]) == len(old[2]) == 1
     # code (7, 3): Delsarte's LP settles it at the root, so no engine is
@@ -597,7 +608,7 @@ def test_star_set_bound_keeps_every_answer_and_witness(monkeypatch, built_engine
     r, W = min_rank_completion(A)
     K = forbidden_set(A).bitmap
     U = _coset_basis(K, A.n, r)
-    for engine, ticks in ((_RowBoundSearch, 720), (_OptSearch, 489)):
+    for engine, ticks in ((_RowBoundSearch, 720), (_OptSearch, 768)):
         search = engine(A, K, U, None)
         search.seed(kernel(W).vectors())
         assert search.run()[0] == 8 and search.clock.ticks == ticks
