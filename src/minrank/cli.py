@@ -39,6 +39,11 @@ def _config(args) -> ToolConfig:
     )
 
 
+def _print_vectors(vectors, n: int):
+    for x in vectors:
+        print(vec_text(x, n))
+
+
 def _deadline(args) -> float | None:
     ms = getattr(args, "timeout_ms", None)
     return None if ms is None else time.monotonic() + ms / 1000.0
@@ -59,8 +64,7 @@ def cmd_minrank(args) -> int:
     r, W = min_rank_completion(A, _deadline(args))
     print(f"min_rank: {r}")
     print("completion:")
-    for row in W.rows:
-        print(vec_text(row, A.n))
+    _print_vectors(W.rows, A.n)
     return 0
 
 
@@ -70,8 +74,7 @@ def cmd_opt(args) -> int:
     value, sol = opt_exact(A, limit_n=cfg.limits.opt_n, deadline=_deadline(args))
     print(f"opt: {value}")
     if args.witness:
-        for x in sol.sorted_members():
-            print(vec_text(x, A.n))
+        _print_vectors(sol.sorted_members(), A.n)
     return 0
 
 
@@ -85,8 +88,7 @@ def cmd_ka(args) -> int:
     A = parse_pmx(_read(args.file))
     F = forbidden_set(A)
     print(f"size: {F.size}")
-    for x in F.vectors():
-        print(vec_text(x, A.n))
+    _print_vectors(F.vectors(), A.n)
     return 0
 
 
@@ -123,21 +125,17 @@ def cmd_circuit(args) -> int:
             return 0
         print("linear: yes")
         print("operator:")
-        for row in M.rows:
-            print(vec_text(row, F.n))
+        _print_vectors(M.rows, F.n)
         return 0
     L = linearize(F)
     print(f"width: {L.width}")
     print(f"degree: {L.degree}")
     print("direct:")
-    for row in L.direct.rows:
-        print(vec_text(row, L.n))
+    _print_vectors(L.direct.rows, L.n)
     print("middle:")
-    for row in L.middle.rows:
-        print(vec_text(row, L.n))
+    _print_vectors(L.middle.rows, L.n)
     print("combine:")
-    for row in L.combine.rows:
-        print(vec_text(row, max(L.middle.m, 1)))
+    _print_vectors(L.combine.rows, max(L.middle.m, 1))
     return 0
 
 

@@ -5,15 +5,19 @@ matrix, marking anything refused by a size limit as skipped instead of
 dropping it.  A search sweeps a matrix shape exhaustively or by seeded
 sampling, appends one JSON record per matrix to a log, and tracks the
 record with the smallest epsilon seen, since a matrix with unusually
-small epsilon is exactly what a counterexample hunt is after.
+small epsilon is exactly what a counterexample hunt is after.  Reports
+and records read min rank, opt and epsilon from one helper,
+_exact_answer, and write the exact witnesses [n, opt, minrk] of epsilon
+through one more, _epsilon_exact.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, fields
+from itertools import combinations_with_replacement, product
 from typing import Iterable, Iterator, TextIO
 
 from .config import VERSION, ToolConfig
@@ -28,7 +32,7 @@ from .partial import (
     min_rank,
     row_min_rank,
 )
-from .pmx import compact, row_text
+from .pmx import compact
 from .solutions import epsilon_of, opt_exact
 
 _SKIPPED = "skipped: limit"
@@ -41,6 +45,20 @@ def _guarded(fn, *args):
         return _SKIPPED
 
 
+def _exact_answer(A: PartialMatrix, cfg: ToolConfig) -> tuple[int, int | None, float | None]:
+    """Min rank, opt (None past the opt_n limit) and epsilon of A."""
+    minrk = min_rank(A)
+    if A.n > cfg.limits.opt_n:
+        return minrk, None, None
+    opt, _ = opt_exact(A, cfg.limits.opt_n)
+    return minrk, opt, epsilon_of(A.n, opt, minrk)
+
+
+def _epsilon_exact(n: int, opt: int | None, minrk: int, eps: float | None) -> list | None:
+    """The exact witnesses [n, opt, minrk] of a defined epsilon, else None."""
+    return [n, opt, minrk] if eps is not None else None
+
+
 def report(A: PartialMatrix, config: ToolConfig | None = None) -> dict:
     """Every per-matrix statistic, in a stable key order.
 
@@ -49,31 +67,23 @@ def report(A: PartialMatrix, config: ToolConfig | None = None) -> dict:
     """
     cfg = config or ToolConfig()
     lim = cfg.limits
+    minrk, opt, eps = _exact_answer(A, cfg)
     out: dict = {
         "n": A.n,
         "m": A.m,
         "star_count": A.star_count,
+        "min_rank": minrk,
+        "max_rank": _guarded(max_rank, A, lim.stars),
+        "line_cover": line_cover_number(A),
+        "row_min_rank": _guarded(row_min_rank, A, lim.subset_rows),
+        "col_min_rank": _guarded(_completed(A).col_min_rank, lim.subset_rows),
+        "star_monotone": is_star_monotone(A),
+        "isolated": isolation(A) is not None,
+        "strongly_isolated": isolation(A, strong=True) is not None,
+        "lin": 1 << (A.n - minrk),
     }
-    minrk = min_rank(A)
-    out["min_rank"] = minrk
-    out["max_rank"] = _guarded(max_rank, A, lim.stars)
-    out["line_cover"] = line_cover_number(A)
-    out["row_min_rank"] = _guarded(row_min_rank, A, lim.subset_rows)
-    out["col_min_rank"] = _guarded(_completed(A).col_min_rank, lim.subset_rows)
-    out["star_monotone"] = is_star_monotone(A)
-    out["isolated"] = isolation(A) is not None
-    out["strongly_isolated"] = isolation(A, strong=True) is not None
-    out["lin"] = 1 << (A.n - minrk)
-    if A.n <= lim.opt_n:
-        opt, _ = opt_exact(A, lim.opt_n)
-        out["opt"] = opt
-        eps = epsilon_of(A.n, opt, minrk)
-        out["epsilon"] = eps
-        out["epsilon_exact"] = [A.n, opt, minrk] if eps is not None else None
-    else:
-        out["opt"] = _SKIPPED
-        out["epsilon"] = _SKIPPED
-        out["epsilon_exact"] = _SKIPPED
+    exact = {"opt": opt, "epsilon": eps, "epsilon_exact": _epsilon_exact(A.n, opt, minrk, eps)}
+    out.update(exact if opt is not None else dict.fromkeys(exact, _SKIPPED))
     return out
 
 
@@ -99,40 +109,15 @@ class SearchRecord:
     version: str
 
     def to_json(self) -> str:
-        body = {
-            "matrix": self.matrix,
-            "n": self.n,
-            "m": self.m,
-            "stars": self.stars,
-            "minrk": self.minrk,
-            "opt": self.opt,
-            "lin": self.lin,
-            "epsilon": self.epsilon,
-            "epsilon_exact": (
-                [self.n, self.opt, self.minrk] if self.epsilon is not None else None
-            ),
-            "flag": self.flag,
-            "seed": self.seed,
-            "version": self.version,
-        }
-        return json.dumps(body, separators=(", ", ": "))
+        body = asdict(self)
+        tail = {k: body.pop(k) for k in ("flag", "seed", "version")}
+        body["epsilon_exact"] = _epsilon_exact(self.n, self.opt, self.minrk, self.epsilon)
+        return json.dumps(body | tail, separators=(", ", ": "))
 
     @classmethod
     def from_json(cls, line: str) -> "SearchRecord":
         d = json.loads(line)
-        return cls(
-            matrix=d["matrix"],
-            n=d["n"],
-            m=d["m"],
-            stars=d["stars"],
-            minrk=d["minrk"],
-            opt=d["opt"],
-            lin=d["lin"],
-            epsilon=d["epsilon"],
-            flag=d["flag"],
-            seed=d["seed"],
-            version=d["version"],
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def evaluate_matrix(
@@ -140,18 +125,8 @@ def evaluate_matrix(
 ) -> SearchRecord:
     """The search record for one matrix."""
     cfg = config or ToolConfig()
-    minrk = min_rank(A)
-    opt: int | None
-    if A.n <= cfg.limits.opt_n:
-        opt, _ = opt_exact(A, cfg.limits.opt_n)
-    else:
-        opt = None
-    eps = epsilon_of(A.n, opt, minrk) if opt is not None else None
-    flag = (
-        "COUNTEREXAMPLE-CANDIDATE"
-        if eps is not None and eps < cfg.epsilon_alarm
-        else None
-    )
+    minrk, opt, eps = _exact_answer(A, cfg)
+    alarm = eps is not None and eps < cfg.epsilon_alarm
     return SearchRecord(
         matrix=compact(A),
         n=A.n,
@@ -161,46 +136,30 @@ def evaluate_matrix(
         opt=opt,
         lin=1 << (A.n - minrk),
         epsilon=eps,
-        flag=flag,
+        flag="COUNTEREXAMPLE-CANDIDATE" if alarm else None,
         seed=cfg.seed,
         version=VERSION,
     )
 
 
-def _all_rows(n: int) -> Iterator[tuple[int, int]]:
-    """Every (ones, stars) row over n columns, in .pmx lexicographic order."""
-    order = "01*"
-
-    def go(j: int, a: int, s: int):
-        if j == n:
-            yield (a, s)
-            return
-        for ch in order:
-            yield from go(
-                j + 1,
-                a | ((1 << j) if ch == "1" else 0),
-                s | ((1 << j) if ch == "*" else 0),
-            )
-
-    yield from go(0, 0, 0)
-
-
 def _exhaustive_matrices(m: int, n: int) -> Iterator[PartialMatrix]:
     """All m x n matrices up to row order, canonical representative each.
 
-    The canonical form sorts rows by their .pmx text, so enumerating
-    sorted row multisets yields exactly one matrix per class.
+    The canonical form sorts rows by their .pmx text.  In ASCII
+    "*" < "0" < "1", so product("*01") draws the rows in that text
+    order, and their sorted multisets give exactly one matrix per class,
+    in ascending text of the whole matrix.
     """
-    rows = list(_all_rows(n))
-    keyed = sorted(range(len(rows)), key=lambda i: _row_key(rows[i], n))
-    for pick in combinations_with_replacement(keyed, m):
-        ones = tuple(rows[i][0] for i in pick)
-        stars = tuple(rows[i][1] for i in pick)
+    rows = [
+        (
+            sum(1 << j for j, ch in enumerate(text) if ch == "1"),
+            sum(1 << j for j, ch in enumerate(text) if ch == "*"),
+        )
+        for text in product("*01", repeat=n)
+    ]
+    for pick in combinations_with_replacement(rows, m):
+        ones, stars = zip(*pick)
         yield PartialMatrix(n, ones, stars)
-
-
-def _row_key(row: tuple[int, int], n: int) -> str:
-    return row_text(row[0], row[1], n)
 
 
 def _random_matrices(
@@ -255,20 +214,13 @@ def search(
     else:
         raise ValueError(f"unknown search mode {mode!r}")
 
-    sink = log
-    opened = None
-    if sink is None and cfg.out is not None:
-        opened = open(cfg.out, "a", encoding="utf-8")
-        sink = opened
-    try:
+    opens = log is None and cfg.out is not None
+    with open(cfg.out, "a", encoding="utf-8") if opens else nullcontext(log) as sink:
         for A in matrices:
             rec = evaluate_matrix(A, cfg)
             if sink is not None:
                 sink.write(rec.to_json() + "\n")
             yield rec
-    finally:
-        if opened is not None:
-            opened.close()
 
 
 def best_epsilon(records: Iterable[SearchRecord]) -> SearchRecord | None:

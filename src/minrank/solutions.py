@@ -682,19 +682,29 @@ def _coset_basis(K: int, n: int, r: int, deadline: float | None = None) -> tuple
     Every coset of U is a clique of the Cayley graph, so a solution picks
     at most one vector per coset: opt <= 2^(n - dim U).  U meets the
     kernel of a min-rank completion only in 0, so dim U <= r, and dim U
-    = r proves opt = lin.  Such a U avoids the rest of GF(2)^n, so the
-    kernel-side search _KernelSide finds it, one dimension higher at a
-    time up to r, until none exists.  Its ticks are capped at
-    _SUBSPACE_WORK // (2^n + 4096), and the deadline holds; any subspace
-    found is a valid bound.
+    = r proves opt = lin.  Such a U avoids the rest of GF(2)^n, so
+    _ascending_subspace finds it, up to dimension r.  Its ticks are
+    capped at _SUBSPACE_WORK // (2^n + 4096), and the deadline holds;
+    any subspace found is a valid bound.
+    """
+    rest = ((1 << (1 << n)) - 1) & ~K & ~1
+    return _ascending_subspace(rest, n, r, deadline, _SUBSPACE_WORK // ((1 << n) + 4096))
+
+
+def _ascending_subspace(
+    K: int, n: int, top: int, deadline: float | None = None, cap: int | None = None
+) -> tuple[int, ...]:
+    """A basis of the largest subspace of dimension at most `top` with
+    no member in K: _KernelSide at dimension 1, 2, ... until none exists,
+    since a subspace avoiding K has subspaces of every lower dimension
+    that do too.  At `cap` ticks, counted over all dimensions, it stops
+    with the last basis found.
     """
     clock = _Deadline(deadline, n)
-    cap = _SUBSPACE_WORK // ((1 << n) + 4096)
-    rest = ((1 << (1 << n)) - 1) & ~K & ~1
     basis: tuple[int, ...] = ()
-    for dim in range(1, r + 1):
+    for dim in range(1, top + 1):
         clock.check_time()
-        search = _KernelSide(rest, n, dim, clock)
+        search = _KernelSide(K, n, dim, clock)
         if not search.resume(cap) or search.found is None:
             break
         basis = search.found
@@ -969,20 +979,12 @@ def lin_exact(A: PartialMatrix, deadline: float | None = None) -> int:
 def separating_min_rank(A: PartialMatrix, limit: int = LIMITS.subspace_n) -> int:
     """n minus the largest dimension of a subspace avoiding the forbidden set.
 
-    The kernel-side search of min_rank_completion (_KernelSide)
-    tries the dimensions in ascending order.  A subspace of one that
-    avoids the set has subspaces of every lower dimension, so the first
-    dimension with none is one past the largest, and only that search
-    has to run to its end.
+    The kernel-side search of min_rank_completion (_KernelSide) tries
+    the dimensions in ascending order (_ascending_subspace).
     """
     if A.n > limit:
         raise LimitError(f"subspace sweep over GF(2)^{A.n} exceeds n <= {limit}")
-    K = _required_bitmap(A)
-    clock = _Deadline(None, A.n)
-    dim = 0
-    while dim < A.n and _KernelSide(K, A.n, dim + 1, clock).run() is not None:
-        dim += 1
-    return A.n - dim
+    return A.n - len(_ascending_subspace(_required_bitmap(A), A.n, A.n))
 
 
 # ---------------------------------------------------------------------------

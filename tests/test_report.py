@@ -1,8 +1,10 @@
 """Unit tests for reports, search records, and the sweep driver."""
 
+import builtins
 import io
 import json
 from dataclasses import replace
+from math import comb
 
 import pytest
 
@@ -129,6 +131,81 @@ def test_search_record_round_trip_and_invariants():
     back = SearchRecord.from_json(rec.to_json())
     assert back == rec
     assert json.loads(rec.to_json())["epsilon_exact"] == [6, 16, 2]
+
+
+# to_json bytes on the cases the committed sweep lines miss: opt past
+# opt_n, min rank 0, and a flagged record
+RECORD_LINES = [
+    (
+        A1,
+        ToolConfig(seed=4, limits=replace(LIMITS, opt_n=5)),
+        '{"matrix": "10*0*1/*111**/0**1**", "n": 6, "m": 3, "stars": 9, "minrk": 2,'
+        ' "opt": null, "lin": 16, "epsilon": null, "epsilon_exact": null,'
+        ' "flag": null, "seed": 4, "version": "0.1.0"}',
+    ),
+    (
+        parse_pmx("**\n**\n"),
+        ToolConfig(seed=2),
+        '{"matrix": "**/**", "n": 2, "m": 2, "stars": 4, "minrk": 0, "opt": 4,'
+        ' "lin": 4, "epsilon": null, "epsilon_exact": null, "flag": null,'
+        ' "seed": 2, "version": "0.1.0"}',
+    ),
+    (
+        A1,
+        ToolConfig(seed=5, epsilon_alarm=1.01),
+        '{"matrix": "10*0*1/*111**/0**1**", "n": 6, "m": 3, "stars": 9, "minrk": 2,'
+        ' "opt": 16, "lin": 16, "epsilon": 1.0, "epsilon_exact": [6, 16, 2],'
+        ' "flag": "COUNTEREXAMPLE-CANDIDATE", "seed": 5, "version": "0.1.0"}',
+    ),
+]
+
+
+def test_record_bytes_off_the_sweep_path():
+    for A, cfg, line in RECORD_LINES:
+        rec = evaluate_matrix(A, cfg)
+        assert rec.to_json() == line
+        assert SearchRecord.from_json(line) == rec
+
+
+def test_report_tail_past_opt_n():
+    rep = report(A1, ToolConfig(limits=replace(LIMITS, opt_n=5)))
+    tail = json.dumps(dict(list(rep.items())[-4:]))
+    assert tail == (
+        '{"lin": 16, "opt": "skipped: limit", "epsilon": "skipped: limit",'
+        ' "epsilon_exact": "skipped: limit"}'
+    )
+
+
+def test_exhaustive_search_comes_in_matrix_text_order():
+    # rows of equal length joined by "/", so the text order of the whole
+    # matrix is the order of its row tuples
+    for m, n in [(1, 3), (2, 2), (2, 3), (3, 2)]:
+        texts = [rec.matrix for rec in search(m, n, mode="exhaustive")]
+        assert len(texts) == comb(3**n + m - 1, m)
+        assert all(a < b for a, b in zip(texts, texts[1:]))
+
+
+def test_early_close_keeps_the_log_prefix(tmp_path, monkeypatch):
+    out = tmp_path / "log.jsonl"
+    handles = []
+    real_open = builtins.open
+
+    def spy(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        if str(file) == str(out):
+            handles.append(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", spy)
+    cfg = ToolConfig(seed=3, out=str(out))
+    gen = search(3, 5, mode="random", count=10, config=cfg)
+    assert handles == []  # nothing opens before the first record
+    got = [next(gen) for _ in range(4)]
+    assert len(handles) == 1 and not handles[0].closed
+    gen.close()
+    assert handles[0].closed
+    monkeypatch.undo()
+    assert [SearchRecord.from_json(ln) for ln in out.read_text().splitlines()] == got
 
 
 def test_exhaustive_search_tiny_shape():
