@@ -20,18 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .config import LIMITS
 from .errors import InternalError, LimitError, ParseError
 from .gf2 import GF2Matrix, rank, rref, reduce_vector, solve
 from .partial import PartialMatrix, line_cover_number, min_rank_completion
 
-_MAX_GATE_WIRES = LIMITS.gate_wires
 _MAX_INPUTS = 16
 
 
 def _check_wires(wires: tuple[int, ...], count: int, what: str):
-    if len(wires) > _MAX_GATE_WIRES:
-        raise LimitError(f"{what} reads {len(wires)} wires, over {_MAX_GATE_WIRES}")
+    if len(wires) > 16:
+        raise LimitError(f"{what} reads {len(wires)} wires, over 16")
     if len(set(wires)) != len(wires):
         raise ValueError(f"{what} lists a wire twice")
     for w in wires:
@@ -328,16 +326,14 @@ def metrics(F: Depth2Circuit) -> dict[str, int]:
     return {"width": F.width, "degree": F.degree, "match_size": match}
 
 
-def rigidity(M: GF2Matrix, r: int, flip_cap: int = LIMITS.rigidity_changes) -> int:
+def rigidity(M: GF2Matrix, r: int, flip_cap: int = 8) -> int:
     """Fewest entry flips that bring rank(M) to at most r.
 
     Iterative deepening over flip sets; exact but tiny-scale only.
     """
     cells = M.m * M.n
-    if cells > LIMITS.rigidity_cells:
-        raise LimitError(
-            f"rigidity search over {cells} entries exceeds {LIMITS.rigidity_cells}"
-        )
+    if cells > 25:
+        raise LimitError(f"rigidity search over {cells} entries exceeds 25")
     if rank(M) <= r:
         return 0
     positions = [(i, 1 << j) for i in range(M.m) for j in range(M.n)]

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .config import LIMITS
 from .errors import LimitError
 from .partial import PartialMatrix, row_min_rank
-from .solutions import SolutionSet, forbidden_set
+from .solutions import _BITMAP_N, SolutionSet, _required_bitmap
 
 @dataclass(frozen=True)
 class CodeMatrixSpec:
@@ -50,10 +49,8 @@ def code_matrix(spec: CodeMatrixSpec) -> PartialMatrix:
     all-ones row comes first, then the single-zero rows with the zero
     position ascending.
     """
-    if spec.rows > LIMITS.code_rows:
-        raise LimitError(
-            f"code matrix would have {spec.rows} rows, over {LIMITS.code_rows}"
-        )
+    if spec.rows > 1_000_000:
+        raise LimitError(f"code matrix would have {spec.rows} rows, over 1000000")
     n, r = spec.n, spec.r
     full = (1 << n) - 1
     ones, stars = [], []
@@ -70,7 +67,7 @@ def code_matrix(spec: CodeMatrixSpec) -> PartialMatrix:
     return PartialMatrix(n, tuple(ones), tuple(stars))
 
 
-def ball(n: int, r: int, limit: int = LIMITS.ka_bitmap_n) -> set[int]:
+def ball(n: int, r: int, limit: int = _BITMAP_N) -> set[int]:
     """All vectors in GF(2)^n of Hamming weight at most r."""
     if n > limit:
         raise LimitError(f"ball enumeration over GF(2)^{n} exceeds n <= {limit}")
@@ -88,17 +85,12 @@ def ball(n: int, r: int, limit: int = LIMITS.ka_bitmap_n) -> set[int]:
 
 def verify_ka_is_ball(spec: CodeMatrixSpec) -> bool:
     """Whether the forbidden set of the code matrix is the punctured ball."""
-    if spec.n > LIMITS.ka_bitmap_n:
-        raise LimitError(
-            f"forbidden-set materialization over GF(2)^{spec.n} exceeds"
-            f" n <= {LIMITS.ka_bitmap_n}"
-        )
-    F = forbidden_set(code_matrix(spec))
+    K = _required_bitmap(code_matrix(spec))
     expected = 0
     for v in ball(spec.n, spec.r):
         expected |= 1 << v
     expected &= ~1  # the zero vector is never forbidden
-    return F.bitmap == expected
+    return K == expected
 
 
 def hamming_bound(n: int, r: int) -> int:

@@ -14,7 +14,6 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
-from .config import LIMITS
 from .errors import InternalError, LimitError
 
 __all__ = [
@@ -197,7 +196,7 @@ def orthogonal_complement(S: Subspace) -> Subspace:
     return kernel(GF2Matrix(S.n, S.basis))
 
 
-def min_weight_nonzero(S: Subspace, limit: int = LIMITS.min_weight_dim) -> int | None:
+def min_weight_nonzero(S: Subspace, limit: int = 24) -> int | None:
     """Smallest Hamming weight among nonzero members; None for the zero space."""
     if S.dim == 0:
         return None
@@ -241,8 +240,12 @@ def subspaces_of_dim(n: int, k: int) -> Iterator[Subspace]:
             yield Subspace(n, tuple(rows))
 
 
+# columns for enumerate_subspaces and solutions.separating_min_rank
+_SUBSPACE_N = 8
+
+
 def enumerate_subspaces(
-    n: int, max_dim: int | None = None, limit: int = LIMITS.subspace_n
+    n: int, max_dim: int | None = None, limit: int = _SUBSPACE_N
 ) -> Iterator[Subspace]:
     """All subspaces of GF(2)^n with dim <= max_dim, dimension ascending."""
     if n > limit:

@@ -698,9 +698,7 @@ def line_cover_number(A: PartialMatrix) -> int:
 # independence of (0,1,*) vectors
 
 
-def stars_independent(
-    rows: Sequence[tuple[int, int]], limit: int = LIMITS.independent_vectors
-) -> bool:
+def stars_independent(rows: Sequence[tuple[int, int]], limit: int = 24) -> bool:
     """Whether a set of (0,1,*) vectors is independent.
 
     A set is dependent iff some nonempty subset can be completed to sum

@@ -25,6 +25,7 @@ from .errors import InternalError, LimitError, OperatorConflict
 from .gf2 import (
     GF2Matrix,
     Subspace,
+    _SUBSPACE_N,
     _bits,
     _parity_bitmap,
     _ratio_bound,
@@ -104,7 +105,11 @@ class ForbiddenSet:
         return _bits(self.bitmap)
 
 
-def forbidden_set(A: PartialMatrix, bitmap_limit: int = LIMITS.ka_bitmap_n) -> ForbiddenSet:
+# columns for a forbidden-set bitmap (2^n bits), and for codes.ball
+_BITMAP_N = 24
+
+
+def forbidden_set(A: PartialMatrix, bitmap_limit: int = _BITMAP_N) -> ForbiddenSet:
     """Build the forbidden set of A, with a bitmap when n <= bitmap_limit."""
     rows = tuple(zip(A.ones, A.stars))
     if A.n > bitmap_limit:
@@ -118,7 +123,7 @@ def _required_bitmap(A: PartialMatrix) -> int:
     K = forbidden_set(A).bitmap
     if K is None:
         raise LimitError(
-            f"forbidden-set bitmap over GF(2)^{A.n} exceeds n <= {LIMITS.ka_bitmap_n}"
+            f"forbidden-set bitmap over GF(2)^{A.n} exceeds n <= {_BITMAP_N}"
         )
     return K
 
@@ -235,8 +240,11 @@ class _Engine:
     incumbent() returns (best, sorted members).
 
     Each engine searches on an explicit stack and pauses as a
-    partial._Decider does.  opt_exact runs either engine in slices
-    (_sliced_search); run() searches to the end in one call."""
+    partial._Decider does.  It stops once its incumbent reaches
+    `ceiling`, an upper bound on the optimum: 2^n unless opt_exact sets
+    the smallest bound it certified at the root.  opt_exact runs either
+    engine in slices (_sliced_search); run() searches to the end in one
+    call."""
 
     def __init__(self, A: PartialMatrix, K: int, deadline: float | None):
         self.A = A
@@ -246,6 +254,7 @@ class _Engine:
         self.K = K
         self.best = 0
         self.best_mask = 0
+        self.ceiling = 1 << A.n
         self._stack: list | None = None
 
     def seed(self, members: Iterable[int]):
@@ -304,7 +313,7 @@ class _OptSearch(_Engine):
         if stack is None:
             stack = self._stack = [(self.full & ~self.K & ~1, 1, 0, None, 0, -1)]
         chosen = self.chosen
-        while stack:
+        while stack and self.best < self.ceiling:
             cand, count, added, stale, stale_at, low = stack[-1]
             if low < 0:
                 if stop is not None and self.clock.ticks >= stop:
@@ -601,7 +610,7 @@ class _ParityChoiceSearch(_Engine):
         if stack is None:
             stack = self._stack = []
             self._go(self.full & ~self.K, 0)
-        while stack:
+        while stack and self.best < self.ceiling:
             alive, ri, order, suffix, t, prefix, guarded = stack[-1]
             if guarded and prefix + suffix[t] <= self.best:
                 stack.pop()
@@ -807,16 +816,15 @@ def opt_exact(
 
 
 def _sliced_search(
-    engine: _Engine, relaxed: _Engine | None, lin: int, ceiling: int
+    engine: _Engine, relaxed: _Engine | None, lin: int
 ) -> tuple[int, list[int]]:
     """Run the engine in slices of ticks that start at _FIRST_SLICE and
     double every round, until it exhausts its search or its incumbent
-    reaches `ceiling`, the smallest upper bound certified at the root.
-    Either way its incumbent is then the value and the witness: the
-    engine adopts only strictly larger sets, so an exhausted search
-    would have returned the same one.  Code (9, 4), where Plotkin's
-    bound gives 6 = A(9, 5), stops after the vertex search's first
-    slice instead of 62,350 ticks.
+    reaches its ceiling.  Either way its incumbent is then the value and
+    the witness: the engine adopts only strictly larger sets, so an
+    exhausted search would have returned the same one.  Code (9, 4),
+    where Plotkin's bound gives 6 = A(9, 5), stops at the vertex
+    search's sixth tick instead of 62,350 ticks.
 
     `relaxed`, when given, searches a matrix made of some of A's rows
     (_row_subset), whose optimum is at least A's.  It takes a turn after
@@ -834,7 +842,7 @@ def _sliced_search(
     of A."""
     size = _FIRST_SLICE
     while True:
-        if engine.resume(engine.clock.ticks + size) or engine.best >= ceiling:
+        if engine.resume(engine.clock.ticks + size):
             return engine.incumbent()
         size *= 2
         if relaxed is not None and engine.best == lin:
@@ -903,10 +911,11 @@ def _opt_core(rec: _Completed, deadline: float | None) -> tuple[int, SolutionSet
         relaxed = _row_subset(A, r, deadline)
     else:
         engine, relaxed = _OptSearch(A, K, U, deadline), None
+    engine.ceiling = ceiling
     for search in (engine, relaxed):
         if search is not None:
             search.seed(V.vectors())
-    best, members = _sliced_search(engine, relaxed, lin, ceiling)
+    best, members = _sliced_search(engine, relaxed, lin)
 
     if len(members) != best:
         raise InternalError("witness size disagrees with the optimum")
@@ -925,9 +934,9 @@ def brute_force_opt_tiny(A: PartialMatrix) -> int:
     every completion, and operators against the canonical completion
     alone.  The two must agree; a mismatch is an internal error.
     """
-    if A.n > LIMITS.tiny_n or A.m > LIMITS.tiny_m:
+    if A.n > 4 or A.m > 3:
         raise LimitError("matrix too large for the tiny brute force")
-    if any(s.bit_count() > LIMITS.tiny_stars_per_row for s in A.stars):
+    if any(s.bit_count() > 2 for s in A.stars):
         raise LimitError("a row has too many stars for the tiny brute force")
 
     full = (1 << (1 << A.n)) - 1
@@ -976,7 +985,7 @@ def lin_exact(A: PartialMatrix, deadline: float | None = None) -> int:
 # separating rank via the kernel-side search
 
 
-def separating_min_rank(A: PartialMatrix, limit: int = LIMITS.subspace_n) -> int:
+def separating_min_rank(A: PartialMatrix, limit: int = _SUBSPACE_N) -> int:
     """n minus the largest dimension of a subspace avoiding the forbidden set.
 
     The kernel-side search of min_rank_completion (_KernelSide) tries

@@ -184,6 +184,9 @@ def test_gate_validation():
         Depth2Circuit(2, (MiddleGate((0,), 0b100),), ())
     with pytest.raises(ValueError):
         Depth2Circuit(2, (), (OutputGate((), (0,), 0b10),))
+    Depth2Circuit(17, (MiddleGate(tuple(range(16)), 0),), ())
+    with pytest.raises(LimitError):
+        Depth2Circuit(17, (MiddleGate(tuple(range(17)), 0),), ())
 
 
 def test_ckt_round_trip():

@@ -148,6 +148,7 @@ def test_codes_commands(tmp_path, capsys):
     assert main(["codes", "gen", "3", "1", "--out", str(target)]) == 0
     assert target.read_text() == "1**\n0**\n*1*\n*0*\n**1\n**0\n"
     assert main(["codes", "gen", "24", "12"]) == 3
+    assert main(["codes", "verify", "25", "1"]) == 3
     capsys.readouterr()
 
 

@@ -71,6 +71,8 @@ def test_ball_sizes_and_members():
 def test_forbidden_set_is_punctured_ball():
     for n, r in ((5, 1), (4, 3), (4, 2), (6, 2)):
         assert verify_ka_is_ball(CodeMatrixSpec(n, r))
+    with pytest.raises(LimitError, match="bitmap"):
+        verify_ka_is_ball(CodeMatrixSpec(25, 1))
 
 
 def test_bounds_frozen_values():

@@ -46,6 +46,30 @@ def test_star_import_brings_every_export():
 def test_tool_config_knobs_are_pinned():
     fields = [f.name for f in dataclasses.fields(minrank.ToolConfig)]
     assert fields == ["limits", "seed", "out", "epsilon_alarm"]
+    limits = [f.name for f in dataclasses.fields(minrank.Limits)]
+    assert limits == ["opt_n", "stars", "subset_rows", "search_space"]
+    # no dead limit: report, search or the command line reads each one
+    # off a config, as cfg.limits.x or through a name bound to cfg.limits
+    def off_config(node):
+        return isinstance(node, ast.Attribute) and node.attr == "limits"
+
+    read = set()
+    for name in ("report.py", "cli.py"):
+        tree = ast.parse((Path(minrank.__file__).parent / name).read_text(encoding="utf-8"))
+        aliases = {
+            target.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and off_config(node.value)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        read.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and (off_config(node.value) or isinstance(node.value, ast.Name) and node.value.id in aliases)
+        )
+    assert [name for name in limits if name not in read] == []
     imported = set()
     for node in ast.walk(ast.parse(inspect.getsource(cli))):
         if isinstance(node, ast.Import):

@@ -255,6 +255,9 @@ def test_stars_independent_frozen_cases():
     assert not stars_independent([(0, 1)])
     assert stars_independent([(1, 0)])
     assert stars_independent([])
+    assert not stars_independent([(1, 0)] * 24)
+    with pytest.raises(LimitError):
+        stars_independent([(1, 0)] * 25)
 
 
 def test_max_independent_rows_matches_subset_scan():

@@ -250,6 +250,8 @@ def test_brute_force_guards():
         brute_force_opt_tiny(PartialMatrix(5, (1,), (0,)))
     with pytest.raises(LimitError):
         brute_force_opt_tiny(PartialMatrix(4, (1,), (14,)))
+    with pytest.raises(LimitError):
+        brute_force_opt_tiny(PartialMatrix(2, (1, 2, 0, 0), (0, 0, 1, 2)))
 
 
 def test_reconstruct_operator_fits_solutions():
@@ -486,9 +488,8 @@ def test_opt_exact_builds_no_engine_on_the_codes_up_to_n_8(built_engines):
 def test_the_vertex_engine_stops_at_the_root_ceiling(built_engines):
     # codes (9, 4) and (10, 5): Plotkin's bound gives 6 = A(9, 5) =
     # A(10, 6) at the root, against lin 4.  The vertex search finds a
-    # 6-word code within its first slice and stops there, with the
-    # witness that its exhausted search returns after 62,350 and 61,202
-    # ticks
+    # 6-word code at its sixth tick and stops there, with the witness
+    # that its exhausted search returns after 62,350 and 61,202 ticks
     for n, r, witness in (
         (9, 4, [0, 31, 227, 364, 437, 474]),
         (10, 5, [0, 63, 455, 729, 874, 948]),
@@ -500,7 +501,7 @@ def test_the_vertex_engine_stops_at_the_root_ceiling(built_engines):
         assert (value, sol.sorted_members()) == (6, witness)
         [vertex] = built_engines
         assert isinstance(vertex, _OptSearch) and vertex._stack
-        assert vertex.clock.ticks <= solutions._FIRST_SLICE
+        assert vertex.clock.ticks == 6
 
 
 def _shuffled_codes(rng, max_n, shuffles):
