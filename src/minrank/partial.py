@@ -196,11 +196,11 @@ class _Deadline:
 
     The deadline is read every 2^(10 - n) ticks, and every tick from
     n = 10 on, so a search over GF(2)^n ends within a millisecond or two
-    of its deadline.  99% of ticks cost at most about 0.35 ms at n = 8
-    and 0.55 ms at n = 12.  The costliest are the parity engine's
-    two-row finishes, where a tick covers the count of the finish's
-    cells, one node's class sums and flow network, or one phase of its
-    roof-bound flow.
+    of its deadline.  On the opt engines of the seed-0 sweep items,
+    99% of ticks cost at most about 0.13 ms at n = 8 and 0.17 ms at
+    n = 12.  The costliest are the parity engine's two-row finishes,
+    where a tick covers the count of the finish's cells, one node's
+    class sums and flow network, or one phase of its roof-bound flow.
     A check that reads the clock costs about 0.3 us (2-core x86 box,
     Python 3.11).
     """

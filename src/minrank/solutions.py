@@ -360,37 +360,28 @@ class _OptSearch(_Engine):
         return True
 
 
-def _roof_bound(
-    cells: list[tuple[int, int, list[list[int]]]],
-    size: list[int],
-    best: int,
-    tick,
-) -> int:
-    """The roof dual of _pair_choice_max's joint count, rounded down: an
-    upper bound on its maximum over all side choices (Hammer, Hansen &
-    Simeone 1984), equal to it when the count is supermodular up to
-    flipping some classes.
+def _pair_cell_pass(
+    cells: list[tuple[int, int, list[list[int]]]], size: tuple[int, int]
+) -> tuple[list[list[list[int]]], int, list[tuple[int, int, int]]]:
+    """One pass over _pair_choice_max's cells for both of its bounds.
 
-    As a function of x (the side of each a-class) and y (of each
-    b-class) the count is K + sum alpha_i x_i + sum beta_j y_j + sum
-    q_ij x_i y_j, one product per cell, with q = c00 + c11 - c01 - c10.
-    Its negation, written as a posiform (nonnegative terms over x, y and
-    their complements), gives the implication network: a term a u w
-    adds arcs u -> not w and w -> not u of capacity a / 2, and a linear
-    term a u is a u x0, where the literal x0 = 1 is the source and its
-    complement the sink.  The count is at most minus the posiform's
-    constant, lowered by the max flow; capacities are doubled here to
-    stay integral.  One Dinic phase is one tick, and the flow stops as
-    soon as the bound is at most `best`.
+    Returns the relaxations' sums, s[side][i][v]: the count that class
+    i of that side keeps on side v when every cell takes the better side
+    of the other row; then the roof network's posiform for _roof_bound:
+    `top`, minus its constant, and its terms.
     """
-    # node 0 is the source and 1 the sink; a variable's literal is
-    # 2 + 2v and its complement 3 + 2v, so complements differ in bit 0.
-    # top is minus the posiform's constant.
     na = size[0]
+    s = [[[0, 0] for _ in range(k)] for k in size]
     alpha = [0] * (na + size[1])
     top = 0
     terms = []
     for ia, ib, ((c00, c01), (c10, c11)) in cells:
+        sums = s[0][ia]
+        sums[0] += c00 if c00 > c01 else c01
+        sums[1] += c10 if c10 > c11 else c11
+        sums = s[1][ib]
+        sums[0] += c00 if c00 > c10 else c10
+        sums[1] += c01 if c01 > c11 else c11
         top += c00
         jb = na + ib
         alpha[ia] += c10 - c00
@@ -408,38 +399,53 @@ def _roof_bound(
             terms.append((3 + 2 * v, 0, a))
         elif a < 0:
             terms.append((2 + 2 * v, 0, -a))
-    # with doubled capacities the bound is top - flow / 2, rounded down
-    goal = 2 * (top - best) - 1
-    nodes = 2 * len(alpha) + 2
+    return s, top, terms
+
+
+def _roof_bound(
+    size: tuple[int, int],
+    top: int,
+    terms: list[tuple[int, int, int]],
+    best: int,
+    tick,
+) -> int:
+    """The roof dual of _pair_choice_max's joint count, rounded down: an
+    upper bound on its maximum over all side choices (Hammer, Hansen &
+    Simeone 1984), equal to it when the count is supermodular up to
+    flipping some classes.
+
+    As a function of x (the side of each a-class) and y (of each
+    b-class) the count is K + sum alpha_i x_i + sum beta_j y_j + sum
+    q_ij x_i y_j, one product per cell, with q = c00 + c11 - c01 - c10.
+    Its negation, written as a posiform (nonnegative terms over x, y and
+    their complements), gives the implication network: a term a u w
+    adds arcs u -> not w and w -> not u of capacity a / 2, and a linear
+    term a u is a u x0, where the literal x0 = 1 is the source and its
+    complement the sink.  The count is at most minus the posiform's
+    constant, lowered by the max flow; capacities are doubled here to
+    stay integral.  _pair_cell_pass gives the posiform for `size`
+    classes a side.  The flow is Dinic's, its augmenting paths found by
+    an iterative depth-first search; one phase is one tick, and the flow
+    stops as soon as the bound is at most `best`.
+    """
+    # node 0 is the source and 1 the sink; a variable's literal is
+    # 2 + 2v and its complement 3 + 2v, so complements differ in bit 0.
+    # Each term (u, w, a) adds the arcs u -> w ^ 1 and w -> u ^ 1, each
+    # followed by its residual twin, so arc e ^ 1 reverses arc e.
+    nodes = 2 * (size[0] + size[1]) + 2
     adj: list[list[int]] = [[] for _ in range(nodes)]
     head: list[int] = []
     cap: list[int] = []
     for u, w, a in terms:
-        for s, t in ((u, w ^ 1), (w, u ^ 1)):
-            adj[s].append(len(head))
-            head.append(t)
-            cap.append(a)
-            adj[t].append(len(head))
-            head.append(s)
-            cap.append(0)
-
-    def push(u: int, f: int) -> int:
-        if u == 1:
-            return f
-        arcs = adj[u]
-        nxt = level[u] + 1
-        while at[u] < len(arcs):
-            e = arcs[at[u]]
-            v = head[e]
-            if cap[e] and level[v] == nxt:
-                d = push(v, f if f < cap[e] else cap[e])
-                if d:
-                    cap[e] -= d
-                    cap[e ^ 1] += d
-                    return d
-            at[u] += 1
-        return 0
-
+        e = len(head)
+        adj[u].append(e)
+        adj[w ^ 1].append(e + 1)
+        adj[w].append(e + 2)
+        adj[u ^ 1].append(e + 3)
+        head += (w ^ 1, u, u ^ 1, w)
+        cap += (a, 0, a, 0)
+    # with doubled capacities the bound is top - flow / 2, rounded down
+    goal = 2 * (top - best) - 1
     flow = 0
     while flow < goal:
         tick()
@@ -447,24 +453,62 @@ def _roof_bound(
         level[0] = 0
         queue = [0]
         for u in queue:
+            if u == 1:
+                # a node at the sink's level or past it is on no
+                # shortest path to the sink
+                break
+            nxt = level[u] + 1
             for e in adj[u]:
-                v = head[e]
-                if cap[e] and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
+                if cap[e]:
+                    v = head[e]
+                    if level[v] < 0:
+                        level[v] = nxt
+                        queue.append(v)
         if level[1] < 0:
             break
+        # the blocking flow: each search follows, from every node, the
+        # first arc not yet found saturated or dead, one level down; a
+        # node with none left is dead, and the search backs up past it
         at = [0] * nodes
+        path: list[int] = []
+        u = 0
         while flow < goal:
-            d = push(0, goal - flow)
-            if not d:
+            if u == 1:
+                d = goal - flow
+                for e in path:
+                    if cap[e] < d:
+                        d = cap[e]
+                for e in path:
+                    cap[e] -= d
+                    cap[e ^ 1] += d
+                flow += d
+                path.clear()
+                u = 0
+                continue
+            arcs = adj[u]
+            end = len(arcs)
+            i = at[u]
+            nxt = level[u] + 1
+            while i < end:
+                e = arcs[i]
+                if cap[e] and level[head[e]] == nxt:
+                    break
+                i += 1
+            at[u] = i
+            if i < end:
+                path.append(e)
+                u = head[e]
+            elif path:
+                u = head[path.pop() ^ 1]
+                at[u] += 1
+            else:
                 break
-            flow += d
     return top - (flow + 1) // 2
 
 
 def _pair_choice_max(
     cells: list[tuple[int, int, list[list[int]]]],
+    size: tuple[int, int],
     best: int,
     tick,
 ) -> tuple[int, list[int] | None, list[int] | None]:
@@ -473,12 +517,14 @@ def _pair_choice_max(
     Each cell (ia, ib, m2) counts surviving vectors by their parity
     against row a (side 0) and row b (side 1); choosing a side per
     pattern class keeps one parity per class, so the cell keeps
-    m2[x][y] for the choices x of its a-class and y of its b-class.
-    Two relaxations bound the count: each a-class takes one side while
-    every cell takes the better side of b, and the transpose.  A node
-    is closed when the smaller of the two is at most `best`, or else
-    when the roof bound (_roof_bound), never looser, is; a node costs
-    one tick, besides the flow's.  When no choice on one side changes
+    m2[x][y] for the choices x of its a-class and y of its b-class;
+    `size` holds the numbers of a- and b-classes.  Two relaxations bound
+    the count: each a-class takes one side while every cell takes the
+    better side of b, and the transpose.  A node is closed when the
+    smaller of the two is at most `best`, or else when the roof bound
+    (_roof_bound), never looser, is; one pass over the cells
+    (_pair_cell_pass) gives both.  A node costs one tick, besides the
+    flow's.  When no choice on one side changes
     any cell's count, the other side's relaxation is exact and is
     returned with its choices.  Otherwise the class whose choice moves
     the most counts is fixed both ways, by writing each choice into
@@ -487,17 +533,9 @@ def _pair_choice_max(
     None, None) when nothing beats it.
     """
     tick()
-    size = [max((cell[side] for cell in cells), default=-1) + 1 for side in (0, 1)]
-    s = [[[0, 0] for _ in range(k)] for k in size]
-    for ia, ib, ((c00, c01), (c10, c11)) in cells:
-        sums = s[0][ia]
-        sums[0] += c00 if c00 > c01 else c01
-        sums[1] += c10 if c10 > c11 else c11
-        sums = s[1][ib]
-        sums[0] += c00 if c00 > c10 else c10
-        sums[1] += c01 if c01 > c11 else c11
+    s, top, terms = _pair_cell_pass(cells, size)
     bound = [sum(map(max, side)) for side in s]
-    if min(bound) <= best or _roof_bound(cells, size, best, tick) <= best:
+    if min(bound) <= best or _roof_bound(size, top, terms, best, tick) <= best:
         return best, None, None
     # slack[side][i]: how much the choice of class i moves its cells' counts
     slack = [[0] * k for k in size]
@@ -519,11 +557,15 @@ def _pair_choice_max(
             fixed = [(ia, ib, [m2[v]] * 2 if ia == i else m2) for ia, ib, m2 in cells]
         else:
             fixed = [(ia, ib, [[c[v]] * 2 for c in m2] if ib == i else m2) for ia, ib, m2 in cells]
-        value, *picks = _pair_choice_max(fixed, best, tick)
+        value, *picks = _pair_choice_max(fixed, size, best, tick)
         if picks[0] is not None:
             picks[side][i] = v
             best, found = value, picks
     return (best, *found) if found else (best, None, None)
+
+
+# the set bits of each byte value, lowest first
+_BYTE_BITS = tuple(tuple(_bits(b)) for b in range(256))
 
 
 class _ParityChoiceSearch(_Engine):
@@ -552,12 +594,23 @@ class _ParityChoiceSearch(_Engine):
 
     def __init__(self, A: PartialMatrix, K: int, deadline: float | None):
         super().__init__(A, K, deadline)
+        n = self.n
         self.rows = []
         for a, s in _prepare_rows(A)[0]:
             # (odd, even) sides of each star-pattern class against the row
-            classes = _star_classes(s, self.n, (a,))
+            classes = _star_classes(s, n, (a,))
             half = len(classes) // 2
             self.rows.append((a, s, list(zip(classes[half:], classes[:half]))))
+        # The cells of the two-row finish: the vectors of one pattern q on
+        # the last two rows' joint stars, split by their parities (x, y)
+        # against those rows.  Every finish counts them, so each vector's
+        # (q, x, y) is tabled once.
+        (aa, sa, _), (ab, sb, _) = self.rows[-2:]
+        joint = sa | sb
+        self._cell_of = [
+            (u & joint, (aa & u).bit_count() & 1, (ab & u).bit_count() & 1)
+            for u in range(1 << n)
+        ]
 
     def _row_sum(self, alive: int, classes, cap: int) -> int:
         total = 0
@@ -569,33 +622,42 @@ class _ParityChoiceSearch(_Engine):
                 return total
         return total
 
-    def _finish_two_rows(self, alive: int, rowa, rowb):
-        aa, sa_, _ = rowa
-        ab, sb_, _ = rowb
-        joint = sa_ | sb_
+    def _finish_two_rows(self, alive: int):
+        # counts[q][x][y]: the alive vectors of cell (q, x, y), found a
+        # byte of alive at a time.  Patterns q come in order of their
+        # lowest alive vector, and a- and b-classes are numbered in the
+        # order that their first pattern comes.
+        cell_of = self._cell_of
+        sa = self.rows[-2][1]
+        sb = self.rows[-1][1]
         counts: dict[int, list[list[int]]] = {}
-        for u in _bits(alive):
-            q = u & joint
-            m2 = counts.get(q)
-            if m2 is None:
-                m2 = [[0, 0], [0, 0]]
-                counts[q] = m2
-            m2[(aa & u).bit_count() & 1][(ab & u).bit_count() & 1] += 1
         pats_a: dict[int, int] = {}
         pats_b: dict[int, int] = {}
         cells = []
-        for q, m2 in counts.items():
-            ia = pats_a.setdefault(q & sa_, len(pats_a))
-            ib = pats_b.setdefault(q & sb_, len(pats_b))
-            cells.append((ia, ib, m2))
-        value, xa, yb = _pair_choice_max(cells, self.best, self.clock.check)
+        base = 0
+        for byte in alive.to_bytes((len(cell_of) + 7) >> 3, "little"):
+            if byte:
+                for j in _BYTE_BITS[byte]:
+                    q, x, y = cell_of[base + j]
+                    m2 = counts.get(q)
+                    if m2 is None:
+                        m2 = counts[q] = [[0, 0], [0, 0]]
+                        ia = pats_a.setdefault(q & sa, len(pats_a))
+                        ib = pats_b.setdefault(q & sb, len(pats_b))
+                        cells.append((ia, ib, m2))
+                    m2[x][y] += 1
+            base += 8
+        size = (len(pats_a), len(pats_b))
+        value, xa, yb = _pair_choice_max(cells, size, self.best, self.clock.check)
         if xa is None or value <= self.best:
             return
+        # the witness, walked only when the finish beats the incumbent:
+        # the alive vectors on their cells' chosen sides
+        keep = {q: (xa[ia], yb[ib]) for q, (ia, ib, _) in zip(counts, cells)}
         mask = 0
         for u in _bits(alive):
-            ia = pats_a[u & sa_]
-            ib = pats_b[u & sb_]
-            if ((aa & u).bit_count() & 1) == xa[ia] and ((ab & u).bit_count() & 1) == yb[ib]:
+            q, x, y = cell_of[u]
+            if keep[q] == (x, y):
                 mask |= 1 << u
         if mask.bit_count() != value:  # pragma: no cover - bookkeeping guard
             raise InternalError("pair choice count disagrees with its witness")
@@ -627,7 +689,7 @@ class _ParityChoiceSearch(_Engine):
             # each row alone keeps at most its sum of larger sides
             cap = self.best + 1
             if all(self._row_sum(alive, row[2], cap) >= cap for row in rows[ri:]):
-                self._finish_two_rows(alive, rows[ri], rows[ri + 1])
+                self._finish_two_rows(alive)
             return
         classes = rows[ri][2]
         pairs = []

@@ -747,9 +747,9 @@ def test_pair_choice_max_against_every_side_choice(monkeypatch):
 
     monkeypatch.setattr(solutions, "_pair_choice_max", counted)
     beaten = held = 0
-    for cells, _, _, top, best in _random_cell_sets():
+    for cells, na, nb, top, best in _random_cell_sets():
         nodes.append(0)
-        value, xa, yb = solutions._pair_choice_max(cells, best, lambda: None)
+        value, xa, yb = solutions._pair_choice_max(cells, (na, nb), best, lambda: None)
         if top > best:
             assert value == top
             assert set(xa) <= {0, 1} and set(yb) <= {0, 1}
@@ -777,11 +777,13 @@ def test_roof_bound_on_random_cell_sets():
                 by_a[ia][v] += max(m2[v])
                 by_b[ib][v] += max(m2[0][v], m2[1][v])
         relaxed = min(sum(map(max, by_a)), sum(map(max, by_b)))
-        size = [na, nb]
-        roof = solutions._roof_bound(cells, size, -1, lambda: None)
+        s, *network = solutions._pair_cell_pass(cells, (na, nb))
+        assert s == [by_a, by_b]
+        roof = solutions._roof_bound((na, nb), *network, -1, lambda: None)
         assert top <= roof <= relaxed
         # stopped early, the flow still decides the comparison with best
-        assert (solutions._roof_bound(cells, size, best, lambda: None) <= best) == (roof <= best)
+        early = solutions._roof_bound((na, nb), *network, best, lambda: None)
+        assert (early <= best) == (roof <= best)
         # flipping b-class j negates the interactions of its cells; when
         # every b-class sees one sign, the function is supermodular after
         # the flip and the roof dual is exact
@@ -794,6 +796,73 @@ def test_roof_bound_on_random_cell_sets():
             assert roof == top
             exact += 1
     assert exact > 500
+
+
+def _cells_by_vector(alive, rowa, rowb):
+    """The two-row finish's cells, counted one vector at a time: one cell
+    per pattern on the rows' joint stars, in order of its lowest alive
+    vector, with the a- and b-classes numbered as their first cells come.
+    Returns the cells and the numbers of a- and b-classes."""
+    (aa, sa), (ab, sb) = rowa, rowb
+    counts = {}
+    for u in range(alive.bit_length()):
+        if (alive >> u) & 1:
+            m2 = counts.setdefault(u & (sa | sb), [[0, 0], [0, 0]])
+            m2[bin(aa & u).count("1") & 1][bin(ab & u).count("1") & 1] += 1
+    pats_a, pats_b = {}, {}
+    cells = [
+        (pats_a.setdefault(q & sa, len(pats_a)), pats_b.setdefault(q & sb, len(pats_b)), m2)
+        for q, m2 in counts.items()
+    ]
+    return cells, (len(pats_a), len(pats_b))
+
+
+def test_finish_cells_match_a_count_per_vector(monkeypatch):
+    # the parity engine counts its two-row finish's cells from a table of
+    # each vector's cell, built once, walking alive a byte at a time; the
+    # cells, their order and the witness of the chosen sides are those of
+    # a count one vector at a time, with up to 12 joint stars
+    rng = random.Random(131)
+    chosen = []
+
+    def choose(cells, size, best, tick):
+        xa = [rng.randint(0, 1) for _ in range(size[0])]
+        yb = [rng.randint(0, 1) for _ in range(size[1])]
+        chosen.append((cells, size, xa, yb))
+        return _total(cells, xa, yb), xa, yb
+
+    monkeypatch.setattr(solutions, "_pair_choice_max", choose)
+    for n in (8, 10, 12):
+        for k in range(1, min(n, 12) + 1):
+            joint = rng.sample(range(n), k)
+            cut = rng.randint(max(0, k - 6), min(6, k))
+            sa = sum(1 << j for j in joint[:cut])
+            sb = sum(1 << j for j in joint[cut:] + rng.sample(joint[:cut], min(cut, 6 + cut - k)))
+            rows = []
+            while len(set(rows)) < 2:
+                rows = []
+                for s in (sa, sb):
+                    free = ((1 << n) - 1) & ~s
+                    rows.append((rng.randint(1, free) & free or free & -free, s))
+            A = PartialMatrix(n, tuple(a for a, _ in rows), tuple(s for _, s in rows))
+            engine = solutions._ParityChoiceSearch(A, 0, None)
+            rowa, rowb = ((a, s) for a, s, _ in engine.rows[-2:])
+            assert (rowa[1] | rowb[1]).bit_count() == k
+            full = (1 << (1 << n)) - 1
+            for alive in (full, rng.getrandbits(1 << n), rng.getrandbits(1 << n) & rng.getrandbits(1 << n)):
+                engine.best = -1
+                engine._finish_two_rows(alive)
+                cells, size, xa, yb = chosen[-1]
+                assert (cells, size) == _cells_by_vector(alive, rowa, rowb)
+                ia = {q: i for i, q in enumerate(dict.fromkeys(u & rowa[1] for u in _bits(alive)))}
+                ib = {q: i for i, q in enumerate(dict.fromkeys(u & rowb[1] for u in _bits(alive)))}
+                kept = [
+                    u
+                    for u in _bits(alive)
+                    if bin(rowa[0] & u).count("1") % 2 == xa[ia[u & rowa[1]]]
+                    and bin(rowb[0] & u).count("1") % 2 == yb[ib[u & rowb[1]]]
+                ]
+                assert engine.incumbent() == (len(kept), kept)
 
 
 def test_parity_engine_settles_what_the_vertex_search_stalls_on(built_engines):
@@ -877,11 +946,16 @@ def test_roof_bound_settles_h2(built_engines):
     # relaxed engine); the roof bound closes each two-row finish at its
     # root, and without it the parity engine alone needs 3.73M ticks
     _, W = min_rank_completion(H2)
+    V = sorted(kernel(W).vectors())
     value, sol = opt_exact(H2)
     assert value == 32
-    assert sol.sorted_members() == sorted(kernel(W).vectors())
-    ticks = sum(engine.clock.ticks for engine in built_engines)
-    assert 0 < ticks < 10_000
+    assert sol.sorted_members() == V
+    # the parity engine's first slice, then the relaxed engine's first
+    # turn, which exhausts; both keep the kernel
+    parity, relaxed = built_engines
+    assert (parity.clock.ticks, relaxed.clock.ticks) == (256, 439)
+    assert parity._stack and relaxed._stack == []
+    assert parity.incumbent() == relaxed.incumbent() == (32, V)
 
 
 @pytest.fixture
