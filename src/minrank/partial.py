@@ -459,25 +459,24 @@ def _orthogonal_completion(rows, n: int, V: tuple[int, ...]) -> list[int]:
 # min_rank_completion races the kernel side only on matrices this
 # narrow.  On seeded star-heavy matrices a kernel-side tick costs about
 # 6 us up to n = 12 and 16 us at n = 14, a rank-side tick 13-19 us, and
-# building K and its ratio bound 0.4, 1.2, 2.8 and 14 ms at n = 8, 10,
-# 12 and 14.  From n = 9 to 12 the race settles code (n, 2) in 0.01-0.03
-# s, where the rank side alone takes 74 s on code (9, 2).  Over 450
-# seeded random 3-8 x 9-12 and 10-24 x 9-12 star-heavy matrices with a
-# 5 s deadline each, it cut the total time from 80 s to 58 s.  Where the
-# kernel side proves nothing the rank side gets half the ticks: 6 of the
-# matrices got more than 1.5 times slower, one 17 x 12 from 3.5 s to
-# 5.6 s (2-core x86 box, Python 3.11).
+# building K and its ratio bound 0.08, 0.17, 0.47 and 2.1 ms at n = 8,
+# 10, 12 and 14.  From n = 9 to 12 the race settles code (n, 2) in
+# 0.01-0.03 s, where the rank side alone takes 74 s on code (9, 2).
+# Over 450 seeded random 3-8 x 9-12 and 10-24 x 9-12 star-heavy
+# matrices with a 5 s deadline each, it cut the total time from 80 s to
+# 58 s.  Where the kernel side proves nothing the rank side gets half
+# the ticks: 6 of the matrices got more than 1.5 times slower, one
+# 17 x 12 from 3.5 s to 5.6 s (2-core x86 box, Python 3.11).
 _KERNEL_SIDE_N = 12
 
-# The first slice of opt_exact's engines, vertex or parity, and of its
-# relaxed parity engine, in ticks; it doubles every round.  opt_exact's
-# row-subset check also gives each row this many ticks, and
-# min_rank_completion's race caps its first slice at it.
-# A first slice of 256 parity-engine ticks takes 3 to 42 ms on the
-# parity-ready 4x8, 5x10 and 6x12 items of `minrank search --seed 0`
-# that reach it (2-core x86 box, Python 3.11), so a relaxed search that
-# settles within its first turn, of twice this many ticks, waits little
-# for it.
+# The first slice of opt_exact's engines, vertex or parity, in ticks; it
+# doubles every round, and the relaxed parity engine's turn before each
+# slice is twice as long.  opt_exact's row-subset check also gives each
+# row this many ticks, and min_rank_completion's race caps its first
+# slice at it.  A first slice of 256 parity-engine ticks takes 3 to 42
+# ms on the parity-ready 4x8, 5x10 and 6x12 items of `minrank search
+# --seed 0` that reach it (2-core x86 box, Python 3.11); an item whose
+# relaxation settles in its first turn now skips it.
 _FIRST_SLICE = 256
 
 @dataclass(frozen=True)
@@ -541,10 +540,13 @@ def min_rank_completion(
     The rank side runs first, in slices of ticks that double, and after
     each slice it does not finish the kernel side gets an equal slice;
     each side resumes where its last slice ended.  The first slice is
-    min(256, max(16, n * 2^n / 128)) ticks, about what building K costs
-    in rank-side ticks: 16 up to n = 8, 36 to 176 at n = 9 to 11, and
-    256 from n = 12 on, so a kernel side that settles a target within a
-    few dozen ticks, as on code matrices, waits little for its turn.
+    min(256, max(16, n * 2^n / 128)) ticks: 16 up to n = 8, 36 to 176 at
+    n = 9 to 11, and 256 from n = 12 on.  It was sized to what building
+    K and its ratio bound cost in rank-side ticks, which is 3 to 9 times
+    less since gf2._walsh_fields packs the bound's transform, so it is
+    generous to the rank side.  A kernel side that settles a target
+    within a few dozen ticks, as on code matrices, still waits little
+    for its turn.
     Only matrices with n <= 12 race; wider ones run the rank side alone.
     The first time a matrix reaches the kernel side, K is built and the
     floor rises to n - floor(log2 of K's ratio bound), since

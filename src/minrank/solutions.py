@@ -25,6 +25,7 @@ from .errors import InternalError, LimitError, OperatorConflict
 from .gf2 import (
     GF2Matrix,
     Subspace,
+    _BYTE_BITS,
     _SUBSPACE_N,
     _bits,
     _parity_bitmap,
@@ -564,10 +565,6 @@ def _pair_choice_max(
     return (best, *found) if found else (best, None, None)
 
 
-# the set bits of each byte value, lowest first
-_BYTE_BITS = tuple(tuple(_bits(b)) for b in range(256))
-
-
 class _ParityChoiceSearch(_Engine):
     """Exact solution maximum by branching on per-row parity choices.
 
@@ -837,7 +834,7 @@ def opt_exact(
     at a time, each node bounded the same way.
 
     When A has three distinct rows or more, a second parity search may
-    take a turn after each slice, twice as long as that slice: on A
+    take a turn before each slice, twice as long as that slice: on A
     without one row whose removal keeps min rank r (_row_subset).  Every
     solution of A is a solution of the rows kept, so an exhausted search
     there that finds nothing above lin proves opt(A) = lin, and the
@@ -889,30 +886,36 @@ def _sliced_search(
     search's sixth tick instead of 62,350 ticks.
 
     `relaxed`, when given, searches a matrix made of some of A's rows
-    (_row_subset), whose optimum is at least A's.  It takes a turn after
-    each slice of the engine, as long as the engine's next slice (256
-    parity ticks, 512 relaxed, 512 parity, 1,024 relaxed, ...), while
-    both its incumbent and the engine's are still lin.  So an item the
-    engine settles in its first slice costs what it would cost alone,
-    and a relaxation that needs up to twice that settles in its first
-    turn: three rows of the 4x8 ***1*111/100**0*1/**011110/11*0***1
-    (opt = lin = 32) take 439 to 455 ticks.  If the relaxed engine
-    exhausts with nothing above lin, opt(A) <= lin, so the engine's
-    incumbent, which is still the warm start, is the witness.  It is
-    dropped once its incumbent passes lin or it exhausts above lin, and
-    its incumbent never reaches the engine: it need not be a solution
-    of A."""
+    (_row_subset), whose optimum is at least A's.  Most items that reach
+    it have opt = lin, which only an exhausted search proves, and the
+    relaxed one is often the shorter, so it takes its turn before each
+    slice of the engine, twice as long as that slice (512 relaxed
+    ticks, 256 of the engine, 1,024 relaxed, 512, ...), while the
+    engine's incumbent is still lin.  Its ceiling is lin + 1, so a turn
+    ends as soon as it holds a set above lin, and it is then dropped.
+    If it exhausts with nothing above lin, opt(A) <= lin, so the
+    engine's incumbent, which is still the warm start, is the witness.
+    Otherwise the engine runs to the end that it reaches alone, so the
+    relaxation changes ticks, never the value or the witness; its
+    incumbent never reaches the engine, since it need not be a solution
+    of A.  Three rows of H2, the 4x8
+    ***1*111/100**0*1/**011110/11*0***1 (opt = lin = 32), exhaust in
+    439 to 455 ticks, so H2's own engine takes none, where alone it
+    takes 3,663.  Items the relaxation cannot settle pay for it: one
+    whose relaxation holds a set above lin, as wherever opt > lin, pays
+    the relaxed ticks it takes to find it (111 to 323 on the seeded
+    matrices measured), and one that A's engine settles within its
+    first slice pays a whole first turn of 512 ticks."""
     size = _FIRST_SLICE
     while True:
+        if relaxed is not None and engine.best == lin:
+            if relaxed.resume(relaxed.clock.ticks + 2 * size):
+                if relaxed.best == lin:
+                    return engine.incumbent()
+                relaxed = None
         if engine.resume(engine.clock.ticks + size):
             return engine.incumbent()
         size *= 2
-        if relaxed is not None and engine.best == lin:
-            done = relaxed.resume(relaxed.clock.ticks + size)
-            if done and relaxed.best == lin:
-                return engine.incumbent()
-            if done or relaxed.best > lin:
-                relaxed = None
 
 
 def _row_subset(A: PartialMatrix, r: int, deadline: float | None) -> _Engine | None:
@@ -974,9 +977,11 @@ def _opt_core(rec: _Completed, deadline: float | None) -> tuple[int, SolutionSet
     else:
         engine, relaxed = _OptSearch(A, K, U, deadline), None
     engine.ceiling = ceiling
-    for search in (engine, relaxed):
-        if search is not None:
-            search.seed(V.vectors())
+    engine.seed(V.vectors())
+    if relaxed is not None:
+        # a relaxed set above lin proves nothing about A
+        relaxed.ceiling = lin + 1
+        relaxed.seed(V.vectors())
     best, members = _sliced_search(engine, relaxed, lin)
 
     if len(members) != best:

@@ -10,11 +10,13 @@ import pytest
 from minrank.errors import InternalError, LimitError
 from minrank.gf2 import (
     GF2Matrix,
+    _bits,
     _delsarte_check,
     _delsarte_bound,
     _delsarte_lp,
     _ratio_bound,
     _star_classes,
+    _walsh_fields,
     _weight_classes,
     Subspace,
     dot,
@@ -312,3 +314,63 @@ def test_plotkin_bound_past_the_length_leaves_one_vector():
     # single vector; Plotkin's bound is not used there
     for n in range(1, 9):
         assert _ratio_bound((1 << (1 << n)) - 2, n) == 1
+
+
+def walsh_by_lists(K, n):
+    """Independent oracle: the Walsh-Hadamard transform of K's indicator,
+    entry y the sum over x in K of (-1)^<x, y>, one list entry at a
+    time."""
+    v = [K >> x & 1 for x in range(1 << n)]
+    for j in range(n):
+        h = 1 << j
+        for x in range(1 << n):
+            if not x & h:
+                v[x], v[x | h] = v[x] + v[x | h], v[x] - v[x | h]
+    return v
+
+
+def test_packed_walsh_transform_matches_a_list_transform():
+    # every field of _walsh_fields, read back a field at a time, against
+    # the list transform: seeded random K at n = 1..12, the full set and
+    # one vector at each n, and one random K at n = 15 and 16, where the
+    # fields are 32 bits wide.  Where K holds no whole weight class, the
+    # ratio bound is Hoffman's bound on the least of them
+    rng = random.Random(131)
+    cases = [(rng.getrandbits(1 << n), n) for n in range(1, 13) for _ in range(8)]
+    cases += [((1 << (1 << n)) - 1, n) for n in range(1, 13)]
+    cases += [(1 << rng.randrange(1 << n), n) for n in range(1, 13)]
+    cases += [(rng.getrandbits(1 << n), n) for n in (15, 16)]
+    for K, n in cases:
+        want = walsh_by_lists(K, n)
+        if n <= 5:
+            assert want == [
+                sum((-1) ** dot(x, y) for x in range(1 << n) if K >> x & 1)
+                for y in range(1 << n)
+            ]
+        P, w = _walsh_fields(K, n)
+        assert w == (16 if n <= 14 else 32)
+        data = P.to_bytes((w >> 3) << n, "little")
+        got = [
+            int.from_bytes(data[i : i + (w >> 3)], "little") - (1 << (w - 1))
+            for i in range(0, len(data), w >> 3)
+        ]
+        assert got == want, (n, K)
+        K &= ~1
+        if K:
+            low = min(walsh_by_lists(K, n))
+            hoffman = ((1 << n) * -low) // (K.bit_count() - low)
+            whole = any(K & cls == cls for cls in _weight_classes(n)[1:])
+            assert _ratio_bound(K, n) <= hoffman
+            assert whole or _ratio_bound(K, n) == hoffman
+
+
+def test_bits_lists_the_members_lowest_first():
+    # _bits against a one-bit-at-a-time walk: on 0, on small masks, and
+    # on sparse, dense and full 4,096-bit bitmaps
+    rng = random.Random(137)
+    values = [0, 1, 2, 3, 128, 255, 256, 257, (1 << 64) - 1]
+    values += [rng.getrandbits(rng.randint(1, 16)) for _ in range(300)]
+    values += [sum(1 << x for x in rng.sample(range(4096), k)) for k in (1, 32, 250, 1000)]
+    values += [rng.getrandbits(4096) for _ in range(4)] + [(1 << 4096) - 1]
+    for v in values:
+        assert list(_bits(v)) == [j for j in range(v.bit_length()) if v >> j & 1]

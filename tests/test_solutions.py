@@ -950,11 +950,12 @@ def test_roof_bound_settles_h2(built_engines):
     value, sol = opt_exact(H2)
     assert value == 32
     assert sol.sorted_members() == V
-    # the parity engine's first slice, then the relaxed engine's first
-    # turn, which exhausts; both keep the kernel
+    # the relaxed engine's first turn comes before any slice of H2's own
+    # parity engine, and exhausts, so that engine is never resumed; both
+    # keep the kernel
     parity, relaxed = built_engines
-    assert (parity.clock.ticks, relaxed.clock.ticks) == (256, 439)
-    assert parity._stack and relaxed._stack == []
+    assert (parity.clock.ticks, relaxed.clock.ticks) == (0, 439)
+    assert parity._stack is None and relaxed._stack == []
     assert parity.incumbent() == relaxed.incumbent() == (32, V)
 
 
@@ -988,8 +989,8 @@ def relaxations(monkeypatch):
 def test_three_rows_of_h2_settle_it_in_every_row_order(relaxations, built_engines):
     # H2 keeps min rank 3 without one of its rows, and the parity engine
     # on the other three exhausts at 32 = lin in its first turn, of
-    # 2 * _FIRST_SLICE ticks (439 to 455 needed), so H2's own parity
-    # engine stops after its first slice
+    # 2 * _FIRST_SLICE ticks (439 to 455 needed), which comes before the
+    # first slice of H2's own parity engine, so that engine takes no tick
     rng = random.Random(113)
     ticks = 0
     for _ in range(4):
@@ -1009,27 +1010,31 @@ def test_three_rows_of_h2_settle_it_in_every_row_order(relaxations, built_engine
         assert relaxed.turns == [32]
         parity, built = built_engines
         assert built is relaxed and isinstance(parity, solutions._ParityChoiceSearch)
-        assert parity._stack and parity.clock.ticks <= solutions._FIRST_SLICE + 1
+        assert parity._stack is None and parity.clock.ticks == 0
         ticks += relaxed.clock.ticks
     assert 0 < ticks < 2_500
 
 
 def test_the_parity_engine_keeps_its_first_slice(relaxations, built_engines):
-    # sweep seed 0, 4x8#320: three of its rows keep min rank 3, but A's
-    # own parity engine proves opt = lin = 32 in 135 ticks, within its
-    # first slice, so the relaxed engine is built and takes no turn
-    A = list(_random_matrices(4, 8, 321, 0))[320]
-    assert _reaches_search(A) and solutions._parity_choice_ready(A)
-    _, W = min_rank_completion(A)
-    built_engines.clear()
-    value, sol = opt_exact(A)
-    assert value == 32
-    assert sol.sorted_members() == sorted(kernel(W).vectors())
-    [relaxed] = relaxations
-    assert relaxed is not None and relaxed.turns == [] and relaxed.clock.ticks == 0
-    parity, built = built_engines
-    assert built is relaxed and isinstance(parity, solutions._ParityChoiceSearch)
-    assert parity._stack == [] and parity.clock.ticks == 135 <= solutions._FIRST_SLICE
+    # sweep seed 0, 4x8#320 and #113: three of the rows of each keep min
+    # rank 3, and the relaxed engine on them proves opt = lin = 32 in its
+    # first turn, in 25 and 27 ticks, so A's own parity engine keeps its
+    # first slice unspent
+    for k, ticks in ((320, 25), (113, 27)):
+        A = list(_random_matrices(4, 8, k + 1, 0))[k]
+        assert _reaches_search(A) and solutions._parity_choice_ready(A)
+        _, W = min_rank_completion(A)
+        built_engines.clear()
+        relaxations.clear()
+        value, sol = opt_exact(A)
+        assert value == 32
+        assert sol.sorted_members() == sorted(kernel(W).vectors())
+        [relaxed] = relaxations
+        assert relaxed.turns == [32] and relaxed._stack == []
+        assert relaxed.clock.ticks == ticks
+        parity, built = built_engines
+        assert built is relaxed and isinstance(parity, solutions._ParityChoiceSearch)
+        assert parity._stack is None and parity.clock.ticks == 0
 
 
 def test_single_row_sums_skip_every_finish_of_113(monkeypatch):
@@ -1059,11 +1064,11 @@ def test_single_row_sums_skip_every_finish_of_113(monkeypatch):
 
 
 def test_a_relaxed_incumbent_never_reaches_the_engines_of_a(monkeypatch, relaxations):
-    # a relaxation qualifies on each, but none proves opt = lin.  On the
-    # first two the parity search passes lin = 16 in its first slice,
-    # so the relaxed engine never takes a turn.  On the third opt = lin
-    # = 16, and the relaxed engine finds 20 in its first turn, of 512
-    # ticks, a set that is no solution of A, and takes no turn after it.
+    # a relaxation qualifies on each, but none proves opt = lin = 16: on
+    # the first two opt = 20, and on the third opt = lin.  Each relaxed
+    # engine stops at its ceiling lin + 1 in its first turn, after 167,
+    # 111 and 323 ticks, with a set of 18 that is no solution of A, and
+    # takes no turn after it.
     seeded = []
     real = solutions._Engine.seed
 
@@ -1074,20 +1079,20 @@ def test_a_relaxed_incumbent_never_reaches_the_engines_of_a(monkeypatch, relaxat
 
     monkeypatch.setattr(solutions._Engine, "seed", spy)
     cases = (
-        ("*11*1*1/0*1**1*/1**1000/*01***0/0110111/*01*11*", 20, []),
-        ("*0100**/**10**1/00**010/0*1*1*1/*111*0*", 20, []),
-        ("*11*00*0/1*11***0/11*01110/0**11***/01*10*01/1111*11*", 16, [20]),
+        ("*11*1*1/0*1**1*/1**1000/*01***0/0110111/*01*11*", 20, 167),
+        ("*0100**/**10**1/00**010/0*1*1*1/*111*0*", 20, 111),
+        ("*11*00*0/1*11***0/11*01110/0**11***/01*10*01/1111*11*", 16, 323),
     )
-    for text, opt, turns in cases:
+    for text, opt, ticks in cases:
         A = parse_pmx(text.replace("/", "\n"))
         seeded.clear()
         relaxations.clear()
         value, sol = opt_exact(A)
         assert value == opt and sol.size == opt and is_solution(A, sol)
         [relaxed] = relaxations
-        assert relaxed is not None and relaxed.turns == turns
-        if turns:
-            assert not is_solution(A, relaxed.incumbent()[1])
+        assert relaxed is not None and relaxed.turns == [18]
+        assert relaxed.clock.ticks == ticks
+        assert not is_solution(A, relaxed.incumbent()[1])
         for engine, members in seeded:
             if engine is not relaxed:
                 assert is_solution(A, members)
