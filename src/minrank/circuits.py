@@ -156,6 +156,11 @@ def matrix_of(F: Depth2Circuit) -> PartialMatrix:
     M = extract_linear_operator(F)
     if M is None:
         raise ValueError("circuit does not compute a linear operator")
+    return _partial_of(F, M)
+
+
+def _partial_of(F: Depth2Circuit, M: GF2Matrix) -> PartialMatrix:
+    """matrix_of(F), given the matrix M of the map that F computes."""
     ones, stars = [], []
     for i, g in enumerate(F.outputs):
         s = 0
@@ -231,7 +236,7 @@ def linearize(F: Depth2Circuit) -> LinearDepth2Circuit:
     M = extract_linear_operator(F)
     if M is None:
         raise ValueError("circuit does not compute a linear operator")
-    A = matrix_of(F)
+    A = _partial_of(F, M)
     r, W = min_rank_completion(A)
     picked = []
     basis: tuple[int, ...] = ()

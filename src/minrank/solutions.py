@@ -236,16 +236,16 @@ class _Engine:
 
     The incumbent is the largest solution found or adopted so far, kept
     as its size `best` and its occupancy bitmap `best_mask`.  seed()
-    sets it to a known solution before the search starts: opt_exact
-    seeds every engine with the kernel of a min-rank completion.
-    incumbent() returns (best, sorted members).
+    sets it to a known solution's bitmap before the search starts:
+    opt_exact seeds every engine with the kernel of a min-rank
+    completion.
 
     Each engine searches on an explicit stack and pauses as a
-    partial._Decider does.  It stops once its incumbent reaches
-    `ceiling`, an upper bound on the optimum: 2^n unless opt_exact sets
-    the smallest bound it certified at the root.  opt_exact runs either
-    engine in slices (_sliced_search); run() searches to the end in one
-    call."""
+    partial._Decider does: resume(stop) runs it until it ends (True) or
+    just before the tick that would pass `stop` (False).  It stops once
+    its incumbent reaches `ceiling`, an upper bound on the optimum: 2^n
+    unless opt_exact sets the smaller root bound it certified.  opt_exact
+    runs either engine in slices (_sliced_search)."""
 
     def __init__(self, A: PartialMatrix, K: int, deadline: float | None):
         self.A = A
@@ -258,19 +258,9 @@ class _Engine:
         self.ceiling = 1 << A.n
         self._stack: list | None = None
 
-    def seed(self, members: Iterable[int]):
-        mask = 0
-        for v in members:
-            mask |= 1 << v
+    def seed(self, mask: int):
         self.best = mask.bit_count()
         self.best_mask = mask
-
-    def incumbent(self) -> tuple[int, list[int]]:
-        return self.best, sorted(_bits(self.best_mask))
-
-    def run(self) -> tuple[int, list[int]]:
-        self.resume(None)
-        return self.incumbent()
 
 
 class _OptSearch(_Engine):
@@ -278,44 +268,30 @@ class _OptSearch(_Engine):
 
     Vertex 0 is fixed into the solution (solutions translate, so some
     optimum contains 0).  Candidates are kept as an occupancy bitmap;
-    choosing x deletes the translate x ^ K from the candidates.  The
-    basic bound |chosen| + |candidates| is strengthened by one
-    admissible relaxation, the coset bound: U, the subspace that
-    opt_exact's coset certificate found (_coset_basis), has every
-    nonzero member in K, so every U-coset is a clique and candidates
-    allow one pick per coset.
+    choosing x deletes the translate x ^ K from the candidates, and a
+    node is cut when |chosen| + |candidates| cannot beat the best.
 
     All tie-breaking is by ascending vector index, so the search and its
     witness are deterministic.
     """
 
-    def __init__(self, A: PartialMatrix, K: int, U: tuple[int, ...], deadline: float | None):
+    def __init__(self, A: PartialMatrix, K: int, deadline: float | None):
         super().__init__(A, K, deadline)
         self.chosen: list[int] = [0]
-        self.coset_basis = U
-
-    def _coset_bound(self, cand: int) -> int:
-        """The number of U-cosets that cand touches, an upper bound on
-        the independent vertices inside cand."""
-        touched = cand
-        for u in self.coset_basis:
-            touched |= xor_translate(touched, u, self.n)
-        return touched.bit_count() >> len(self.coset_basis)
 
     # -- search -----------------------------------------------------------
 
     def resume(self, stop: int | None) -> bool:
-        # A frame is one node: (cand, count, added, stale, stale_at, low).
-        # `added` counts the conflict-free vertices it took, `stale` is its
-        # last coset bound, taken at stale_at candidates, and `low` is -1
-        # until the node is entered, which takes its tick, then the bit of
-        # the vertex that its open branch took.
+        # A frame is one node: (cand, count, added, low).  `added` counts
+        # the conflict-free vertices it took, and `low` is -1 until the
+        # node is entered, which takes its tick, then the bit of the
+        # vertex that its open branch took.
         stack = self._stack
         if stack is None:
-            stack = self._stack = [(self.full & ~self.K & ~1, 1, 0, None, 0, -1)]
+            stack = self._stack = [(self.full & ~self.K & ~1, 1, 0, -1)]
         chosen = self.chosen
         while stack and self.best < self.ceiling:
-            cand, count, added, stale, stale_at, low = stack[-1]
+            cand, count, added, low = stack[-1]
             if low < 0:
                 if stop is not None and self.clock.ticks >= stop:
                     return False
@@ -326,15 +302,8 @@ class _OptSearch(_Engine):
                 cand ^= low
             child = None
             while cand:
-                pc = cand.bit_count()
-                ub = pc if stale is None else min(pc, stale)
-                if count + ub <= self.best:
+                if count + cand.bit_count() <= self.best:
                     break
-                if stale is None or pc <= stale_at - 8:
-                    stale = self._coset_bound(cand)
-                    stale_at = pc
-                    if count + min(pc, stale) <= self.best:
-                        break
                 low = cand & -cand
                 x = low.bit_length() - 1
                 nbrs = xor_translate(self.K, x, self.n) & cand
@@ -345,14 +314,14 @@ class _OptSearch(_Engine):
                     cand ^= low
                     count += 1
                     continue
-                child = (cand & ~nbrs & ~low, count + 1, 0, None, 0, -1)
+                child = (cand & ~nbrs & ~low, count + 1, 0, -1)
                 break
             else:
                 if count > self.best:
                     self.best = count
                     self.best_mask = sum(1 << v for v in chosen)
             if child is not None:
-                stack[-1] = (cand, count, added, stale, stale_at, low)
+                stack[-1] = (cand, count, added, low)
                 stack.append(child)
                 continue
             if added:
@@ -743,40 +712,21 @@ class _ParityChoiceSearch(_Engine):
 _SUBSPACE_WORK = 1 << 24
 
 
-def _coset_basis(K: int, n: int, r: int, deadline: float | None = None) -> tuple[int, ...]:
-    """A basis of the largest subspace U whose nonzero members all lie in
-    K, as far as a capped search finds one.
+def _coset_basis(K: int, n: int, r: int, deadline: float | None = None) -> tuple[int, ...] | None:
+    """A basis of an r-dimensional subspace U whose nonzero members all
+    lie in K, or None when a capped search finds none.
 
     Every coset of U is a clique of the Cayley graph, so a solution picks
-    at most one vector per coset: opt <= 2^(n - dim U).  U meets the
-    kernel of a min-rank completion only in 0, so dim U <= r, and dim U
-    = r proves opt = lin.  Such a U avoids the rest of GF(2)^n, so
-    _ascending_subspace finds it, up to dimension r.  Its ticks are
-    capped at _SUBSPACE_WORK // (2^n + 4096), and the deadline holds;
-    any subspace found is a valid bound.
-    """
-    rest = ((1 << (1 << n)) - 1) & ~K & ~1
-    return _ascending_subspace(rest, n, r, deadline, _SUBSPACE_WORK // ((1 << n) + 4096))
-
-
-def _ascending_subspace(
-    K: int, n: int, top: int, deadline: float | None = None, cap: int | None = None
-) -> tuple[int, ...]:
-    """A basis of the largest subspace of dimension at most `top` with
-    no member in K: _KernelSide at dimension 1, 2, ... until none exists,
-    since a subspace avoiding K has subspaces of every lower dimension
-    that do too.  At `cap` ticks, counted over all dimensions, it stops
-    with the last basis found.
+    at most one vector per coset: opt <= 2^(n - r), which is lin when r
+    is the min rank.  Such a U avoids the rest of GF(2)^n, so one
+    _KernelSide search at dimension r finds it.  Its ticks are capped at
+    _SUBSPACE_WORK // (2^n + 4096), and the deadline holds.
     """
     clock = _Deadline(deadline, n)
-    basis: tuple[int, ...] = ()
-    for dim in range(1, top + 1):
-        clock.check_time()
-        search = _KernelSide(K, n, dim, clock)
-        if not search.resume(cap) or search.found is None:
-            break
-        basis = search.found
-    return basis
+    clock.check_time()
+    search = _KernelSide(((1 << (1 << n)) - 1) & ~K & ~1, n, r, clock)
+    search.resume(_SUBSPACE_WORK // ((1 << n) + 4096))
+    return search.found
 
 
 def _parity_choice_ready(A: PartialMatrix) -> bool:
@@ -803,35 +753,35 @@ def opt_exact(
     Starts from a verified linear warm start: the kernel of a min-rank
     completion, a solution of size lin = 2^(n - min_rank).  When a
     certified upper bound meets lin, that kernel is returned at once.
-    Three are tried in turn: the column bound 2^(n - col_min_rank), the
-    ratio bound (_ratio_bound), and the coset bound 2^(n - dim U) of a
-    subspace U whose nonzero members all lie in the forbidden set
-    (_coset_basis), which meets lin when dim U = min_rank.  The ratio
-    bound is the smallest of Hoffman's bound on the Cayley graph and,
-    when K holds whole Hamming weight classes W, Delsarte's LP bound on
-    codes avoiding the distances W, whose dual is checked exactly before
-    it is used, and Plotkin's bound on codes of the least distance
-    outside W.  On code matrices K is a punctured Hamming ball, and the
-    LP settles codes (5, 3), (6, 3), (7, 3), (8, 3) and others at the
-    root, and Plotkin's bound settles (7, 4) and (8, 5).
+    Three certificates are tried in turn: the column bound
+    2^(n - col_min_rank), the ratio bound (_ratio_bound), and a coset
+    certificate, a subspace U of dimension min_rank whose nonzero members
+    all lie in the forbidden set (_coset_basis): its cosets are cliques,
+    so opt <= 2^(n - min_rank) = lin.  The ratio bound is the smallest
+    of Hoffman's bound on the Cayley graph and, when K holds whole
+    Hamming weight classes W, Delsarte's LP bound on codes avoiding the
+    distances W, whose dual is checked exactly before it is used, and
+    Plotkin's bound on codes of the least distance outside W.  On code
+    matrices K is a punctured Hamming ball, and the LP settles codes
+    (5, 3), (6, 3), (7, 3), (8, 3) and others at the root, and Plotkin's
+    bound settles (7, 4) and (8, 5).
 
     Otherwise exactly one exact search runs, in slices of ticks that
     double every round (_sliced_search).  Where every row is thin and
     distinct rows are few (_parity_choice_ready), it is a parity-choice
     search (_ParityChoiceSearch); elsewhere it is branch and bound over
     independent sets of the Cayley graph generated by the forbidden set
-    (_OptSearch), which takes U for its coset bound.  Either stops when
-    it exhausts, or when its incumbent reaches the smallest of the three
-    root bounds, which proves it optimal.  Slices are counted in ticks,
-    never in time, so the value and the witness do not depend on the
-    host.  The engines adopt only strictly larger sets than the warm
-    start, so the witness is the same kernel whenever opt = lin.  A
-    search witness is verified before it is returned, whatever its
-    size.  The parity search finishes its last two rows together,
-    skipping a finish that either row's own sum rules out and closing
-    most others at their root with the roof-duality bound, one
-    max-flow; the few that pass their root branch on one pattern class
-    at a time, each node bounded the same way.
+    (_OptSearch).  Either stops when it exhausts, or when its incumbent
+    reaches the smaller of the column and ratio bounds, which proves it
+    optimal.  Slices are counted in ticks, never in time, so the value
+    and the witness do not depend on the host.  The engines adopt only
+    strictly larger sets than the warm start, so the witness is the same
+    kernel whenever opt = lin.  A search witness is verified before it
+    is returned, whatever its size.  The parity search finishes its last
+    two rows together, skipping a finish that either row's own sum rules
+    out and closing most others at their root with the roof-duality
+    bound, one max-flow; the few that pass their root branch on one
+    pattern class at a time, each node bounded the same way.
 
     When A has three distinct rows or more, a second parity search may
     take a turn before each slice, twice as long as that slice: on A
@@ -874,16 +824,15 @@ def opt_exact(
     return cnt << len(dropped), SolutionSet.of(members, A.n)
 
 
-def _sliced_search(
-    engine: _Engine, relaxed: _Engine | None, lin: int
-) -> tuple[int, list[int]]:
+def _sliced_search(engine: _Engine, relaxed: _Engine | None, lin: int):
     """Run the engine in slices of ticks that start at _FIRST_SLICE and
     double every round, until it exhausts its search or its incumbent
     reaches its ceiling.  Either way its incumbent is then the value and
     the witness: the engine adopts only strictly larger sets, so an
-    exhausted search would have returned the same one.  Code (9, 4),
+    exhausted search would have ended with the same one.  Code (9, 4),
     where Plotkin's bound gives 6 = A(9, 5), stops at the vertex
-    search's sixth tick instead of 62,350 ticks.
+    search's sixth tick; run to its end, that search takes 192,082
+    ticks to return the same witness.
 
     `relaxed`, when given, searches a matrix made of some of A's rows
     (_row_subset), whose optimum is at least A's.  Most items that reach
@@ -911,10 +860,10 @@ def _sliced_search(
         if relaxed is not None and engine.best == lin:
             if relaxed.resume(relaxed.clock.ticks + 2 * size):
                 if relaxed.best == lin:
-                    return engine.incumbent()
+                    return
                 relaxed = None
         if engine.resume(engine.clock.ticks + size):
-            return engine.incumbent()
+            return
         size *= 2
 
 
@@ -951,47 +900,40 @@ def _opt_core(rec: _Completed, deadline: float | None) -> tuple[int, SolutionSet
     K = _required_bitmap(A) if rec.K is None else rec.K
 
     # a verified linear warm start: the kernel of a min-rank completion
-    V = kernel(W)
     vbm = 0
-    for v in V.vectors():
+    for v in kernel(W).vectors():
         vbm |= 1 << v
     if vbm & K:  # pragma: no cover - would contradict the forbidden-set identity
         raise InternalError("kernel of a completion intersects the forbidden set")
 
     # root certificates: a subspace avoiding K is a solution, so a bound
     # meeting its size proves it optimal.  The column bound, the ratio
-    # bound and the coset bound are tried in turn, and the smallest is
-    # the search's ceiling.
+    # bound and the coset certificate are tried in turn, and the smaller
+    # bound is the search's ceiling.
     lin = 1 << (A.n - r)
     ceiling = 1 << (A.n - rec.col_min_rank(A.n))
     if ceiling > lin:
         ceiling = min(ceiling, rec.ratio or _ratio_bound(K, A.n))
-    U = _coset_basis(K, A.n, r, deadline) if ceiling > lin else ()
-    ceiling = min(ceiling, 1 << (A.n - len(U)))
-    if ceiling == lin:
-        return lin, SolutionSet.of(V.vectors(), A.n)
-
-    if _parity_choice_ready(A):
-        engine = _ParityChoiceSearch(A, K, deadline)
-        relaxed = _row_subset(A, r, deadline)
-    else:
-        engine, relaxed = _OptSearch(A, K, U, deadline), None
-    engine.ceiling = ceiling
-    engine.seed(V.vectors())
-    if relaxed is not None:
-        # a relaxed set above lin proves nothing about A
-        relaxed.ceiling = lin + 1
-        relaxed.seed(V.vectors())
-    best, members = _sliced_search(engine, relaxed, lin)
-
-    if len(members) != best:
-        raise InternalError("witness size disagrees with the optimum")
-    lbm = 0
-    for x in members:
-        lbm |= 1 << x
-    if not _avoids(lbm, K, A.n):
-        raise InternalError("witness fails the solution check")
-    return best, SolutionSet.of(members, A.n)
+    best, mask = lin, vbm
+    if ceiling > lin and _coset_basis(K, A.n, r, deadline) is None:
+        if _parity_choice_ready(A):
+            engine = _ParityChoiceSearch(A, K, deadline)
+            relaxed = _row_subset(A, r, deadline)
+        else:
+            engine, relaxed = _OptSearch(A, K, deadline), None
+        engine.ceiling = ceiling
+        engine.seed(vbm)
+        if relaxed is not None:
+            # a relaxed set above lin proves nothing about A
+            relaxed.ceiling = lin + 1
+            relaxed.seed(vbm)
+        _sliced_search(engine, relaxed, lin)
+        best, mask = engine.best, engine.best_mask
+        if mask.bit_count() != best:
+            raise InternalError("witness size disagrees with the optimum")
+        if not _avoids(mask, K, A.n):
+            raise InternalError("witness fails the solution check")
+    return best, SolutionSet.of(_bits(mask), A.n)
 
 
 def brute_force_opt_tiny(A: PartialMatrix) -> int:
@@ -1056,11 +998,16 @@ def separating_min_rank(A: PartialMatrix, limit: int = _SUBSPACE_N) -> int:
     """n minus the largest dimension of a subspace avoiding the forbidden set.
 
     The kernel-side search of min_rank_completion (_KernelSide) tries
-    the dimensions in ascending order (_ascending_subspace).
+    dimensions 1, 2, ... until none exists, since a subspace avoiding K
+    has subspaces of every lower dimension that do too.
     """
     if A.n > limit:
         raise LimitError(f"subspace sweep over GF(2)^{A.n} exceeds n <= {limit}")
-    return A.n - len(_ascending_subspace(_required_bitmap(A), A.n, A.n))
+    K = _required_bitmap(A)
+    dim = 0
+    while dim < A.n and _KernelSide(K, A.n, dim + 1, _Deadline(None, A.n)).run() is not None:
+        dim += 1
+    return A.n - dim
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from conftest import build_circuit, parity_table
+from minrank import circuits
 from minrank.circuits import (
     Depth2Circuit,
     MiddleGate,
@@ -91,6 +92,26 @@ def test_linearize_on_generated_circuits():
         assert L.width == min_rank(matrix_of(F))
         assert L.degree <= F.degree
         assert metrics(F)["match_size"] == line_cover_number(matrix_of(F))
+
+
+def test_linearize_evaluates_the_circuit_once_per_input(monkeypatch):
+    # the linearity check reads F at 0, at each basis vector and at every
+    # input, 1 + n + 2^n evaluations, and linearize builds the partial
+    # matrix from the operator that check found
+    calls = []
+    real = circuits.evaluate
+
+    def counted(F, x):
+        calls.append(x)
+        return real(F, x)
+
+    monkeypatch.setattr(circuits, "evaluate", counted)
+    rng = random.Random(77)
+    for _ in range(40):
+        F, _ = build_circuit(rng)
+        calls.clear()
+        linearize(F)
+        assert len(calls) == 1 + F.n + (1 << F.n)
 
 
 def test_linearize_width_bound_via_opt():

@@ -6,7 +6,7 @@ import inspect
 from pathlib import Path
 
 import minrank
-from minrank import cli, partial, solutions
+from minrank import cli, gf2, partial, solutions
 
 EXPORTS = [
     "CodeMatrixSpec", "ConsistentOperator", "Depth2Circuit", "EpsilonRecord",
@@ -77,14 +77,17 @@ def test_tool_config_knobs_are_pinned():
         elif isinstance(node, ast.ImportFrom) and node.module is not None:
             imported.add(node.module)
     assert not any(name.split(".")[0] == "concurrent" for name in imported)
-    # no module cache in partial or solutions: library code keeps only
-    # partial._memo, one completion record, and gf2._half_masks
-    for module in (partial, solutions):
-        assert not [
-            name
-            for name, value in vars(module).items()
-            if not name.startswith("__") and isinstance(value, dict)
-        ]
+    # library code keeps only partial._memo, one completion record, and
+    # three caches in gf2: _half_masks, _walsh_masks and _delsarte_bounds
+    caches = [
+        f"{module.__name__}.{name}"
+        for module in (gf2, partial, solutions)
+        for name, value in vars(module).items()
+        if not name.startswith("__") and isinstance(value, dict)
+    ]
+    assert sorted(caches) == [
+        "minrank.gf2._delsarte_bounds", "minrank.gf2._half_masks", "minrank.gf2._walsh_masks",
+    ]
 
 
 def test_no_module_imports_a_name_it_never_uses():

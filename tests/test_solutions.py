@@ -20,7 +20,14 @@ from minrank.gf2 import (
     dot,
     kernel,
 )
-from minrank.partial import PartialMatrix, col_min_rank, min_rank, min_rank_completion
+from minrank.partial import (
+    PartialMatrix,
+    _Deadline,
+    _KernelSide,
+    col_min_rank,
+    min_rank,
+    min_rank_completion,
+)
 from minrank.pmx import parse_pmx
 from minrank.report import _random_matrices
 from minrank.solutions import (
@@ -43,6 +50,11 @@ from minrank.solutions import (
 )
 
 A1 = parse_pmx("10*0*1\n*111**\n0**1**\n")
+
+
+def _mask(vectors):
+    # the occupancy bitmap of a set of vectors, as the opt engines keep it
+    return sum(1 << v for v in vectors)
 
 
 def random_matrix(rng, m, n, star_cap=None):
@@ -151,8 +163,9 @@ def test_opt_deterministic_witness():
 
 
 def test_root_certificate_matches_the_seeded_search():
-    # wherever a root bound settles opt_exact, the vertex search seeded
-    # with the same kernel proves the same value and keeps that witness
+    # wherever a root bound settles opt_exact, the reference vertex
+    # search (_RowBoundSearch) seeded with the same kernel proves the
+    # same value and keeps that witness
     rng = random.Random(37)
     cases = [random_matrix(rng, rng.randint(1, 4), rng.randint(2, 7)) for _ in range(200)]
     for n, r in ((4, 2), (6, 2)):
@@ -173,11 +186,11 @@ def test_root_certificate_matches_the_seeded_search():
             fired["ratio"] += 1
         else:
             continue
-        search = _OptSearch(A, K, _coset_basis(K, A.n, r), None)
-        search.seed(kernel(W).vectors())
-        best, members = search.run()
+        search = _RowBoundSearch(A, K, None)
+        search.seed(_mask(kernel(W).vectors()))
+        assert search.resume(None)
         value, sol = opt_exact(A)
-        assert (value, sol.sorted_members()) == (best, members)
+        assert (value, sol.sorted_members()) == (search.best, list(_bits(search.best_mask)))
     assert fired["column"] > 150 and fired["ratio"] == 6
 
 
@@ -329,16 +342,33 @@ def test_conjecture_epsilon_flagship():
     assert conjecture_epsilon(parse_pmx("**\n")) is None
 
 
+def _coset_subspace(K, n):
+    """A basis of the largest subspace U whose nonzero members all lie
+    in K: subspaces avoiding the rest of GF(2)^n, found dimension by
+    dimension until none exists."""
+    rest = ((1 << (1 << n)) - 1) & ~K & ~1
+    U = ()
+    while True:
+        found = _KernelSide(rest, n, len(U) + 1, _Deadline(None, n)).run()
+        if found is None:
+            return U
+        U = found
+
+
 class _RowBoundSearch(_OptSearch):
-    """_OptSearch with a bound that takes one entry per distinct row
-    besides the coset bound, which it takes over every member of U.
-    Both bounds are admissible, so both searches must find the same
-    incumbents: the oracle for _OptSearch's answers and witnesses."""
+    """The vertex search with two more admissible bounds, the reference
+    for _OptSearch's answers and witnesses.  One takes an entry per
+    distinct row: the row's classes keep one parity each.  The other is
+    the coset bound: U (_coset_subspace) has every nonzero member in K,
+    so every U-coset is a clique and candidates allow one pick per
+    coset.  A node takes the bound when it is entered and again once its
+    candidates shrink by 8.  Admissible bounds cut only nodes that
+    cannot beat the best, so both searches find the same incumbents."""
 
     def __init__(self, *args):
         super().__init__(*args)
         span = [0]
-        for u in self.coset_basis:
+        for u in _coset_subspace(self.K, self.n):
             span += [u ^ v for v in span]
         self.coset_U = span if len(span) > 1 else None
         rows = []
@@ -358,7 +388,7 @@ class _RowBoundSearch(_OptSearch):
         rows.sort(key=lambda e: len(e[1]))
         self.bound_rows = rows
 
-    def _coset_bound(self, cand):
+    def _bound(self, cand):
         bound = cand.bit_count()
         for parity, classes in self.bound_rows:
             total = 0
@@ -380,6 +410,58 @@ class _RowBoundSearch(_OptSearch):
             if b < bound:
                 bound = b
         return bound
+
+    def resume(self, stop):
+        # _OptSearch.resume, its frames (cand, count, added, stale,
+        # stale_at, low) holding the node's last bound `stale`, taken at
+        # stale_at candidates
+        stack = self._stack
+        if stack is None:
+            stack = self._stack = [(self.full & ~self.K & ~1, 1, 0, None, 0, -1)]
+        chosen = self.chosen
+        while stack and self.best < self.ceiling:
+            cand, count, added, stale, stale_at, low = stack[-1]
+            if low < 0:
+                if stop is not None and self.clock.ticks >= stop:
+                    return False
+                self.clock.check()
+            else:
+                chosen.pop()
+                cand ^= low
+            child = None
+            while cand:
+                pc = cand.bit_count()
+                ub = pc if stale is None else min(pc, stale)
+                if count + ub <= self.best:
+                    break
+                if stale is None or pc <= stale_at - 8:
+                    stale = self._bound(cand)
+                    stale_at = pc
+                    if count + min(pc, stale) <= self.best:
+                        break
+                low = cand & -cand
+                x = low.bit_length() - 1
+                nbrs = xor_translate(self.K, x, self.n) & cand
+                chosen.append(x)
+                if nbrs == 0:
+                    added += 1
+                    cand ^= low
+                    count += 1
+                    continue
+                child = (cand & ~nbrs & ~low, count + 1, 0, None, 0, -1)
+                break
+            else:
+                if count > self.best:
+                    self.best = count
+                    self.best_mask = sum(1 << v for v in chosen)
+            if child is not None:
+                stack[-1] = (cand, count, added, stale, stale_at, low)
+                stack.append(child)
+                continue
+            if added:
+                del chosen[-added:]
+            stack.pop()
+        return True
 
 
 def _max_independent(cand: int, K: int, n: int) -> int:
@@ -489,7 +571,7 @@ def test_the_vertex_engine_stops_at_the_root_ceiling(built_engines):
     # codes (9, 4) and (10, 5): Plotkin's bound gives 6 = A(9, 5) =
     # A(10, 6) at the root, against lin 4.  The vertex search finds a
     # 6-word code at its sixth tick and stops there, with the witness
-    # that its exhausted search returns after 62,350 and 61,202 ticks
+    # that its exhausted search returns after 192,082 and 204,542 ticks
     for n, r, witness in (
         (9, 4, [0, 31, 227, 364, 437, 474]),
         (10, 5, [0, 63, 455, 729, 874, 948]),
@@ -520,31 +602,6 @@ def _shuffled_codes(rng, max_n, shuffles):
     return out
 
 
-def test_coset_bound_is_admissible():
-    rng = random.Random(61)
-    cases = [random_matrix(rng, rng.randint(1, 8), rng.randint(2, 5)) for _ in range(150)]
-    # rows drawn from two star sets, so that star sets hold several rows
-    for _ in range(60):
-        n = rng.randint(3, 5)
-        pool = [rng.getrandbits(n) for _ in range(2)]
-        rows = [(rng.getrandbits(n), rng.choice(pool)) for _ in range(rng.randint(2, 7))]
-        cases.append(PartialMatrix(n, tuple(a & ~s for a, s in rows), tuple(s for _, s in rows)))
-    cases += _shuffled_codes(rng, 6, 1)
-    cosets = 0
-    for A in cases:
-        K = forbidden_set(A).bitmap
-        new = _OptSearch(A, K, _coset_basis(K, A.n, min_rank(A)), None)
-        cosets += bool(new.coset_basis)
-        free = ((1 << (1 << A.n)) - 1) & ~K & ~1
-        for _ in range(6):
-            cand = free & rng.getrandbits(1 << A.n)
-            if cand.bit_count() > 22:
-                # keep the brute force small on the wider code matrices
-                cand = sum(1 << x for x in rng.sample(list(_bits(cand)), 22))
-            assert new._coset_bound(cand) >= _max_independent(cand, K, A.n)
-    assert cosets > 200
-
-
 def _opt_with(monkeypatch, built_engines, engine, A):
     # opt_exact with `engine` as its vertex search, and the ticks of each
     # vertex search it built
@@ -572,7 +629,7 @@ def _reaches_the_vertex_engine(A):
     if solutions._parity_choice_ready(A) or not _reaches_search(A):
         return False
     r = min_rank(A)
-    return len(_coset_basis(forbidden_set(A).bitmap, A.n, r)) != r
+    return _coset_basis(forbidden_set(A).bitmap, A.n, r) is None
 
 
 def test_coset_bound_keeps_every_answer_and_witness(monkeypatch, built_engines):
@@ -602,17 +659,16 @@ def test_coset_bound_keeps_every_answer_and_witness(monkeypatch, built_engines):
         assert new[:2] == old[:2]
         assert len(new[2]) == len(old[2]) == 1
     # code (7, 3): Delsarte's LP settles it at the root, so no engine is
-    # built; on its K and coset U, the ticks each search takes
+    # built; on its K, the ticks each search takes
     A = code_matrix(CodeMatrixSpec(7, 3))
     built_engines.clear()
     assert opt_exact(A)[0] == 8 and built_engines == []
-    r, W = min_rank_completion(A)
+    _, W = min_rank_completion(A)
     K = forbidden_set(A).bitmap
-    U = _coset_basis(K, A.n, r)
-    for engine, ticks in ((_RowBoundSearch, 720), (_OptSearch, 768)):
-        search = engine(A, K, U, None)
-        search.seed(kernel(W).vectors())
-        assert search.run()[0] == 8 and search.clock.ticks == ticks
+    for engine, ticks in ((_RowBoundSearch, 720), (_OptSearch, 2084)):
+        search = engine(A, K, None)
+        search.seed(_mask(kernel(W).vectors()))
+        assert search.resume(None) and search.best == 8 and search.clock.ticks == ticks
 
 
 def _extend_oracle(K):
@@ -653,14 +709,17 @@ def test_coset_subspace_matches_the_extend_oracle():
         K = forbidden_set(A).bitmap
         if not K:
             continue
-        got = _coset_basis(K, A.n, min_rank(A))
+        r = min_rank(A)
+        got = _coset_basis(K, A.n, r)
         want, cap_bound = _extend_oracle(K)
         if not cap_bound:
-            assert got == want
+            assert got == (want if len(want) == r else None)
             exact += 1
             continue
         capped += 1
-        assert len(got) >= len(want)
+        if got is None:
+            continue
+        assert len(got) == r
         span = [0]
         for u in got:
             span += [u ^ v for v in span]
@@ -862,7 +921,7 @@ def test_finish_cells_match_a_count_per_vector(monkeypatch):
                     if bin(rowa[0] & u).count("1") % 2 == xa[ia[u & rowa[1]]]
                     and bin(rowb[0] & u).count("1") % 2 == yb[ib[u & rowb[1]]]
                 ]
-                assert engine.incumbent() == (len(kept), kept)
+                assert (engine.best, list(_bits(engine.best_mask))) == (len(kept), kept)
 
 
 def test_parity_engine_settles_what_the_vertex_search_stalls_on(built_engines):
@@ -956,7 +1015,7 @@ def test_roof_bound_settles_h2(built_engines):
     parity, relaxed = built_engines
     assert (parity.clock.ticks, relaxed.clock.ticks) == (0, 439)
     assert parity._stack is None and relaxed._stack == []
-    assert parity.incumbent() == relaxed.incumbent() == (32, V)
+    assert (parity.best, parity.best_mask) == (relaxed.best, relaxed.best_mask) == (32, _mask(V))
 
 
 @pytest.fixture
@@ -1056,8 +1115,8 @@ def test_single_row_sums_skip_every_finish_of_113(monkeypatch):
     _, W = min_rank_completion(A)
     V = sorted(kernel(W).vectors())
     parity = solutions._ParityChoiceSearch(A, forbidden_set(A).bitmap, None)
-    parity.seed(V)
-    assert parity.run() == (32, V)
+    parity.seed(_mask(V))
+    assert parity.resume(None) and (parity.best, parity.best_mask) == (32, _mask(V))
     assert calls == []
     value, sol = opt_exact(A)
     assert value == 32 and sol.sorted_members() == V
@@ -1072,10 +1131,9 @@ def test_a_relaxed_incumbent_never_reaches_the_engines_of_a(monkeypatch, relaxat
     seeded = []
     real = solutions._Engine.seed
 
-    def spy(self, members):
-        members = list(members)
-        seeded.append((self, members))
-        real(self, members)
+    def spy(self, mask):
+        seeded.append((self, mask))
+        real(self, mask)
 
     monkeypatch.setattr(solutions._Engine, "seed", spy)
     cases = (
@@ -1092,10 +1150,10 @@ def test_a_relaxed_incumbent_never_reaches_the_engines_of_a(monkeypatch, relaxat
         [relaxed] = relaxations
         assert relaxed is not None and relaxed.turns == [18]
         assert relaxed.clock.ticks == ticks
-        assert not is_solution(A, relaxed.incumbent()[1])
-        for engine, members in seeded:
+        assert not is_solution(A, _bits(relaxed.best_mask))
+        for engine, mask in seeded:
             if engine is not relaxed:
-                assert is_solution(A, members)
+                assert is_solution(A, _bits(mask))
 
 
 def test_the_relaxation_changes_no_answer(monkeypatch, relaxations, built_engines):
@@ -1205,13 +1263,9 @@ def test_one_distinct_row_settles_at_the_root(built_engines):
 def _alone(engine, A, stop):
     """opt by one engine alone, seeded with the kernel as opt_exact
     seeds it, or None when it does not finish within `stop` ticks."""
-    r, W = min_rank_completion(A)
-    K = forbidden_set(A).bitmap
-    if engine is _OptSearch:
-        search = _OptSearch(A, K, _coset_basis(K, A.n, r), None)
-    else:
-        search = engine(A, K, None)
-    search.seed(kernel(W).vectors())
+    _, W = min_rank_completion(A)
+    search = engine(A, forbidden_set(A).bitmap, None)
+    search.seed(_mask(kernel(W).vectors()))
     return search.best if search.resume(stop) else None
 
 
@@ -1251,5 +1305,7 @@ def test_portfolio_agrees_with_each_engine_alone():
         if A.n <= 5:
             K = forbidden_set(A).bitmap
             assert value == _max_independent(((1 << (1 << A.n)) - 1) & ~K, K, A.n)
-    assert compared[0] > 40 and compared[1] > 50
+    # the vertex engine alone settles every tall draw within 4,000 ticks,
+    # and no wide one
+    assert compared[0] >= 40 and compared[1] > 50
 
