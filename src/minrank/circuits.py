@@ -17,11 +17,12 @@ width-limited circuits.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InternalError, LimitError, ParseError
-from .gf2 import GF2Matrix, rank, rref, reduce_vector, solve
+from .gf2 import GF2Matrix, _pack, _parity_bitmap, rank, rref, reduce_vector, solve
 from .partial import PartialMatrix, line_cover_number, min_rank_completion
 
 _MAX_INPUTS = 16
@@ -100,20 +101,10 @@ def evaluate(F: Depth2Circuit, x: int) -> int:
         raise ValueError("input does not fit the circuit's variables")
     mids = 0
     for k, g in enumerate(F.middle):
-        idx = 0
-        for pos, w in enumerate(g.wires):
-            idx |= ((x >> w) & 1) << pos
-        mids |= ((g.table >> idx) & 1) << k
+        mids |= ((g.table >> _pack(x, g.wires)) & 1) << k
     out = 0
     for i, g in enumerate(F.outputs):
-        idx = 0
-        pos = 0
-        for w in g.direct:
-            idx |= ((x >> w) & 1) << pos
-            pos += 1
-        for k in g.middle:
-            idx |= ((mids >> k) & 1) << pos
-            pos += 1
+        idx = _pack(x, g.direct) | _pack(mids, g.middle) << len(g.direct)
         out |= ((g.table >> idx) & 1) << i
     return out
 
@@ -309,10 +300,7 @@ def linearize_middle(F: Depth2Circuit) -> Depth2Circuit:
                 bit = at_zero
             v |= bit << j
         wires = tuple(j for j in range(F.n) if (v >> j) & 1)
-        table = 0
-        for a in range(1 << len(wires)):
-            table |= (a.bit_count() & 1) << a
-        new_middle.append(MiddleGate(wires, table))
+        new_middle.append(MiddleGate(wires, _parity_bitmap((1 << len(wires)) - 1, len(wires))))
     out = Depth2Circuit(F.n, tuple(new_middle), F.outputs)
     for x in range(1 << F.n):
         if evaluate(out, x) != evaluate(F, x):  # pragma: no cover
@@ -391,13 +379,13 @@ def parse_ckt(text: str) -> Depth2Circuit:
     middle: list[MiddleGate] = []
     outputs: list[OutputGate] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = list(re.finditer(r"\S+", raw.split("#", 1)[0]))
+        if not tokens:
             continue
-        parts = line.split()
+        parts = [t.group() for t in tokens]
 
         def at(idx: int) -> int:
-            return raw.index(parts[idx]) + 1
+            return tokens[idx].start() + 1
 
         def expect(idx: int, word: str):
             if len(parts) <= idx or parts[idx] != word:

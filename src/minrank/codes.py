@@ -23,6 +23,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import LimitError
+from .gf2 import _weight_classes
 from .partial import PartialMatrix, row_min_rank
 from .solutions import _BITMAP_N, SolutionSet, _required_bitmap
 
@@ -86,11 +87,8 @@ def ball(n: int, r: int, limit: int = _BITMAP_N) -> set[int]:
 def verify_ka_is_ball(spec: CodeMatrixSpec) -> bool:
     """Whether the forbidden set of the code matrix is the punctured ball."""
     K = _required_bitmap(code_matrix(spec))
-    expected = 0
-    for v in ball(spec.n, spec.r):
-        expected |= 1 << v
-    expected &= ~1  # the zero vector is never forbidden
-    return K == expected
+    # the weights 1..r; the zero vector is never forbidden
+    return K == sum(_weight_classes(spec.n)[1 : spec.r + 1])
 
 
 def hamming_bound(n: int, r: int) -> int:

@@ -191,8 +191,8 @@ def _insert(basis: tuple[int, ...], v: int) -> tuple[int, ...]:
 
 
 class _Deadline:
-    """The one search clock: a tick count with an optional deadline, for
-    both deciders of min_rank_completion and for the opt engines.
+    """The one search clock type, a tick count with an optional deadline;
+    each search that counts ticks builds its own.
 
     The deadline is read every 2^(10 - n) ticks, and every tick from
     n = 10 on, so a search over GF(2)^n ends within a millisecond or two
@@ -475,8 +475,7 @@ _KERNEL_SIDE_N = 12
 # row this many ticks, and min_rank_completion's race caps its first
 # slice at it.  A first slice of 256 parity-engine ticks takes 3 to 42
 # ms on the parity-ready 4x8, 5x10 and 6x12 items of `minrank search
-# --seed 0` that reach it (2-core x86 box, Python 3.11); an item whose
-# relaxation settles in its first turn now skips it.
+# --seed 0` that reach it (2-core x86 box, Python 3.11).
 _FIRST_SLICE = 256
 
 @dataclass(frozen=True)
@@ -754,20 +753,10 @@ def max_independent_rows(rows: Sequence[tuple[int, int]]) -> int:
     return best
 
 
-def _dedupe(rows: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    # duplicate (0,1,*) vectors can never both sit in an independent set
-    seen = set()
-    out = []
-    for r in rows:
-        if r not in seen:
-            seen.add(r)
-            out.append(r)
-    return out
-
-
 def row_min_rank(A: PartialMatrix, limit: int = LIMITS.subset_rows) -> int:
     """Largest number of independent rows; a lower bound for min_rank."""
-    rows = _dedupe(list(zip(A.ones, A.stars)))
+    # duplicate (0,1,*) vectors can never both sit in an independent set
+    rows = list(dict.fromkeys(zip(A.ones, A.stars)))
     if len(rows) > limit:
         raise LimitError(f"row search over {len(rows)} distinct rows exceeds {limit}")
     return max_independent_rows(rows)

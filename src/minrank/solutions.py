@@ -28,8 +28,10 @@ from .gf2 import (
     _BYTE_BITS,
     _SUBSPACE_N,
     _bits,
+    _pack,
     _parity_bitmap,
     _ratio_bound,
+    _spread,
     _star_classes,
     dot,
     kernel,
@@ -212,21 +214,6 @@ def _drop_unused_columns(A: PartialMatrix) -> tuple[PartialMatrix, list[int], li
         tuple(_pack(s, kept) for s in A.stars),
     )
     return core, kept, dropped
-
-
-def _pack(x: int, positions: list[int]) -> int:
-    w = 0
-    for t, j in enumerate(positions):
-        w |= ((x >> j) & 1) << t
-    return w
-
-
-def _spread(w: int, positions: list[int]) -> int:
-    x = 0
-    for t, j in enumerate(positions):
-        if (w >> t) & 1:
-            x |= 1 << j
-    return x
 
 
 class _Engine:
@@ -632,15 +619,15 @@ class _ParityChoiceSearch(_Engine):
 
     def resume(self, stop: int | None) -> bool:
         # The stack holds the walks still to run, each as (alive, ri,
-        # order, suffix, t, prefix, guarded); a guarded walk is the second
-        # side of a branch and runs only if it can still beat the best.
+        # order, suffix, t, prefix); a walk runs only if it can still beat
+        # the best.
         stack = self._stack
         if stack is None:
             stack = self._stack = []
             self._go(self.full & ~self.K, 0)
         while stack and self.best < self.ceiling:
-            alive, ri, order, suffix, t, prefix, guarded = stack[-1]
-            if guarded and prefix + suffix[t] <= self.best:
+            alive, ri, order, suffix, t, prefix = stack[-1]
+            if prefix + suffix[t] <= self.best:
                 stack.pop()
                 continue
             if stop is not None and self.clock.ticks >= stop:
@@ -673,7 +660,7 @@ class _ParityChoiceSearch(_Engine):
                 b_other = v
         if min(b_other, suffix[0]) <= self.best:
             return
-        self._stack.append((alive, ri, order, suffix, 0, 0, False))
+        self._stack.append((alive, ri, order, suffix, 0, 0))
 
     def _walk(self, alive: int, ri: int, order, suffix, t: int, prefix: int):
         self.clock.check()
@@ -695,10 +682,10 @@ class _ParityChoiceSearch(_Engine):
                 kills = ((odd, ec), (even, oc))
             # keeping the larger side first: pushed last, so it runs first
             self._stack.append(
-                (alive & ~kills[1][0], ri, order, suffix, t + 1, prefix + kills[1][1], True)
+                (alive & ~kills[1][0], ri, order, suffix, t + 1, prefix + kills[1][1])
             )
             self._stack.append(
-                (alive & ~kills[0][0], ri, order, suffix, t + 1, prefix + kills[0][1], False)
+                (alive & ~kills[0][0], ri, order, suffix, t + 1, prefix + kills[0][1])
             )
             return
         self._go(alive, ri + 1)

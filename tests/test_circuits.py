@@ -54,6 +54,48 @@ def test_evaluate_hand_cases():
         evaluate(F, 8)
 
 
+def _gather_evaluate(F, x):
+    # evaluate() with every gate's table index gathered wire by wire
+    mids = 0
+    for k, g in enumerate(F.middle):
+        idx = 0
+        for pos, w in enumerate(g.wires):
+            idx |= ((x >> w) & 1) << pos
+        mids |= ((g.table >> idx) & 1) << k
+    out = 0
+    for i, g in enumerate(F.outputs):
+        idx = 0
+        pos = 0
+        for w in g.direct:
+            idx |= ((x >> w) & 1) << pos
+            pos += 1
+        for k in g.middle:
+            idx |= ((mids >> k) & 1) << pos
+            pos += 1
+        out |= ((g.table >> idx) & 1) << i
+    return out
+
+
+def test_evaluate_matches_a_per_wire_gather():
+    # on the seeded circuits with an output reading both direct and
+    # middle wires, as built and with random output tables
+    rng = random.Random(101)
+    seen = 0
+    for _ in range(60):
+        F, _ = build_circuit(rng)
+        if not any(g.direct and g.middle for g in F.outputs):
+            continue
+        seen += 1
+        outs = tuple(
+            OutputGate(g.direct, g.middle, rng.getrandbits(1 << (len(g.direct) + len(g.middle))))
+            for g in F.outputs
+        )
+        junk = Depth2Circuit(F.n, F.middle, outs)
+        for G in (F, junk):
+            assert all(evaluate(G, x) == _gather_evaluate(G, x) for x in range(1 << G.n))
+    assert seen > 30
+
+
 def test_extract_linear_operator():
     M = extract_linear_operator(xor_of_all(3))
     assert M is not None and M.rows == (0b111,)
@@ -149,6 +191,28 @@ def test_linearize_middle_preserves_parity_circuits():
         done += 1
 
 
+def _parity_loop(k):
+    # the truth table of the parity of k wires, one input at a time
+    table = 0
+    for a in range(1 << k):
+        table |= (a.bit_count() & 1) << a
+    return table
+
+
+def test_linearize_middle_tables_match_a_parity_loop():
+    # a middle gate over all n inputs computing the parity of a k-subset
+    # becomes a gate over that subset, for every 0 <= k <= n <= 8
+    rng = random.Random(89)
+    for n in range(1, 9):
+        for k in range(n + 1):
+            s = sum(1 << j for j in rng.sample(range(n), k))
+            mids = (MiddleGate(tuple(range(n)), parity_table(n, s)),)
+            F = Depth2Circuit(n, mids, (OutputGate((), (0,), 0b10),))
+            (g,) = linearize_middle(F).middle
+            assert g.wires == tuple(j for j in range(n) if (s >> j) & 1)
+            assert g.table == _parity_loop(k)
+
+
 def test_linearize_middle_rejects_non_parity_outputs():
     with pytest.raises(ValueError):
         linearize_middle(AND_CIRCUIT)
@@ -225,6 +289,16 @@ def test_ckt_parse_errors():
         parse_ckt("middle wires 0 table 2\n")
     with pytest.raises(ParseError):
         parse_ckt("inputs 2\noutput direct 0 middle - table 2\nmiddle wires 0 table 2\n")
+    # the column is the offending token's own, not the first place its
+    # text appears on the line
+    for line, message, column in (
+        ("middle wires i table 1", "bad wire list", 14),
+        ("output direct - middle e table 1", "bad wire list", 24),
+        ("middle wires 1 wires 1", "expected 'table'", 16),
+    ):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_ckt(f"inputs 2\n{line}\n")
+        assert (err.value.line, err.value.column) == (2, column)
 
 
 def test_ckt_comments_and_blanks():

@@ -16,6 +16,7 @@ from minrank.codes import (
     verify_ka_is_ball,
 )
 from minrank.errors import LimitError
+from minrank.gf2 import _weight_classes
 from minrank.partial import col_min_rank
 from minrank.pmx import emit_pmx
 from minrank.solutions import SolutionSet, opt_exact
@@ -73,6 +74,21 @@ def test_forbidden_set_is_punctured_ball():
         assert verify_ka_is_ball(CodeMatrixSpec(n, r))
     with pytest.raises(LimitError, match="bitmap"):
         verify_ka_is_ball(CodeMatrixSpec(25, 1))
+
+
+def _ball_bitmap(n, r):
+    # the punctured ball as a bitmap, built from ball() one member at a time
+    bm = 0
+    for v in ball(n, r):
+        bm |= 1 << v
+    return bm & ~1
+
+
+def test_ka_weight_classes_match_the_ball_bitmap():
+    for n in range(2, 11):
+        for r in range(1, n):
+            assert sum(_weight_classes(n)[1 : r + 1]) == _ball_bitmap(n, r)
+            assert verify_ka_is_ball(CodeMatrixSpec(n, r))
 
 
 def test_bounds_frozen_values():

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import inspect
+import sys
 from pathlib import Path
 
 import minrank
@@ -88,6 +89,25 @@ def test_tool_config_knobs_are_pinned():
     assert sorted(caches) == [
         "minrank.gf2._delsarte_bounds", "minrank.gf2._half_masks", "minrank.gf2._walsh_masks",
     ]
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    # numpy or scipy may be installed, but the package must not need them
+    outside = []
+    for path in sorted(Path(minrank.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []
 
 
 def test_no_module_imports_a_name_it_never_uses():
