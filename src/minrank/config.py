@@ -20,7 +20,8 @@ VERSION = "0.1.0"
 class Limits:
     # columns for the exact max-solution search
     opt_n: int = 16
-    # total stars for completion enumeration and enumeration-based oracles
+    # total stars for completion enumeration and enumeration-based
+    # oracles, and starred lines for max_rank's line-cover scan
     stars: int = 24
     # rows (after deduplication) for the row/column minimum-rank search
     subset_rows: int = 20

@@ -21,7 +21,6 @@ from .gf2 import (
     _half_mask,
     _ratio_bound,
     dot,
-    rank,
     reduce_vector,
     rref,
     solve,
@@ -198,9 +197,9 @@ class _Deadline:
     n = 10 on, so a search over GF(2)^n ends within a millisecond or two
     of its deadline.  On the opt engines of the seed-0 sweep items,
     99% of ticks cost at most about 0.13 ms at n = 8 and 0.17 ms at
-    n = 12.  The costliest are the parity engine's two-row finishes,
-    where a tick covers the count of the finish's cells, one node's
-    class sums and flow network, or one phase of its roof-bound flow.
+    n = 12.  The costliest are the parity engine's two-row bounds, where
+    a tick covers the count of the finish's cells with their class sums
+    and flow network, or one phase of its roof-bound flow.
     A check that reads the clock costs about 0.3 us (2-core x86 box,
     Python 3.11).
     """
@@ -624,37 +623,34 @@ def max_rank(A: PartialMatrix, limit: int = LIMITS.stars) -> int:
 
     Uses the line-cover identity: the maximum equals the minimum over
     line sets X covering all stars of rank(A with X removed) + |X|.
-    Covers are scanned from the smaller side of the matrix, which caps
-    the work at 2^min(m, n) rank computations.  Past 13 rows and 13
-    columns it enumerates the completions instead, up to `limit` stars.
+    Removing a line with no star never lowers rank + |X|, so the scan
+    runs over the subsets of the star-bearing lines of whichever side
+    has fewer, each with every crossing line that its kept lines' stars
+    force: 2^k rank computations for k such lines, at most `limit` of
+    them, so a matrix with at most `limit` stars is never refused.
     """
-    B = A if A.m <= A.n else A.transpose()
-    if B.m <= 13:
-        return _max_rank_cover(B)
-    if A.star_count <= limit:
-        return max(rank(M) for M in enumerate_completions(A, limit))
-    raise LimitError("matrix too large for either exact max-rank strategy")
-
-
-def _max_rank_cover(B: PartialMatrix) -> int:
+    columns = 0
+    for s in A.stars:
+        columns |= s
+    B = A if sum(1 for s in A.stars if s) <= columns.bit_count() else A.transpose()
+    starred = [(a, s) for a, s in zip(B.ones, B.stars) if s]
+    if len(starred) > limit:
+        raise LimitError(f"line-cover scan over {len(starred)} starred lines exceeds {limit}")
+    plain = [a for a, s in zip(B.ones, B.stars) if not s]
     best = min(B.m, B.n)
-    full = (1 << B.m) - 1
-    for removed in range(1 << B.m):
+    for removed in range(1 << len(starred)):
         cost = removed.bit_count()
         if cost >= best:
             continue
-        kept = full & ~removed
         forced = 0
-        for i in range(B.m):
-            if (kept >> i) & 1:
-                forced |= B.stars[i]
+        rows = list(plain)
+        for i, (a, s) in enumerate(starred):
+            if not (removed >> i) & 1:
+                forced |= s
+                rows.append(a)
         cost += forced.bit_count()
-        if cost >= best:
-            continue
-        rows = [B.ones[i] & ~forced for i in range(B.m) if (kept >> i) & 1]
-        r = len(rref(rows))
-        if cost + r < best:
-            best = cost + r
+        if cost < best:
+            best = min(best, cost + len(rref([a & ~forced for a in rows])))
     return best
 
 
@@ -704,21 +700,14 @@ def stars_independent(rows: Sequence[tuple[int, int]], limit: int = 24) -> bool:
 
     A set is dependent iff some nonempty subset can be completed to sum
     to zero, i.e. the xor of its fixed parts vanishes outside the union
-    of its star masks.
+    of its star masks.  The set is independent iff the greedy count of
+    _forced_independent, over no basis, keeps every vector: each vector
+    is checked against the subset sums of those before it.
     """
     k = len(rows)
     if k > limit:
         raise LimitError(f"independence check over {k} vectors exceeds {limit}")
-
-    def dependent(idx: int, x: int, o: int, picked: bool) -> bool:
-        if idx == k:
-            return picked and x & ~o == 0
-        if dependent(idx + 1, x, o, picked):
-            return True
-        a, s = rows[idx]
-        return dependent(idx + 1, x ^ a, o | s, True)
-
-    return not dependent(0, 0, 0, False)
+    return _forced_independent(rows, 0, (), k) == k
 
 
 def max_independent_rows(rows: Sequence[tuple[int, int]]) -> int:

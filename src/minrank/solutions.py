@@ -320,7 +320,8 @@ class _OptSearch(_Engine):
 def _pair_cell_pass(
     cells: list[tuple[int, int, list[list[int]]]], size: tuple[int, int]
 ) -> tuple[list[list[list[int]]], int, list[tuple[int, int, int]]]:
-    """One pass over _pair_choice_max's cells for both of its bounds.
+    """One pass over a two-row finish's cells for both of _pair_closed's
+    bounds.
 
     Returns the relaxations' sums, s[side][i][v]: the count that class
     i of that side keeps on side v when every cell takes the better side
@@ -366,10 +367,10 @@ def _roof_bound(
     best: int,
     tick,
 ) -> int:
-    """The roof dual of _pair_choice_max's joint count, rounded down: an
-    upper bound on its maximum over all side choices (Hammer, Hansen &
-    Simeone 1984), equal to it when the count is supermodular up to
-    flipping some classes.
+    """The roof dual of a two-row finish's joint count (_pair_closed),
+    rounded down: an upper bound on its maximum over all side choices
+    (Hammer, Hansen & Simeone 1984), equal to it when the count is
+    supermodular up to flipping some classes.
 
     As a function of x (the side of each a-class) and y (of each
     b-class) the count is K + sum alpha_i x_i + sum beta_j y_j + sum
@@ -463,62 +464,31 @@ def _roof_bound(
     return top - (flow + 1) // 2
 
 
-def _pair_choice_max(
+def _pair_closed(
     cells: list[tuple[int, int, list[list[int]]]],
     size: tuple[int, int],
     best: int,
     tick,
-) -> tuple[int, list[int] | None, list[int] | None]:
-    """Maximum joint count over the side choices of two remaining rows.
+) -> bool:
+    """True when a bound shows that no side choice of the last two rows
+    beats `best`.
 
     Each cell (ia, ib, m2) counts surviving vectors by their parity
     against row a (side 0) and row b (side 1); choosing a side per
     pattern class keeps one parity per class, so the cell keeps
     m2[x][y] for the choices x of its a-class and y of its b-class;
     `size` holds the numbers of a- and b-classes.  Two relaxations bound
-    the count: each a-class takes one side while every cell takes the
-    better side of b, and the transpose.  A node is closed when the
-    smaller of the two is at most `best`, or else when the roof bound
-    (_roof_bound), never looser, is; one pass over the cells
-    (_pair_cell_pass) gives both.  A node costs one tick, besides the
-    flow's.  When no choice on one side changes
-    any cell's count, the other side's relaxation is exact and is
-    returned with its choices.  Otherwise the class whose choice moves
-    the most counts is fixed both ways, by writing each choice into
-    its cells, and each is solved the same way.  Returns the best total
-    above `best` with the winning choices (0 or 1 per class), or (best,
-    None, None) when nothing beats it.
+    the joint count: each a-class takes one side while every cell takes
+    the better side of b, and the transpose.  The finish is closed when
+    the smaller of the two is at most `best`, or else when the roof
+    bound (_roof_bound), never looser, is; one pass over the cells
+    (_pair_cell_pass) gives both.  It costs one tick, besides the
+    flow's.
     """
     tick()
     s, top, terms = _pair_cell_pass(cells, size)
-    bound = [sum(map(max, side)) for side in s]
-    if min(bound) <= best or _roof_bound(size, top, terms, best, tick) <= best:
-        return best, None, None
-    # slack[side][i]: how much the choice of class i moves its cells' counts
-    slack = [[0] * k for k in size]
-    for ia, ib, ((c00, c01), (c10, c11)) in cells:
-        slack[0][ia] += abs(c00 - c10) + abs(c01 - c11)
-        slack[1][ib] += abs(c00 - c01) + abs(c10 - c11)
-    for side in (0, 1):
-        if not any(slack[1 - side]):
-            picks = [[0] * k for k in size]
-            picks[side] = [int(v1 > v0) for v0, v1 in s[side]]
-            return bound[side], *picks
-    side, i = max(
-        ((side, i) for side in (0, 1) for i in range(size[side])),
-        key=lambda c: slack[c[0]][c[1]],
-    )
-    found = None
-    for v in (0, 1):
-        if side == 0:
-            fixed = [(ia, ib, [m2[v]] * 2 if ia == i else m2) for ia, ib, m2 in cells]
-        else:
-            fixed = [(ia, ib, [[c[v]] * 2 for c in m2] if ib == i else m2) for ia, ib, m2 in cells]
-        value, *picks = _pair_choice_max(fixed, size, best, tick)
-        if picks[0] is not None:
-            picks[side][i] = v
-            best, found = value, picks
-    return (best, *found) if found else (best, None, None)
+    bound = min(sum(map(max, side)) for side in s)
+    return bound <= best or _roof_bound(size, top, terms, best, tick) <= best
 
 
 class _ParityChoiceSearch(_Engine):
@@ -530,13 +500,13 @@ class _ParityChoiceSearch(_Engine):
     assigns a kept parity side per class, row by row, pruning with the
     per-row sums of the larger sides.  Killing a side of class k never
     changes later classes of the same row, so within one row the bound
-    updates in constant time from a precomputed suffix.  The last two
-    rows are finished together by _pair_choice_max on their joint
-    pattern cells, so the engine needs at least two distinct rows.  A
-    finish is skipped when the sum of larger sides of either row alone
-    cannot beat the best, and the roof bound closes most of the others
-    at their root; the rest branch one class at a time under the same
-    bounds.
+    updates in constant time from a precomputed suffix.  Every node of
+    the last row but one is also bounded by the last two rows together
+    (_finish_closed, on their joint pattern cells), so the engine needs
+    at least two distinct rows; a node that bound does not close is
+    walked as any other.  Once only the last row is left, each of its
+    classes keeps its larger side, which is exact.  All the branching is
+    the walk's own, so a slice ends within a node of its stop.
 
     It shines when rows have few stars (few, large classes), which is
     where vertex branching drowns in near-ties; it degrades when some
@@ -575,7 +545,7 @@ class _ParityChoiceSearch(_Engine):
                 return total
         return total
 
-    def _finish_two_rows(self, alive: int):
+    def _finish_closed(self, alive: int) -> bool:
         # counts[q][x][y]: the alive vectors of cell (q, x, y), found a
         # byte of alive at a time.  Patterns q come in order of their
         # lowest alive vector, and a- and b-classes are numbered in the
@@ -601,21 +571,7 @@ class _ParityChoiceSearch(_Engine):
                     m2[x][y] += 1
             base += 8
         size = (len(pats_a), len(pats_b))
-        value, xa, yb = _pair_choice_max(cells, size, self.best, self.clock.check)
-        if xa is None or value <= self.best:
-            return
-        # the witness, walked only when the finish beats the incumbent:
-        # the alive vectors on their cells' chosen sides
-        keep = {q: (xa[ia], yb[ib]) for q, (ia, ib, _) in zip(counts, cells)}
-        mask = 0
-        for u in _bits(alive):
-            q, x, y = cell_of[u]
-            if keep[q] == (x, y):
-                mask |= 1 << u
-        if mask.bit_count() != value:  # pragma: no cover - bookkeeping guard
-            raise InternalError("pair choice count disagrees with its witness")
-        self.best = value
-        self.best_mask = mask
+        return _pair_closed(cells, size, self.best, self.clock.check)
 
     def resume(self, stop: int | None) -> bool:
         # The stack holds the walks still to run, each as (alive, ri,
@@ -638,13 +594,26 @@ class _ParityChoiceSearch(_Engine):
 
     def _go(self, alive: int, ri: int):
         rows = self.rows
-        if len(rows) - ri == 2:
-            # each row alone keeps at most its sum of larger sides
-            cap = self.best + 1
-            if all(self._row_sum(alive, row[2], cap) >= cap for row in rows[ri:]):
-                self._finish_two_rows(alive)
-            return
         classes = rows[ri][2]
+        if ri == len(rows) - 1:
+            # the last row alone: each class keeps its larger side, the
+            # even one on a tie, as _row_sum counts it
+            kept = alive
+            for om, em in classes:
+                odd = alive & om
+                even = alive & em
+                kept &= ~(even if odd.bit_count() > even.bit_count() else odd)
+            count = kept.bit_count()
+            if count > self.best:
+                self.best = count
+                self.best_mask = kept
+            return
+        # each row alone keeps at most its sum of larger sides
+        cap = self.best + 1
+        if any(self._row_sum(alive, row[2], cap) < cap for row in rows[ri:]):
+            return
+        if ri == len(rows) - 2 and self._finish_closed(alive):
+            return
         pairs = []
         for om, em in classes:
             pairs.append(((alive & om).bit_count(), (alive & em).bit_count()))
@@ -653,17 +622,13 @@ class _ParityChoiceSearch(_Engine):
         for t in range(len(order) - 1, -1, -1):
             o, e = pairs[order[t]]
             suffix[t] = suffix[t + 1] + (o if o > e else e)
-        b_other = alive.bit_count()
-        for r in range(ri + 1, len(rows)):
-            v = self._row_sum(alive, rows[r][2], b_other)
-            if v < b_other:
-                b_other = v
-        if min(b_other, suffix[0]) <= self.best:
-            return
         self._stack.append((alive, ri, order, suffix, 0, 0))
 
     def _walk(self, alive: int, ri: int, order, suffix, t: int, prefix: int):
         self.clock.check()
+        # _go has bounded the row's first node by the last two rows
+        if t and ri == len(self.rows) - 2 and self._finish_closed(alive):
+            return
         classes = self.rows[ri][2]
         while t < len(order):
             if prefix + suffix[t] <= self.best:
@@ -722,7 +687,7 @@ def _parity_choice_ready(A: PartialMatrix) -> bool:
     It branches within each row over star-pattern classes, so every
     meaningful row must be thin (at most 64 classes), and its per-step
     row bounds only pay off when there are few distinct rows (at most
-    12).  It finishes the last two rows together, so it needs two; with
+    12).  It bounds the last two rows together, so it needs two; with
     one distinct nonzero row min rank is 1, which the column bound meets
     at the root.
     """
@@ -764,11 +729,11 @@ def opt_exact(
     and the witness do not depend on the host.  The engines adopt only
     strictly larger sets than the warm start, so the witness is the same
     kernel whenever opt = lin.  A search witness is verified before it
-    is returned, whatever its size.  The parity search finishes its last
-    two rows together, skipping a finish that either row's own sum rules
-    out and closing most others at their root with the roof-duality
-    bound, one max-flow; the few that pass their root branch on one
-    pattern class at a time, each node bounded the same way.
+    is returned, whatever its size.  The parity search bounds each node
+    of its last row but one by the last two rows together, with two
+    relaxations and the roof-duality bound, one max-flow; a node that
+    bound does not close is walked like any other, and the last row is
+    settled by the larger side of each of its classes.
 
     When A has three distinct rows or more, a second parity search may
     take a turn before each slice, twice as long as that slice: on A
@@ -839,7 +804,7 @@ def _sliced_search(engine: _Engine, relaxed: _Engine | None, lin: int):
     439 to 455 ticks, so H2's own engine takes none, where alone it
     takes 3,663.  Items the relaxation cannot settle pay for it: one
     whose relaxation holds a set above lin, as wherever opt > lin, pays
-    the relaxed ticks it takes to find it (111 to 323 on the seeded
+    the relaxed ticks it takes to find it (29 to 234 on the seeded
     matrices measured), and one that A's engine settles within its
     first slice pays a whole first turn of 512 ticks."""
     size = _FIRST_SLICE
@@ -865,7 +830,7 @@ def _row_subset(A: PartialMatrix, r: int, deadline: float | None) -> _Engine | N
     completion has rank below r.  The rank side decides that within
     _FIRST_SLICE ticks, and a row it does not settle in time is kept.
     Needs three distinct rows, so that B keeps the two the parity engine
-    finishes together.
+    bounds together.
     """
     rows = _prepare_rows(A)[0]
     if len(rows) < 3:

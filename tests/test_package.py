@@ -163,3 +163,32 @@ def test_every_private_definition_is_referenced():
                     if d.startswith("_") and not d.startswith("__") and d not in referenced
                 ]
     assert unreferenced == []
+
+
+def test_only_two_searches_call_themselves():
+    # every other search runs on an explicit stack, so no input can reach
+    # the recursion limit there.  Methods are skipped: a method may call
+    # the module function of its own name, as _Completed.col_min_rank does
+    def own_calls(node, name):
+        return any(
+            isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == name
+            for call in ast.walk(node)
+        )
+
+    recursive = []
+    for path in sorted(Path(minrank.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+        }
+        recursive += [
+            f"{path.name} {node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and id(node) not in methods
+            and own_calls(node, node.name)
+        ]
+    assert sorted(recursive) == ["partial.py extend", "partial.py try_row"]

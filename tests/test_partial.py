@@ -122,6 +122,69 @@ def test_min_and_max_rank_against_enumeration():
         assert max(ranks) == max_rank(A)
 
 
+def test_max_rank_of_large_matrices_against_enumeration():
+    # 14 to 16 rows and columns, past the 13 lines that the scan was once
+    # capped at, with up to 10 stars over rows spanning a small space
+    rng = random.Random(211)
+    for _ in range(40):
+        m, n = rng.randint(14, 16), rng.randint(14, 16)
+        basis = [rng.getrandbits(n) for _ in range(rng.randint(3, 10))]
+        ones = [0] * m
+        for i in range(m):
+            for b in basis:
+                if rng.random() < 0.5:
+                    ones[i] ^= b
+        stars = [0] * m
+        for _ in range(rng.randint(0, 10)):
+            i, j = rng.randrange(m), rng.randrange(n)
+            stars[i] |= 1 << j
+            ones[i] &= ~(1 << j)
+        A = PartialMatrix(n, tuple(ones), tuple(stars))
+        assert max_rank(A) == max(rank(M) for M in enumerate_completions(A))
+
+
+def test_max_rank_with_many_stars_in_two_rows():
+    # 14 x 14 with 25 to 28 stars in two rows: past the 24 stars that
+    # completion enumeration takes, but only two starred lines to scan.
+    # The reference completes the row with fewer stars every way, and
+    # asks whether some completion of the other leaves the span of the
+    # rest; reduced modulo the plain rows' rref basis, a vector lies in
+    # span(plain + [w]) iff it reduces to 0 or to w's reduction
+    rng = random.Random(223)
+    for _ in range(8):
+        basis = [rng.getrandbits(14) for _ in range(rng.randint(2, 9))]
+        ones = []
+        for _ in range(14):
+            row = 0
+            for b in basis:
+                if rng.random() < 0.5:
+                    row ^= b
+            ones.append(row)
+        stars = [0] * 14
+        few, many = rng.sample(range(14), 2)
+        k = rng.randint(13, 14)
+        stars[many] = sum(1 << j for j in rng.sample(range(14), k))
+        stars[few] = sum(1 << j for j in rng.sample(range(14), rng.randint(25 - k, k)))
+        for i in (few, many):
+            ones[i] &= ~stars[i]
+        A = PartialMatrix(14, tuple(ones), tuple(stars))
+        assert A.star_count > 24
+        with pytest.raises(LimitError):
+            next(enumerate_completions(A))
+        plain = rref(ones[i] for i in range(14) if i not in (few, many))
+        units = [1 << j for j in range(14) if (stars[few] >> j) & 1]
+        other = {reduce_vector(v, plain) for v in [ones[many]] + [1 << j for j in range(14) if (stars[many] >> j) & 1]}
+        want = 0
+        for fill in range(1 << len(units)):
+            v = ones[few]
+            for t, e in enumerate(units):
+                if (fill >> t) & 1:
+                    v ^= e
+            w = reduce_vector(v, plain)
+            want = max(want, len(plain) + (w != 0) + bool(other - {0, w}))
+        assert max_rank(A) == want
+
+
 def test_enumerate_completions_count_and_validity():
     rng = random.Random(13)
     for _ in range(50):

@@ -63,8 +63,8 @@ def test_report_marks_skipped_fields():
 
 
 def test_report_passes_its_star_limit_to_max_rank():
-    # 14 x 14 with 3 stars: past the line-cover scan's 13 rows and 13
-    # columns, so max_rank enumerates the 8 completions, up to the
+    # 14 x 14 with 3 stars in three rows and three columns: max_rank
+    # scans the subsets of one side's 3 starred lines, up to the
     # configured number of stars
     A = PartialMatrix(14, tuple(1 << i for i in range(14)), (2, 4, 8) + (0,) * 11)
     assert report(A)["max_rank"] == 14

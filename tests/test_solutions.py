@@ -795,38 +795,24 @@ def _random_cell_sets():
             yield cells, na, nb, top, best
 
 
-def test_pair_choice_max_against_every_side_choice(monkeypatch):
-    # nodes counts the calls of each finish, its recursion included
-    nodes = []
-    real = solutions._pair_choice_max
-
-    def counted(*args):
-        nodes[-1] += 1
-        return real(*args)
-
-    monkeypatch.setattr(solutions, "_pair_choice_max", counted)
-    beaten = held = 0
+def test_pair_closed_never_closes_a_beatable_cell_set():
+    # a two-row finish closes only when no side choice beats best; that
+    # each bound it closes on is at least the maximum is pinned by
+    # test_roof_bound_on_random_cell_sets
+    beatable = closed = 0
     for cells, na, nb, top, best in _random_cell_sets():
-        nodes.append(0)
-        value, xa, yb = solutions._pair_choice_max(cells, (na, nb), best, lambda: None)
+        shut = solutions._pair_closed(cells, (na, nb), best, lambda: None)
         if top > best:
-            assert value == top
-            assert set(xa) <= {0, 1} and set(yb) <= {0, 1}
-            assert _total(cells, xa, yb) == top
-            beaten += 1
-        else:
-            assert (value, xa, yb) == (best, None, None)
-            held += 1
-    assert beaten > 600 and held > 300
-    # a finish that branches k times makes 2k + 1 calls; the deeper
-    # batch branches three times or more on most of its sets
-    assert sum(count >= 7 for count in nodes[1500:]) > 100
+            assert not shut
+            beatable += 1
+        closed += shut
+    assert beatable > 600 and closed > 300
 
 
 def test_roof_bound_on_random_cell_sets():
     exact = 0
     for cells, na, nb, top, best in _random_cell_sets():
-        # the two relaxations that _pair_choice_max keeps: each a-class
+        # the two relaxations that _pair_closed checks: each a-class
         # (then each b-class) takes one side, every cell the best of the
         # other side
         by_a = [[0, 0] for _ in range(na)]
@@ -879,18 +865,17 @@ def _cells_by_vector(alive, rowa, rowb):
 def test_finish_cells_match_a_count_per_vector(monkeypatch):
     # the parity engine counts its two-row finish's cells from a table of
     # each vector's cell, built once, walking alive a byte at a time; the
-    # cells, their order and the witness of the chosen sides are those of
-    # a count one vector at a time, with up to 12 joint stars
+    # cells and their order are those of a count one vector at a time,
+    # with up to 12 joint stars
     rng = random.Random(131)
-    chosen = []
+    passed = []
+    real = solutions._pair_cell_pass
 
-    def choose(cells, size, best, tick):
-        xa = [rng.randint(0, 1) for _ in range(size[0])]
-        yb = [rng.randint(0, 1) for _ in range(size[1])]
-        chosen.append((cells, size, xa, yb))
-        return _total(cells, xa, yb), xa, yb
+    def spy(cells, size):
+        passed.append((cells, size))
+        return real(cells, size)
 
-    monkeypatch.setattr(solutions, "_pair_choice_max", choose)
+    monkeypatch.setattr(solutions, "_pair_cell_pass", spy)
     for n in (8, 10, 12):
         for k in range(1, min(n, 12) + 1):
             joint = rng.sample(range(n), k)
@@ -910,18 +895,33 @@ def test_finish_cells_match_a_count_per_vector(monkeypatch):
             full = (1 << (1 << n)) - 1
             for alive in (full, rng.getrandbits(1 << n), rng.getrandbits(1 << n) & rng.getrandbits(1 << n)):
                 engine.best = -1
-                engine._finish_two_rows(alive)
-                cells, size, xa, yb = chosen[-1]
-                assert (cells, size) == _cells_by_vector(alive, rowa, rowb)
-                ia = {q: i for i, q in enumerate(dict.fromkeys(u & rowa[1] for u in _bits(alive)))}
-                ib = {q: i for i, q in enumerate(dict.fromkeys(u & rowb[1] for u in _bits(alive)))}
-                kept = [
-                    u
-                    for u in _bits(alive)
-                    if bin(rowa[0] & u).count("1") % 2 == xa[ia[u & rowa[1]]]
-                    and bin(rowb[0] & u).count("1") % 2 == yb[ib[u & rowb[1]]]
-                ]
-                assert (engine.best, list(_bits(engine.best_mask))) == (len(kept), kept)
+                assert not engine._finish_closed(alive)
+                assert passed[-1] == _cells_by_vector(alive, rowa, rowb)
+
+
+def test_the_last_row_keeps_the_larger_side_of_each_class():
+    # with one row left, the parity engine keeps, in each star-pattern
+    # class of that row, the alive vectors of the larger parity, the even
+    # ones on a tie, and adopts them only when they beat the best
+    rng = random.Random(137)
+    for _ in range(200):
+        n = rng.randint(3, 9)
+        A = random_matrix(rng, rng.randint(2, 4), n, star_cap=5)
+        if len(solutions._prepare_rows(A)[0]) < 2:
+            continue
+        engine = solutions._ParityChoiceSearch(A, 0, None)
+        a, s, _ = engine.rows[-1]
+        alive = rng.getrandbits(1 << n)
+        sides = {}
+        for u in _bits(alive):
+            sides.setdefault(u & s, ([], []))[bin(a & u).count("1") & 1].append(u)
+        kept = sorted(u for even, odd in sides.values() for u in (odd if len(odd) > len(even) else even))
+        engine.best = len(kept) - 1
+        engine._go(alive, len(engine.rows) - 1)
+        assert (engine.best, list(_bits(engine.best_mask))) == (len(kept), kept)
+        engine.best_mask = 0
+        engine._go(alive, len(engine.rows) - 1)
+        assert (engine.best, engine.best_mask) == (len(kept), 0)
 
 
 def test_parity_engine_settles_what_the_vertex_search_stalls_on(built_engines):
@@ -1099,17 +1099,17 @@ def test_the_parity_engine_keeps_its_first_slice(relaxations, built_engines):
 def test_single_row_sums_skip_every_finish_of_113(monkeypatch):
     # sweep seed 0, item 4x8#113: in the parity engine on A, seeded with
     # the kernel as opt_exact seeds it, each finish's own row sums
-    # already cannot beat the best (1,024 pair-choice calls without that
-    # check).  opt_exact also runs the relaxed engine on three of A's
-    # rows, whose finishes do reach the pair choice.
+    # already cannot beat the best, so no two-row bound runs (1,024 ran
+    # without that check).  opt_exact also runs the relaxed engine on
+    # three of A's rows, whose finishes do reach the two-row bound.
     calls = []
-    real = solutions._pair_choice_max
+    real = solutions._pair_closed
 
     def counted(*args):
         calls.append(None)
         return real(*args)
 
-    monkeypatch.setattr(solutions, "_pair_choice_max", counted)
+    monkeypatch.setattr(solutions, "_pair_closed", counted)
     A = list(_random_matrices(4, 8, 114, 0))[113]
     assert _reaches_search(A) and solutions._parity_choice_ready(A)
     _, W = min_rank_completion(A)
@@ -1125,9 +1125,9 @@ def test_single_row_sums_skip_every_finish_of_113(monkeypatch):
 def test_a_relaxed_incumbent_never_reaches_the_engines_of_a(monkeypatch, relaxations):
     # a relaxation qualifies on each, but none proves opt = lin = 16: on
     # the first two opt = 20, and on the third opt = lin.  Each relaxed
-    # engine stops at its ceiling lin + 1 in its first turn, after 167,
-    # 111 and 323 ticks, with a set of 18 that is no solution of A, and
-    # takes no turn after it.
+    # engine stops at its ceiling lin + 1 in its first turn, after 29, 57
+    # and 234 ticks, with a set of 18, 17 and 18 that is no solution of
+    # A, and takes no turn after it.
     seeded = []
     real = solutions._Engine.seed
 
@@ -1137,18 +1137,18 @@ def test_a_relaxed_incumbent_never_reaches_the_engines_of_a(monkeypatch, relaxat
 
     monkeypatch.setattr(solutions._Engine, "seed", spy)
     cases = (
-        ("*11*1*1/0*1**1*/1**1000/*01***0/0110111/*01*11*", 20, 167),
-        ("*0100**/**10**1/00**010/0*1*1*1/*111*0*", 20, 111),
-        ("*11*00*0/1*11***0/11*01110/0**11***/01*10*01/1111*11*", 16, 323),
+        ("*11*1*1/0*1**1*/1**1000/*01***0/0110111/*01*11*", 20, 29, 18),
+        ("*0100**/**10**1/00**010/0*1*1*1/*111*0*", 20, 57, 17),
+        ("*11*00*0/1*11***0/11*01110/0**11***/01*10*01/1111*11*", 16, 234, 18),
     )
-    for text, opt, ticks in cases:
+    for text, opt, ticks, found in cases:
         A = parse_pmx(text.replace("/", "\n"))
         seeded.clear()
         relaxations.clear()
         value, sol = opt_exact(A)
         assert value == opt and sol.size == opt and is_solution(A, sol)
         [relaxed] = relaxations
-        assert relaxed is not None and relaxed.turns == [18]
+        assert relaxed is not None and relaxed.turns == [found]
         assert relaxed.clock.ticks == ticks
         assert not is_solution(A, _bits(relaxed.best_mask))
         for engine, mask in seeded:
@@ -1218,24 +1218,45 @@ def test_the_relaxation_changes_no_answer(monkeypatch, relaxations, built_engine
 
 
 def test_a_finish_past_its_root_on_27(monkeypatch):
-    # sweep seed 1, item 4x8#27: opt = 40 > lin = 32, and two of its
-    # two-row finishes pass their root and branch before they settle
+    # sweep seed 1, item 4x8#27: opt = 40 > lin = 32, and some of its
+    # two-row finishes do not close at their root, so the walk goes on
+    # through the last row but one and settles the last row alone
     A = list(_random_matrices(4, 8, 28, 1))[27]
     assert _reaches_search(A) and solutions._parity_choice_ready(A)
-    chose = []
-    real = solutions._pair_choice_max
+    closed = []
+    real = solutions._pair_closed
 
     def spy(*args):
-        out = real(*args)
-        chose.append(out[1] is not None)
-        return out
+        closed.append(real(*args))
+        return closed[-1]
 
-    monkeypatch.setattr(solutions, "_pair_choice_max", spy)
+    monkeypatch.setattr(solutions, "_pair_closed", spy)
     limit = sys.getrecursionlimit()
     value, sol = opt_exact(A)
     assert value == 40 and sol.size == 40 and is_solution(A, sol)
-    assert any(chose)
+    assert not all(closed)
     assert sys.getrecursionlimit() == limit
+
+
+def test_a_parity_slice_ends_within_a_few_ticks_of_its_stop():
+    # sweep seed 1, 4x8#27 and seed 3, 5x10#9 and #30, whose two-row
+    # bounds do not all close, in slices of 256 ticks up to 4,096: a slice
+    # stops before the node that would start past its stop, and a node
+    # takes its walk tick plus, on the last row but one, one two-row
+    # bound: a tick and the phases of its flow
+    for seed, m, n, k in ((1, 4, 8, 27), (3, 5, 10, 9), (3, 5, 10, 30)):
+        A = list(_random_matrices(m, n, k + 1, seed))[k]
+        assert _reaches_search(A) and solutions._parity_choice_ready(A)
+        _, W = min_rank_completion(A)
+        engine = solutions._ParityChoiceSearch(A, forbidden_set(A).bitmap, None)
+        engine.seed(_mask(kernel(W).vectors()))
+        past = []
+        while engine.clock.ticks < 4096:
+            stop = engine.clock.ticks + 256
+            if engine.resume(stop):
+                break
+            past.append(engine.clock.ticks - stop)
+        assert len(past) > 10 and max(past) <= 5
 
 
 def test_one_distinct_row_settles_at_the_root(built_engines):
