@@ -542,9 +542,13 @@ def min_rank_completion(
     n = 9 to 11, and 256 from n = 12 on.  It was sized to what building
     K and its ratio bound cost in rank-side ticks, which is 3 to 9 times
     less since gf2._walsh_fields packs the bound's transform, so it is
-    generous to the rank side.  A kernel side that settles a target
-    within a few dozen ticks, as on code matrices, still waits little
-    for its turn.
+    generous to the rank side.  The rank side enters one node, and so
+    takes one tick, per worklist row before it can return a completion,
+    so on a worklist longer than the first slice that slice could only
+    refute the target.  There the kernel side takes the first turn
+    instead, and the rank side follows with the doubled slice.  On every
+    code matrix up to n = 8 with more than 16 rows, the kernel side
+    settles the min rank in that first turn, within 0 to 3 ticks.
     Only matrices with n <= 12 race; wider ones run the rank side alone.
     The first time a matrix reaches the kernel side, K is built and the
     floor rises to n - floor(log2 of K's ratio bound), since
@@ -585,7 +589,11 @@ def min_rank_completion(
         if n > _KERNEL_SIDE_N:
             return rank_side.run()
         kernel_side, budget = None, min(_FIRST_SLICE, max(16, (n << n) >> 7))
-        while not rank_side.resume(clock.ticks + budget):
+        # the rank side enters one node per row before it can complete, so
+        # a shorter first slice could only refute: the kernel side goes first
+        lead = len(rows) <= budget
+        while not (lead and rank_side.resume(clock.ticks + budget)):
+            lead = True
             clock.check_time()
             if K is None:
                 K = _forbidden_bitmap(rows, n)
@@ -621,13 +629,18 @@ def min_rank(A: PartialMatrix, deadline: float | None = None) -> int:
 def max_rank(A: PartialMatrix, limit: int = LIMITS.stars) -> int:
     """Maximum rank over all completions.
 
-    Uses the line-cover identity: the maximum equals the minimum over
+    No completion has rank above min(m, n), so a greedy completion
+    answers first when it reaches that: row by row, it keeps a row that
+    leaves the span of those kept, else sets one star whose direction
+    leaves it.  On tall code matrices it always does.  Otherwise it
+    uses the line-cover identity: the maximum equals the minimum over
     line sets X covering all stars of rank(A with X removed) + |X|.
     Removing a line with no star never lowers rank + |X|, so the scan
     runs over the subsets of the star-bearing lines of whichever side
     has fewer, each with every crossing line that its kept lines' stars
     force: 2^k rank computations for k such lines, at most `limit` of
-    them, so a matrix with at most `limit` stars is never refused.
+    them, so a matrix with at most `limit` stars is never refused.  The
+    limit is checked before the greedy completion runs.
     """
     columns = 0
     for s in A.stars:
@@ -636,8 +649,17 @@ def max_rank(A: PartialMatrix, limit: int = LIMITS.stars) -> int:
     starred = [(a, s) for a, s in zip(B.ones, B.stars) if s]
     if len(starred) > limit:
         raise LimitError(f"line-cover scan over {len(starred)} starred lines exceeds {limit}")
-    plain = [a for a, s in zip(B.ones, B.stars) if not s]
     best = min(B.m, B.n)
+    basis: tuple[int, ...] = ()
+    for a, s in zip(A.ones, A.stars):
+        v = reduce_vector(a, basis)
+        if v == 0:  # a star direction that leaves the span, if any
+            v = next((u for j in _bits(s) if (u := reduce_vector(1 << j, basis))), 0)
+        if v:
+            basis = _insert(basis, v)
+            if len(basis) == best:
+                return best
+    plain = [a for a, s in zip(B.ones, B.stars) if not s]
     for removed in range(1 << len(starred)):
         cost = removed.bit_count()
         if cost >= best:
@@ -765,8 +787,13 @@ def isolation(A: PartialMatrix, strong: bool = False) -> IsolationWitness | None
     z_i zero on the stars of row i (of rows j <= i when strong).
 
     Existence forces every completion to have rank m.  Returns None when
-    some row admits no such vector.
+    some row admits no such vector.  The matrix (<a_j, z_i>) of such
+    vectors is unitriangular, so the rows of ones must be independent:
+    when m > n, or when they are dependent, it returns None without
+    solving a system.
     """
+    if A.m > A.n or len(rref(A.ones)) < A.m:
+        return None
     zs = []
     for i in range(A.m):
         smask = A.stars[i]

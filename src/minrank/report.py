@@ -17,7 +17,7 @@ import json
 import random
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, islice, product
 from typing import Iterable, Iterator, TextIO
 
 from .config import VERSION, ToolConfig
@@ -63,7 +63,11 @@ def report(A: PartialMatrix, config: ToolConfig | None = None) -> dict:
     """Every per-matrix statistic, in a stable key order.
 
     Fields whose exact computation is refused at the configured limits
-    hold the string "skipped: limit" rather than disappearing.
+    hold the string "skipped: limit" rather than disappearing.  On tall
+    matrices the cheap exact certificates answer first: the kernel side
+    of min_rank_completion's race takes its first turn, a greedy
+    completion of rank min(m, n) settles max_rank, and isolation refuses
+    m > n at once.
     """
     cfg = config or ToolConfig()
     lim = cfg.limits
@@ -191,20 +195,23 @@ def search(
 ) -> Iterator[SearchRecord]:
     """Evaluate a shape's matrices, yielding records in input order.
 
-    Exhaustive mode enumerates every matrix once up to row permutation;
-    random mode draws `count` matrices from the configured seed.  Each
-    record is appended to `log` (or the configured output path) as one
-    JSON line before it is yielded, so interrupted runs keep their
-    prefix.
+    Exhaustive mode enumerates every matrix once up to row permutation,
+    in ascending text, and stops after `count` of them when a count is
+    given; random mode draws `count` matrices from the configured seed.
+    A negative count is a ValueError.  Each record is appended to `log`
+    (or the configured output path) as one JSON line before it is
+    yielded, so interrupted runs keep their prefix.
     """
     cfg = config or ToolConfig()
+    if count is not None and count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     if mode == "exhaustive":
         if 3 ** (m * n) > cfg.limits.search_space:
             raise LimitError(
                 f"exhaustive sweep over 3^{m * n} matrices exceeds"
                 f" {cfg.limits.search_space}"
             )
-        matrices: Iterable[PartialMatrix] = _exhaustive_matrices(m, n)
+        matrices: Iterable[PartialMatrix] = islice(_exhaustive_matrices(m, n), count)
     elif mode == "random":
         if cfg.seed is None:
             raise ValueError("random mode requires a seed")

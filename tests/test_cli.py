@@ -138,6 +138,11 @@ def test_search_needs_seed(capsys):
     capsys.readouterr()
 
 
+def test_search_refuses_a_negative_count(capsys):
+    assert main(["search", "--shape", "2x2", "--seed", "1", "--count", "-1"]) == 2
+    assert "count" in capsys.readouterr().err
+
+
 def test_codes_commands(tmp_path, capsys):
     assert main(["codes", "bounds", "7", "2"]) == 0
     out = capsys.readouterr().out

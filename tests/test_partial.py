@@ -30,7 +30,7 @@ from minrank.partial import (
     stars_independent,
 )
 from minrank.pmx import parse_pmx
-from minrank.report import evaluate_matrix, report
+from minrank.report import _random_matrices, evaluate_matrix, report
 from minrank.solutions import conjecture_epsilon, opt_exact
 
 A1 = parse_pmx("10*0*1\n*111**\n0**1**\n")
@@ -141,6 +141,46 @@ def test_max_rank_of_large_matrices_against_enumeration():
             ones[i] &= ~(1 << j)
         A = PartialMatrix(n, tuple(ones), tuple(stars))
         assert max_rank(A) == max(rank(M) for M in enumerate_completions(A))
+
+
+def test_the_greedy_max_rank_certificate_agrees_with_the_scan(monkeypatch):
+    # the greedy completion answers only when it reaches min(m, n), the
+    # ceiling of every completion's rank; with it disabled (no row ever
+    # enters its basis) the line-cover scan answers every case alone
+    rng = random.Random(97)
+    cases = [random_matrix(rng, rng.randint(1, 9), rng.randint(1, 9)) for _ in range(300)]
+    cases += [star_heavy_matrix(rng, rng.randint(10, 30), rng.randint(3, 8), 0.6) for _ in range(60)]
+    for _ in range(60):  # rows in a small span with few stars: below min(m, n)
+        m, n = rng.randint(6, 10), rng.randint(6, 10)
+        basis = [rng.getrandbits(n) for _ in range(rng.randint(1, 4))]
+        ones = [0] * m
+        for i in range(m):
+            for b in basis:
+                if rng.random() < 0.5:
+                    ones[i] ^= b
+        stars = [1 << rng.randrange(n) if rng.random() < 0.2 else 0 for _ in range(m)]
+        cases.append(PartialMatrix(n, tuple(a & ~s for a, s in zip(ones, stars)), tuple(stars)))
+    codes = [code_matrix(CodeMatrixSpec(n, r)) for n in range(2, 8) for r in range(1, n)]
+    scans = []
+    real = partial.rref
+
+    def counted(vectors):
+        scans.append(None)
+        return real(vectors)
+
+    monkeypatch.setattr(partial, "rref", counted)
+    for A in codes:  # tall: every one answers n before the scan
+        assert max_rank(A) == A.n
+    assert not scans
+    got, settled = [], 0
+    for A in cases:
+        scans.clear()
+        got.append(max_rank(A))
+        if not scans:
+            settled += 1
+    monkeypatch.setattr(partial, "_insert", lambda basis, v: basis)
+    assert [max_rank(A) for A in cases] == got
+    assert settled >= 300 and len(cases) - settled >= 50  # 348 of the 420 settle
 
 
 def test_max_rank_with_many_stars_in_two_rows():
@@ -344,6 +384,51 @@ def test_row_and_col_min_rank_never_exceed_min_rank():
         assert row_min_rank(A) <= r
         assert col_min_rank(A) <= r
         assert col_min_rank(A) == row_min_rank(A.transpose())
+
+
+def isolation_by_rows(A, strong):
+    """isolation(A, strong) by its per-row GF(2) solves alone."""
+    zs = []
+    for i in range(A.m):
+        smask = A.stars[i]
+        for j in range(i if strong else 0):
+            smask |= A.stars[j]
+        rows = [1 << j for j in range(A.n) if (smask >> j) & 1]
+        rows += A.ones[: i + 1]
+        z = solve(GF2Matrix(A.n, tuple(rows)), 1 << (len(rows) - 1))
+        if z is None:
+            return None
+        zs.append(z)
+    return tuple(zs)
+
+
+def test_isolation_refuses_dependent_rows_of_ones_without_solving(monkeypatch):
+    # z_1..z_m make the matrix (<a_j, z_i>) unitriangular, so the rows of
+    # ones are independent, and so m <= n; tall matrices call solve zero times
+    rng = random.Random(41)
+    cases = [random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7)) for _ in range(400)]
+    want = [[isolation_by_rows(A, strong) for strong in (False, True)] for A in cases]
+    solves = []
+    real = partial.solve
+
+    def counted(M, b):
+        solves.append(None)
+        return real(M, b)
+
+    monkeypatch.setattr(partial, "solve", counted)
+    found = 0
+    for A, pair in zip(cases, want):
+        solves.clear()
+        got = [isolation(A, strong) for strong in (False, True)]
+        assert [None if w is None else w.vectors for w in got] == pair
+        found += pair[0] is not None
+        if A.m > A.n or rank(GF2Matrix(A.n, A.ones)) < A.m:
+            assert not solves
+    assert found > 50
+    solves.clear()
+    for A in (code_matrix(CodeMatrixSpec(7, 3)), star_heavy_matrix(rng, 20, 6, 0.3)):
+        assert isolation(A) is None and isolation(A, strong=True) is None
+    assert not solves
 
 
 def test_isolation_witness_conditions():
@@ -662,16 +747,56 @@ def completion_ticks(monkeypatch, forget, A):
 
 
 def test_the_orthogonal_finish_saves_completion_ticks(monkeypatch, forget):
-    # once the kernel side finds its subspace no search is left, up to
-    # n = 8 the race's first slices are 16 ticks, and Delsarte's LP puts
-    # the floor at the min rank: 34 ticks on code (7, 3) and on code
-    # (6, 2), 35 on H1 = code (7, 2) and on code (8, 2), and 32 on code
-    # (7, 4); finishing the target by the rank side's search takes 6,858
-    # ticks on code (7, 3), 19,539 on code (7, 2) and 66,349 on code
-    # (8, 2)
-    pins = (((7, 3), 60), ((6, 2), 60), ((7, 2), 60), ((8, 2), 60), ((7, 4), 60))
+    # once the kernel side finds its subspace no search is left; these
+    # worklists are longer than the race's 16-tick first slice, so the
+    # kernel side goes first, and Delsarte's LP puts the floor at the
+    # min rank: 2 ticks on code (7, 3) and on code (6, 2), 3 on H1 =
+    # code (7, 2) and on code (8, 2), and 0 on code (7, 4), against 32
+    # to 35 when the rank side took the first turn; finishing the target
+    # by the rank side's search takes 6,858 ticks on code (7, 3), 19,539
+    # on code (7, 2) and 66,349 on code (8, 2)
+    pins = (((7, 3), 10), ((6, 2), 10), ((7, 2), 10), ((8, 2), 10), ((7, 4), 10))
     for (n, r), most in pins:
         assert completion_ticks(monkeypatch, forget, code_matrix(CodeMatrixSpec(n, r))) <= most
+
+
+def race_turns(monkeypatch, forget, A):
+    """The turns of one min_rank_completion(A), in order, as (side, the
+    clock's ticks when the turn began)."""
+    turns = []
+    for cls, side in ((partial._RankSide, "rank"), (partial._KernelSide, "kernel")):
+
+        def resume(self, stop, real=cls.resume, side=side):
+            turns.append((side, self.clock.ticks))
+            return real(self, stop)
+
+        monkeypatch.setattr(cls, "resume", resume)
+    forget()
+    min_rank_completion(A)
+    return turns
+
+
+def test_a_worklist_longer_than_the_first_slice_starts_on_the_kernel_side(monkeypatch, forget):
+    # the rank side takes a tick per row before it can complete: 140 rows
+    # on code (7, 3) and 63 on H1 = code (7, 2), against a 16-tick first
+    # slice, so the kernel side takes the first turn, and settles there
+    for n, r in ((7, 3), (7, 2)):
+        A = code_matrix(CodeMatrixSpec(n, r))
+        assert len(_prepare_rows(A)[0]) > 16
+        assert race_turns(monkeypatch, forget, A)[0] == ("kernel", 0)
+        assert_min_rank_completion(A)
+
+
+def test_a_sweep_item_still_starts_on_the_rank_side(monkeypatch, forget):
+    # a 4x8 worklist fits in its 16-tick first slice, where the rank side
+    # can complete it; records 91 and 100 of the seed-0 sweep go on to
+    # the kernel side
+    kernel_turns = 0
+    for A in _random_matrices(4, 8, 101, 0):
+        turns = race_turns(monkeypatch, forget, A)
+        assert turns[0] == ("rank", 0)
+        kernel_turns += any(side == "kernel" for side, _ in turns)
+    assert kernel_turns == 2
 
 
 def test_min_rank_of_codes_past_n_8_within_a_deadline(monkeypatch, forget):
@@ -725,9 +850,10 @@ def test_deciders_resume_in_slices_as_in_one_run(monkeypatch, forget):
                 )
             paused += whole.clock.ticks > 256
     assert paused >= 10
-    # the race on code (8, 3) takes 6,966 ticks; restarting the rank
-    # side at the root after every slice took 14,912
-    assert completion_ticks(monkeypatch, forget, code_matrix(CodeMatrixSpec(8, 3))) <= 8000
+    # the race on this 12 x 8 matrix takes 297 ticks over four rounds;
+    # restarting the rank side at the root after every slice takes 348
+    A = star_heavy_matrix(random.Random(16), 12, 8, 0.5)
+    assert completion_ticks(monkeypatch, forget, A) <= 300
 
 
 def test_a_worklist_past_the_recursion_limit(tall_matrix, forget):

@@ -224,9 +224,19 @@ def test_exhaustive_search_dedupes_row_multisets():
     assert len({r.matrix for r in recs}) == 45
 
 
+def test_exhaustive_search_stops_after_count():
+    assert list(search(2, 2, "exhaustive", count=3)) == list(search(2, 2, "exhaustive"))[:3]
+    assert list(search(2, 2, "exhaustive", count=0)) == []
+    for mode in ("exhaustive", "random"):
+        with pytest.raises(ValueError):
+            list(search(2, 2, mode, count=-1, config=ToolConfig(seed=1)))
+
+
 def test_exhaustive_search_respects_space_limit():
     with pytest.raises(LimitError):
         list(search(2, 8, mode="exhaustive"))
+    with pytest.raises(LimitError):  # refused before the count is read
+        list(search(2, 8, mode="exhaustive", count=1))
 
 
 def test_random_search_needs_seed_and_count():
