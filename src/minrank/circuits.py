@@ -22,7 +22,17 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InternalError, LimitError, ParseError
-from .gf2 import GF2Matrix, _pack, _parity_bitmap, rank, rref, reduce_vector, solve
+from .gf2 import (
+    GF2Matrix,
+    _bits,
+    _columns,
+    _pack,
+    _parity_bitmap,
+    rank,
+    reduce_vector,
+    rref,
+    solve,
+)
 from .partial import PartialMatrix, line_cover_number, min_rank_completion
 
 _MAX_INPUTS = 16
@@ -112,30 +122,29 @@ def evaluate(F: Depth2Circuit, x: int) -> int:
 def extract_linear_operator(F: Depth2Circuit) -> GF2Matrix | None:
     """The matrix of the circuit's map, or None when the map is not linear.
 
-    Checks F(0) = 0 and that every input reproduces the combination of
-    the basis images, over all 2^n inputs.
+    Evaluates F on the n basis vectors, then once on every input in
+    Gray-code order, n + 2^n evaluations in all: each input must give
+    the xor of the images of its set bits, which at x = 0 checks
+    F(0) = 0.
     """
     if F.n > _MAX_INPUTS:
         raise LimitError(f"linearity check over GF(2)^{F.n} exceeds n <= {_MAX_INPUTS}")
-    if evaluate(F, 0) != 0:
-        return None
     images = [evaluate(F, 1 << j) for j in range(F.n)]
-    for x in range(1 << F.n):
-        want = 0
-        rest = x
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            want ^= images[j]
-            rest &= rest - 1
-        if evaluate(F, x) != want:
+    want = 0
+    for t in range(1 << F.n):
+        if t:
+            want ^= images[(t & -t).bit_length() - 1]
+        if evaluate(F, t ^ t >> 1) != want:
             return None
-    rows = []
-    for i in range(F.m):
-        r = 0
-        for j in range(F.n):
-            r |= ((images[j] >> i) & 1) << j
-        rows.append(r)
-    return GF2Matrix(F.n, tuple(rows))
+    return GF2Matrix(F.n, _columns(tuple(images), F.m))
+
+
+def _operator(F: Depth2Circuit) -> GF2Matrix:
+    """extract_linear_operator(F), or ValueError when the map is not linear."""
+    M = extract_linear_operator(F)
+    if M is None:
+        raise ValueError("circuit does not compute a linear operator")
+    return M
 
 
 def matrix_of(F: Depth2Circuit) -> PartialMatrix:
@@ -144,22 +153,13 @@ def matrix_of(F: Depth2Circuit) -> PartialMatrix:
     Entry (i, j) is a star when output i has a direct wire from input
     j, and the matrix entry of the computed map otherwise.
     """
-    M = extract_linear_operator(F)
-    if M is None:
-        raise ValueError("circuit does not compute a linear operator")
-    return _partial_of(F, M)
+    return _partial_of(F, _operator(F))
 
 
 def _partial_of(F: Depth2Circuit, M: GF2Matrix) -> PartialMatrix:
     """matrix_of(F), given the matrix M of the map that F computes."""
-    ones, stars = [], []
-    for i, g in enumerate(F.outputs):
-        s = 0
-        for w in g.direct:
-            s |= 1 << w
-        ones.append(M.rows[i] & ~s)
-        stars.append(s)
-    return PartialMatrix(F.n, tuple(ones), tuple(stars))
+    stars = tuple(sum(1 << w for w in g.direct) for g in F.outputs)
+    return PartialMatrix(F.n, tuple(r & ~s for r, s in zip(M.rows, stars)), stars)
 
 
 @dataclass(frozen=True)
@@ -205,12 +205,10 @@ class LinearDepth2Circuit:
     def operator(self) -> GF2Matrix:
         """The matrix of the computed map."""
         rows = []
-        for i in range(self.m):
-            r = self.direct.rows[i]
-            c = self.combine.rows[i]
-            for k in range(self.middle.m):
-                if (c >> k) & 1:
-                    r ^= self.middle.rows[k]
+        for r, c in zip(self.direct.rows, self.combine.rows):
+            # with no middle gates, combine's one column selects nothing
+            for k in _bits(c if self.middle.m else 0):
+                r ^= self.middle.rows[k]
             rows.append(r)
         return GF2Matrix(self.n, tuple(rows))
 
@@ -224,9 +222,7 @@ def linearize(F: Depth2Circuit) -> LinearDepth2Circuit:
     part of the completion row and the star part of the true matrix row
     are both visible there.  The degree never increases.
     """
-    M = extract_linear_operator(F)
-    if M is None:
-        raise ValueError("circuit does not compute a linear operator")
+    M = _operator(F)
     A = _partial_of(F, M)
     r, W = min_rank_completion(A)
     picked = []
@@ -238,18 +234,13 @@ def linearize(F: Depth2Circuit) -> LinearDepth2Circuit:
     if len(picked) != r:  # pragma: no cover - rank certified by the search
         raise InternalError("completion rank disagrees with its row basis")
     mid = GF2Matrix(F.n, tuple(picked))
-    mid_cols = mid.transpose() if picked else None
+    mid_cols = mid.transpose()  # n x 1 and zero when nothing is picked
     direct_rows, combine_rows = [], []
     for i in range(F.m):
-        s = A.stars[i]
-        fix = (W.rows[i] & s) ^ (M.rows[i] & s)
-        if picked:
-            c = solve(mid_cols, W.rows[i])
-        else:
-            c = 0 if W.rows[i] == 0 else None
+        c = solve(mid_cols, W.rows[i])
         if c is None:  # pragma: no cover - rows lie in the basis span
             raise InternalError("completion row escapes the selected basis")
-        direct_rows.append(fix)
+        direct_rows.append((W.rows[i] ^ M.rows[i]) & A.stars[i])
         combine_rows.append(c)
     out = LinearDepth2Circuit(
         GF2Matrix(F.n, tuple(direct_rows)),
@@ -280,31 +271,24 @@ def linearize_middle(F: Depth2Circuit) -> Depth2Circuit:
     The map stays intact with middle gate k replaced by the parity of
     the inputs on which its basis images differ: summing gate images
     over the set input bits commutes with the linear output layer.
-    Width, degree, and the computed operator are all preserved; the
-    result is checked against the original on every input.
+    Width, degree, and the computed operator are all preserved.  The
+    operator is extracted from the original and from the result, each
+    in n + 2^n evaluations (extract_linear_operator), and the two must
+    be equal.
     """
     for i, g in enumerate(F.outputs):
         if _parity_support(g.table, len(g.direct) + len(g.middle)) is None:
             raise ValueError(f"output gate {i} is not a parity")
-    M = extract_linear_operator(F)
-    if M is None:
-        raise ValueError("circuit does not compute a linear operator")
+    M = _operator(F)
     new_middle = []
     for g in F.middle:
-        at_zero = g.table & 1
-        v = 0
-        for j in range(F.n):
-            if j in g.wires:
-                bit = (g.table >> (1 << g.wires.index(j))) & 1
-            else:
-                bit = at_zero
-            v |= bit << j
-        wires = tuple(j for j in range(F.n) if (v >> j) & 1)
+        # bit j is the gate's value at the j-th basis vector
+        v = sum((g.table >> _pack(1 << j, g.wires) & 1) << j for j in range(F.n))
+        wires = tuple(_bits(v))
         new_middle.append(MiddleGate(wires, _parity_bitmap((1 << len(wires)) - 1, len(wires))))
     out = Depth2Circuit(F.n, tuple(new_middle), F.outputs)
-    for x in range(1 << F.n):
-        if evaluate(out, x) != evaluate(F, x):  # pragma: no cover
-            raise InternalError("middle-layer rewrite changed the computed map")
+    if extract_linear_operator(out) != M:  # pragma: no cover
+        raise InternalError("middle-layer rewrite changed the computed map")
     return out
 
 
@@ -314,8 +298,7 @@ def metrics(F: Depth2Circuit) -> dict[str, int]:
     The matching is the line cover number of the outputs' direct-wire
     masks taken as star rows (Konig's theorem).
     """
-    stars = tuple(sum(1 << w for w in g.direct) for g in F.outputs)
-    match = line_cover_number(PartialMatrix(F.n, (0,) * F.m, stars))
+    match = line_cover_number(_partial_of(F, GF2Matrix(F.n, (0,) * F.m)))
     return {"width": F.width, "degree": F.degree, "match_size": match}
 
 

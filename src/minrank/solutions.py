@@ -630,9 +630,9 @@ class _ParityChoiceSearch(_Engine):
         if t and ri == len(self.rows) - 2 and self._finish_closed(alive):
             return
         classes = self.rows[ri][2]
+        # resume bounded prefix + suffix[t]; skipping a one-sided class adds
+        # exactly its suffix term and best stays put, so the bound holds here
         while t < len(order):
-            if prefix + suffix[t] <= self.best:
-                return
             om, em = classes[order[t]]
             odd = alive & om
             even = alive & em

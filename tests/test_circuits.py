@@ -10,6 +10,7 @@ from conftest import build_circuit, parity_table
 from minrank import circuits
 from minrank.circuits import (
     Depth2Circuit,
+    LinearDepth2Circuit,
     MiddleGate,
     OutputGate,
     emit_ckt,
@@ -103,6 +104,44 @@ def test_extract_linear_operator():
     # f(0) != 0 is already non-linear
     not_gate = Depth2Circuit(1, (), (OutputGate((0,), (), 0b01),))
     assert extract_linear_operator(not_gate) is None
+    # no outputs: the zero map, with no rows
+    assert extract_linear_operator(Depth2Circuit(2, (), ())) == GF2Matrix(2, ())
+    with pytest.raises(LimitError, match=r"GF\(2\)\^17 exceeds n <= 16"):
+        extract_linear_operator(Depth2Circuit(17, (), ()))
+
+
+def _per_input_operator(F):
+    # the operator read off the basis images, and whether every input
+    # gives the xor of the images of its set bits
+    images = [evaluate(F, 1 << j) for j in range(F.n)]
+    for x in range(1 << F.n):
+        want = 0
+        for j in range(F.n):
+            if (x >> j) & 1:
+                want ^= images[j]
+        if evaluate(F, x) != want:
+            return None
+    rows = [sum(((images[j] >> i) & 1) << j for j in range(F.n)) for i in range(F.m)]
+    return GF2Matrix(F.n, tuple(rows))
+
+
+def test_extract_linear_operator_matches_a_per_input_check():
+    # the seeded linear circuits, and the same circuits with one output
+    # table flipped at a random index, which is linear only by accident
+    rng = random.Random(103)
+    linear = broken = 0
+    for _ in range(60):
+        F, _ = build_circuit(rng)
+        g = F.outputs[0]
+        flip = 1 << rng.randrange(1 << (len(g.direct) + len(g.middle)))
+        flipped = OutputGate(g.direct, g.middle, g.table ^ flip)
+        G = Depth2Circuit(F.n, F.middle, (flipped,) + F.outputs[1:])
+        for H in (F, G):
+            want = _per_input_operator(H)
+            assert extract_linear_operator(H) == want
+            linear += want is not None
+            broken += want is None
+    assert linear >= 60 and broken >= 20
 
 
 def test_matrix_of_puts_stars_on_direct_wires():
@@ -136,10 +175,7 @@ def test_linearize_on_generated_circuits():
         assert metrics(F)["match_size"] == line_cover_number(matrix_of(F))
 
 
-def test_linearize_evaluates_the_circuit_once_per_input(monkeypatch):
-    # the linearity check reads F at 0, at each basis vector and at every
-    # input, 1 + n + 2^n evaluations, and linearize builds the partial
-    # matrix from the operator that check found
+def _count_evaluations(monkeypatch):
     calls = []
     real = circuits.evaluate
 
@@ -148,12 +184,21 @@ def test_linearize_evaluates_the_circuit_once_per_input(monkeypatch):
         return real(F, x)
 
     monkeypatch.setattr(circuits, "evaluate", counted)
+    return calls
+
+
+def test_linearize_evaluates_the_circuit_once_per_input(monkeypatch):
+    # the linearity check reads F at each basis vector and then at every
+    # input, n + 2^n evaluations, and linearize builds the partial
+    # matrix from the operator that check found
+    calls = _count_evaluations(monkeypatch)
     rng = random.Random(77)
     for _ in range(40):
         F, _ = build_circuit(rng)
         calls.clear()
         linearize(F)
-        assert len(calls) == 1 + F.n + (1 << F.n)
+        assert len(calls) == F.n + (1 << F.n)
+        assert sorted(set(calls)) == list(range(1 << F.n))
 
 
 def test_linearize_width_bound_via_opt():
@@ -165,10 +210,10 @@ def test_linearize_width_bound_via_opt():
         assert F.width >= F.n - math.log2(cnt) - 1e-9
 
 
-def test_linearize_middle_preserves_parity_circuits():
-    rng = random.Random(83)
+def _parity_output_circuits(rng, count):
+    # linear circuits with junk middle tables and all-parity outputs
     done = 0
-    while done < 15:
+    while done < count:
         n = rng.randint(2, 5)
         w = rng.randint(1, 2)
         mids = []
@@ -185,10 +230,27 @@ def test_linearize_middle_preserves_parity_circuits():
         F = Depth2Circuit(n, tuple(mids), tuple(outs))
         if extract_linear_operator(F) is None:
             continue
-        G = linearize_middle(F)
-        assert all(evaluate(G, x) == evaluate(F, x) for x in range(1 << n))
-        assert G.width == F.width and G.degree == F.degree
+        yield F
         done += 1
+
+
+def test_linearize_middle_preserves_parity_circuits():
+    for F in _parity_output_circuits(random.Random(83), 15):
+        G = linearize_middle(F)
+        assert all(evaluate(G, x) == evaluate(F, x) for x in range(1 << F.n))
+        assert G.width == F.width and G.degree == F.degree
+
+
+def test_linearize_middle_extracts_two_operators(monkeypatch):
+    # one linearity check of the original and one of the rewrite, each
+    # n + 2^n evaluations: 2n + 2^(n+1), where checking both circuits on
+    # every input after the first check took 1 + n + 3 * 2^n
+    circuits_seen = _parity_output_circuits(random.Random(83), 15)
+    calls = _count_evaluations(monkeypatch)
+    for F in circuits_seen:
+        calls.clear()
+        linearize_middle(F)
+        assert len(calls) == 2 * F.n + (1 << (F.n + 1))
 
 
 def _parity_loop(k):
@@ -214,8 +276,30 @@ def test_linearize_middle_tables_match_a_parity_loop():
 
 
 def test_linearize_middle_rejects_non_parity_outputs():
-    with pytest.raises(ValueError):
+    and_output = Depth2Circuit(2, (), (OutputGate((0, 1), (), 0b1000),))
+    with pytest.raises(ValueError, match="output gate 0 is not a parity"):
+        linearize_middle(and_output)
+    # a parity output copying a non-linear middle gate
+    with pytest.raises(ValueError, match="does not compute a linear operator"):
         linearize_middle(AND_CIRCUIT)
+
+
+def test_linear_circuit_validation_and_operator():
+    two = GF2Matrix(2, (0b01, 0b10))
+    for direct, middle, combine, message in (
+        (two, GF2Matrix(3, (1,)), GF2Matrix(1, (0, 1)), "disagree on input count"),
+        (two, GF2Matrix(2, (1,)), GF2Matrix(1, (1,)), "one row per output"),
+        (two, GF2Matrix(2, (1, 3)), GF2Matrix(1, (0, 1)), "width must match"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            LinearDepth2Circuit(direct, middle, combine)
+    L = LinearDepth2Circuit(two, GF2Matrix(2, (0b01, 0b11)), GF2Matrix(2, (0b11, 0b01)))
+    assert L.operator().rows == (0b11, 0b11)
+    assert all(L.evaluate(x) == L.operator().mul_vec(x) for x in range(4))
+    # with no middle gates, the combine column is read by no gate
+    L = LinearDepth2Circuit(two, GF2Matrix(2, ()), GF2Matrix(1, (1, 0)))
+    assert L.operator().rows == two.rows
+    assert all(L.evaluate(x) == x for x in range(4))
 
 
 def test_metrics_match_size():
@@ -258,9 +342,14 @@ def test_rigidity_identity_and_random():
             assert rigidity(M, r) == brute_rigidity(M, r)
     with pytest.raises(LimitError):
         rigidity(GF2Matrix(6, (0,) * 6), 0)
+    assert rigidity(I4, 0, flip_cap=4) == 4
+    with pytest.raises(LimitError, match="rigidity exceeds the flip cap of 3"):
+        rigidity(I4, 0, flip_cap=3)
 
 
 def test_gate_validation():
+    with pytest.raises(ValueError, match="need at least one input"):
+        Depth2Circuit(0, (), ())
     with pytest.raises(ValueError):
         Depth2Circuit(2, (MiddleGate((0, 0), 0b0110),), ())
     with pytest.raises(ValueError):
@@ -299,6 +388,52 @@ def test_ckt_parse_errors():
         with pytest.raises(ParseError, match=message) as err:
             parse_ckt(f"inputs 2\n{line}\n")
         assert (err.value.line, err.value.column) == (2, column)
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("inputs 2\ninputs 2\n", "duplicate inputs line", 2, 1),
+        ("inputs two\n", "expected 'inputs <count>'", 1, 1),
+        ("inputs 2 3\n", "expected 'inputs <count>'", 1, 1),
+        (
+            "inputs 2\nmiddle wires 0 table 1 2\n",
+            "expected 'middle wires <list> table <hex>'",
+            2,
+            1,
+        ),
+        ("inputs 2\nmiddle wires 0 table 1g\n", "bad table hex", 2, 22),
+        (
+            "inputs 2\noutput direct 0 middle - table 2 x\n",
+            "expected 'output direct <list> middle <list> table <hex>'",
+            2,
+            1,
+        ),
+        ("inputs 2\n  output direct 0 middle - table z\n", "bad table hex", 2, 34),
+        ("inputs 2\nmiddle wires 0 table 2\nout 1\n", "unknown directive 'out'", 3, 1),
+        (
+            "inputs 2\noutput direct 0 middle - table 2\nmiddle wires 0 table 2\n",
+            "middle gates must come before outputs",
+            3,
+            1,
+        ),
+        ("middle wires 0 table 2\n", "missing inputs line", 1, 1),
+        # the circuit's own refusals come back at line 1, column 1
+        ("inputs 0\n", "need at least one input", 1, 1),
+        ("inputs 2\nmiddle wires 0,5 table 2\n", "middle gate 0 wire 5 out of range", 1, 1),
+        (
+            "inputs 2\nmiddle wires 0 table 7\n",
+            "middle gate 0 truth table does not fit 1 wires",
+            1,
+            1,
+        ),
+    ],
+)
+def test_ckt_refusals_name_their_line_and_column(text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_ckt(text)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_ckt_comments_and_blanks():

@@ -17,7 +17,7 @@ from minrank.codes import (
 )
 from minrank.errors import LimitError
 from minrank.gf2 import _weight_classes
-from minrank.partial import col_min_rank
+from minrank.partial import col_min_rank, row_min_rank
 from minrank.pmx import emit_pmx
 from minrank.solutions import SolutionSet, opt_exact
 
@@ -67,6 +67,8 @@ def test_ball_sizes_and_members():
             assert all(x.bit_count() <= r for x in B)
     with pytest.raises(LimitError):
         ball(30, 2)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        ball(4, -1)
 
 
 def test_forbidden_set_is_punctured_ball():
@@ -98,6 +100,9 @@ def test_bounds_frozen_values():
     assert gv_bound(5, 1) == 5
     with pytest.raises(LimitError):
         hamming_bound(80, 3)
+    assert gv_bound(64, 1) == (1 << 64) // 65
+    with pytest.raises(LimitError, match="n <= 64"):
+        gv_bound(65, 1)
 
 
 def test_solutions_are_codes():
@@ -114,6 +119,8 @@ def test_min_distance_basics():
     assert min_distance(SolutionSet.of([0], 3)) is None
     assert min_distance(SolutionSet.of([0, 7], 3)) == 3
     assert min_distance(SolutionSet.of([0, 3, 5], 3)) == 2
+    # the first pair at distance 1 ends the scan
+    assert min_distance(SolutionSet.of([0, 1, 7], 3)) == 1
 
 
 def test_gap_bounds_small_scale():
@@ -128,3 +135,13 @@ def test_row_min_rank_frozen_values():
     assert code_row_min_rank(CodeMatrixSpec(5, 1)) == 1
     assert code_row_min_rank(CodeMatrixSpec(6, 2)) == 2
     assert code_row_min_rank(CodeMatrixSpec(4, 3)) == 3
+
+
+def test_row_min_rank_past_n6_searches_a_block_sample():
+    # (7, 1) has 7 blocks, at most the 12 sampled, so it searches them
+    # all and meets the full matrix's value; (7, 2), (8, 2) and (7, 3)
+    # search 12 of their 21, 28 and 35 blocks at seed 0
+    full = code_matrix(CodeMatrixSpec(7, 1))
+    assert code_row_min_rank(CodeMatrixSpec(7, 1)) == row_min_rank(full, limit=full.m) == 1
+    for n, r, want in ((7, 2, 2), (8, 2, 2), (7, 3, 3)):
+        assert code_row_min_rank(CodeMatrixSpec(n, r)) == want

@@ -91,6 +91,44 @@ def test_forbidden_set_by_definition():
         assert not F.contains(0)
 
 
+def test_forbidden_set_row_predicate_past_the_bitmap():
+    # with no bitmap, membership is read off the rows and agrees with
+    # the bitmap; counting and listing are refused
+    rng = random.Random(41)
+    for _ in range(40):
+        A = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 6))
+        F, P = forbidden_set(A), forbidden_set(A, bitmap_limit=0)
+        assert P.bitmap is None
+        assert all(P.contains(x) == F.contains(x) for x in range(1 << A.n))
+    with pytest.raises(LimitError, match="too wide to count"):
+        P.size
+    with pytest.raises(LimitError, match="too wide to enumerate"):
+        P.vectors()
+
+
+def test_is_solution_past_the_bitmap_checks_every_pair():
+    # over 26 columns forbidden_set keeps no bitmap, and is_solution
+    # tests each difference against the rows
+    n = 26
+    A = PartialMatrix(n, (0b11, 1 << 25 | 1), (0, 0b110))
+    F = forbidden_set(A)
+    assert F.bitmap is None and F.contains(1) and not F.contains(3)
+    pool = [0, 1, 2, 3, 5, 6, 1 << 25, 1 << 25 | 1, 1 << 25 | 4]
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(60):
+        members = rng.sample(pool, rng.randint(2, 4))
+        want = not any(
+            (x ^ y) & s == 0 and dot(a, x ^ y)
+            for x in members
+            for y in members
+            for a, s in zip(A.ones, A.stars)
+        )
+        assert is_solution(A, members) == want
+        seen.add(want)
+    assert seen == {False, True}
+
+
 def test_forbidden_set_flagship_members():
     # row 0 contributes 8 vectors, row 1 four, row 2 is absorbed
     F = forbidden_set(A1)
@@ -278,6 +316,22 @@ def test_reconstruct_operator_fits_solutions():
                 assert dot(A.ones[i], x) == G.component(i, x)
 
 
+def test_consistent_operator_apply_and_unseen_projections():
+    # one row x1 = g(x2), x2 a star: the solution {01} fixes g(0) = 1,
+    # and g(1), which no member shows, reads 0
+    G = reconstruct_operator(parse_pmx("1*\n"), [0b01])
+    assert [G.component(0, x) for x in range(4)] == [1, 1, 0, 0]
+    assert [G.apply(x) for x in range(4)] == [1, 1, 0, 0]
+    # on the members of a solution, apply gives <a_i, x> in every row
+    rng = random.Random(37)
+    for _ in range(40):
+        A = random_matrix(rng, rng.randint(1, 3), rng.randint(2, 5))
+        _, sol = opt_exact(A)
+        G = reconstruct_operator(A, sol)
+        for x in sol.members:
+            assert G.apply(x) == sum(dot(A.ones[i], x) << i for i in range(A.m))
+
+
 def test_reconstruct_operator_conflict():
     # single row x1 = g(x2): members 01 and 11 need g(1) = 0 and 1
     A = parse_pmx("1*\n")
@@ -330,8 +384,11 @@ def test_linear_hull_check_on_kernel_extensions():
 def test_linear_hull_check_rejects_non_solutions():
     A = parse_pmx("11\n")
     S = Subspace(2, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="L is not a solution"):
         linear_hull_check(A, SolutionSet.of([0, 1, 2], 2), S)
+    # {00, 11} is a solution, but the span of 10 holds 10
+    with pytest.raises(ValueError, match="W is not contained in L"):
+        linear_hull_check(A, SolutionSet.of([0, 3], 2), Subspace.span([1], 2))
 
 
 def test_conjecture_epsilon_flagship():
