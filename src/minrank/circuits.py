@@ -53,6 +53,25 @@ def _check_table(table: int, arity: int, what: str):
         raise ValueError(f"{what} truth table does not fit {arity} wires")
 
 
+def _check_inputs(n: int):
+    if n < 1:
+        raise ValueError("need at least one input")
+
+
+def _circuit_checks(n: int, middle, outputs):
+    """A circuit's own checks in order, as (check, args): the input
+    count, then each gate's wire lists and table in the order that
+    emit_ckt writes them."""
+    yield _check_inputs, (n,)
+    for k, g in enumerate(middle):
+        yield _check_wires, (g.wires, n, f"middle gate {k}")
+        yield _check_table, (g.table, len(g.wires), f"middle gate {k}")
+    for i, g in enumerate(outputs):
+        yield _check_wires, (g.direct, n, f"output gate {i} (direct)")
+        yield _check_wires, (g.middle, len(middle), f"output gate {i} (middle)")
+        yield _check_table, (g.table, len(g.direct) + len(g.middle), f"output gate {i}")
+
+
 @dataclass(frozen=True)
 class MiddleGate:
     """A gate reading input variables; bit k of table is its value on
@@ -82,15 +101,8 @@ class Depth2Circuit:
     outputs: tuple[OutputGate, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one input")
-        for k, g in enumerate(self.middle):
-            _check_wires(g.wires, self.n, f"middle gate {k}")
-            _check_table(g.table, len(g.wires), f"middle gate {k}")
-        for i, g in enumerate(self.outputs):
-            _check_wires(g.direct, self.n, f"output gate {i} (direct)")
-            _check_wires(g.middle, len(self.middle), f"output gate {i} (middle)")
-            _check_table(g.table, len(g.direct) + len(g.middle), f"output gate {i}")
+        for check, args in _circuit_checks(self.n, self.middle, self.outputs):
+            check(*args)
 
     @property
     def m(self) -> int:
@@ -182,6 +194,8 @@ class LinearDepth2Circuit:
             raise ValueError("combine must have one row per output")
         if self.middle.m > 0 and self.combine.n != self.middle.m:
             raise ValueError("combine width must match the middle gate count")
+        if self.middle.m == 0 and any(self.combine.rows):
+            raise ValueError("combine selects a gate, but there is no middle gate")
 
     @property
     def n(self) -> int:
@@ -206,8 +220,7 @@ class LinearDepth2Circuit:
         """The matrix of the computed map."""
         rows = []
         for r, c in zip(self.direct.rows, self.combine.rows):
-            # with no middle gates, combine's one column selects nothing
-            for k in _bits(c if self.middle.m else 0):
+            for k in _bits(c):
                 r ^= self.middle.rows[k]
             rows.append(r)
         return GF2Matrix(self.n, tuple(rows))
@@ -357,10 +370,16 @@ def _parse_wires(token: str, line_no: int, col: int) -> tuple[int, ...]:
 
 
 def parse_ckt(text: str) -> Depth2Circuit:
-    """Parse the emit_ckt format; '#' comments and blank lines allowed."""
+    """Parse the emit_ckt format; '#' comments and blank lines allowed.
+
+    A refusal of the circuit itself names the token at fault: the count
+    of the inputs line, or a gate's wire list or table on its own line.
+    """
     n = None
     middle: list[MiddleGate] = []
     outputs: list[OutputGate] = []
+    # (line, column) of each token that _circuit_checks checks, gate by gate
+    sites: list[tuple[int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = list(re.finditer(r"\S+", raw.split("#", 1)[0]))
         if not tokens:
@@ -380,6 +399,7 @@ def parse_ckt(text: str) -> Depth2Circuit:
             if len(parts) != 2 or not parts[1].isdigit():
                 raise ParseError("expected 'inputs <count>'", line_no, 1)
             n = int(parts[1])
+            count_site = (line_no, at(1))
         elif parts[0] == "middle":
             expect(1, "wires")
             expect(3, "table")
@@ -393,6 +413,7 @@ def parse_ckt(text: str) -> Depth2Circuit:
             except ValueError:
                 raise ParseError("bad table hex", line_no, at(4)) from None
             middle.append(MiddleGate(wires, table))
+            sites += [(line_no, at(2)), (line_no, at(4))]
         elif parts[0] == "output":
             expect(1, "direct")
             expect(3, "middle")
@@ -410,11 +431,14 @@ def parse_ckt(text: str) -> Depth2Circuit:
             except ValueError:
                 raise ParseError("bad table hex", line_no, at(6)) from None
             outputs.append(OutputGate(direct, mids, table))
+            sites += [(line_no, at(2)), (line_no, at(4)), (line_no, at(6))]
         else:
             raise ParseError(f"unknown directive '{parts[0]}'", line_no, 1)
     if n is None:
         raise ParseError("missing inputs line", 1, 1)
-    try:
-        return Depth2Circuit(n, tuple(middle), tuple(outputs))
-    except ValueError as e:
-        raise ParseError(str(e), 1, 1) from None
+    for site, (check, args) in zip([count_site] + sites, _circuit_checks(n, middle, outputs)):
+        try:
+            check(*args)
+        except ValueError as e:
+            raise ParseError(str(e), *site) from None
+    return Depth2Circuit(n, tuple(middle), tuple(outputs))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .config import LIMITS
@@ -19,7 +20,9 @@ from .gf2 import (
     _bits,
     _columns,
     _half_mask,
+    _pack,
     _ratio_bound,
+    _spread,
     dot,
     reduce_vector,
     rref,
@@ -455,7 +458,7 @@ def _orthogonal_completion(rows, n: int, V: tuple[int, ...]) -> list[int]:
     return out
 
 
-# min_rank_completion races the kernel side only on matrices this
+# min_rank_completion races the kernel side only on cores this
 # narrow.  On seeded star-heavy matrices a kernel-side tick costs about
 # 6 us up to n = 12 and 16 us at n = 14, a rank-side tick 13-19 us, and
 # building K and its ratio bound 0.08, 0.17, 0.47 and 2.1 ms at n = 8,
@@ -477,22 +480,59 @@ _KERNEL_SIDE_N = 12
 # --seed 0` that reach it (2-core x86 box, Python 3.11).
 _FIRST_SLICE = 256
 
-@dataclass(frozen=True)
+
+def _drop_unused_columns(A: PartialMatrix) -> tuple[PartialMatrix, list[int], list[int]]:
+    """Split off columns that no row fixes or stars.
+
+    Such a coordinate is zero in every completion and never matters to
+    the forbidden set, so the optimum factors: every solution of the
+    core can be crossed with all values of the unused coordinates.
+    """
+    used = 0
+    for a, s in zip(A.ones, A.stars):
+        used |= a | s
+    kept = [j for j in range(A.n) if (used >> j) & 1]
+    dropped = [j for j in range(A.n) if not (used >> j) & 1]
+    if not dropped or not kept:
+        return A, list(range(A.n)), []
+    core = PartialMatrix(
+        len(kept),
+        tuple(_pack(a, kept) for a in A.ones),
+        tuple(_pack(s, kept) for s in A.stars),
+    )
+    return core, kept, dropped
+
+
 class _Completed:
-    """What min_rank_completion found for one matrix A: its answer (min
-    rank, completion), its column floor (None when col_min_rank refused
-    at its default limit), and the forbidden set K and its ratio bound
-    (the smallest of Hoffman's, Delsarte's and Plotkin's bounds,
-    gf2._ratio_bound) when the race built them, so that min_rank followed
-    by opt_exact or report finds each of them once per matrix.  The
+    """min_rank_completion's record of one matrix A, built on its core:
+    A without its unused columns, dropped once (_drop_unused_columns).
+    It holds the core, its worklist and remap (_prepare_rows), A's
+    column floor (None when col_min_rank refused at its default limit),
+    A's answer (min rank, completion) and the worklist as completed.
+    The core's forbidden set K and ratio bound (the smallest of
+    Hoffman's, Delsarte's and Plotkin's bounds, gf2._ratio_bound) are
+    built the first time the race or opt_exact reads them, so min_rank
+    followed by opt_exact or report builds each once per matrix.  The
     answer does not depend on the deadline, so the record is exact.
     """
 
-    A: PartialMatrix
-    answer: tuple[int, GF2Matrix]
-    column_floor: int | None
-    K: int | None = None
-    ratio: int | None = None
+    def __init__(self, A: PartialMatrix):
+        self.A = A
+        self.core, self.kept, self.dropped = _drop_unused_columns(A)
+        self.rows, self.remap = _prepare_rows(self.core)
+        try:
+            self.column_floor = col_min_rank(A)
+        except LimitError:
+            self.column_floor = None
+        self.answer, self.completed = None, []  # set when the race ends
+
+    @cached_property
+    def K(self) -> int:
+        return _forbidden_bitmap(self.rows, self.core.n)
+
+    @cached_property
+    def ratio(self) -> int:
+        return _ratio_bound(self.K, self.core.n)
 
     def col_min_rank(self, limit: int) -> int:
         """col_min_rank(A, limit).  The floor was found at the default
@@ -549,7 +589,7 @@ def min_rank_completion(
     instead, and the rank side follows with the doubled slice.  On every
     code matrix up to n = 8 with more than 16 rows, the kernel side
     settles the min rank in that first turn, within 0 to 3 ticks.
-    Only matrices with n <= 12 race; wider ones run the rank side alone.
+    Only cores with n <= 12 race; wider ones run the rank side alone.
     The first time a matrix reaches the kernel side, K is built and the
     floor rises to n - floor(log2 of K's ratio bound), since
     2^(n - min rank) = lin <= opt <= the ratio bound, the smallest of
@@ -562,29 +602,26 @@ def min_rank_completion(
     so its rank is t and its kernel is span(V).  Both sides count ticks,
     not time: a deadline can end the call, not change it.
 
-    The last matrix completed keeps a record (_Completed) of its answer,
-    its column floor, and K and its ratio bound when the race built
-    them.  A call on an equal matrix right after returns the answer
-    without searching again, and opt_exact reads the rest, so min_rank
-    followed by opt_exact builds K and the ratio bound once each, and
-    solves Delsarte's LP at most once.
+    All of this runs on A's core, n columns wide: the columns that no row
+    fixes or stars are zero in every completion, so they are dropped
+    once, at the start, and the completion gets them back as zeros.  The
+    last matrix completed keeps its record (_Completed), on that core.  A
+    call on an equal matrix right after returns the answer without
+    searching again, and opt_exact reads the rest, so min_rank followed
+    by opt_exact builds the worklist, K and the ratio bound once each,
+    and solves Delsarte's LP at most once.
     """
     global _memo
     if _memo is not None and _memo.A == A:
         return _memo.answer
-    n = A.n
-    try:
-        column_floor = col_min_rank(A)
-    except LimitError:
-        column_floor = None
-    floor = column_floor or 0
-    rows, remap = _prepare_rows(A)
+    rec = _Completed(A)
+    rows, n = rec.rows, rec.core.n
+    floor = rec.column_floor or 0
     clock = _Deadline(deadline, n)
     reduced_units: dict = {}
-    K = ratio = None  # built when the kernel side first runs
 
     def decide(target: int):
-        nonlocal K, ratio, floor
+        nonlocal floor
         rank_side = _RankSide(rows, n, target, clock, reduced_units)
         if n > _KERNEL_SIDE_N:
             return rank_side.run()
@@ -595,13 +632,10 @@ def min_rank_completion(
         while not (lead and rank_side.resume(clock.ticks + budget)):
             lead = True
             clock.check_time()
-            if K is None:
-                K = _forbidden_bitmap(rows, n)
-                ratio = _ratio_bound(K, n)
-                floor = max(floor, n + 1 - ratio.bit_length())
+            floor = max(floor, n + 1 - rec.ratio.bit_length())
             if target < floor:
                 return None
-            kernel_side = kernel_side or _KernelSide(K, n, n - target, clock)
+            kernel_side = kernel_side or _KernelSide(rec.K, n, n - target, clock)
             if kernel_side.resume(clock.ticks + budget):
                 V = kernel_side.found
                 return None if V is None else _orthogonal_completion(rows, n, V)
@@ -611,10 +645,13 @@ def min_rank_completion(
     target = floor
     while (found := decide(target)) is None:
         target = max(target + 1, floor)
-    full = [0 if t is None else found[t] for t in remap]
-    answer = target, GF2Matrix(n, tuple(full))
-    _memo = _Completed(A, answer, column_floor, K, ratio)
-    return answer
+    rec.completed = found
+    if rec.dropped:
+        found = [_spread(w, rec.kept) for w in found]
+    full = [0 if t is None else found[t] for t in rec.remap]
+    rec.answer = target, GF2Matrix(A.n, tuple(full))
+    _memo = rec
+    return rec.answer
 
 
 def min_rank(A: PartialMatrix, deadline: float | None = None) -> int:

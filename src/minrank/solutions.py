@@ -30,7 +30,6 @@ from .gf2 import (
     _bits,
     _pack,
     _parity_bitmap,
-    _ratio_bound,
     _spread,
     _star_classes,
     dot,
@@ -45,10 +44,8 @@ from .partial import (
     _Deadline,
     _KernelSide,
     _RankSide,
-    _Completed,
     _completed,
     _forbidden_bitmap,
-    _prepare_rows,
     canonical_completion,
     enumerate_completions,
     min_rank,
@@ -120,15 +117,16 @@ def forbidden_set(A: PartialMatrix, bitmap_limit: int = _BITMAP_N) -> ForbiddenS
     return ForbiddenSet(A.n, rows, _forbidden_bitmap(rows, A.n))
 
 
+def _bitmap_cap(n: int):
+    """LimitError past the columns that forbidden_set materializes."""
+    if n > _BITMAP_N:
+        raise LimitError(f"forbidden-set bitmap over GF(2)^{n} exceeds n <= {_BITMAP_N}")
+
+
 def _required_bitmap(A: PartialMatrix) -> int:
-    """The forbidden-set bitmap that the exact searches run on, or
-    LimitError past the columns that forbidden_set materializes."""
-    K = forbidden_set(A).bitmap
-    if K is None:
-        raise LimitError(
-            f"forbidden-set bitmap over GF(2)^{A.n} exceeds n <= {_BITMAP_N}"
-        )
-    return K
+    """The forbidden-set bitmap that the exact searches run on."""
+    _bitmap_cap(A.n)
+    return forbidden_set(A).bitmap
 
 
 # ---------------------------------------------------------------------------
@@ -194,30 +192,8 @@ def is_solution(A: PartialMatrix, L: SolutionSet | Iterable[int]) -> bool:
 # exact maximum solution size
 
 
-def _drop_unused_columns(A: PartialMatrix) -> tuple[PartialMatrix, list[int], list[int]]:
-    """Split off columns that no row fixes or stars.
-
-    Such a coordinate never matters to the forbidden set, so the optimum
-    factors: every solution of the core can be crossed with all values
-    of the unused coordinates.
-    """
-    used = 0
-    for a, s in zip(A.ones, A.stars):
-        used |= a | s
-    kept = [j for j in range(A.n) if (used >> j) & 1]
-    dropped = [j for j in range(A.n) if not (used >> j) & 1]
-    if not dropped or not kept:
-        return A, list(range(A.n)), []
-    core = PartialMatrix(
-        len(kept),
-        tuple(_pack(a, kept) for a in A.ones),
-        tuple(_pack(s, kept) for s in A.stars),
-    )
-    return core, kept, dropped
-
-
 class _Engine:
-    """What both exact opt engines share: the instance, its forbidden set
+    """What both exact opt engines share: the width n, the forbidden set
     K as a bitmap, a search clock (partial._Deadline) that counts their
     ticks and holds the deadline, and the incumbent.
 
@@ -234,15 +210,14 @@ class _Engine:
     unless opt_exact sets the smaller root bound it certified.  opt_exact
     runs either engine in slices (_sliced_search)."""
 
-    def __init__(self, A: PartialMatrix, K: int, deadline: float | None):
-        self.A = A
-        self.n = A.n
-        self.full = (1 << (1 << A.n)) - 1
-        self.clock = _Deadline(deadline, A.n)
+    def __init__(self, n: int, K: int, deadline: float | None):
+        self.n = n
+        self.full = (1 << (1 << n)) - 1
+        self.clock = _Deadline(deadline, n)
         self.K = K
         self.best = 0
         self.best_mask = 0
-        self.ceiling = 1 << A.n
+        self.ceiling = 1 << n
         self._stack: list | None = None
 
     def seed(self, mask: int):
@@ -262,8 +237,8 @@ class _OptSearch(_Engine):
     witness are deterministic.
     """
 
-    def __init__(self, A: PartialMatrix, K: int, deadline: float | None):
-        super().__init__(A, K, deadline)
+    def __init__(self, n: int, K: int, deadline: float | None):
+        super().__init__(n, K, deadline)
         self.chosen: list[int] = [0]
 
     # -- search -----------------------------------------------------------
@@ -515,11 +490,10 @@ class _ParityChoiceSearch(_Engine):
     and no root certificate settles A.
     """
 
-    def __init__(self, A: PartialMatrix, K: int, deadline: float | None):
-        super().__init__(A, K, deadline)
-        n = self.n
+    def __init__(self, rows, n: int, K: int, deadline: float | None):
+        super().__init__(n, K, deadline)
         self.rows = []
-        for a, s in _prepare_rows(A)[0]:
+        for a, s in rows:
             # (odd, even) sides of each star-pattern class against the row
             classes = _star_classes(s, n, (a,))
             half = len(classes) // 2
@@ -681,8 +655,8 @@ def _coset_basis(K: int, n: int, r: int, deadline: float | None = None) -> tuple
     return search.found
 
 
-def _parity_choice_ready(A: PartialMatrix) -> bool:
-    """True when the parity-choice engine fits the instance shape.
+def _parity_choice_ready(rows) -> bool:
+    """True when the parity-choice engine fits a worklist (_prepare_rows).
 
     It branches within each row over star-pattern classes, so every
     meaningful row must be thin (at most 64 classes), and its per-step
@@ -691,7 +665,6 @@ def _parity_choice_ready(A: PartialMatrix) -> bool:
     one distinct nonzero row min rank is 1, which the column bound meets
     at the root.
     """
-    rows = _prepare_rows(A)[0]
     return 2 <= len(rows) <= 12 and all((1 << s.bit_count()) <= 64 for _, s in rows)
 
 
@@ -743,13 +716,14 @@ def opt_exact(
     kernel is returned.  It shares no incumbent with A's engine, and it
     stops once either side finds a set above lin.
 
-    The min rank, its completion and the column floor come from
-    min_rank_completion's record of A (partial._Completed) when the
-    caller has just completed A (min_rank, report, conjecture_epsilon),
-    with no call and no second search; otherwise from a call to
-    min_rank_completion.  The record also holds K and the ratio bound
-    when the completion's race built them, so min_rank followed by
-    opt_exact builds each once and solves Delsarte's LP at most once.
+    Everything runs on min_rank_completion's record of A
+    (partial._Completed), read from its memo when the caller has just
+    completed A (min_rank, report, conjecture_epsilon), else made by a
+    call.  The record is the core's: A without its unused columns,
+    dropped once, whose optimum times 2^(unused columns) is A's, every
+    core solution crossed with every value of them.  The searches take
+    the core's worklist, K and ratio bound from it, so min_rank followed
+    by opt_exact builds each once and solves Delsarte's LP at most once.
 
     Instances whose root bounds are not tight can still take more than
     a minute at n = 8.
@@ -760,20 +734,52 @@ def opt_exact(
         # edgeless graph: everything is one solution
         return 1 << A.n, SolutionSet.of(range(1 << A.n), A.n)
     rec = _completed(A, deadline)
-    core, kept, dropped = _drop_unused_columns(A)
-    if core is A:
-        return _opt_core(rec, deadline)
-    # the unused columns are zero in every completion and in no
-    # independent set of columns
-    r, W = rec.answer
-    W = GF2Matrix(core.n, tuple(_pack(w, kept) for w in W.rows))
-    cnt, sol = _opt_core(_Completed(core, (r, W), rec.col_min_rank(A.n)), deadline)
+    rows, n, (r, _) = rec.rows, rec.core.n, rec.answer
+    _bitmap_cap(n)
+    K = rec.K
+
+    # a verified linear warm start: the kernel of a min-rank completion
+    vbm = 0
+    for v in kernel(GF2Matrix(n, tuple(rec.completed))).vectors():
+        vbm |= 1 << v
+    if vbm & K:  # pragma: no cover - would contradict the forbidden-set identity
+        raise InternalError("kernel of a completion intersects the forbidden set")
+
+    # root certificates: a subspace avoiding K is a solution, so a bound
+    # meeting its size proves it optimal.  The column bound, the ratio
+    # bound and the coset certificate are tried in turn, and the smaller
+    # bound is the search's ceiling.
+    lin = 1 << (n - r)
+    ceiling = 1 << (n - rec.col_min_rank(A.n))
+    if ceiling > lin:
+        ceiling = min(ceiling, rec.ratio)
+    best, mask = lin, vbm
+    if ceiling > lin and _coset_basis(K, n, r, deadline) is None:
+        if _parity_choice_ready(rows):
+            engine = _ParityChoiceSearch(rows, n, K, deadline)
+            relaxed = _row_subset(rows, n, r, deadline)
+        else:
+            engine, relaxed = _OptSearch(n, K, deadline), None
+        engine.ceiling = ceiling
+        engine.seed(vbm)
+        if relaxed is not None:
+            # a relaxed set above lin proves nothing about A
+            relaxed.ceiling = lin + 1
+            relaxed.seed(vbm)
+        _sliced_search(engine, relaxed, lin)
+        best, mask = engine.best, engine.best_mask
+        if mask.bit_count() != best:
+            raise InternalError("witness size disagrees with the optimum")
+        if not _avoids(mask, K, n):
+            raise InternalError("witness fails the solution check")
+    if not rec.dropped:
+        return best, SolutionSet.of(_bits(mask), n)
     members = [
-        _spread(w, kept) | _spread(d, dropped)
-        for w in sol.members
-        for d in range(1 << len(dropped))
+        _spread(w, rec.kept) | _spread(d, rec.dropped)
+        for w in _bits(mask)
+        for d in range(1 << len(rec.dropped))
     ]
-    return cnt << len(dropped), SolutionSet.of(members, A.n)
+    return best << len(rec.dropped), SolutionSet.of(members, A.n)
 
 
 def _sliced_search(engine: _Engine, relaxed: _Engine | None, lin: int):
@@ -819,8 +825,8 @@ def _sliced_search(engine: _Engine, relaxed: _Engine | None, lin: int):
         size *= 2
 
 
-def _row_subset(A: PartialMatrix, r: int, deadline: float | None) -> _Engine | None:
-    """A parity engine on A without one of its distinct rows, or None.
+def _row_subset(rows, n: int, r: int, deadline: float | None) -> _Engine | None:
+    """A parity engine on a worklist without one of its rows, or None.
 
     Each row's function depends only on that row's stars, so every
     solution of A is a solution of any matrix B made of some of A's rows:
@@ -832,60 +838,15 @@ def _row_subset(A: PartialMatrix, r: int, deadline: float | None) -> _Engine | N
     Needs three distinct rows, so that B keeps the two the parity engine
     bounds together.
     """
-    rows = _prepare_rows(A)[0]
     if len(rows) < 3:
         return None
     for i in range(len(rows)):
         rest = rows[:i] + rows[i + 1 :]
-        search = _RankSide(rest, A.n, r - 1, _Deadline(deadline, A.n), {})
+        search = _RankSide(rest, n, r - 1, _Deadline(deadline, n), {})
         if not search.resume(_FIRST_SLICE) or search.found is not None:
             continue
-        B = PartialMatrix(A.n, tuple(a for a, _ in rest), tuple(s for _, s in rest))
-        return _ParityChoiceSearch(B, _forbidden_bitmap(rest, A.n), deadline)
+        return _ParityChoiceSearch(rest, n, _forbidden_bitmap(rest, n), deadline)
     return None
-
-
-def _opt_core(rec: _Completed, deadline: float | None) -> tuple[int, SolutionSet]:
-    """opt_exact on a matrix with a fixed one and no unused column, given
-    its completion record."""
-    A, (r, W) = rec.A, rec.answer
-    K = _required_bitmap(A) if rec.K is None else rec.K
-
-    # a verified linear warm start: the kernel of a min-rank completion
-    vbm = 0
-    for v in kernel(W).vectors():
-        vbm |= 1 << v
-    if vbm & K:  # pragma: no cover - would contradict the forbidden-set identity
-        raise InternalError("kernel of a completion intersects the forbidden set")
-
-    # root certificates: a subspace avoiding K is a solution, so a bound
-    # meeting its size proves it optimal.  The column bound, the ratio
-    # bound and the coset certificate are tried in turn, and the smaller
-    # bound is the search's ceiling.
-    lin = 1 << (A.n - r)
-    ceiling = 1 << (A.n - rec.col_min_rank(A.n))
-    if ceiling > lin:
-        ceiling = min(ceiling, rec.ratio or _ratio_bound(K, A.n))
-    best, mask = lin, vbm
-    if ceiling > lin and _coset_basis(K, A.n, r, deadline) is None:
-        if _parity_choice_ready(A):
-            engine = _ParityChoiceSearch(A, K, deadline)
-            relaxed = _row_subset(A, r, deadline)
-        else:
-            engine, relaxed = _OptSearch(A, K, deadline), None
-        engine.ceiling = ceiling
-        engine.seed(vbm)
-        if relaxed is not None:
-            # a relaxed set above lin proves nothing about A
-            relaxed.ceiling = lin + 1
-            relaxed.seed(vbm)
-        _sliced_search(engine, relaxed, lin)
-        best, mask = engine.best, engine.best_mask
-        if mask.bit_count() != best:
-            raise InternalError("witness size disagrees with the optimum")
-        if not _avoids(mask, K, A.n):
-            raise InternalError("witness fails the solution check")
-    return best, SolutionSet.of(_bits(mask), A.n)
 
 
 def brute_force_opt_tiny(A: PartialMatrix) -> int:

@@ -32,7 +32,7 @@ from minrank.codes import (
     min_distance,
     verify_ka_is_ball,
 )
-from minrank.gf2 import GF2Matrix, Subspace, enumerate_subspaces, kernel, rank, rref
+from minrank.gf2 import GF2Matrix, Subspace, _ratio_bound, enumerate_subspaces, kernel, rank, rref
 from minrank.partial import (
     PartialMatrix,
     col_min_rank,
@@ -53,7 +53,6 @@ from minrank.solutions import (
     is_solution,
     lin_exact,
     linear_hull_check,
-    _ratio_bound,
     opt_exact,
     separating_min_rank,
 )

@@ -296,8 +296,10 @@ def test_linear_circuit_validation_and_operator():
     L = LinearDepth2Circuit(two, GF2Matrix(2, (0b01, 0b11)), GF2Matrix(2, (0b11, 0b01)))
     assert L.operator().rows == (0b11, 0b11)
     assert all(L.evaluate(x) == L.operator().mul_vec(x) for x in range(4))
-    # with no middle gates, the combine column is read by no gate
-    L = LinearDepth2Circuit(two, GF2Matrix(2, ()), GF2Matrix(1, (1, 0)))
+    # with no middle gates, combine's one column must select nothing
+    with pytest.raises(ValueError, match="no middle gate"):
+        LinearDepth2Circuit(two, GF2Matrix(2, ()), GF2Matrix(1, (1, 0)))
+    L = LinearDepth2Circuit(two, GF2Matrix(2, ()), GF2Matrix(1, (0, 0)))
     assert L.operator().rows == two.rows
     assert all(L.evaluate(x) == x for x in range(4))
 
@@ -418,14 +420,36 @@ def test_ckt_parse_errors():
             1,
         ),
         ("middle wires 0 table 2\n", "missing inputs line", 1, 1),
-        # the circuit's own refusals come back at line 1, column 1
-        ("inputs 0\n", "need at least one input", 1, 1),
-        ("inputs 2\nmiddle wires 0,5 table 2\n", "middle gate 0 wire 5 out of range", 1, 1),
+        # the circuit's own refusals name the inputs count, or the gate's
+        # line and its wire list or table
+        ("inputs 0\n", "need at least one input", 1, 8),
+        ("# none\ninputs   0\n", "need at least one input", 2, 10),
+        ("inputs 2\nmiddle wires 0,5 table 2\n", "middle gate 0 wire 5 out of range", 2, 14),
         (
             "inputs 2\nmiddle wires 0 table 7\n",
             "middle gate 0 truth table does not fit 1 wires",
-            1,
-            1,
+            2,
+            22,
+        ),
+        # the inputs line may come last; the gates are checked against it
+        ("middle wires 0,1 table 6\ninputs 1\n", "middle gate 0 wire 1 out of range", 1, 14),
+        (
+            "inputs 2\noutput direct 0,0 middle - table 2\n",
+            "output gate 0 (direct) lists a wire twice",
+            2,
+            15,
+        ),
+        (
+            "inputs 2\nmiddle wires 0 table 2\noutput direct 1 middle 0,3 table 2\n",
+            "output gate 0 (middle) wire 3 out of range",
+            3,
+            24,
+        ),
+        (
+            "inputs 2\noutput direct 0 middle - table ff\n",
+            "output gate 0 truth table does not fit 1 wires",
+            2,
+            32,
         ),
     ],
 )

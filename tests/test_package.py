@@ -1,6 +1,7 @@
 """The names the minrank package exports."""
 
 import ast
+import builtins
 import dataclasses
 import inspect
 import sys
@@ -128,6 +129,33 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_every_name_a_module_loads_is_bound_there():
+    # a dropped import that is still used would raise NameError only when
+    # its line runs; the unused-import check above cannot see it.  Scopes
+    # are not told apart: a name bound anywhere in the module counts.
+    unbound = []
+    for path in sorted(Path(minrank.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = set(dir(builtins))
+        loaded = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Load):
+                    loaded.setdefault(node.id, node.lineno)
+                else:
+                    bound.add(node.id)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, ast.arg):
+                bound.add(node.arg)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                bound.add(node.name)
+        unbound += [f"{path.name}:{line} {name}" for name, line in loaded.items() if name not in bound]
+    assert unbound == []
 
 
 def test_every_private_definition_is_referenced():

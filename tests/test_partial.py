@@ -31,7 +31,7 @@ from minrank.partial import (
 )
 from minrank.pmx import parse_pmx
 from minrank.report import _random_matrices, evaluate_matrix, report
-from minrank.solutions import conjecture_epsilon, opt_exact
+from minrank.solutions import conjecture_epsilon, is_solution, opt_exact
 
 A1 = parse_pmx("10*0*1\n*111**\n0**1**\n")
 A2 = parse_pmx("11*1\n101*\n1*00\n")
@@ -916,9 +916,10 @@ def test_opt_exact_reads_the_memo_without_a_completion_call(monkeypatch, forget)
 
 
 def test_min_rank_then_opt_exact_builds_k_and_the_ratio_bound_once(monkeypatch, forget):
-    # K is built by the race (partial._forbidden_bitmap) or by opt_exact
-    # (solutions._required_bitmap), and opt_exact takes the race's K and
-    # ratio bound, Delsarte's LP included, from the completion record
+    # K and its ratio bound, Delsarte's LP included, are built by the
+    # completion record (partial._forbidden_bitmap, partial._ratio_bound)
+    # when the race or opt_exact first reads them; a second K built by
+    # opt_exact would go through solutions._required_bitmap
     builds = {"K": 0, "ratio": 0, "lp": 0}
 
     def spy(module, name, kind):
@@ -933,7 +934,6 @@ def test_min_rank_then_opt_exact_builds_k_and_the_ratio_bound_once(monkeypatch, 
     spy(partial, "_forbidden_bitmap", "K")
     spy(solutions, "_required_bitmap", "K")
     spy(partial, "_ratio_bound", "ratio")
-    spy(solutions, "_ratio_bound", "ratio")
     spy(gf2, "_delsarte_lp", "lp")
     rng = random.Random(67)
     raced = solved = 0
@@ -952,6 +952,48 @@ def test_min_rank_then_opt_exact_builds_k_and_the_ratio_bound_once(monkeypatch, 
                 solved += builds["lp"]
     assert raced >= 10  # 16 of the 42 reach the race's kernel side
     assert solved >= 30  # 34 of the 42 solve the LP
+
+
+def test_min_rank_then_opt_exact_builds_the_worklist_and_k_once(monkeypatch, forget):
+    # code (6, 2) with an unused column 3, which the record drops once, and
+    # H2, whose parity engine and relaxed engine take the record's
+    # worklist.  The relaxed engine's own K, of one row fewer, is a
+    # different set and is not counted.
+    code = code_matrix(CodeMatrixSpec(6, 2))
+    keep = [0, 1, 2, 4, 5, 6]
+    wide = PartialMatrix(
+        7,
+        tuple(gf2._spread(a, keep) for a in code.ones),
+        tuple(gf2._spread(s, keep) for s in code.stars),
+    )
+    H2 = parse_pmx("***1*111\n100**0*1\n**011110\n11*0***1\n")
+    cases = [(A, len(_prepare_rows(A)[0])) for A in (wide, H2)]
+    builds = {"worklist": 0, "K": 0, "ratio": 0}
+
+    def spy(name, kind, counts=lambda args: True):
+        # every module binding of the name, partial's and solutions' alike
+        real = getattr(partial, name)
+
+        def counted(*args):
+            builds[kind] += counts(args)
+            return real(*args)
+
+        for module in (partial, solutions):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+
+    spy("_prepare_rows", "worklist")
+    spy("_forbidden_bitmap", "K", lambda args: len(args[0]) >= length)
+    spy("_ratio_bound", "ratio")
+    for A, length in cases:
+        forget()
+        builds.update(worklist=0, K=0, ratio=0)
+        min_rank(A)
+        _, sol = opt_exact(A)
+        assert builds["worklist"] == 1 and builds["K"] == 1 and builds["ratio"] <= 1, builds
+        assert is_solution(A, sol)
+    forget()
+    assert opt_exact(wide)[0] == 2 * opt_exact(code)[0]
 
 
 def test_memo_compares_matrices_by_value(dfs_calls):
@@ -1048,7 +1090,7 @@ def test_expired_deadline_on_the_race_leaves_the_memo(monkeypatch):
 
 
 def test_wide_matrices_run_the_rank_side_alone_within_a_deadline(monkeypatch, forget):
-    # only matrices with n <= 12 race: the 8 x 16 matrix runs the rank
+    # only cores with n <= 12 race: the 8 x 16 matrix runs the rank
     # side alone (about 0.3 s), while the 16 x 12 one reaches the kernel
     # side, whose subspace settles it in about 0.01 s against about 0.4 s
     # for the rank side alone
@@ -1099,6 +1141,48 @@ def test_the_race_agrees_with_the_rank_side_alone_from_n_9_to_12(monkeypatch, fo
         forget()
         assert min_rank(A) == r
     assert len(built) == settled
+
+
+def test_unused_columns_complete_as_the_core(monkeypatch, forget):
+    # min_rank_completion drops the unused columns once and completes the
+    # core, so A's answer is the core's with zero columns put back.  With
+    # n = 13 to 16 and a core at most 11 wide, A races: the kernel side
+    # runs on such an A.  The min rank agrees with the rank side alone.
+    kernel_widths = []
+
+    class Spy(partial._KernelSide):
+        def __init__(self, K, n, dim, clock):
+            kernel_widths.append(n)
+            super().__init__(K, n, dim, clock)
+
+    monkeypatch.setattr(partial, "_KernelSide", Spy)
+    rng = random.Random(83)
+    raced = 0
+    for _ in range(50):
+        core_n = rng.randint(4, 11)
+        n = rng.randint(core_n + 1, core_n + 2) if rng.random() < 0.3 else rng.randint(13, 16)
+        keep = sorted(rng.sample(range(n), core_n))
+        core = star_heavy_matrix(rng, rng.randint(3, 20), core_n, 0.5)
+        if partial._drop_unused_columns(core)[0] is not core:
+            continue
+        A = PartialMatrix(
+            n,
+            tuple(gf2._spread(a, keep) for a in core.ones),
+            tuple(gf2._spread(s, keep) for s in core.stars),
+        )
+        forget()
+        kernel_widths.clear()
+        r, W = min_rank_completion(A)
+        raced += n > 12 and core_n in kernel_widths
+        assert is_completion(A, W) and rank(W) == r
+        forget()
+        rc, Wc = min_rank_completion(core)
+        assert (r, W.rows) == (rc, tuple(gf2._spread(w, keep) for w in Wc.rows))
+        with monkeypatch.context() as m:
+            m.setattr(partial, "_KERNEL_SIDE_N", 0)  # the rank side alone
+            forget()
+            assert min_rank(A) == r
+    assert raced >= 15  # 19 of the draws race at n > 12
 
 
 def test_min_rank_then_opt_exact_finds_the_column_floor_once(monkeypatch, forget):

@@ -9,13 +9,14 @@ import pytest
 
 from minrank.codes import CodeMatrixSpec, code_matrix
 from minrank.errors import LimitError, OperatorConflict
-from minrank import solutions
+from minrank import partial, solutions
 from minrank.gf2 import (
     Subspace,
     _bits,
     _delsarte_bound,
     _half_mask,
     _parity_bitmap,
+    _ratio_bound,
     _weight_classes,
     dot,
     kernel,
@@ -24,6 +25,7 @@ from minrank.partial import (
     PartialMatrix,
     _Deadline,
     _KernelSide,
+    _prepare_rows,
     col_min_rank,
     min_rank,
     min_rank_completion,
@@ -35,7 +37,6 @@ from minrank.solutions import (
     _avoids,
     _coset_basis,
     _OptSearch,
-    _ratio_bound,
     brute_force_opt_tiny,
     codistance,
     conjecture_epsilon,
@@ -224,7 +225,7 @@ def test_root_certificate_matches_the_seeded_search():
             fired["ratio"] += 1
         else:
             continue
-        search = _RowBoundSearch(A, K, None)
+        search = _RowBoundSearch(A.n, K, None, _prepare_rows(A)[0])
         search.seed(_mask(kernel(W).vectors()))
         assert search.resume(None)
         value, sol = opt_exact(A)
@@ -420,17 +421,19 @@ class _RowBoundSearch(_OptSearch):
     so every U-coset is a clique and candidates allow one pick per
     coset.  A node takes the bound when it is entered and again once its
     candidates shrink by 8.  Admissible bounds cut only nodes that
-    cannot beat the best, so both searches find the same incumbents."""
+    cannot beat the best, so both searches find the same incumbents.
+    Built by opt_exact, it reads the worklist of the record that
+    opt_exact runs on; built directly, it is given the worklist."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
+    def __init__(self, n, K, deadline, worklist=None):
+        super().__init__(n, K, deadline)
         span = [0]
         for u in _coset_subspace(self.K, self.n):
             span += [u ^ v for v in span]
         self.coset_U = span if len(span) > 1 else None
         rows = []
         seen = set()
-        for a, s in zip(self.A.ones, self.A.stars):
+        for a, s in partial._memo.rows if worklist is None else worklist:
             k = s.bit_count()
             if a == 0 or k == 0 or k > 8 or (a, s) in seen:
                 continue
@@ -678,12 +681,17 @@ def _reaches_search(A):
     return col_min_rank(A, A.n) != r and _ratio_bound(K, A.n) != 1 << (A.n - r)
 
 
+def _ready(A):
+    # whether the parity engine fits A's worklist
+    return solutions._parity_choice_ready(_prepare_rows(A)[0])
+
+
 def _reaches_the_vertex_engine(A):
-    # what _opt_core asks of A's core before it builds _OptSearch: no
+    # what opt_exact asks of A's core before it builds _OptSearch: no
     # root certificate (column, ratio, coset) settles it, and it is not
     # parity-ready
-    A = solutions._drop_unused_columns(A)[0]
-    if solutions._parity_choice_ready(A) or not _reaches_search(A):
+    A = partial._drop_unused_columns(A)[0]
+    if _ready(A) or not _reaches_search(A):
         return False
     r = min_rank(A)
     return _coset_basis(forbidden_set(A).bitmap, A.n, r) is None
@@ -722,8 +730,8 @@ def test_coset_bound_keeps_every_answer_and_witness(monkeypatch, built_engines):
     assert opt_exact(A)[0] == 8 and built_engines == []
     _, W = min_rank_completion(A)
     K = forbidden_set(A).bitmap
-    for engine, ticks in ((_RowBoundSearch, 720), (_OptSearch, 2084)):
-        search = engine(A, K, None)
+    reference = _RowBoundSearch(A.n, K, None, _prepare_rows(A)[0])
+    for search, ticks in ((reference, 720), (_OptSearch(A.n, K, None), 2084)):
         search.seed(_mask(kernel(W).vectors()))
         assert search.resume(None) and search.best == 8 and search.clock.ticks == ticks
 
@@ -800,7 +808,7 @@ def test_opt_exact_leaves_the_recursion_limit_alone():
     # explicit stacks, so a deadline ends them with LimitError at the
     # default recursion limit, which stays as it was
     A = list(_random_matrices(6, 12, 9, 5))[8]
-    assert _reaches_search(A) and solutions._parity_choice_ready(A)
+    assert _reaches_search(A) and _ready(A)
     limit = sys.getrecursionlimit()
     with pytest.raises(LimitError):
         opt_exact(A, deadline=time.monotonic() + 0.3)
@@ -946,7 +954,7 @@ def test_finish_cells_match_a_count_per_vector(monkeypatch):
                     free = ((1 << n) - 1) & ~s
                     rows.append((rng.randint(1, free) & free or free & -free, s))
             A = PartialMatrix(n, tuple(a for a, _ in rows), tuple(s for _, s in rows))
-            engine = solutions._ParityChoiceSearch(A, 0, None)
+            engine = solutions._ParityChoiceSearch(_prepare_rows(A)[0], A.n, 0, None)
             rowa, rowb = ((a, s) for a, s, _ in engine.rows[-2:])
             assert (rowa[1] | rowb[1]).bit_count() == k
             full = (1 << (1 << n)) - 1
@@ -964,9 +972,9 @@ def test_the_last_row_keeps_the_larger_side_of_each_class():
     for _ in range(200):
         n = rng.randint(3, 9)
         A = random_matrix(rng, rng.randint(2, 4), n, star_cap=5)
-        if len(solutions._prepare_rows(A)[0]) < 2:
+        if len(_prepare_rows(A)[0]) < 2:
             continue
-        engine = solutions._ParityChoiceSearch(A, 0, None)
+        engine = solutions._ParityChoiceSearch(_prepare_rows(A)[0], A.n, 0, None)
         a, s, _ = engine.rows[-1]
         alive = rng.getrandbits(1 << n)
         sides = {}
@@ -1012,7 +1020,7 @@ def test_no_vertex_search_on_parity_ready_matrices(monkeypatch, built_engines):
     # sweep seed 0, 4x8#365: no three of its rows keep min rank 3, and
     # the parity engine proves opt = lin = 32 in 939 ticks
     A = list(_random_matrices(4, 8, 366, 0))[365]
-    assert _reaches_search(A) and solutions._parity_choice_ready(A)
+    assert _reaches_search(A) and _ready(A)
     _, W = min_rank_completion(A)
     value, sol = opt_exact(A)
     assert value == 32
@@ -1024,7 +1032,7 @@ def test_no_vertex_search_on_parity_ready_matrices(monkeypatch, built_engines):
     # sweep seed 2, 5x10#148: the coset certificate settles it, so
     # neither the parity engine nor the row subset is built
     A = list(_random_matrices(5, 10, 149, 2))[148]
-    assert _reaches_search(A) and solutions._parity_choice_ready(A)
+    assert _reaches_search(A) and _ready(A)
     _, W = min_rank_completion(A)
     built_engines.clear()
     subsets.clear()
@@ -1047,7 +1055,7 @@ def test_the_coset_certificate_settles_at_the_root(built_engines):
         (5, 6, 12, 60, False),
     ):
         A = list(_random_matrices(m, n, k + 1, seed))[k]
-        assert _reaches_search(A) and solutions._parity_choice_ready(A) == ready
+        assert _reaches_search(A) and _ready(A) == ready
         r, W = min_rank_completion(A)
         assert len(_coset_basis(forbidden_set(A).bitmap, n, r)) == r
         value, sol = opt_exact(A)
@@ -1120,8 +1128,8 @@ def test_three_rows_of_h2_settle_it_in_every_row_order(relaxations, built_engine
         assert value == 32
         assert sol.sorted_members() == sorted(kernel(W).vectors())
         [relaxed] = relaxations
-        B = relaxed.A
-        assert B.m == 3 and set(zip(B.ones, B.stars)) < set(rows)
+        kept = [(a, s) for a, s, _ in relaxed.rows]
+        assert len(kept) == 3 and set(kept) < set(rows)
         assert relaxed._stack == [] and relaxed.best == 32
         assert relaxed.turns == [32]
         parity, built = built_engines
@@ -1138,7 +1146,7 @@ def test_the_parity_engine_keeps_its_first_slice(relaxations, built_engines):
     # first slice unspent
     for k, ticks in ((320, 25), (113, 27)):
         A = list(_random_matrices(4, 8, k + 1, 0))[k]
-        assert _reaches_search(A) and solutions._parity_choice_ready(A)
+        assert _reaches_search(A) and _ready(A)
         _, W = min_rank_completion(A)
         built_engines.clear()
         relaxations.clear()
@@ -1168,10 +1176,12 @@ def test_single_row_sums_skip_every_finish_of_113(monkeypatch):
 
     monkeypatch.setattr(solutions, "_pair_closed", counted)
     A = list(_random_matrices(4, 8, 114, 0))[113]
-    assert _reaches_search(A) and solutions._parity_choice_ready(A)
+    assert _reaches_search(A) and _ready(A)
     _, W = min_rank_completion(A)
     V = sorted(kernel(W).vectors())
-    parity = solutions._ParityChoiceSearch(A, forbidden_set(A).bitmap, None)
+    parity = solutions._ParityChoiceSearch(
+        _prepare_rows(A)[0], A.n, forbidden_set(A).bitmap, None
+    )
     parity.seed(_mask(V))
     assert parity.resume(None) and (parity.best, parity.best_mask) == (32, _mask(V))
     assert calls == []
@@ -1241,8 +1251,8 @@ def test_the_relaxation_changes_no_answer(monkeypatch, relaxations, built_engine
     while drawn < 60:
         A = random_matrix(rng, rng.randint(3, 6), rng.randint(6, 8))
         if not (
-            len(solutions._prepare_rows(A)[0]) >= 3
-            and solutions._parity_choice_ready(A)
+            len(_prepare_rows(A)[0]) >= 3
+            and _ready(A)
             and _reaches_search(A)
         ):
             continue
@@ -1279,7 +1289,7 @@ def test_a_finish_past_its_root_on_27(monkeypatch):
     # two-row finishes do not close at their root, so the walk goes on
     # through the last row but one and settles the last row alone
     A = list(_random_matrices(4, 8, 28, 1))[27]
-    assert _reaches_search(A) and solutions._parity_choice_ready(A)
+    assert _reaches_search(A) and _ready(A)
     closed = []
     real = solutions._pair_closed
 
@@ -1303,9 +1313,11 @@ def test_a_parity_slice_ends_within_a_few_ticks_of_its_stop():
     # bound: a tick and the phases of its flow
     for seed, m, n, k in ((1, 4, 8, 27), (3, 5, 10, 9), (3, 5, 10, 30)):
         A = list(_random_matrices(m, n, k + 1, seed))[k]
-        assert _reaches_search(A) and solutions._parity_choice_ready(A)
+        assert _reaches_search(A) and _ready(A)
         _, W = min_rank_completion(A)
-        engine = solutions._ParityChoiceSearch(A, forbidden_set(A).bitmap, None)
+        engine = solutions._ParityChoiceSearch(
+            _prepare_rows(A)[0], A.n, forbidden_set(A).bitmap, None
+        )
         engine.seed(_mask(kernel(W).vectors()))
         past = []
         while engine.clock.ticks < 4096:
@@ -1330,7 +1342,7 @@ def test_one_distinct_row_settles_at_the_root(built_engines):
         rows += [(0, rng.choice((0, (1 << n) - 1))) for _ in range(rng.randint(0, 3))]
         rng.shuffle(rows)
         A = PartialMatrix(n, tuple(r for r, _ in rows), tuple(t for _, t in rows))
-        assert not solutions._parity_choice_ready(A)
+        assert not _ready(A)
         _, W = min_rank_completion(A)
         value, sol = opt_exact(A)
         assert value == 1 << (n - 1)
@@ -1342,7 +1354,11 @@ def _alone(engine, A, stop):
     """opt by one engine alone, seeded with the kernel as opt_exact
     seeds it, or None when it does not finish within `stop` ticks."""
     _, W = min_rank_completion(A)
-    search = engine(A, forbidden_set(A).bitmap, None)
+    K = forbidden_set(A).bitmap
+    if engine is _OptSearch:
+        search = engine(A.n, K, None)
+    else:
+        search = engine(_prepare_rows(A)[0], A.n, K, None)
     search.seed(_mask(kernel(W).vectors()))
     return search.best if search.resume(stop) else None
 
@@ -1355,8 +1371,8 @@ def test_portfolio_agrees_with_each_engine_alone():
         while len(out) < count:
             A = make()
             if (
-                solutions._drop_unused_columns(A)[0] is A
-                and solutions._parity_choice_ready(A)
+                partial._drop_unused_columns(A)[0] is A
+                and _ready(A)
                 and _reaches_search(A)
             ):
                 out.append(A)
