@@ -128,8 +128,10 @@ def rref(vectors: Iterable[int]) -> tuple[int, ...]:
         for i, b in enumerate(basis):
             if b & p:
                 basis[i] = b ^ v
-        basis.append(v)
-        basis.sort(key=lambda r: r & -r)
+        i = len(basis)  # the basis stays sorted by pivot
+        while i and basis[i - 1] & -basis[i - 1] > p:
+            i -= 1
+        basis.insert(i, v)
     return tuple(basis)
 
 

@@ -155,20 +155,23 @@ def _prepare_rows(A: PartialMatrix):
     return ordered, remap
 
 
-def _star_basis(s: int, units: list[int]):
-    """Rref, with generating star sets, of {e_j mod basis : j in stars},
-    given units[j] = e_j reduced modulo the basis.
+def _star_basis(s: int, basis: Sequence[int]):
+    """Rref, with generating star sets, of {e_j mod basis : j in stars}.
 
-    The vectors come in no particular order: each pivot lies in exactly
-    one of them, so reducing against them and enumerating their span
-    give the same result in any order.
+    In an rref basis e_j reduces to itself, or, when j is the pivot of
+    b, to b with its pivot cleared, so of the basis only the vectors
+    whose pivot s stars matter, and `basis` may hold just those.  The
+    vectors come in no particular order: each pivot lies in exactly one
+    of them, so reducing against them and enumerating their span give
+    the same result in any order.
     """
+    starred = {p: b for b in basis if (p := b & -b) & s}
     red: list[tuple[int, int]] = []  # (vector, star subset that generates it)
     for j in range(s.bit_length()):
         if not (s >> j) & 1:
             continue
-        v = units[j]
         t = 1 << j
+        v = starred.get(t, 0) ^ t
         for bv, bt in red:
             if v & (bv & -bv):
                 v ^= bv
@@ -184,11 +187,13 @@ def _star_basis(s: int, units: list[int]):
 
 
 def _insert(basis: tuple[int, ...], v: int) -> tuple[int, ...]:
-    # v is already reduced against basis and nonzero
+    # v is already reduced against basis and nonzero; the pivots ascend
     p = v & -v
     rows = [b ^ v if b & p else b for b in basis]
-    rows.append(v)
-    rows.sort(key=lambda r: r & -r)
+    i = len(rows)
+    while i and rows[i - 1] & -rows[i - 1] > p:
+        i -= 1
+    rows.insert(i, v)
     return tuple(rows)
 
 
@@ -202,9 +207,10 @@ class _Deadline:
     99% of ticks cost at most about 0.13 ms at n = 8 and 0.17 ms at
     n = 12.  The costliest are the parity engine's two-row bounds, where
     a tick covers the count of the finish's cells with their class sums
-    and flow network, or one phase of its roof-bound flow.
-    A check that reads the clock costs about 0.3 us (2-core x86 box,
-    Python 3.11).
+    and flow network, or one phase of its roof-bound flow.  A tick of
+    min_rank_completion's rank side costs about 4 us at n = 8 and 6 to
+    7 us at n = 12 to 14 on seeded star-heavy matrices.  A check that
+    reads the clock costs about 0.3 us (2-core x86 box, Python 3.11).
     """
 
     def __init__(self, deadline: float | None, n: int):
@@ -227,27 +233,35 @@ def _forced_independent(rows, start: int, basis: tuple[int, ...], need: int) -> 
     independent modulo span(basis) in every completion.
 
     A subset U is dependent modulo B iff xor(a_U) lies in
-    B + span{e_j : j in the union of U's stars}, i.e. iff xor(a_U) & ~o
-    lies in the span of {b & ~o : b in B}.  Rows are taken in order,
-    keeping every subset sum of the chosen set as max_independent_rows
-    does.
+    B + span{e_j : j in the union o of U's stars}, i.e. iff xor(a_U) & ~o
+    lies in the span of {b & ~o : b in B}.  Each row's ones are reduced
+    modulo B once, so a subset sum r is zero on every pivot, and r & ~o
+    lies in that span exactly when it lies in the span of the b & ~o
+    whose pivot is in o: r & ~o == 0 when no pivot is starred.  Rows are
+    taken in order, keeping every subset sum of the chosen set as
+    max_independent_rows does.
     """
+    pivots = 0
+    for b in basis:
+        pivots |= b & -b
     sums = [(0, 0)]
     projected: dict[int, tuple[int, ...]] = {}
     count = 0
     for a, s in rows[start:]:
+        a = reduce_vector(a, basis)
         fresh = []
-        ok = True
         for x, o in sums:
             nx, no = x ^ a, o | s
-            p = projected.get(no)
-            if p is None:
-                p = projected[no] = rref(b & ~no for b in basis)
-            if reduce_vector(nx & ~no, p) == 0:
-                ok = False
+            r = nx & ~no
+            if r and no & pivots:
+                p = projected.get(no)
+                if p is None:
+                    p = projected[no] = rref(b & ~no for b in basis if b & -b & no)
+                r = reduce_vector(r, p)
+            if r == 0:
                 break
             fresh.append((nx, no))
-        if ok:
+        else:
             count += 1
             if count >= need:
                 break
@@ -284,15 +298,26 @@ class _RankSide(_Decider):
     outgrows the target.  Such a node holds no completion, so the cut
     leaves the search order and the result unchanged.  The test runs
     only at nodes with at most n rows still to place, so its cost per
-    node does not grow with m on tall matrices, where it seldom cuts.
+    node does not grow with m on tall matrices, where it seldom cuts,
+    and more than room of them, as fewer cannot outgrow it.
+
+    A node reads the basis once, for its row's ones reduced (ra) and
+    the basis vectors whose pivot the row stars.  As ra is zero on every
+    pivot, some completion of the row lies in the span iff ra & ~s lies
+    in the span of those vectors with the stars cleared, so a node that
+    is cut needs no star basis (_star_basis); it is built only to name
+    the stars of that completion or to list the branches, and a row
+    that stars no pivot branches over the subsets of its stars at once.
+    Both depend only on the stars s and the starred basis vectors, so
+    `_stars` keeps them per such pair, the star basis once one is built.
 
     Each node entered takes a tick.  `failed` holds the nodes proven
-    empty; `reduced_units` maps spans to their reduced unit vectors.
+    empty.
     """
 
-    def __init__(self, rows, n: int, target: int, clock: _Deadline, reduced_units: dict):
+    def __init__(self, rows, n: int, target: int, clock: _Deadline):
         self.rows, self.n, self.target, self.clock = rows, n, target, clock
-        self.reduced_units, self.failed = reduced_units, set()
+        self.failed, self._stars = set(), {}
         # a frame is (idx, basis, branches, k): once the node is entered,
         # branches lists (vector adjoined or None, stars set), k taken
         self._stack = [(0, (), None, 0)]
@@ -324,25 +349,46 @@ class _RankSide(_Decider):
             return []
         rows, n = self.rows, self.n
         a, s = rows[idx]
-        units = self.reduced_units.get(basis)
-        if units is None:
-            units = self.reduced_units[basis] = [reduce_vector(1 << j, basis) for j in range(n)]
-        red = _star_basis(s, units)
-        ra = reduce_vector(a, basis)
-        v, t = ra, 0
-        for bv, bt in red:
-            if v & (bv & -bv):
-                v ^= bv
-                t ^= bt
-        if v == 0:
-            return [(None, t)]
+        ra, starred = a, []  # a reduced, and the basis vectors with a starred pivot
+        for b in basis:
+            p = b & -b
+            if ra & p:
+                ra ^= b
+            if s & p:
+                starred.append(b)
+        w = ra & ~s
+        if starred:
+            key = (s, *starred)
+            stars = self._stars.get(key)
+            if stars is None:
+                stars = self._stars[key] = [rref([b & ~s for b in starred]), None]
+            w = reduce_vector(w, stars[0])
         room = self.target - len(basis)
-        if room <= 0 or (
-            len(rows) - idx <= n and _forced_independent(rows, idx, basis, room + 1) > room
+        if w and (
+            room <= 0
+            or (room < len(rows) - idx <= n and _forced_independent(rows, idx, basis, room + 1) > room)
         ):
             return []
+        if not starred:  # the stars' unit vectors: ra ^ u over u within s, ascending
+            t, out, u = ra & s, [], 0
+            if w == 0:
+                return [(None, t)]
+            while True:
+                out.append((w | u, u ^ t))
+                if u == s:
+                    return out
+                u = (u - s) & s
+        if stars[1] is None:
+            stars[1] = _star_basis(s, starred)
+        if w == 0:
+            t = 0
+            for bv, bt in stars[1]:
+                if ra & (bv & -bv):
+                    ra ^= bv
+                    t ^= bt
+            return [(None, t)]
         span = [(0, 0)]
-        for bv, bt in red:
+        for bv, bt in stars[1]:
             span += [(u ^ bv, ut ^ bt) for u, ut in span]
         return sorted((ra ^ u, ut) for u, ut in span)
 
@@ -460,15 +506,16 @@ def _orthogonal_completion(rows, n: int, V: tuple[int, ...]) -> list[int]:
 
 # min_rank_completion races the kernel side only on cores this
 # narrow.  On seeded star-heavy matrices a kernel-side tick costs about
-# 6 us up to n = 12 and 16 us at n = 14, a rank-side tick 13-19 us, and
-# building K and its ratio bound 0.08, 0.17, 0.47 and 2.1 ms at n = 8,
-# 10, 12 and 14.  From n = 9 to 12 the race settles code (n, 2) in
-# 0.01-0.03 s, where the rank side alone takes 74 s on code (9, 2).
-# Over 450 seeded random 3-8 x 9-12 and 10-24 x 9-12 star-heavy
-# matrices with a 5 s deadline each, it cut the total time from 80 s to
-# 58 s.  Where the kernel side proves nothing the rank side gets half
-# the ticks: 6 of the matrices got more than 1.5 times slower, one
-# 17 x 12 from 3.5 s to 5.6 s (2-core x86 box, Python 3.11).
+# 6 us up to n = 12 and 16 us at n = 14, a rank-side tick about 4 us at
+# n = 8 and 6-7 us at n = 12-14, and building K and its ratio bound
+# 0.08, 0.17, 0.47 and 2.1 ms at n = 8, 10, 12 and 14.  From n = 9 to
+# 12 the race settles code (n, 2) in 0.01-0.03 s, where the rank side
+# alone takes 27 s on code (9, 2).  Over 450 seeded random 3-8 x 9-12
+# and 10-24 x 9-12 star-heavy matrices with a 5 s deadline each, it cut
+# the total time from 80 s to 58 s, measured when a rank-side tick cost
+# 13-19 us at n = 12-14.  Where the kernel side proves nothing the rank
+# side gets half the ticks: 6 of the matrices got more than 1.5 times
+# slower, one 17 x 12 from 3.5 s to 5.6 s (2-core x86 box, Python 3.11).
 _KERNEL_SIDE_N = 12
 
 # The first slice of opt_exact's engines, vertex or parity, in ticks; it
@@ -546,16 +593,19 @@ class _Completed:
 
 
 # The record of the last matrix min_rank_completion completed; a call
-# that raises stores nothing.
+# that raises stores nothing.  Another thread may replace it at any
+# time, so it is read once, into a local.
 _memo: _Completed | None = None
 
 
 def _completed(A: PartialMatrix, deadline: float | None = None) -> _Completed:
-    """The record of A, read from the memo when A is the last matrix
-    completed, else made by a call to min_rank_completion(A, deadline)."""
-    if _memo is None or _memo.A != A:
-        min_rank_completion(A, deadline)
-    return _memo
+    """The record of A: the memo when A is the last matrix completed,
+    else the record that a new search builds (_complete).  Each is the
+    record this call read or built, never one stored meanwhile."""
+    rec = _memo
+    if rec is None or rec.A != A:
+        rec = _complete(A, deadline)
+    return rec
 
 
 def min_rank_completion(
@@ -580,9 +630,12 @@ def min_rank_completion(
     each side resumes where its last slice ended.  The first slice is
     min(256, max(16, n * 2^n / 128)) ticks: 16 up to n = 8, 36 to 176 at
     n = 9 to 11, and 256 from n = 12 on.  It was sized to what building
-    K and its ratio bound cost in rank-side ticks, which is 3 to 9 times
-    less since gf2._walsh_fields packs the bound's transform, so it is
-    generous to the rank side.  The rank side enters one node, and so
+    K and its ratio bound cost in rank-side ticks of 13 to 19 us.  That
+    build is 3 to 9 times cheaper since gf2._walsh_fields packs the
+    bound's transform, and a rank-side tick now costs 4 to 7 us, since
+    a node reduces only its own row and stars.  The slice is unchanged:
+    it costs about what the build does at n = 8, and 2 to 4 times more
+    at n = 10 to 12.  The rank side enters one node, and so
     takes one tick, per worklist row before it can return a completion,
     so on a worklist longer than the first slice that slice could only
     refute the target.  There the kernel side takes the first turn
@@ -611,18 +664,21 @@ def min_rank_completion(
     by opt_exact builds the worklist, K and the ratio bound once each,
     and solves Delsarte's LP at most once.
     """
+    return _completed(A, deadline).answer
+
+
+def _complete(A: PartialMatrix, deadline: float | None) -> _Completed:
+    """min_rank_completion's search: A's record with its answer, also
+    stored as the memo."""
     global _memo
-    if _memo is not None and _memo.A == A:
-        return _memo.answer
     rec = _Completed(A)
     rows, n = rec.rows, rec.core.n
     floor = rec.column_floor or 0
     clock = _Deadline(deadline, n)
-    reduced_units: dict = {}
 
     def decide(target: int):
         nonlocal floor
-        rank_side = _RankSide(rows, n, target, clock, reduced_units)
+        rank_side = _RankSide(rows, n, target, clock)
         if n > _KERNEL_SIDE_N:
             return rank_side.run()
         kernel_side, budget = None, min(_FIRST_SLICE, max(16, (n << n) >> 7))
@@ -651,7 +707,7 @@ def min_rank_completion(
     full = [0 if t is None else found[t] for t in rec.remap]
     rec.answer = target, GF2Matrix(A.n, tuple(full))
     _memo = rec
-    return rec.answer
+    return rec
 
 
 def min_rank(A: PartialMatrix, deadline: float | None = None) -> int:
@@ -774,30 +830,48 @@ def max_independent_rows(rows: Sequence[tuple[int, int]]) -> int:
 
     Depth-first over the rows in order, keeping every subset sum of the
     chosen set so each candidate extension is checked incrementally.
+    The rows of an independent set are pairwise independent, so a node
+    keeps as candidates only the later rows that pair with every chosen
+    one, and is cut when even all of them would not beat the best.  No
+    completion spans more dimensions than the coordinates that some row
+    fixes or stars, so the search stops once it holds that many.
     """
     k = len(rows)
+    used = 0
+    for a, s in rows:
+        used |= a | s
+    cap = min(k, used.bit_count())
+    # pairs[i]: the later rows j with {i, j} independent
+    pairs = [0] * k
+    alone = 0  # the rows independent on their own
+    for i, (a, s) in enumerate(rows):
+        if a & ~s:
+            alone |= 1 << i
+            for j in range(i + 1, k):
+                b, t = rows[j]
+                if (a ^ b) & ~(s | t) and b & ~t:
+                    pairs[i] |= 1 << j
     best = 0
 
-    def extend(start: int, sums: list[tuple[int, int]], size: int):
+    def extend(cand: int, sums: list[tuple[int, int]], size: int):
         nonlocal best
         if size > best:
             best = size
-        for i in range(start, k):
-            if size + (k - i) <= best:
-                break
+        while cand and best < cap and size + cand.bit_count() > best:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
             a, s = rows[i]
             fresh = []
-            ok = True
             for x, o in sums:
                 nx, no = x ^ a, o | s
                 if nx & ~no == 0:
-                    ok = False
                     break
                 fresh.append((nx, no))
-            if ok:
-                extend(i + 1, sums + fresh, size + 1)
+            else:
+                extend(cand & pairs[i], sums + fresh, size + 1)
 
-    extend(0, [(0, 0)], 0)
+    extend(alone, [(0, 0)], 0)
     return best
 
 

@@ -842,7 +842,7 @@ def _row_subset(rows, n: int, r: int, deadline: float | None) -> _Engine | None:
         return None
     for i in range(len(rows)):
         rest = rows[:i] + rows[i + 1 :]
-        search = _RankSide(rest, n, r - 1, _Deadline(deadline, n), {})
+        search = _RankSide(rest, n, r - 1, _Deadline(deadline, n))
         if not search.resume(_FIRST_SLICE) or search.found is not None:
             continue
         return _ParityChoiceSearch(rest, n, _forbidden_bitmap(rest, n), deadline)

@@ -1,7 +1,9 @@
 """Unit tests for partial matrices and their rank parameters."""
 
+import hashlib
 import random
 import sys
+import threading
 import time
 from itertools import combinations
 
@@ -500,6 +502,81 @@ def reference_star_basis(s, basis):
     return red
 
 
+def reference_forced_independent(rows, start, basis, need):
+    """_forced_independent as it projected the whole basis: for each
+    union o of stars, the rref of {b & ~o : b in basis}, and the subset
+    sum's ones as given."""
+    sums = [(0, 0)]
+    projected = {}
+    count = 0
+    for a, s in rows[start:]:
+        fresh = []
+        ok = True
+        for x, o in sums:
+            nx, no = x ^ a, o | s
+            p = projected.get(no)
+            if p is None:
+                p = projected[no] = rref(b & ~no for b in basis)
+            if reduce_vector(nx & ~no, p) == 0:
+                ok = False
+                break
+            fresh.append((nx, no))
+        if ok:
+            count += 1
+            if count >= need:
+                break
+            sums += fresh
+    return count
+
+
+def reference_max_independent_rows(rows):
+    """max_independent_rows with no bound but the rows left."""
+    best = 0
+
+    def extend(start, sums, size):
+        nonlocal best
+        best = max(best, size)
+        for i in range(start, len(rows)):
+            if size + len(rows) - i <= best:
+                break
+            a, s = rows[i]
+            fresh = [(x ^ a, o | s) for x, o in sums]
+            if all(x & ~o for x, o in fresh):
+                extend(i + 1, sums + fresh, size + 1)
+
+    extend(0, [(0, 0)], 0)
+    return best
+
+
+def test_the_pivot_map_keeps_star_bases_and_independence_counts():
+    # the star basis from the basis's pivots, the forced-independence
+    # count on rows reduced once, and the capped, pair-bounded largest
+    # independent set against the references, on seeded random rows and
+    # rref bases, with and without a starred pivot
+    rng = random.Random(2036)
+    starred = plain = 0
+    for _ in range(1500):
+        n = rng.randint(1, 12)
+        A = star_heavy_matrix(rng, rng.randint(1, 9), n, rng.random() * 0.7)
+        rows = list(zip(A.ones, A.stars))
+        basis = rref(rng.getrandbits(n) for _ in range(rng.randint(0, n)))
+        start = rng.randrange(len(rows))
+        s = rows[start][1]
+        want = sorted(reference_star_basis(s, basis))
+        assert sorted(partial._star_basis(s, basis)) == want
+        assert sorted(partial._star_basis(s, [b for b in basis if b & -b & s])) == want
+        if any(b & -b & s for b in basis):
+            starred += 1
+        else:
+            plain += 1
+        for need in range(1, len(rows) - start + 2):
+            assert partial._forced_independent(rows, start, basis, need) == (
+                reference_forced_independent(rows, start, basis, need)
+            )
+        assert max_independent_rows(rows) == reference_max_independent_rows(rows)
+    assert starred > 500 and plain > 300
+
+
 def reference_complete_within(rows, target):
     """The depth-first search of _RankSide without the
     forced-independence cut and the cache of reduced unit vectors: the
@@ -602,7 +679,7 @@ def test_every_forced_independence_cut_holds_no_completion(monkeypatch):
         # every target up to the minimum, so the failing ones are cut too
         rows, _ = _prepare_rows(A)
         for target in range(min_rank(A) + 1):
-            partial._RankSide(rows, A.n, target, partial._Deadline(None, A.n), {}).run()
+            partial._RankSide(rows, A.n, target, partial._Deadline(None, A.n)).run()
     for rest, basis, target in cuts:
         n = max(v.bit_length() for row in rest for v in row)
         R = PartialMatrix(n, tuple(a for a, _ in rest), tuple(s for _, s in rest))
@@ -837,7 +914,7 @@ def test_deciders_resume_in_slices_as_in_one_run(monkeypatch, forget):
         rows, _ = _prepare_rows(A)
         K = partial._forbidden_bitmap(rows, n)
         inside = ((1 << (1 << n)) - 1) & ~K & ~1
-        makes = [lambda c, t=t: partial._RankSide(rows, n, t, c, {}) for t in {max(r - 1, 0), r}]
+        makes = [lambda c, t=t: partial._RankSide(rows, n, t, c) for t in {max(r - 1, 0), r}]
         makes += [lambda c, d=d: partial._KernelSide(K, n, d, c) for d in (n - r, n - r + 1)]
         makes += [lambda c, d=d: partial._KernelSide(inside, n, d, c) for d in range(1, r + 2)]
         for make in makes:
@@ -854,6 +931,81 @@ def test_deciders_resume_in_slices_as_in_one_run(monkeypatch, forget):
     # restarting the rank side at the root after every slice takes 348
     A = star_heavy_matrix(random.Random(16), 12, 8, 0.5)
     assert completion_ticks(monkeypatch, forget, A) <= 300
+
+
+def pin_corpus():
+    """The sweep's shapes, as the records of `minrank search --mode random
+    --seed 0`, then seeded random and star-heavy 6-8 x 9-12 matrices."""
+    cases = list(_random_matrices(4, 8, 101, 0))
+    cases += _random_matrices(5, 10, 30, 0)
+    cases += _random_matrices(6, 12, 10, 0)
+    rng = random.Random(2036)
+    cases += [random_matrix(rng, rng.randint(6, 8), rng.randint(9, 12)) for _ in range(40)]
+    cases += [star_heavy_matrix(rng, rng.randint(6, 8), rng.randint(9, 12), 0.5) for _ in range(30)]
+    return cases
+
+
+# min_rank_completion on pin_corpus(), computed when each rank-side node
+# reduced all n unit vectors: the min ranks, the ticks of its one clock,
+# and the sha256 of the completions' rows
+PIN_RANKS = (
+    "32223333332334343233334333333343333343324433433233433342334334323323334343333232"
+    "33333343233333233343234443324444343544334444444433344444544444455455555345465443"
+    "434554555445465545464443433343343344343434443434333"
+)
+PIN_TICKS = (
+    5, 8, 9, 5, 3, 3, 5, 8, 11, 5, 3, 8, 4, 4, 5, 4, 6, 3, 3, 4, 4, 3, 4, 3, 7, 11,
+    4, 4, 5, 4, 4, 4, 4, 3, 4, 5, 4, 5, 4, 14, 4, 4, 5, 3, 4, 12, 4, 4, 6, 10, 4, 8,
+    3, 3, 4, 6, 7, 3, 4, 3, 8, 4, 5, 5, 3, 6, 5, 4, 3, 5, 4, 7, 4, 10, 5, 5, 6, 6,
+    9, 10, 8, 6, 4, 4, 4, 5, 4, 5, 3, 8, 5, 20, 7, 7, 4, 6, 4, 6, 4, 4, 21, 22, 10,
+    7, 4, 26, 19, 6, 5, 8, 7, 5, 13, 7, 21, 5, 5, 5, 40, 8, 11, 6, 6, 10, 10, 5, 7,
+    7, 5, 13, 9, 7, 14, 9, 2469, 19, 8, 8, 12, 52, 9, 27, 15, 8, 6, 263, 9, 15, 50,
+    10, 8, 15, 5, 194, 11, 15, 21, 77, 10, 12, 10, 107, 43, 10, 20, 11, 10, 6, 32,
+    7, 26, 10, 8, 8, 14, 8, 7, 12, 5, 9, 19, 8, 8, 63, 22, 183, 145, 264, 3722, 39,
+    9, 15, 28, 86, 118, 46, 264, 7, 17, 69, 183, 182, 9, 40, 12, 7, 107, 31, 96,
+    2631, 50,
+)
+PIN_COMPLETIONS = "3052ee4e5754e3122cf366b4913d3928a93dfc3453eaa55068701cb4a999f8de"
+
+
+def test_the_race_keeps_every_rank_completion_and_tick(monkeypatch, forget):
+    clocks = []
+
+    class Counted(partial._Deadline):
+        def __init__(self, *args):
+            super().__init__(*args)
+            clocks.append(self)
+
+    monkeypatch.setattr(partial, "_Deadline", Counted)
+    ranks, ticks, digest = [], [], hashlib.sha256()
+    for A in pin_corpus():
+        forget()
+        clocks.clear()
+        r, W = min_rank_completion(A)
+        assert len(clocks) == 1
+        ranks.append(str(r))
+        ticks.append(clocks[0].ticks)
+        digest.update(repr(W.rows).encode())
+    assert "".join(ranks) == PIN_RANKS
+    assert tuple(ticks) == PIN_TICKS
+    assert digest.hexdigest() == PIN_COMPLETIONS
+
+
+def test_the_rank_side_completes_a_21_by_15_at_its_pinned_tick():
+    # min rank 6; its 12-column core at target 6, from the root
+    A = parse_pmx(
+        "01*000**01*010*\n000000*101***11\n0*10*0*001*00*0\n0*10*0*00*1*10*\n0011*0**0000*10\n"
+        "0*1*000*0010*00\n0*11*0**0*01*0*\n0*1*001*0***110\n011*10**01*10*1\n001**010011*1*1\n"
+        "00*1*000010**0*\n0*10*0**0**10*0\n0***00*00*11011\n0**000*10*1***1\n011000*1000**10\n"
+        "0**0*0**01*0*1*\n0****0*00**00*0\n0****0*000**0**\n0**0*01*01*00*0\n01*0*0010**011*\n"
+        "0*00101*01100**\n"
+    )
+    core = partial._drop_unused_columns(A)[0]
+    rows, _ = _prepare_rows(core)
+    clock = partial._Deadline(None, core.n)
+    found = partial._RankSide(rows, core.n, 6, clock).run()
+    assert clock.ticks == 5894
+    assert found == [1059, 3168, 1038, 679, 4050, 1272, 593, 219, 2427, 836, 3459, 1705, 650, 1650, 219, 2390, 483, 2464, 1272]
 
 
 def test_a_worklist_past_the_recursion_limit(tall_matrix, forget):
@@ -1007,6 +1159,58 @@ def test_memo_compares_matrices_by_value(dfs_calls):
     assert len(dfs_calls) > searched
 
 
+def test_a_record_stored_while_the_memo_is_compared_is_not_returned(forget):
+    # another thread may store its record between two reads of the memo;
+    # an equality hook on the compared matrix stores code (5, 2)'s record
+    # at that moment, and the caller still gets its own matrix's record
+    min_rank(code_matrix(CodeMatrixSpec(5, 2)))
+    theirs = partial._memo
+    A = parse_pmx("1*0*1\n*11*0\n01*11\n")
+
+    class Hooked(PartialMatrix):
+        def __eq__(self, other):
+            partial._memo = theirs
+            return (self.n, self.ones, self.stars) == (other.n, other.ones, other.stars)
+
+        __hash__ = PartialMatrix.__hash__
+
+    hooked = Hooked(A.n, A.ones, A.stars)
+    for read in (partial._completed, min_rank_completion):
+        forget()
+        mine = partial._completed(A)
+        got = read(hooked)
+        assert got is (mine if read is partial._completed else mine.answer)
+        assert partial._memo is theirs  # the hook ran
+    assert opt_exact(A)[0] == 8 and opt_exact(code_matrix(CodeMatrixSpec(5, 2)))[0] == 4
+
+
+def test_threads_on_different_matrices_each_get_their_own_opt(forget):
+    # three threads, more than the cores, replace the memo with their own
+    # matrix's record over and over; every answer must still be its own
+    cases = [(code_matrix(CodeMatrixSpec(5, 2)), 4), (parse_pmx("1*0*1\n*11*0\n01*11\n"), 8)]
+    answers, stop = [], time.monotonic() + 1
+
+    def loop(A, want):
+        while time.monotonic() < stop:
+            try:
+                answers.append(opt_exact(A)[0] == want)
+            except LimitError:
+                answers.append(False)
+
+    threads = [threading.Thread(target=loop, args=cases[k % 2]) for k in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(answers) > 100 and all(answers)
+
+
 def test_deadline_refusal_is_not_memoized(dfs_calls):
     A = code_matrix(CodeMatrixSpec(6, 3))
     with pytest.raises(LimitError):
@@ -1044,7 +1248,7 @@ def test_kernel_side_agrees_with_the_rank_side_at_every_target():
         for t in range(A.n + 1):
             clock = partial._Deadline(None, A.n)
             kernel_side = partial._KernelSide(K, A.n, A.n - t, clock).run() is not None
-            rank_side = partial._RankSide(rows, A.n, t, clock, {}).run() is not None
+            rank_side = partial._RankSide(rows, A.n, t, clock).run() is not None
             assert kernel_side == rank_side
             feasible += kernel_side
             infeasible += not kernel_side
