@@ -320,6 +320,8 @@ def rigidity(M: GF2Matrix, r: int, flip_cap: int = 8) -> int:
 
     Iterative deepening over flip sets; exact but tiny-scale only.
     """
+    if r < 0:
+        raise ValueError("no matrix has rank below 0")
     cells = M.m * M.n
     if cells > 25:
         raise LimitError(f"rigidity search over {cells} entries exceeds 25")

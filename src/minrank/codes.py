@@ -96,11 +96,14 @@ def hamming_bound(n: int, r: int) -> int:
 
     The ball of radius t = floor((r-1)/2) is a clique in the Cayley
     graph of the forbidden set, so no code of distance r+1 packs more
-    than 2^n over its size.  Exact integer arithmetic throughout.
+    than 2^n over its size.  At r = 0 every set is a code, and t = 0
+    gives 2^n.  Exact integer arithmetic throughout.
     """
+    if r < 0:
+        raise ValueError("need r >= 0")
     if n > 64:
         raise LimitError("bound evaluation capped at n <= 64")
-    t = (r - 1) // 2
+    t = max(r - 1, 0) // 2
     return (1 << n) // sum(comb(n, i) for i in range(t + 1))
 
 
@@ -110,6 +113,8 @@ def gv_bound(n: int, r: int) -> int:
     Linear codes of distance r+1 and size 2^n over the radius-r ball
     volume always exist.  Exact integer arithmetic throughout.
     """
+    if r < 0:
+        raise ValueError("need r >= 0")
     if n > 64:
         raise LimitError("bound evaluation capped at n <= 64")
     return (1 << n) // sum(comb(n, i) for i in range(r + 1))

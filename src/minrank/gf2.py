@@ -9,7 +9,6 @@ first" always means smallest under this integer encoding.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -359,89 +358,32 @@ def _bits(v: int):
         base += 8
 
 
-# the digits of format(x, "b") as byte values 0 and 1
-_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-_walsh_masks: dict[int, tuple[list[int], int]] = {}
-
-
-def _walsh_masks_of(n: int, w: int) -> tuple[list[int], int]:
-    # for each coordinate j, the all-ones w-bit fields of the indices with
-    # bit j clear; and the bias 2^(w - 1) in every field
-    got = _walsh_masks.get(n)
-    if got is None:
-        F = [0] * n
-        F[n - 1] = (1 << (w << (n - 1))) - 1
-        for j in range(n - 2, -1, -1):
-            low = F[j + 1] & ~(F[j + 1] << (w << j))
-            F[j] = low | low << (w << (j + 1))
-        bias = int.from_bytes((1 << (w - 1)).to_bytes(w >> 3, "little") * (1 << n), "little")
-        got = _walsh_masks[n] = (F, bias)
-    return got
-
-
-def _walsh_fields(K: int, n: int) -> tuple[int, int]:
-    """The Walsh-Hadamard transform of K's indicator over GF(2)^n, as
-    (P, w): field y of P, bits w*y to w*y + w - 1, holds the sum over x
-    in K of (-1)^<x, y>, plus 2^(w - 1).
-
-    Each of the n butterfly passes takes every pair of fields whose
-    indices differ in one bit j, (a, b), to (a + b, a - b) with a few
-    masks, shifts, adds and subtracts on the whole integer.  Every sum is
-    at most 2^n in size, so 16-bit fields hold it up to n = 14, and
-    32-bit ones beyond.  Each field of a result then lies in [0,
-    2^w), so arithmetic on the whole integer is arithmetic on each field.
-    """
-    w = 16 if n <= 14 else 32
-    step = w >> 3
-    # field x starts as bit x of K in its low byte, plus the bias 2^(w - 1)
-    # in its top byte
-    data = bytearray(step << n)
-    data[::step] = format(K, f"0{1 << n}b").encode()[::-1].translate(_DIGITS)
-    data[step - 1 :: step] = b"\x80" * (1 << n)
-    P = int.from_bytes(data, "little")
-    F, bias = _walsh_masks_of(n, w)
-    for j in range(n):
-        mask = F[j]
-        shift = w << j
-        a = P & mask
-        b = (P >> shift) & mask
-        half = bias & mask
-        P = (a + b - half) | (a - b + half) << shift
-    return P, w
-
-
 def _ratio_bound(K: int, n: int) -> int:
-    """An upper bound on the solutions of a nonempty forbidden set: the
-    smallest of Hoffman's ratio bound and, when K holds whole Hamming
-    weight classes, Delsarte's LP bound on them (_delsarte_bound) and
-    Plotkin's bound.
+    """An upper bound on the solutions of a forbidden set K: 2^n, unless
+    K holds whole Hamming weight classes W, and then the smaller of
+    Delsarte's LP bound on W (_delsarte_bound) and Plotkin's bound.
 
-    The Cayley graph generated by K is |K|-regular, and its eigenvalues
-    are the Walsh-Hadamard transform of K's indicator, so no independent
-    set exceeds 2^n * (-lambda_min) / (|K| - lambda_min) (Hoffman 1970;
-    the eigenvalue side of Delsarte's 1973 LP bound).  _walsh_fields
-    computes all 2^n of them on one packed integer, and the least is
-    read by one min over its fields, cast from the integer's bytes.
-
-    When K holds the weights 1..d - 1 and d <= n, every solution is a
-    code of minimum distance d, so Plotkin's bound applies: A(n, d) <= 2
-    * floor(d / (2d - n)) for even d with 2d > n, and A(n, d) = A(n + 1,
-    d + 1) for odd d (MacWilliams and Sloane, ch. 2).
+    Every solution avoids the distances W, so it is a code whose size
+    Delsarte's LP bounds.  When W holds the weights 1..d - 1 and d <= n,
+    every solution is a code of minimum distance d, so Plotkin's bound
+    applies too: A(n, d) <= 2 * floor(d / (2d - n)) for even d with 2d >
+    n, and A(n, d) = A(n + 1, d + 1) for odd d (MacWilliams and Sloane,
+    ch. 2).
     """
-    P, width = _walsh_fields(K, n)
-    fields = memoryview(P.to_bytes((width >> 3) << n, sys.byteorder))
-    low = min(fields.cast("H" if width == 16 else "I")) - (1 << (width - 1))
-    hoffman = ((1 << n) * -low) // (K.bit_count() - low)
     W = 0
     for w, cls in enumerate(_weight_classes(n)):
         if w and K & cls == cls:
             W |= 1 << w
+    if not W:
+        return 1 << n
+    bound = _delsarte_bound(n, W)
     d = 1
     while W >> d & 1:
         d += 1
     n1, d1 = n + (d & 1), d + (d & 1)  # the even distance of the extended code
-    plotkin = 2 * (d1 // (2 * d1 - n1)) if d <= n and 2 * d1 > n1 else hoffman
-    return min(hoffman, _delsarte_bound(n, W), plotkin) if W else hoffman
+    if d <= n and 2 * d1 > n1:
+        bound = min(bound, 2 * (d1 // (2 * d1 - n1)))
+    return bound
 
 
 def _weight_classes(n: int) -> list[int]:

@@ -508,9 +508,9 @@ def _orthogonal_completion(rows, n: int, V: tuple[int, ...]) -> list[int]:
 # narrow.  On seeded star-heavy matrices a kernel-side tick costs about
 # 6 us up to n = 12 and 16 us at n = 14, a rank-side tick about 4 us at
 # n = 8 and 6-7 us at n = 12-14, and building K and its ratio bound
-# 0.08, 0.17, 0.47 and 2.1 ms at n = 8, 10, 12 and 14.  From n = 9 to
-# 12 the race settles code (n, 2) in 0.01-0.03 s, where the rank side
-# alone takes 27 s on code (9, 2).  Over 450 seeded random 3-8 x 9-12
+# 13, 20, 25 and 46 us at n = 8, 10, 12 and 14 (3-8 rows, 60% stars,
+# median of 12).  From n = 9 to 12 the race settles code (n, 2) in
+# 0.01-0.03 s, where the rank side alone takes 27 s on code (9, 2).  Over 450 seeded random 3-8 x 9-12
 # and 10-24 x 9-12 star-heavy matrices with a 5 s deadline each, it cut
 # the total time from 80 s to 58 s, measured when a rank-side tick cost
 # 13-19 us at n = 12-14.  Where the kernel side proves nothing the rank
@@ -556,11 +556,12 @@ class _Completed:
     It holds the core, its worklist and remap (_prepare_rows), A's
     column floor (None when col_min_rank refused at its default limit),
     A's answer (min rank, completion) and the worklist as completed.
-    The core's forbidden set K and ratio bound (the smallest of
-    Hoffman's, Delsarte's and Plotkin's bounds, gf2._ratio_bound) are
-    built the first time the race or opt_exact reads them, so min_rank
-    followed by opt_exact or report builds each once per matrix.  The
-    answer does not depend on the deadline, so the record is exact.
+    The core's forbidden set K and ratio bound (Delsarte's and
+    Plotkin's bounds on the weight classes K holds whole,
+    gf2._ratio_bound) are built the first time the race or opt_exact
+    reads them, so min_rank followed by opt_exact or report builds each
+    once per matrix.  The answer does not depend on the deadline, so the
+    record is exact.
     """
 
     def __init__(self, A: PartialMatrix):
@@ -629,13 +630,10 @@ def min_rank_completion(
     each slice it does not finish the kernel side gets an equal slice;
     each side resumes where its last slice ended.  The first slice is
     min(256, max(16, n * 2^n / 128)) ticks: 16 up to n = 8, 36 to 176 at
-    n = 9 to 11, and 256 from n = 12 on.  It was sized to what building
-    K and its ratio bound cost in rank-side ticks of 13 to 19 us.  That
-    build is 3 to 9 times cheaper since gf2._walsh_fields packs the
-    bound's transform, and a rank-side tick now costs 4 to 7 us, since
-    a node reduces only its own row and stars.  The slice is unchanged:
-    it costs about what the build does at n = 8, and 2 to 4 times more
-    at n = 10 to 12.  The rank side enters one node, and so
+    n = 9 to 11, and 256 from n = 12 on, so that the rank side, which
+    needs no K, spends at least what building K and its ratio bound
+    costs before the kernel side is tried (_KERNEL_SIDE_N gives both
+    costs).  The rank side enters one node, and so
     takes one tick, per worklist row before it can return a completion,
     so on a worklist longer than the first slice that slice could only
     refute the target.  There the kernel side takes the first turn
@@ -645,9 +643,9 @@ def min_rank_completion(
     Only cores with n <= 12 race; wider ones run the rank side alone.
     The first time a matrix reaches the kernel side, K is built and the
     floor rises to n - floor(log2 of K's ratio bound), since
-    2^(n - min rank) = lin <= opt <= the ratio bound, the smallest of
-    Hoffman's, Delsarte's and Plotkin's bounds (gf2._ratio_bound).  On
-    code matrices that floor is the min rank itself, so the race
+    2^(n - min rank) = lin <= opt <= the ratio bound: the smaller of
+    Delsarte's and Plotkin's bounds when K holds whole Hamming weight
+    classes, else 2^n (gf2._ratio_bound).  On code matrices that floor is the min rank itself, so the race
     searches no lower target.  If the kernel side proves t infeasible, t
     is skipped; if it finds a subspace V first, every row gets the stars
     that make it orthogonal to V (_orthogonal_completion).  That

@@ -682,11 +682,11 @@ def opt_exact(
     2^(n - col_min_rank), the ratio bound (_ratio_bound), and a coset
     certificate, a subspace U of dimension min_rank whose nonzero members
     all lie in the forbidden set (_coset_basis): its cosets are cliques,
-    so opt <= 2^(n - min_rank) = lin.  The ratio bound is the smallest
-    of Hoffman's bound on the Cayley graph and, when K holds whole
-    Hamming weight classes W, Delsarte's LP bound on codes avoiding the
-    distances W, whose dual is checked exactly before it is used, and
-    Plotkin's bound on codes of the least distance outside W.  On code
+    so opt <= 2^(n - min_rank) = lin.  The ratio bound is 2^n unless K
+    holds whole Hamming weight classes W, and then the smaller of
+    Delsarte's LP bound on codes avoiding the distances W, whose dual is
+    checked exactly before it is used, and Plotkin's bound on codes of
+    the least distance outside W.  On code
     matrices K is a punctured Hamming ball, and the LP settles codes
     (5, 3), (6, 3), (7, 3), (8, 3) and others at the root, and Plotkin's
     bound settles (7, 4) and (8, 5).

@@ -222,7 +222,8 @@ def test_criterion_05_theorem_suite():
         # independent columns
         assert opt <= 1 << (n - col_min_rank(A))
 
-        # Hoffman's ratio bound on the Cayley graph of the forbidden set
+        # the ratio bound: Delsarte's LP and Plotkin's bound on the weight
+        # classes that the forbidden set holds whole, else 2^n
         K = forbidden_set(A).bitmap
         if K:
             assert opt <= _ratio_bound(K, n)

@@ -349,6 +349,16 @@ def test_rigidity_identity_and_random():
         rigidity(I4, 0, flip_cap=3)
 
 
+def test_rigidity_refuses_a_negative_rank_before_searching(monkeypatch):
+    # no matrix has rank below 0, so no flip set is tried
+    calls = []
+    monkeypatch.setattr(circuits, "rref", lambda rows: calls.append(rows) or rref(rows))
+    for M in (GF2Matrix(4, (1, 2, 4, 8)), GF2Matrix(6, (0,) * 6)):
+        with pytest.raises(ValueError, match="rank below 0"):
+            rigidity(M, -1)
+    assert calls == []
+
+
 def test_gate_validation():
     with pytest.raises(ValueError, match="need at least one input"):
         Depth2Circuit(0, (), ())

@@ -105,6 +105,17 @@ def test_bounds_frozen_values():
         gv_bound(65, 1)
 
 
+def test_bounds_at_distance_one_and_below():
+    # r = 0 is distance 1: every set is a code, so both bounds are 2^n
+    for n in range(1, 11):
+        assert hamming_bound(n, 0) == gv_bound(n, 0) == 1 << n
+    for r in (-1, -2, -7):
+        with pytest.raises(ValueError, match="r >= 0"):
+            hamming_bound(7, r)
+        with pytest.raises(ValueError, match="r >= 0"):
+            gv_bound(7, r)
+
+
 def test_solutions_are_codes():
     # (5,1): distance-2 codes, so the even-weight code is optimal
     spec = CodeMatrixSpec(5, 1)

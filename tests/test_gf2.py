@@ -16,7 +16,6 @@ from minrank.gf2 import (
     _delsarte_lp,
     _ratio_bound,
     _star_classes,
-    _walsh_fields,
     _weight_classes,
     Subspace,
     dot,
@@ -329,39 +328,47 @@ def walsh_by_lists(K, n):
     return v
 
 
-def test_packed_walsh_transform_matches_a_list_transform():
-    # every field of _walsh_fields, read back a field at a time, against
-    # the list transform: seeded random K at n = 1..12, the full set and
-    # one vector at each n, and one random K at n = 15 and 16, where the
-    # fields are 32 bits wide.  Where K holds no whole weight class, the
-    # ratio bound is Hoffman's bound on the least of them
+def test_ratio_bound_is_the_whole_space_without_a_whole_weight_class():
+    # seeded K at n = 1..12, sparse and dense, each with one vector of
+    # every weight class left out, and single vectors below weight n: no
+    # class is whole, so no distance is avoided and the bound is 2^n
     rng = random.Random(131)
-    cases = [(rng.getrandbits(1 << n), n) for n in range(1, 13) for _ in range(8)]
-    cases += [((1 << (1 << n)) - 1, n) for n in range(1, 13)]
-    cases += [(1 << rng.randrange(1 << n), n) for n in range(1, 13)]
-    cases += [(rng.getrandbits(1 << n), n) for n in (15, 16)]
+    cases = [(0, n) for n in range(1, 13)]
+    cases += [(1 << rng.randrange((1 << n) - 1), n) for n in range(1, 13)]
+    for n in range(1, 13):
+        for density in (0.1, 0.5, 0.9):
+            K = sum(1 << x for x in range(1 << n) if rng.random() < density)
+            for w in range(1, n + 1):
+                K &= ~(1 << rng.choice([x for x in range(1 << n) if x.bit_count() == w]))
+            cases.append((K, n))
     for K, n in cases:
-        want = walsh_by_lists(K, n)
-        if n <= 5:
-            assert want == [
-                sum((-1) ** dot(x, y) for x in range(1 << n) if K >> x & 1)
-                for y in range(1 << n)
-            ]
-        P, w = _walsh_fields(K, n)
-        assert w == (16 if n <= 14 else 32)
-        data = P.to_bytes((w >> 3) << n, "little")
-        got = [
-            int.from_bytes(data[i : i + (w >> 3)], "little") - (1 << (w - 1))
-            for i in range(0, len(data), w >> 3)
-        ]
-        assert got == want, (n, K)
-        K &= ~1
-        if K:
-            low = min(walsh_by_lists(K, n))
-            hoffman = ((1 << n) * -low) // (K.bit_count() - low)
-            whole = any(K & cls == cls for cls in _weight_classes(n)[1:])
-            assert _ratio_bound(K, n) <= hoffman
-            assert whole or _ratio_bound(K, n) == hoffman
+        assert not any(
+            all(K >> x & 1 for x in range(1 << n) if x.bit_count() == w) for w in range(1, n + 1)
+        )
+        assert _ratio_bound(K, n) == 1 << n, (n, K)
+
+
+def test_ratio_bound_on_code_k_is_delsarte_or_plotkin_and_never_above_hoffman():
+    # K of code (n, r) is the weights 1..r, so d = r + 1.  The ratio bound
+    # is the smaller of Delsarte's LP and Plotkin's bound, and Hoffman's
+    # ratio bound on the Cayley graph of K, from its least eigenvalue
+    # (Hoffman 1970), is never below it.  Up to n = 5 the list transform
+    # is checked against the definition
+    for n in range(2, 13):
+        for r in range(1, n):
+            K = ball_bitmap(n, r)
+            n1, d1 = n + (r + 1) % 2, r + 1 + (r + 1) % 2
+            plotkin = 2 * (d1 // (2 * d1 - n1)) if 2 * d1 > n1 else 1 << n
+            bound = _ratio_bound(K, n)
+            assert bound == min(_delsarte_bound(n, punctured_ball(r)), plotkin), (n, r)
+            eigenvalues = walsh_by_lists(K, n)
+            if n <= 5:
+                assert eigenvalues == [
+                    sum((-1) ** dot(x, y) for x in range(1 << n) if K >> x & 1)
+                    for y in range(1 << n)
+                ]
+            low = min(eigenvalues)
+            assert bound <= ((1 << n) * -low) // (K.bit_count() - low), (n, r)
 
 
 def test_bits_lists_the_members_lowest_first():

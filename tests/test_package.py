@@ -80,7 +80,7 @@ def test_tool_config_knobs_are_pinned():
             imported.add(node.module)
     assert not any(name.split(".")[0] == "concurrent" for name in imported)
     # library code keeps only partial._memo, one completion record, and
-    # three caches in gf2: _half_masks, _walsh_masks and _delsarte_bounds
+    # two caches in gf2: _half_masks and _delsarte_bounds
     caches = [
         f"{module.__name__}.{name}"
         for module in (gf2, partial, solutions)
@@ -88,7 +88,7 @@ def test_tool_config_knobs_are_pinned():
         if not name.startswith("__") and isinstance(value, dict)
     ]
     assert sorted(caches) == [
-        "minrank.gf2._delsarte_bounds", "minrank.gf2._half_masks", "minrank.gf2._walsh_masks",
+        "minrank.gf2._delsarte_bounds", "minrank.gf2._half_masks",
     ]
 
 
