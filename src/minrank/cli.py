@@ -46,6 +46,8 @@ def _print_vectors(vectors, n: int):
 
 def _deadline(args) -> float | None:
     ms = getattr(args, "timeout_ms", None)
+    if ms is not None and ms < 0:
+        raise ValueError(f"timeout must be nonnegative, got {ms} ms")
     return None if ms is None else time.monotonic() + ms / 1000.0
 
 

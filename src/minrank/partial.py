@@ -81,8 +81,10 @@ class PartialMatrix:
     def star_count(self) -> int:
         return sum(s.bit_count() for s in self.stars)
 
-    def row(self, i: int) -> tuple[int, int]:
-        return self.ones[i], self.stars[i]
+    @cached_property
+    def _record(self) -> "_Completed":
+        # min_rank_completion's record, in __dict__: ==, hash and repr ignore it
+        return _Completed(self)
 
     def transpose(self) -> "PartialMatrix":
         """Columns become rows, stars staying stars."""
@@ -560,8 +562,9 @@ class _Completed:
     Plotkin's bounds on the weight classes K holds whole,
     gf2._ratio_bound) are built the first time the race or opt_exact
     reads them, so min_rank followed by opt_exact or report builds each
-    once per matrix.  The answer does not depend on the deadline, so the
-    record is exact.
+    once per matrix.  A keeps its record (A._record) while it lives; an
+    equal but distinct matrix completes on its own.  The answer does not
+    depend on the deadline, so the record is exact.
     """
 
     def __init__(self, A: PartialMatrix):
@@ -593,19 +596,13 @@ class _Completed:
         return col_min_rank(self.A, limit)
 
 
-# The record of the last matrix min_rank_completion completed; a call
-# that raises stores nothing.  Another thread may replace it at any
-# time, so it is read once, into a local.
-_memo: _Completed | None = None
-
-
 def _completed(A: PartialMatrix, deadline: float | None = None) -> _Completed:
-    """The record of A: the memo when A is the last matrix completed,
-    else the record that a new search builds (_complete).  Each is the
-    record this call read or built, never one stored meanwhile."""
-    rec = _memo
-    if rec is None or rec.A != A:
-        rec = _complete(A, deadline)
+    """A's record, completed by a search (_complete) while it has no
+    answer.  A call refused by its deadline leaves none, so the next
+    call searches again; threads that search at once store equal answers."""
+    rec = A._record
+    if rec.answer is None:
+        _complete(rec, deadline)
     return rec
 
 
@@ -655,21 +652,18 @@ def min_rank_completion(
 
     All of this runs on A's core, n columns wide: the columns that no row
     fixes or stars are zero in every completion, so they are dropped
-    once, at the start, and the completion gets them back as zeros.  The
-    last matrix completed keeps its record (_Completed), on that core.  A
-    call on an equal matrix right after returns the answer without
-    searching again, and opt_exact reads the rest, so min_rank followed
-    by opt_exact builds the worklist, K and the ratio bound once each,
-    and solves Delsarte's LP at most once.
+    once, at the start, and the completion gets them back as zeros.  A
+    keeps its record (_Completed), on that core, while it lives: a second
+    call on A returns the answer without searching again, while an equal
+    but distinct matrix completes on its own.  opt_exact reads the rest,
+    so min_rank followed by opt_exact on A builds the worklist, K and the
+    ratio bound once each, and solves Delsarte's LP at most once.
     """
     return _completed(A, deadline).answer
 
 
-def _complete(A: PartialMatrix, deadline: float | None) -> _Completed:
-    """min_rank_completion's search: A's record with its answer, also
-    stored as the memo."""
-    global _memo
-    rec = _Completed(A)
+def _complete(rec: _Completed, deadline: float | None):
+    """min_rank_completion's search: stores the answer in rec."""
     rows, n = rec.rows, rec.core.n
     floor = rec.column_floor or 0
     clock = _Deadline(deadline, n)
@@ -703,9 +697,7 @@ def _complete(A: PartialMatrix, deadline: float | None) -> _Completed:
     if rec.dropped:
         found = [_spread(w, rec.kept) for w in found]
     full = [0 if t is None else found[t] for t in rec.remap]
-    rec.answer = target, GF2Matrix(A.n, tuple(full))
-    _memo = rec
-    return rec
+    rec.answer = target, GF2Matrix(rec.A.n, tuple(full))
 
 
 def min_rank(A: PartialMatrix, deadline: float | None = None) -> int:

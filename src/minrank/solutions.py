@@ -717,13 +717,14 @@ def opt_exact(
     stops once either side finds a set above lin.
 
     Everything runs on min_rank_completion's record of A
-    (partial._Completed), read from its memo when the caller has just
-    completed A (min_rank, report, conjecture_epsilon), else made by a
-    call.  The record is the core's: A without its unused columns,
-    dropped once, whose optimum times 2^(unused columns) is A's, every
-    core solution crossed with every value of them.  The searches take
-    the core's worklist, K and ratio bound from it, so min_rank followed
-    by opt_exact builds each once and solves Delsarte's LP at most once.
+    (partial._Completed), which A keeps once completed (by min_rank,
+    report or conjecture_epsilon), else completed by this call; an equal
+    but distinct matrix has a record of its own.  The record is the
+    core's: A without its unused columns, dropped once, whose optimum
+    times 2^(unused columns) is A's, every core solution crossed with
+    every value of them.  The searches take the core's worklist, K and
+    ratio bound from it, so min_rank followed by opt_exact on A builds
+    each once and solves Delsarte's LP at most once.
 
     Instances whose root bounds are not tight can still take more than
     a minute at n = 8.

@@ -4,21 +4,16 @@ import random
 
 import pytest
 
-from minrank import partial
 from minrank.circuits import Depth2Circuit, MiddleGate, OutputGate
 from minrank.partial import PartialMatrix
 
 
 @pytest.fixture
-def forget(monkeypatch):
-    """Clear min_rank_completion's memo now; the fixture's value clears
-    it again when called, and the test's end puts the old record back."""
-
-    def clear():
-        monkeypatch.setattr(partial, "_memo", None)
-
-    clear()
-    return clear
+def fresh():
+    """Equal copies of a matrix.  A copy holds no completion record, so
+    its first min_rank_completion searches, whatever was completed
+    before."""
+    return lambda A: PartialMatrix(A.n, A.ones, A.stars)
 
 
 @pytest.fixture

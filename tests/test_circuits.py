@@ -294,6 +294,7 @@ def test_linear_circuit_validation_and_operator():
         with pytest.raises(ValueError, match=message):
             LinearDepth2Circuit(direct, middle, combine)
     L = LinearDepth2Circuit(two, GF2Matrix(2, (0b01, 0b11)), GF2Matrix(2, (0b11, 0b01)))
+    assert (L.n, L.m, L.width) == (2, 2, 2)
     assert L.operator().rows == (0b11, 0b11)
     assert all(L.evaluate(x) == L.operator().mul_vec(x) for x in range(4))
     # with no middle gates, combine's one column must select nothing

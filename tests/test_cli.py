@@ -10,6 +10,7 @@ import pytest
 
 import minrank
 from minrank.circuits import Depth2Circuit, MiddleGate, OutputGate, emit_ckt
+from minrank.codes import CodeMatrixSpec, code_matrix
 from minrank.cli import main
 from minrank.errors import InternalError
 from minrank.pmx import emit_pmx
@@ -55,6 +56,13 @@ def test_minrank_command(a1_file, capsys):
     assert len(out) == 5
 
 
+def test_minrank_command_refuses_a_negative_timeout(a1_file, capsys):
+    assert main(["minrank", a1_file, "--timeout-ms", "-5"]) == 2
+    assert capsys.readouterr().err == "error: timeout must be nonnegative, got -5 ms\n"
+    assert main(["minrank", a1_file, "--timeout-ms", "60000"]) == 0
+    assert capsys.readouterr().out.startswith("min_rank: 2\ncompletion:\n")
+
+
 def test_minrank_command_past_the_recursion_limit(tall_matrix, tmp_path, capsys):
     p = tmp_path / "tall.pmx"
     p.write_text(emit_pmx(tall_matrix))
@@ -69,6 +77,17 @@ def test_opt_command_with_witness(a1_file, capsys):
     assert out[0] == "opt: 16"
     assert len(out) == 17
     assert all(set(line) <= {"0", "1"} for line in out[1:])
+
+
+def test_opt_command_refuses_a_negative_timeout(tmp_path, capsys):
+    # 1* settles before any clock is read, so a past deadline would not
+    # be noticed: the sign is checked first
+    p = tmp_path / "s.pmx"
+    p.write_text("1*\n")
+    assert main(["opt", str(p), "--timeout-ms", "-5"]) == 2
+    assert capsys.readouterr().err == "error: timeout must be nonnegative, got -5 ms\n"
+    assert main(["opt", str(p), "--timeout-ms", "60000"]) == 0
+    assert capsys.readouterr().out == "opt: 2\n"
 
 
 def test_lin_and_ka_commands(tmp_path, capsys):
@@ -107,6 +126,11 @@ def test_parse_failures_exit_2(tmp_path, capsys):
     assert main(["report", str(bad)]) == 2
     assert main(["report", str(tmp_path / "absent.pmx")]) == 2
     capsys.readouterr()
+    # argparse refuses a bad shape before any command runs
+    for shape, message in (("4y8", "expected MxN"), ("0x8", "must be positive")):
+        with pytest.raises(SystemExit) as exit_:
+            main(["search", "--shape", shape, "--seed", "1", "--count", "1"])
+        assert exit_.value.code == 2 and message in capsys.readouterr().err
 
 
 def test_search_log_byte_identical(tmp_path, capsys):
@@ -141,6 +165,9 @@ def test_search_needs_seed(capsys):
 def test_search_refuses_a_negative_count(capsys):
     assert main(["search", "--shape", "2x2", "--seed", "1", "--count", "-1"]) == 2
     assert "count" in capsys.readouterr().err
+    # a count of 0 logs no record, so there is no best epsilon
+    assert main(["search", "--shape", "2x2", "--seed", "1", "--count", "0"]) == 0
+    assert capsys.readouterr().out == "# best epsilon: none\n"
 
 
 def test_codes_commands(tmp_path, capsys):
@@ -152,6 +179,8 @@ def test_codes_commands(tmp_path, capsys):
     target = tmp_path / "c.pmx"
     assert main(["codes", "gen", "3", "1", "--out", str(target)]) == 0
     assert target.read_text() == "1**\n0**\n*1*\n*0*\n**1\n**0\n"
+    assert main(["codes", "gen", "3", "1"]) == 0
+    assert capsys.readouterr().out == emit_pmx(code_matrix(CodeMatrixSpec(3, 1)))
     assert main(["codes", "gen", "24", "12"]) == 3
     assert main(["codes", "verify", "25", "1"]) == 3
     capsys.readouterr()

@@ -56,6 +56,8 @@ def random_matrix(rng, m, n):
 def test_vec_round_trip():
     assert vec("10110") == 0b01101
     assert vec_text(0b01101, 5) == "10110"
+    with pytest.raises(ValueError, match="bad vector character '2'"):
+        vec("102")
     rng = random.Random(5)
     for _ in range(50):
         n = rng.randint(1, 20)
@@ -226,6 +228,10 @@ def test_empty_and_degenerate_matrices():
     assert rank(M) == 0
     assert kernel(M).dim == 3
     assert M.mul_vec(5) == 0
+    with pytest.raises(ValueError, match="at least one column"):
+        GF2Matrix(0)
+    with pytest.raises(ValueError, match="outside the declared width"):
+        GF2Matrix(2, (4,))
 
 
 def test_star_classes_index_by_star_pattern_then_parities():

@@ -79,8 +79,8 @@ def test_tool_config_knobs_are_pinned():
         elif isinstance(node, ast.ImportFrom) and node.module is not None:
             imported.add(node.module)
     assert not any(name.split(".")[0] == "concurrent" for name in imported)
-    # library code keeps only partial._memo, one completion record, and
-    # two caches in gf2: _half_masks and _delsarte_bounds
+    # library code keeps two caches, both in gf2: _half_masks and
+    # _delsarte_bounds; each matrix keeps its own completion record
     caches = [
         f"{module.__name__}.{name}"
         for module in (gf2, partial, solutions)
@@ -220,3 +220,15 @@ def test_only_two_searches_call_themselves():
             and own_calls(node, node.name)
         ]
     assert sorted(recursive) == ["partial.py extend", "partial.py try_row"]
+
+
+def test_no_module_rebinds_a_module_global():
+    # module-level state set by library calls would be shared by every
+    # caller and thread; what a call keeps, its argument keeps
+    rebinding = [
+        f"{path.name}:{node.lineno} {', '.join(node.names)}"
+        for path in sorted(Path(minrank.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Global)
+    ]
+    assert rebinding == []

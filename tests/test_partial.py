@@ -697,7 +697,7 @@ def completed_from(A, V):
     return GF2Matrix(A.n, tuple(0 if t is None else found[t] for t in remap))
 
 
-def test_the_orthogonal_finish_completes_from_every_subspace_found(monkeypatch, forget):
+def test_the_orthogonal_finish_completes_from_every_subspace_found(monkeypatch, fresh):
     # V avoids the forbidden set, so every row has stars that make it
     # orthogonal to V; the completion's kernel then holds V, and at the
     # minimum it is span(V)
@@ -742,9 +742,8 @@ def test_the_orthogonal_finish_completes_from_every_subspace_found(monkeypatch, 
     ]
     settled = 0
     for A in cases:
-        forget()
         found.clear()
-        r, W = min_rank_completion(A)
+        r, W = min_rank_completion(fresh(A))
         for V in found:
             assert check(A, V, r, r) == W
         settled += bool(found)
@@ -808,7 +807,7 @@ def test_one_elimination_per_star_set_completes_as_one_solve_per_row():
     assert found >= 50 and refused >= 50  # 102 and 161
 
 
-def completion_ticks(monkeypatch, forget, A):
+def completion_ticks(monkeypatch, fresh, A):
     """The ticks of every search clock of one min_rank_completion(A)."""
     clocks = []
 
@@ -818,12 +817,11 @@ def completion_ticks(monkeypatch, forget, A):
             clocks.append(self)
 
     monkeypatch.setattr(partial, "_Deadline", Counted)
-    forget()
-    min_rank_completion(A)
+    min_rank_completion(fresh(A))
     return sum(clock.ticks for clock in clocks)
 
 
-def test_the_orthogonal_finish_saves_completion_ticks(monkeypatch, forget):
+def test_the_orthogonal_finish_saves_completion_ticks(monkeypatch, fresh):
     # once the kernel side finds its subspace no search is left; these
     # worklists are longer than the race's 16-tick first slice, so the
     # kernel side goes first, and Delsarte's LP puts the floor at the
@@ -834,10 +832,10 @@ def test_the_orthogonal_finish_saves_completion_ticks(monkeypatch, forget):
     # on code (7, 2) and 66,349 on code (8, 2)
     pins = (((7, 3), 10), ((6, 2), 10), ((7, 2), 10), ((8, 2), 10), ((7, 4), 10))
     for (n, r), most in pins:
-        assert completion_ticks(monkeypatch, forget, code_matrix(CodeMatrixSpec(n, r))) <= most
+        assert completion_ticks(monkeypatch, fresh, code_matrix(CodeMatrixSpec(n, r))) <= most
 
 
-def race_turns(monkeypatch, forget, A):
+def race_turns(monkeypatch, fresh, A):
     """The turns of one min_rank_completion(A), in order, as (side, the
     clock's ticks when the turn began)."""
     turns = []
@@ -848,35 +846,34 @@ def race_turns(monkeypatch, forget, A):
             return real(self, stop)
 
         monkeypatch.setattr(cls, "resume", resume)
-    forget()
-    min_rank_completion(A)
+    min_rank_completion(fresh(A))
     return turns
 
 
-def test_a_worklist_longer_than_the_first_slice_starts_on_the_kernel_side(monkeypatch, forget):
+def test_a_worklist_longer_than_the_first_slice_starts_on_the_kernel_side(monkeypatch, fresh):
     # the rank side takes a tick per row before it can complete: 140 rows
     # on code (7, 3) and 63 on H1 = code (7, 2), against a 16-tick first
     # slice, so the kernel side takes the first turn, and settles there
     for n, r in ((7, 3), (7, 2)):
         A = code_matrix(CodeMatrixSpec(n, r))
         assert len(_prepare_rows(A)[0]) > 16
-        assert race_turns(monkeypatch, forget, A)[0] == ("kernel", 0)
+        assert race_turns(monkeypatch, fresh, A)[0] == ("kernel", 0)
         assert_min_rank_completion(A)
 
 
-def test_a_sweep_item_still_starts_on_the_rank_side(monkeypatch, forget):
+def test_a_sweep_item_still_starts_on_the_rank_side(monkeypatch, fresh):
     # a 4x8 worklist fits in its 16-tick first slice, where the rank side
     # can complete it; records 91 and 100 of the seed-0 sweep go on to
     # the kernel side
     kernel_turns = 0
     for A in _random_matrices(4, 8, 101, 0):
-        turns = race_turns(monkeypatch, forget, A)
+        turns = race_turns(monkeypatch, fresh, A)
         assert turns[0] == ("rank", 0)
         kernel_turns += any(side == "kernel" for side, _ in turns)
     assert kernel_turns == 2
 
 
-def test_min_rank_of_codes_past_n_8_within_a_deadline(monkeypatch, forget):
+def test_min_rank_of_codes_past_n_8_within_a_deadline(monkeypatch):
     subspaces = []
     real = partial._orthogonal_completion
 
@@ -886,7 +883,6 @@ def test_min_rank_of_codes_past_n_8_within_a_deadline(monkeypatch, forget):
 
     monkeypatch.setattr(partial, "_orthogonal_completion", spy)
     for (n, d), want in (((9, 2), 4), ((10, 2), 4), ((11, 2), 4), ((10, 3), 5), ((12, 3), 5)):
-        forget()
         A = code_matrix(CodeMatrixSpec(n, d))
         r, W = min_rank_completion(A, deadline=time.monotonic() + 2)
         assert r == want and rank(W) == r and is_completion(A, W)
@@ -900,7 +896,7 @@ def sliced(search, size):
     return search.found, search.clock.ticks
 
 
-def test_deciders_resume_in_slices_as_in_one_run(monkeypatch, forget):
+def test_deciders_resume_in_slices_as_in_one_run(monkeypatch, fresh):
     # paused every 1, 7 or 256 ticks, each search finds what one run
     # finds with the same ticks, so no pause walks a node twice: the rank
     # side and the kernel side on both sides of the min rank r, and the
@@ -930,7 +926,7 @@ def test_deciders_resume_in_slices_as_in_one_run(monkeypatch, forget):
     # the race on this 12 x 8 matrix takes 297 ticks over four rounds;
     # restarting the rank side at the root after every slice takes 348
     A = star_heavy_matrix(random.Random(16), 12, 8, 0.5)
-    assert completion_ticks(monkeypatch, forget, A) <= 300
+    assert completion_ticks(monkeypatch, fresh, A) <= 300
 
 
 def pin_corpus():
@@ -968,7 +964,7 @@ PIN_TICKS = (
 PIN_COMPLETIONS = "3052ee4e5754e3122cf366b4913d3928a93dfc3453eaa55068701cb4a999f8de"
 
 
-def test_the_race_keeps_every_rank_completion_and_tick(monkeypatch, forget):
+def test_the_race_keeps_every_rank_completion_and_tick(monkeypatch, fresh):
     clocks = []
 
     class Counted(partial._Deadline):
@@ -979,9 +975,8 @@ def test_the_race_keeps_every_rank_completion_and_tick(monkeypatch, forget):
     monkeypatch.setattr(partial, "_Deadline", Counted)
     ranks, ticks, digest = [], [], hashlib.sha256()
     for A in pin_corpus():
-        forget()
         clocks.clear()
-        r, W = min_rank_completion(A)
+        r, W = min_rank_completion(fresh(A))
         assert len(clocks) == 1
         ranks.append(str(r))
         ticks.append(clocks[0].ticks)
@@ -1008,7 +1003,7 @@ def test_the_rank_side_completes_a_21_by_15_at_its_pinned_tick():
     assert found == [1059, 3168, 1038, 679, 4050, 1272, 593, 219, 2427, 836, 3459, 1705, 650, 1650, 219, 2390, 483, 2464, 1272]
 
 
-def test_a_worklist_past_the_recursion_limit(tall_matrix, forget):
+def test_a_worklist_past_the_recursion_limit(tall_matrix):
     limit = sys.getrecursionlimit()
     assert len(_prepare_rows(tall_matrix)[0]) > limit
     assert min_rank(tall_matrix) == 14
@@ -1021,8 +1016,8 @@ def test_code_matrix_min_ranks():
 
 
 @pytest.fixture
-def dfs_calls(monkeypatch, forget):
-    """Clear the min_rank_completion memo and count target searches."""
+def dfs_calls(monkeypatch):
+    """Count min_rank_completion's target searches."""
     calls = []
 
     class Counted(partial._RankSide):
@@ -1034,22 +1029,22 @@ def dfs_calls(monkeypatch, forget):
     return calls
 
 
-def test_min_rank_then_opt_exact_completes_once(dfs_calls, forget):
-    assert min_rank(A1) == 2
+def test_min_rank_then_opt_exact_completes_once(dfs_calls, fresh):
+    A = fresh(A1)
+    assert min_rank(A) == 2
     searched = len(dfs_calls)
     assert searched > 0
-    assert opt_exact(A1)[0] > 0
+    assert opt_exact(A)[0] > 0
     assert len(dfs_calls) == searched
-    # each of these completes A1 and then runs opt_exact on it, which
-    # takes the completion from the memo
+    # each of these completes a copy of A1 and then runs opt_exact on
+    # it, which takes the completion from the copy's record
     for run in (report, evaluate_matrix, conjecture_epsilon):
-        forget()
         dfs_calls.clear()
-        run(A1)
+        run(fresh(A1))
         assert len(dfs_calls) == searched
 
 
-def test_opt_exact_reads_the_memo_without_a_completion_call(monkeypatch, forget):
+def test_opt_exact_reads_the_memo_without_a_completion_call(monkeypatch, fresh):
     calls = []
     real = partial.min_rank_completion
 
@@ -1058,7 +1053,7 @@ def test_opt_exact_reads_the_memo_without_a_completion_call(monkeypatch, forget)
         return real(*args)
 
     for A in (A1, A2, code_matrix(CodeMatrixSpec(6, 2))):
-        forget()
+        A = fresh(A)
         min_rank(A)
         for module in (partial, solutions):
             monkeypatch.setattr(module, "min_rank_completion", counted, raising=False)
@@ -1067,7 +1062,7 @@ def test_opt_exact_reads_the_memo_without_a_completion_call(monkeypatch, forget)
         monkeypatch.undo()
 
 
-def test_min_rank_then_opt_exact_builds_k_and_the_ratio_bound_once(monkeypatch, forget):
+def test_min_rank_then_opt_exact_builds_k_and_the_ratio_bound_once(monkeypatch, fresh):
     # K and its ratio bound, Delsarte's LP included, are built by the
     # completion record (partial._forbidden_bitmap, partial._ratio_bound)
     # when the race or opt_exact first reads them; a second K built by
@@ -1092,8 +1087,7 @@ def test_min_rank_then_opt_exact_builds_k_and_the_ratio_bound_once(monkeypatch, 
     for n in range(2, 8):
         for r in range(1, n):
             code = code_matrix(CodeMatrixSpec(n, r))
-            for A in (code, shuffled_rows(code, rng)):
-                forget()
+            for A in (fresh(code), shuffled_rows(code, rng)):
                 monkeypatch.setattr(gf2, "_delsarte_bounds", {})
                 builds.update(K=0, ratio=0, lp=0)
                 min_rank(A)
@@ -1106,7 +1100,7 @@ def test_min_rank_then_opt_exact_builds_k_and_the_ratio_bound_once(monkeypatch, 
     assert solved >= 30  # 34 of the 42 solve the LP
 
 
-def test_min_rank_then_opt_exact_builds_the_worklist_and_k_once(monkeypatch, forget):
+def test_min_rank_then_opt_exact_builds_the_worklist_and_k_once(monkeypatch, fresh):
     # code (6, 2) with an unused column 3, which the record drops once, and
     # H2, whose parity engine and relaxed engine take the record's
     # worklist.  The relaxed engine's own K, of one row fewer, is a
@@ -1138,85 +1132,93 @@ def test_min_rank_then_opt_exact_builds_the_worklist_and_k_once(monkeypatch, for
     spy("_forbidden_bitmap", "K", lambda args: len(args[0]) >= length)
     spy("_ratio_bound", "ratio")
     for A, length in cases:
-        forget()
+        A = fresh(A)
         builds.update(worklist=0, K=0, ratio=0)
         min_rank(A)
         _, sol = opt_exact(A)
         assert builds["worklist"] == 1 and builds["K"] == 1 and builds["ratio"] <= 1, builds
         assert is_solution(A, sol)
-    forget()
-    assert opt_exact(wide)[0] == 2 * opt_exact(code)[0]
+    assert opt_exact(fresh(wide))[0] == 2 * opt_exact(code)[0]
 
 
-def test_memo_compares_matrices_by_value(dfs_calls):
-    first = min_rank_completion(A1)
+def test_a_matrix_keeps_its_record_while_others_complete(dfs_calls, fresh):
+    A = fresh(A1)
+    first = min_rank_completion(A)
+    rec = partial._completed(A)
+    for B in (A2, code_matrix(CodeMatrixSpec(6, 2)), parse_pmx("1*0*1\n*11*0\n01*11\n")):
+        min_rank_completion(fresh(B))
+    dfs_calls.clear()
+    assert min_rank_completion(A) == first and opt_exact(A)[0] == 16
+    assert dfs_calls == [] and partial._completed(A) is rec
+
+
+def test_an_equal_but_distinct_matrix_completes_on_its_own(dfs_calls, fresh):
+    A = fresh(A1)
+    first = min_rank_completion(A)
     searched = len(dfs_calls)
     twin = PartialMatrix(A1.n, tuple(list(A1.ones)), tuple(list(A1.stars)))
-    assert twin is not A1 and twin.ones is not A1.ones
+    assert twin is not A and twin.ones is not A.ones
     assert min_rank_completion(twin) == first
-    assert len(dfs_calls) == searched
-    assert_min_rank_completion(A2)
-    assert len(dfs_calls) > searched
+    assert len(dfs_calls) == 2 * searched
+    assert partial._completed(twin) is not partial._completed(A)
 
 
-def test_a_record_stored_while_the_memo_is_compared_is_not_returned(forget):
-    # another thread may store its record between two reads of the memo;
-    # an equality hook on the compared matrix stores code (5, 2)'s record
-    # at that moment, and the caller still gets its own matrix's record
-    min_rank(code_matrix(CodeMatrixSpec(5, 2)))
-    theirs = partial._memo
-    A = parse_pmx("1*0*1\n*11*0\n01*11\n")
-
-    class Hooked(PartialMatrix):
-        def __eq__(self, other):
-            partial._memo = theirs
-            return (self.n, self.ones, self.stars) == (other.n, other.ones, other.stars)
-
-        __hash__ = PartialMatrix.__hash__
-
-    hooked = Hooked(A.n, A.ones, A.stars)
-    for read in (partial._completed, min_rank_completion):
-        forget()
-        mine = partial._completed(A)
-        got = read(hooked)
-        assert got is (mine if read is partial._completed else mine.answer)
-        assert partial._memo is theirs  # the hook ran
-    assert opt_exact(A)[0] == 8 and opt_exact(code_matrix(CodeMatrixSpec(5, 2)))[0] == 4
+def test_a_record_leaves_equality_hash_and_repr_alone(fresh):
+    A, twin = fresh(A1), fresh(A1)
+    before = hash(A), repr(A)
+    min_rank(A)
+    assert "_record" in vars(A) and "_record" not in vars(twin)
+    assert A == twin and (hash(A), repr(A)) == before == (hash(twin), repr(twin))
+    assert {twin: "found"}[A] == "found"
 
 
-def test_threads_on_different_matrices_each_get_their_own_opt(forget):
-    # three threads, more than the cores, replace the memo with their own
-    # matrix's record over and over; every answer must still be its own
+def test_threads_on_different_matrices_each_get_their_own_opt(fresh):
+    # three threads, more than the cores, under a tiny switch interval:
+    # first all three walk one list of copies, so they complete each
+    # shared record at once, then each walks copies of its own; the
+    # copies alternate two matrices, and every answer must be its own
     cases = [(code_matrix(CodeMatrixSpec(5, 2)), 4), (parse_pmx("1*0*1\n*11*0\n01*11\n"), 8)]
-    answers, stop = [], time.monotonic() + 1
 
-    def loop(A, want):
-        while time.monotonic() < stop:
-            try:
-                answers.append(opt_exact(A)[0] == want)
-            except LimitError:
-                answers.append(False)
+    def copies():
+        return [(fresh(A), want) for _ in range(2000) for A, want in cases]
 
-    threads = [threading.Thread(target=loop, args=cases[k % 2]) for k in range(3)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert len(answers) > 100 and all(answers)
+    def run(walks):
+        answers, stop = [], time.monotonic() + 0.5
+
+        def loop(walk):
+            for A, want in walk:
+                if time.monotonic() > stop:
+                    break
+                try:
+                    answers.append(opt_exact(A)[0] == want)
+                except LimitError:
+                    answers.append(False)
+
+        threads = [threading.Thread(target=loop, args=(walk,)) for walk in walks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(answers) > 100 and all(answers)
+
+    run([copies()] * 3)
+    run([copies() for _ in range(3)])
 
 
-def test_deadline_refusal_is_not_memoized(dfs_calls):
-    A = code_matrix(CodeMatrixSpec(6, 3))
+def test_deadline_refusal_is_not_memoized(dfs_calls, fresh):
+    A = fresh(code_matrix(CodeMatrixSpec(6, 3)))
     with pytest.raises(LimitError):
         min_rank_completion(A, deadline=time.monotonic() - 1)
-    assert partial._memo is None
+    assert A._record.answer is None
+    refused = len(dfs_calls)
     assert_min_rank_completion(A)
+    assert len(dfs_calls) > refused
 
 
 def star_heavy_matrix(rng, m, n, density):
@@ -1267,14 +1269,13 @@ def test_deadline_reads_the_clock_by_width():
         assert clock.ticks == period
 
 
-def test_min_rank_of_code_8_2_and_h1_within_a_deadline(forget):
+def test_min_rank_of_code_8_2_and_h1_within_a_deadline():
     for (n, r), want in (((8, 2), 4), ((7, 2), 3)):
-        forget()
         A = code_matrix(CodeMatrixSpec(n, r))
         assert min_rank(A, deadline=time.monotonic() + 10) == want
 
 
-def test_expired_deadline_on_the_race_leaves_the_memo(monkeypatch):
+def test_expired_deadline_on_the_race_leaves_the_memo(monkeypatch, fresh):
     kernel_calls = []
 
     class Spy(partial._KernelSide):
@@ -1283,17 +1284,18 @@ def test_expired_deadline_on_the_race_leaves_the_memo(monkeypatch):
             super().__init__(K, n, dim, clock)
 
     monkeypatch.setattr(partial, "_KernelSide", Spy)
-    held = min_rank_completion(A1)
-    entry = partial._memo
+    B = fresh(A1)
+    held = min_rank_completion(B)
+    entry = B._record
     A = code_matrix(CodeMatrixSpec(6, 3))
     with pytest.raises(LimitError):
         min_rank_completion(A, deadline=time.monotonic() - 1)
-    assert partial._memo is entry and entry.answer == held
+    assert B._record is entry and entry.answer == held
     assert_min_rank_completion(A)
     assert kernel_calls  # the race reached the kernel side
 
 
-def test_wide_matrices_run_the_rank_side_alone_within_a_deadline(monkeypatch, forget):
+def test_wide_matrices_run_the_rank_side_alone_within_a_deadline(monkeypatch):
     # only cores with n <= 12 race: the 8 x 16 matrix runs the rank
     # side alone (about 0.3 s), while the 16 x 12 one reaches the kernel
     # side, whose subspace settles it in about 0.01 s against about 0.4 s
@@ -1311,14 +1313,13 @@ def test_wide_matrices_run_the_rank_side_alone_within_a_deadline(monkeypatch, fo
     star_heavy_matrix(rng, 8, 16, 0.4)
     wide = star_heavy_matrix(rng, 16, 12, 0.5)
     for A, want, widths in ((tall, 4, set()), (wide, 5, {12})):
-        forget()
         kernel_widths.clear()
         r, W = min_rank_completion(A, deadline=time.monotonic() + 5)
         assert r == want and rank(W) == r and is_completion(A, W)
         assert set(kernel_widths) == widths
 
 
-def test_the_race_agrees_with_the_rank_side_alone_from_n_9_to_12(monkeypatch, forget):
+def test_the_race_agrees_with_the_rank_side_alone_from_n_9_to_12(monkeypatch, fresh):
     rng = random.Random(71)
     cases = [random_matrix(rng, rng.randint(3, 8), rng.randint(9, 12)) for _ in range(40)]
     cases += [
@@ -1334,20 +1335,18 @@ def test_the_race_agrees_with_the_rank_side_alone_from_n_9_to_12(monkeypatch, fo
     monkeypatch.setattr(partial, "_orthogonal_completion", spy)
     raced = []
     for A in cases:
-        forget()
-        r, W = min_rank_completion(A)
+        r, W = min_rank_completion(fresh(A))
         assert is_completion(A, W) and rank(W) == r
         raced.append(r)
     settled = len(built)
     assert settled >= 4  # answers built from the kernel side's subspace: 4 of the 60
     monkeypatch.setattr(partial, "_KERNEL_SIDE_N", 0)  # the rank side alone
     for A, r in zip(cases, raced):
-        forget()
-        assert min_rank(A) == r
+        assert min_rank(fresh(A)) == r
     assert len(built) == settled
 
 
-def test_unused_columns_complete_as_the_core(monkeypatch, forget):
+def test_unused_columns_complete_as_the_core(monkeypatch, fresh):
     # min_rank_completion drops the unused columns once and completes the
     # core, so A's answer is the core's with zero columns put back.  With
     # n = 13 to 16 and a core at most 11 wide, A races: the kernel side
@@ -1374,22 +1373,19 @@ def test_unused_columns_complete_as_the_core(monkeypatch, forget):
             tuple(gf2._spread(a, keep) for a in core.ones),
             tuple(gf2._spread(s, keep) for s in core.stars),
         )
-        forget()
         kernel_widths.clear()
-        r, W = min_rank_completion(A)
+        r, W = min_rank_completion(fresh(A))
         raced += n > 12 and core_n in kernel_widths
         assert is_completion(A, W) and rank(W) == r
-        forget()
-        rc, Wc = min_rank_completion(core)
+        rc, Wc = min_rank_completion(fresh(core))
         assert (r, W.rows) == (rc, tuple(gf2._spread(w, keep) for w in Wc.rows))
         with monkeypatch.context() as m:
             m.setattr(partial, "_KERNEL_SIDE_N", 0)  # the rank side alone
-            forget()
-            assert min_rank(A) == r
+            assert min_rank(fresh(A)) == r
     assert raced >= 15  # 19 of the draws race at n > 12
 
 
-def test_min_rank_then_opt_exact_finds_the_column_floor_once(monkeypatch, forget):
+def test_min_rank_then_opt_exact_finds_the_column_floor_once(monkeypatch, fresh):
     calls = []
     real = partial.col_min_rank
 
@@ -1402,11 +1398,10 @@ def test_min_rank_then_opt_exact_finds_the_column_floor_once(monkeypatch, forget
     cases = [A1, A2, PartialMatrix(8, A1.ones, A1.stars)]  # two unused columns
     cases += [random_matrix(rng, rng.randint(2, 5), rng.randint(4, 9)) for _ in range(40)]
     for A in cases:
-        forget()
         calls.clear()
-        min_rank(A)
-        value, sol = opt_exact(A)
+        warm = fresh(A)
+        min_rank(warm)
+        value, sol = opt_exact(warm)
         assert len(calls) == 1
-        forget()
-        cold = opt_exact(A)
+        cold = opt_exact(fresh(A))
         assert (value, sol.sorted_members()) == (cold[0], cold[1].sorted_members())

@@ -72,7 +72,7 @@ def test_report_passes_its_star_limit_to_max_rank():
     assert report(A, ToolConfig(limits=replace(LIMITS, stars=3)))["max_rank"] == 14
 
 
-def test_report_reads_col_min_rank_from_the_completion(monkeypatch, forget):
+def test_report_reads_col_min_rank_from_the_completion(monkeypatch, fresh):
     calls = []
     real = partial.col_min_rank
 
@@ -103,9 +103,8 @@ def test_report_reads_col_min_rank_from_the_completion(monkeypatch, forget):
         (wide, 22, real(wide, 22), [D, 22]),
     ]
     for A, limit, want, want_calls in cases:
-        forget()
         calls.clear()
-        rep = report(A, ToolConfig(limits=replace(LIMITS, subset_rows=limit)))
+        rep = report(fresh(A), ToolConfig(limits=replace(LIMITS, subset_rows=limit)))
         assert rep["col_min_rank"] == want
         assert calls == want_calls
 

@@ -421,11 +421,9 @@ class _RowBoundSearch(_OptSearch):
     so every U-coset is a clique and candidates allow one pick per
     coset.  A node takes the bound when it is entered and again once its
     candidates shrink by 8.  Admissible bounds cut only nodes that
-    cannot beat the best, so both searches find the same incumbents.
-    Built by opt_exact, it reads the worklist of the record that
-    opt_exact runs on; built directly, it is given the worklist."""
+    cannot beat the best, so both searches find the same incumbents."""
 
-    def __init__(self, n, K, deadline, worklist=None):
+    def __init__(self, n, K, deadline, worklist):
         super().__init__(n, K, deadline)
         span = [0]
         for u in _coset_subspace(self.K, self.n):
@@ -433,7 +431,7 @@ class _RowBoundSearch(_OptSearch):
         self.coset_U = span if len(span) > 1 else None
         rows = []
         seen = set()
-        for a, s in partial._memo.rows if worklist is None else worklist:
+        for a, s in worklist:
             k = s.bit_count()
             if a == 0 or k == 0 or k > 8 or (a, s) in seen:
                 continue
@@ -664,8 +662,12 @@ def _shuffled_codes(rng, max_n, shuffles):
 
 def _opt_with(monkeypatch, built_engines, engine, A):
     # opt_exact with `engine` as its vertex search, and the ticks of each
-    # vertex search it built
-    monkeypatch.setattr(solutions, "_OptSearch", engine)
+    # vertex search it built; _RowBoundSearch takes the worklist of the
+    # record that opt_exact runs on
+    def build(n, K, deadline):
+        return engine(n, K, deadline, partial._completed(A).rows)
+
+    monkeypatch.setattr(solutions, "_OptSearch", engine if engine is _OptSearch else build)
     built_engines.clear()
     value, sol = opt_exact(A)
     ticks = [e.clock.ticks for e in built_engines if isinstance(e, engine)]
@@ -1108,6 +1110,29 @@ def relaxations(monkeypatch):
 
     monkeypatch.setattr(solutions, "_row_subset", recorded)
     return out
+
+
+def test_no_relaxation_when_every_row_keeps_the_min_rank_up(relaxations, built_engines):
+    # sweep seed 0, 4x8#319: min rank 4, and each three of its four rows
+    # have a completion of rank 3, so _row_subset finds no row to drop;
+    # opt_exact then runs the parity engine alone, which exhausts at
+    # 16 = lin in 207 ticks
+    A = list(_random_matrices(4, 8, 320, 0))[319]
+    rows = _prepare_rows(A)[0]
+    r, W = min_rank_completion(A)
+    assert (len(rows), r) == (4, 4) and _ready(A) and _reaches_search(A)
+    for i in range(len(rows)):
+        rest = rows[:i] + rows[i + 1 :]
+        assert min_rank(PartialMatrix(A.n, tuple(a for a, _ in rest), tuple(s for _, s in rest))) == 3
+    assert solutions._row_subset(rows, A.n, r, None) is None
+    relaxations.clear()
+    built_engines.clear()
+    value, sol = opt_exact(A)
+    assert value == 16 and sol.sorted_members() == sorted(kernel(W).vectors())
+    assert relaxations == [None]
+    [parity] = built_engines
+    assert isinstance(parity, solutions._ParityChoiceSearch)
+    assert parity._stack == [] and parity.clock.ticks == 207
 
 
 def test_three_rows_of_h2_settle_it_in_every_row_order(relaxations, built_engines):
