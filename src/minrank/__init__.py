@@ -27,7 +27,7 @@ from .codes import (
     min_distance,
     verify_ka_is_ball,
 )
-from .config import LIMITS, VERSION, Limits, ToolConfig
+from .config import VERSION, ToolConfig
 from .errors import (
     InternalError,
     LimitError,

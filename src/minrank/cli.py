@@ -1,7 +1,7 @@
 """Command line tools over .pmx matrices and .ckt circuits.
 
-Exit codes: 0 ok, 2 unusable input, 3 limit refusal, 4 broken internal
-invariant.
+Exit codes: 0 ok, 2 unusable input, 3 a size limit refused the input, 4
+broken internal invariant.
 """
 
 from __future__ import annotations
@@ -10,11 +10,10 @@ import argparse
 import re
 import sys
 import time
-from dataclasses import replace
 
 from .circuits import extract_linear_operator, linearize, metrics, parse_ckt
 from .codes import CodeMatrixSpec, code_matrix, gv_bound, hamming_bound, verify_ka_is_ball
-from .config import LIMITS, ToolConfig
+from .config import ToolConfig
 from .errors import LimitError, ParseError, ToolkitError
 from .gf2 import vec_text
 from .partial import min_rank_completion
@@ -29,14 +28,13 @@ def _read(path: str) -> str:
 
 
 def _config(args) -> ToolConfig:
-    limits = LIMITS
-    if getattr(args, "limit_n", None) is not None:
-        limits = replace(limits, opt_n=args.limit_n)
-    return ToolConfig(
-        limits=limits,
-        seed=getattr(args, "seed", None),
-        out=getattr(args, "out", None),
-    )
+    """The ToolConfig of the options given; one left out keeps its default."""
+    given = {
+        "opt_n": args.limit_n,
+        "seed": getattr(args, "seed", None),
+        "out": getattr(args, "out", None),
+    }
+    return ToolConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _print_vectors(vectors, n: int):
@@ -73,7 +71,7 @@ def cmd_minrank(args) -> int:
 def cmd_opt(args) -> int:
     A = parse_pmx(_read(args.file))
     cfg = _config(args)
-    value, sol = opt_exact(A, limit_n=cfg.limits.opt_n, deadline=_deadline(args))
+    value, sol = opt_exact(A, limit_n=cfg.opt_n, deadline=_deadline(args))
     print(f"opt: {value}")
     if args.witness:
         _print_vectors(sol.sorted_members(), A.n)

@@ -301,6 +301,7 @@ def _vanishes_bitmap(s: int, n: int) -> int:
 
 
 _half_masks: dict[tuple[int, int], int] = {}
+_weight_class_masks: dict[int, tuple[int, ...]] = {}
 
 
 def _half_mask(n: int, j: int) -> int:
@@ -386,16 +387,19 @@ def _ratio_bound(K: int, n: int) -> int:
     return bound
 
 
-def _weight_classes(n: int) -> list[int]:
+def _weight_classes(n: int) -> tuple[int, ...]:
     """Bitmaps of the vectors of Hamming weight 0, 1, ..., n, built by
-    doubling over coordinates."""
-    masks = [1]
-    for j in range(n):
-        masks = [
-            (masks[w] if w <= j else 0) | (masks[w - 1] << (1 << j) if w else 0)
-            for w in range(j + 2)
-        ]
-    return masks
+    doubling over coordinates, once per n."""
+    got = _weight_class_masks.get(n)
+    if got is None:
+        masks = [1]
+        for j in range(n):
+            masks = [
+                (masks[w] if w <= j else 0) | (masks[w - 1] << (1 << j) if w else 0)
+                for w in range(j + 2)
+            ]
+        got = _weight_class_masks[n] = tuple(masks)
+    return got
 
 
 def _krawtchouk(n: int, k: int, i: int) -> int:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .config import LIMITS
 from .errors import InternalError, LimitError
 from .gf2 import (
     GF2Matrix,
@@ -102,13 +101,20 @@ class IsolationWitness:
     strong: bool
 
 
+# total stars for completion enumeration, and starred lines for
+# max_rank's line-cover scan
+_STARS = 24
+# distinct rows for row_min_rank, and distinct columns for col_min_rank
+_SUBSET_ROWS = 20
+
+
 def canonical_completion(A: PartialMatrix) -> GF2Matrix:
     """The completion with every star set to 0."""
     return GF2Matrix(A.n, A.ones)
 
 
 def enumerate_completions(
-    A: PartialMatrix, limit: int = LIMITS.stars
+    A: PartialMatrix, limit: int = _STARS
 ) -> Iterator[GF2Matrix]:
     """Yield all 2^(#stars) completions, star positions filled row-major."""
     positions = [
@@ -585,16 +591,6 @@ class _Completed:
     def ratio(self) -> int:
         return _ratio_bound(self.K, self.core.n)
 
-    def col_min_rank(self, limit: int) -> int:
-        """col_min_rank(A, limit).  The floor was found at the default
-        limit; a limit of at least that default, or at least n (which
-        bounds the distinct columns), refuses nowhere the default
-        accepted, and a smaller one may, so it asks col_min_rank again.
-        """
-        if self.column_floor is not None and limit >= min(self.A.n, LIMITS.subset_rows):
-            return self.column_floor
-        return col_min_rank(self.A, limit)
-
 
 def _completed(A: PartialMatrix, deadline: float | None = None) -> _Completed:
     """A's record, completed by a search (_complete) while it has no
@@ -709,7 +705,7 @@ def min_rank(A: PartialMatrix, deadline: float | None = None) -> int:
 # maximum rank and star covers
 
 
-def max_rank(A: PartialMatrix, limit: int = LIMITS.stars) -> int:
+def max_rank(A: PartialMatrix, limit: int = _STARS) -> int:
     """Maximum rank over all completions.
 
     No completion has rank above min(m, n), so a greedy completion
@@ -865,7 +861,7 @@ def max_independent_rows(rows: Sequence[tuple[int, int]]) -> int:
     return best
 
 
-def row_min_rank(A: PartialMatrix, limit: int = LIMITS.subset_rows) -> int:
+def row_min_rank(A: PartialMatrix, limit: int = _SUBSET_ROWS) -> int:
     """Largest number of independent rows; a lower bound for min_rank."""
     # duplicate (0,1,*) vectors can never both sit in an independent set
     rows = list(dict.fromkeys(zip(A.ones, A.stars)))
@@ -874,7 +870,7 @@ def row_min_rank(A: PartialMatrix, limit: int = LIMITS.subset_rows) -> int:
     return max_independent_rows(rows)
 
 
-def col_min_rank(A: PartialMatrix, limit: int = LIMITS.subset_rows) -> int:
+def col_min_rank(A: PartialMatrix, limit: int = _SUBSET_ROWS) -> int:
     """Largest number of independent columns; a lower bound for min_rank."""
     return row_min_rank(A.transpose(), limit)
 

@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import json
 import random
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from itertools import combinations_with_replacement, islice, product
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 from .config import VERSION, ToolConfig
 from .errors import LimitError
 from .partial import (
     PartialMatrix,
-    _completed,
     is_star_monotone,
     isolation,
     line_cover_number,
@@ -37,6 +35,9 @@ from .solutions import epsilon_of, opt_exact
 
 _SKIPPED = "skipped: limit"
 
+# matrices for an exhaustive search sweep
+_SEARCH_SPACE = 10_000_000
+
 
 def _guarded(fn, *args):
     try:
@@ -48,9 +49,9 @@ def _guarded(fn, *args):
 def _exact_answer(A: PartialMatrix, cfg: ToolConfig) -> tuple[int, int | None, float | None]:
     """Min rank, opt (None past the opt_n limit) and epsilon of A."""
     minrk = min_rank(A)
-    if A.n > cfg.limits.opt_n:
+    if A.n > cfg.opt_n:
         return minrk, None, None
-    opt, _ = opt_exact(A, cfg.limits.opt_n)
+    opt, _ = opt_exact(A, cfg.opt_n)
     return minrk, opt, epsilon_of(A.n, opt, minrk)
 
 
@@ -62,25 +63,27 @@ def _epsilon_exact(n: int, opt: int | None, minrk: int, eps: float | None) -> li
 def report(A: PartialMatrix, config: ToolConfig | None = None) -> dict:
     """Every per-matrix statistic, in a stable key order.
 
-    Fields whose exact computation is refused at the configured limits
-    hold the string "skipped: limit" rather than disappearing.  On tall
+    Fields whose exact computation is refused at a size cap (opt past
+    the configured opt_n) hold the string "skipped: limit" rather than
+    disappearing.  col_min_rank is the column floor that A's completion
+    record found at col_min_rank's default limit.  On tall
     matrices the cheap exact certificates answer first: the kernel side
     of min_rank_completion's race takes its first turn, a greedy
     completion of rank min(m, n) settles max_rank, and isolation refuses
     m > n at once.
     """
     cfg = config or ToolConfig()
-    lim = cfg.limits
     minrk, opt, eps = _exact_answer(A, cfg)
+    floor = A._record.column_floor
     out: dict = {
         "n": A.n,
         "m": A.m,
         "star_count": A.star_count,
         "min_rank": minrk,
-        "max_rank": _guarded(max_rank, A, lim.stars),
+        "max_rank": _guarded(max_rank, A),
         "line_cover": line_cover_number(A),
-        "row_min_rank": _guarded(row_min_rank, A, lim.subset_rows),
-        "col_min_rank": _guarded(_completed(A).col_min_rank, lim.subset_rows),
+        "row_min_rank": _guarded(row_min_rank, A),
+        "col_min_rank": _SKIPPED if floor is None else floor,
         "star_monotone": is_star_monotone(A),
         "isolated": isolation(A) is not None,
         "strongly_isolated": isolation(A, strong=True) is not None,
@@ -191,25 +194,25 @@ def search(
     mode: str = "random",
     count: int | None = None,
     config: ToolConfig | None = None,
-    log: TextIO | None = None,
 ) -> Iterator[SearchRecord]:
     """Evaluate a shape's matrices, yielding records in input order.
 
     Exhaustive mode enumerates every matrix once up to row permutation,
     in ascending text, and stops after `count` of them when a count is
     given; random mode draws `count` matrices from the configured seed.
-    A negative count is a ValueError.  Each record is appended to `log`
-    (or the configured output path) as one JSON line before it is
-    yielded, so interrupted runs keep their prefix.
+    A negative count is a ValueError.  An exhaustive sweep over more than
+    10,000,000 matrices is a LimitError, whatever the count.  When the
+    config names an output path, each record is appended to it as one
+    JSON line before it is yielded, so interrupted runs keep their
+    prefix.
     """
     cfg = config or ToolConfig()
     if count is not None and count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     if mode == "exhaustive":
-        if 3 ** (m * n) > cfg.limits.search_space:
+        if 3 ** (m * n) > _SEARCH_SPACE:
             raise LimitError(
-                f"exhaustive sweep over 3^{m * n} matrices exceeds"
-                f" {cfg.limits.search_space}"
+                f"exhaustive sweep over 3^{m * n} matrices exceeds {_SEARCH_SPACE}"
             )
         matrices: Iterable[PartialMatrix] = islice(_exhaustive_matrices(m, n), count)
     elif mode == "random":
@@ -221,12 +224,13 @@ def search(
     else:
         raise ValueError(f"unknown search mode {mode!r}")
 
-    opens = log is None and cfg.out is not None
-    with open(cfg.out, "a", encoding="utf-8") if opens else nullcontext(log) as sink:
-        for A in matrices:
-            rec = evaluate_matrix(A, cfg)
-            if sink is not None:
-                sink.write(rec.to_json() + "\n")
+    records = (evaluate_matrix(A, cfg) for A in matrices)
+    if cfg.out is None:
+        yield from records
+        return
+    with open(cfg.out, "a", encoding="utf-8") as sink:
+        for rec in records:
+            sink.write(rec.to_json() + "\n")
             yield rec
 
 

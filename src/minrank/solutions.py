@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable
 
-from .config import LIMITS
 from .errors import InternalError, LimitError, OperatorConflict
 from .gf2 import (
     GF2Matrix,
@@ -47,6 +46,7 @@ from .partial import (
     _completed,
     _forbidden_bitmap,
     canonical_completion,
+    col_min_rank,
     enumerate_completions,
     min_rank,
 )
@@ -107,6 +107,9 @@ class ForbiddenSet:
 
 # columns for a forbidden-set bitmap (2^n bits), and for codes.ball
 _BITMAP_N = 24
+
+# columns for opt_exact, and ToolConfig.opt_n's default
+_OPT_N = 16
 
 
 def forbidden_set(A: PartialMatrix, bitmap_limit: int = _BITMAP_N) -> ForbiddenSet:
@@ -670,7 +673,7 @@ def _parity_choice_ready(rows) -> bool:
 
 def opt_exact(
     A: PartialMatrix,
-    limit_n: int = LIMITS.opt_n,
+    limit_n: int = _OPT_N,
     deadline: float | None = None,
 ) -> tuple[int, SolutionSet]:
     """Exact maximum size of a solution for A, with a witness.
@@ -726,17 +729,18 @@ def opt_exact(
     ratio bound from it, so min_rank followed by opt_exact on A builds
     each once and solves Delsarte's LP at most once.
 
-    Instances whose root bounds are not tight can still take more than
-    a minute at n = 8.
+    It refuses A.n > limit_n, and a core wider than the forbidden-set
+    bitmap's _BITMAP_N columns, before it completes A.  Instances whose
+    root bounds are not tight can still take more than a minute at n = 8.
     """
     if A.n > limit_n:
         raise LimitError(f"exact search over GF(2)^{A.n} exceeds n <= {limit_n}")
     if not any(A.ones):
         # edgeless graph: everything is one solution
         return 1 << A.n, SolutionSet.of(range(1 << A.n), A.n)
+    _bitmap_cap(A._record.core.n)
     rec = _completed(A, deadline)
     rows, n, (r, _) = rec.rows, rec.core.n, rec.answer
-    _bitmap_cap(n)
     K = rec.K
 
     # a verified linear warm start: the kernel of a min-rank completion
@@ -751,7 +755,10 @@ def opt_exact(
     # bound and the coset certificate are tried in turn, and the smaller
     # bound is the search's ceiling.
     lin = 1 << (n - r)
-    ceiling = 1 << (n - rec.col_min_rank(A.n))
+    floor = rec.column_floor
+    if floor is None:  # refused at col_min_rank's default limit
+        floor = col_min_rank(A, A.n)
+    ceiling = 1 << (n - floor)
     if ceiling > lin:
         ceiling = min(ceiling, rec.ratio)
     best, mask = lin, vbm
@@ -1043,12 +1050,13 @@ class EpsilonRecord:
 
 def conjecture_epsilon(
     A: PartialMatrix,
-    limit_n: int = LIMITS.opt_n,
+    limit_n: int = _OPT_N,
     deadline: float | None = None,
 ) -> EpsilonRecord | None:
-    """The observed exponent for A, or None when min rank is zero."""
-    r = min_rank(A, deadline)
-    if r == 0:
+    """The observed exponent for A, or None when min rank is zero, that
+    is, when no row fixes a one.  opt_exact refuses A.n > limit_n before
+    anything completes A, and its completion gives the min rank."""
+    if not any(A.ones):
         return None
     opt, _ = opt_exact(A, limit_n, deadline)
-    return EpsilonRecord(A.n, opt, r)
+    return EpsilonRecord(A.n, opt, min_rank(A))

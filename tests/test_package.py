@@ -13,7 +13,7 @@ from minrank import cli, gf2, partial, solutions
 EXPORTS = [
     "CodeMatrixSpec", "ConsistentOperator", "Depth2Circuit", "EpsilonRecord",
     "ForbiddenSet", "GF2Matrix", "HullVerdict", "InternalError", "IsolationWitness",
-    "LIMITS", "LimitError", "Limits", "LinearDepth2Circuit", "MiddleGate",
+    "LimitError", "LinearDepth2Circuit", "MiddleGate",
     "OperatorConflict", "OutputGate", "ParseError", "PartialMatrix", "SearchRecord",
     "SolutionSet", "Subspace", "ToolConfig", "ToolkitError", "VERSION", "ball",
     "best_epsilon", "brute_force_opt_tiny", "canonical_completion", "code_matrix",
@@ -33,7 +33,7 @@ EXPORTS = [
 
 
 def test_exports_are_pinned():
-    assert len(EXPORTS) == 83
+    assert len(EXPORTS) == 81
     assert sorted(minrank.__all__) == EXPORTS
     for name in EXPORTS:
         assert getattr(minrank, name) is not None
@@ -47,31 +47,20 @@ def test_star_import_brings_every_export():
 
 def test_tool_config_knobs_are_pinned():
     fields = [f.name for f in dataclasses.fields(minrank.ToolConfig)]
-    assert fields == ["limits", "seed", "out", "epsilon_alarm"]
-    limits = [f.name for f in dataclasses.fields(minrank.Limits)]
-    assert limits == ["opt_n", "stars", "subset_rows", "search_space"]
-    # no dead limit: report, search or the command line reads each one
-    # off a config, as cfg.limits.x or through a name bound to cfg.limits
-    def off_config(node):
-        return isinstance(node, ast.Attribute) and node.attr == "limits"
-
+    assert fields == ["opt_n", "seed", "out", "epsilon_alarm"]
+    # no dead knob: report, search or the command line reads each one
+    # off a config, as cfg.x
     read = set()
     for name in ("report.py", "cli.py"):
         tree = ast.parse((Path(minrank.__file__).parent / name).read_text(encoding="utf-8"))
-        aliases = {
-            target.id
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Assign) and off_config(node.value)
-            for target in node.targets
-            if isinstance(target, ast.Name)
-        }
         read.update(
             node.attr
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
-            and (off_config(node.value) or isinstance(node.value, ast.Name) and node.value.id in aliases)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "cfg"
         )
-    assert [name for name in limits if name not in read] == []
+    assert [name for name in fields if name not in read] == []
     imported = set()
     for node in ast.walk(ast.parse(inspect.getsource(cli))):
         if isinstance(node, ast.Import):
@@ -79,8 +68,9 @@ def test_tool_config_knobs_are_pinned():
         elif isinstance(node, ast.ImportFrom) and node.module is not None:
             imported.add(node.module)
     assert not any(name.split(".")[0] == "concurrent" for name in imported)
-    # library code keeps two caches, both in gf2: _half_masks and
-    # _delsarte_bounds; each matrix keeps its own completion record
+    # library code keeps three caches, all in gf2: _half_masks,
+    # _weight_class_masks and _delsarte_bounds; each matrix keeps its
+    # own completion record
     caches = [
         f"{module.__name__}.{name}"
         for module in (gf2, partial, solutions)
@@ -89,6 +79,7 @@ def test_tool_config_knobs_are_pinned():
     ]
     assert sorted(caches) == [
         "minrank.gf2._delsarte_bounds", "minrank.gf2._half_masks",
+        "minrank.gf2._weight_class_masks",
     ]
 
 
@@ -195,8 +186,7 @@ def test_every_private_definition_is_referenced():
 
 def test_only_two_searches_call_themselves():
     # every other search runs on an explicit stack, so no input can reach
-    # the recursion limit there.  Methods are skipped: a method may call
-    # the module function of its own name, as _Completed.col_min_rank does
+    # the recursion limit there
     def own_calls(node, name):
         return any(
             isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == name
@@ -205,19 +195,10 @@ def test_only_two_searches_call_themselves():
 
     recursive = []
     for path in sorted(Path(minrank.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        methods = {
-            id(node)
-            for cls in ast.walk(tree)
-            if isinstance(cls, ast.ClassDef)
-            for node in cls.body
-        }
         recursive += [
             f"{path.name} {node.name}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef)
-            and id(node) not in methods
-            and own_calls(node, node.name)
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.FunctionDef) and own_calls(node, node.name)
         ]
     assert sorted(recursive) == ["partial.py extend", "partial.py try_row"]
 

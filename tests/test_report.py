@@ -1,9 +1,7 @@
 """Unit tests for reports, search records, and the sweep driver."""
 
 import builtins
-import io
 import json
-from dataclasses import replace
 from math import comb
 
 import pytest
@@ -11,7 +9,7 @@ import pytest
 from minrank import partial
 from minrank.cli import main
 from minrank.codes import CodeMatrixSpec, code_matrix
-from minrank.config import LIMITS, ToolConfig
+from minrank.config import ToolConfig
 from minrank.errors import LimitError
 from minrank.partial import PartialMatrix
 from minrank.pmx import parse_pmx
@@ -53,36 +51,41 @@ def test_report_all_star():
     assert rep["epsilon"] is None
 
 
+# 25 x 25 with a star on the diagonal and no ones: 25 starred lines on
+# either side, 25 distinct rows and columns, and 25 columns
+DIAGONAL = PartialMatrix(25, (0,) * 25, tuple(1 << i for i in range(25)))
+
+
 def test_report_marks_skipped_fields():
-    cfg = ToolConfig(limits=replace(LIMITS, opt_n=2, subset_rows=0))
-    rep = report(A1, cfg)
-    assert rep["opt"] == "skipped: limit"
-    assert rep["epsilon"] == "skipped: limit"
-    assert rep["row_min_rank"] == "skipped: limit"
-    assert rep["min_rank"] == 2  # unaffected fields still computed
+    rep = report(DIAGONAL)
+    for field in ("max_rank", "row_min_rank", "col_min_rank", "opt", "epsilon"):
+        assert rep[field] == "skipped: limit"
+    assert rep["min_rank"] == 0  # unaffected fields still computed
+    assert rep["line_cover"] == 25
 
 
-def test_report_passes_its_star_limit_to_max_rank():
-    # 14 x 14 with 3 stars in three rows and three columns: max_rank
-    # scans the subsets of one side's 3 starred lines, up to the
-    # configured number of stars
+def test_report_skips_max_rank_past_the_star_cap():
+    # max_rank scans the subsets of one side's starred lines, up to 24:
+    # 14 x 14 with 3 stars in three rows and three columns, and the
+    # diagonal at 24 and 25
     A = PartialMatrix(14, tuple(1 << i for i in range(14)), (2, 4, 8) + (0,) * 11)
     assert report(A)["max_rank"] == 14
-    assert report(A, ToolConfig(limits=replace(LIMITS, stars=2)))["max_rank"] == "skipped: limit"
-    assert report(A, ToolConfig(limits=replace(LIMITS, stars=3)))["max_rank"] == 14
+    assert report(PartialMatrix(24, (0,) * 24, DIAGONAL.stars[:24]))["max_rank"] == 24
+    assert report(DIAGONAL)["max_rank"] == "skipped: limit"
 
 
 def test_report_reads_col_min_rank_from_the_completion(monkeypatch, fresh):
     calls = []
     real = partial.col_min_rank
 
-    def counted(A, limit=LIMITS.subset_rows):
+    def counted(A, limit=partial._SUBSET_ROWS):
         calls.append(limit)
         return real(A, limit)
 
     monkeypatch.setattr(partial, "col_min_rank", counted)
     # 3 x 22, column j reading j in base 3 (0, 1, *): 22 distinct
-    # columns, so the default limit of 20 refuses
+    # columns, so the default limit of 20 refuses col_min_rank, and 22
+    # distinct rows refuse row_min_rank on its transpose
     digit = [[j // 3**t % 3 for j in range(22)] for t in range(3)]
     wide = PartialMatrix(
         22,
@@ -90,23 +93,16 @@ def test_report_reads_col_min_rank_from_the_completion(monkeypatch, fresh):
         tuple(sum(1 << j for j in range(22) if d[j] == 2) for d in digit),
     )
     code = code_matrix(CodeMatrixSpec(5, 2))
-    D = LIMITS.subset_rows
-    # (matrix, report's limit, field, col_min_rank calls): the completion
-    # finds the floor at the default limit; report asks again only where
-    # its own limit could refuse what that one accepted
-    cases = [
-        (code, D, real(code), [D]),
-        (code, 40, real(code), [D]),
-        (code, 4, "skipped: limit", [D, 4]),
-        (A1, 2, "skipped: limit", [D, 2]),
-        (wide, D, "skipped: limit", [D, D]),
-        (wide, 22, real(wide, 22), [D, 22]),
-    ]
-    for A, limit, want, want_calls in cases:
+    # the completion record finds the floor once, at the default limit,
+    # and report reads it from there
+    for A, want in [(code, real(code)), (A1, 2), (wide, "skipped: limit")]:
         calls.clear()
-        rep = report(fresh(A), ToolConfig(limits=replace(LIMITS, subset_rows=limit)))
+        rep = report(fresh(A))
         assert rep["col_min_rank"] == want
-        assert calls == want_calls
+        assert calls == [partial._SUBSET_ROWS]
+    rep = report(wide.transpose())
+    assert rep["row_min_rank"] == "skipped: limit"
+    assert rep["col_min_rank"] == real(wide.transpose()) == 3
 
 
 def test_format_report_stable_order():
@@ -137,7 +133,7 @@ def test_search_record_round_trip_and_invariants():
 RECORD_LINES = [
     (
         A1,
-        ToolConfig(seed=4, limits=replace(LIMITS, opt_n=5)),
+        ToolConfig(seed=4, opt_n=5),
         '{"matrix": "10*0*1/*111**/0**1**", "n": 6, "m": 3, "stars": 9, "minrk": 2,'
         ' "opt": null, "lin": 16, "epsilon": null, "epsilon_exact": null,'
         ' "flag": null, "seed": 4, "version": "0.1.0"}',
@@ -167,7 +163,7 @@ def test_record_bytes_off_the_sweep_path():
 
 
 def test_report_tail_past_opt_n():
-    rep = report(A1, ToolConfig(limits=replace(LIMITS, opt_n=5)))
+    rep = report(A1, ToolConfig(opt_n=5))
     tail = json.dumps(dict(list(rep.items())[-4:]))
     assert tail == (
         '{"lin": 16, "opt": "skipped: limit", "epsilon": "skipped: limit",'
@@ -247,14 +243,13 @@ def test_random_search_needs_seed_and_count():
         list(search(2, 2, mode="sideways"))
 
 
-def test_random_search_reproducible_and_logged():
-    cfg = ToolConfig(seed=7)
-    log1, log2 = io.StringIO(), io.StringIO()
-    r1 = list(search(3, 6, mode="random", count=25, config=cfg, log=log1))
-    r2 = list(search(3, 6, mode="random", count=25, config=cfg, log=log2))
+def test_random_search_reproducible_and_logged(tmp_path):
+    log1, log2 = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
+    r1 = list(search(3, 6, mode="random", count=25, config=ToolConfig(seed=7, out=str(log1))))
+    r2 = list(search(3, 6, mode="random", count=25, config=ToolConfig(seed=7, out=str(log2))))
     assert r1 == r2
-    assert log1.getvalue() == log2.getvalue()
-    lines = log1.getvalue().splitlines()
+    assert log1.read_text() == log2.read_text()
+    lines = log1.read_text().splitlines()
     assert len(lines) == 25
     assert all(SearchRecord.from_json(line) in r1 for line in lines)
 

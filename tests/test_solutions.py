@@ -273,6 +273,34 @@ def test_opt_refuses_past_the_bitmap_cap():
         opt_exact(A, limit_n=25)
 
 
+def test_opt_checks_the_bitmap_cap_before_it_completes(monkeypatch):
+    completed = []
+    real = partial._complete
+    monkeypatch.setattr(partial, "_complete", lambda rec, deadline: completed.append(rec))
+    # a 26-column core: refused before min_rank_completion runs
+    A = next(_random_matrices(12, 26, 1, 3))
+    assert A._record.core.n == 26
+    with pytest.raises(LimitError, match="bitmap"):
+        opt_exact(A, limit_n=40)
+    assert completed == []
+    # 25 columns around a 12-column core pass the cap: the identity's
+    # opt of 1, crossed with the 13 unused columns
+    monkeypatch.setattr(partial, "_complete", real)
+    A = PartialMatrix(25, tuple(1 << i for i in range(12)), (0,) * 12)
+    assert opt_exact(A, limit_n=25)[0] == 1 << 13
+
+
+def test_conjecture_epsilon_refuses_before_min_rank(monkeypatch):
+    called = []
+    monkeypatch.setattr(solutions, "min_rank", lambda *args: called.append(args))
+    monkeypatch.setattr(partial, "_complete", lambda *args: called.append(args))
+    with pytest.raises(LimitError):
+        conjecture_epsilon(PartialMatrix(20, (1,), (0,)), limit_n=16)
+    # no row fixes a one, so min rank is 0 whatever the width
+    assert conjecture_epsilon(PartialMatrix(40, (0, 0), ((1 << 40) - 1, 3))) is None
+    assert called == []
+
+
 def test_lin_exact_value():
     assert lin_exact(A1) == 16
     all_star = parse_pmx("**\n**\n")
