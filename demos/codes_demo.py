@@ -33,7 +33,7 @@ def main():
     for n, r in ((5, 1), (6, 2), (7, 2)):
         A = code_matrix(CodeMatrixSpec(n, r))
         value, _ = opt_exact(A)
-        hb = hamming_bound(n, r + 1)
+        hb = hamming_bound(n, r)
         gv = gv_bound(n, r)
         print(f"  {n:2d} {r:2d} {lin_exact(A):5d} {value:5d} {hb:8d} {gv:3d}")
     print("\nat (7, 2) the optimum meets the Hamming bound: that is the")

@@ -315,10 +315,14 @@ def metrics(F: Depth2Circuit) -> dict[str, int]:
     return {"width": F.width, "degree": F.degree, "match_size": match}
 
 
-def rigidity(M: GF2Matrix, r: int, flip_cap: int = 8) -> int:
+# entry flips that rigidity tries before it refuses
+_FLIPS = 8
+
+
+def rigidity(M: GF2Matrix, r: int) -> int:
     """Fewest entry flips that bring rank(M) to at most r.
 
-    Iterative deepening over flip sets; exact but tiny-scale only.
+    Iterative deepening over at most _FLIPS flips; exact but tiny-scale only.
     """
     if r < 0:
         raise ValueError("no matrix has rank below 0")
@@ -329,7 +333,7 @@ def rigidity(M: GF2Matrix, r: int, flip_cap: int = 8) -> int:
         return 0
     positions = [(i, 1 << j) for i in range(M.m) for j in range(M.n)]
     rows = list(M.rows)
-    for k in range(1, flip_cap + 1):
+    for k in range(1, _FLIPS + 1):
         for combo in combinations(positions, k):
             for i, bit in combo:
                 rows[i] ^= bit
@@ -338,7 +342,7 @@ def rigidity(M: GF2Matrix, r: int, flip_cap: int = 8) -> int:
                 rows[i] ^= bit
             if ok:
                 return k
-    raise LimitError(f"rigidity exceeds the flip cap of {flip_cap}")
+    raise LimitError(f"rigidity exceeds the flip cap of {_FLIPS}")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from math import comb
 
 from .errors import LimitError
 from .gf2 import _weight_classes
-from .partial import PartialMatrix, row_min_rank
+from .partial import PartialMatrix, max_independent_rows
 from .solutions import _BITMAP_N, SolutionSet, _required_bitmap
 
 @dataclass(frozen=True)
@@ -68,10 +68,10 @@ def code_matrix(spec: CodeMatrixSpec) -> PartialMatrix:
     return PartialMatrix(n, tuple(ones), tuple(stars))
 
 
-def ball(n: int, r: int, limit: int = _BITMAP_N) -> set[int]:
+def ball(n: int, r: int) -> set[int]:
     """All vectors in GF(2)^n of Hamming weight at most r."""
-    if n > limit:
-        raise LimitError(f"ball enumeration over GF(2)^{n} exceeds n <= {limit}")
+    if n > _BITMAP_N:
+        raise LimitError(f"ball enumeration over GF(2)^{n} exceeds n <= {_BITMAP_N}")
     if r < 0:
         raise ValueError("radius must be nonnegative")
     out = {0}
@@ -94,16 +94,16 @@ def verify_ka_is_ball(spec: CodeMatrixSpec) -> bool:
 def hamming_bound(n: int, r: int) -> int:
     """Upper bound on any solution of the (n, r) code matrix.
 
-    The ball of radius t = floor((r-1)/2) is a clique in the Cayley
-    graph of the forbidden set, so no code of distance r+1 packs more
-    than 2^n over its size.  At r = 0 every set is a code, and t = 0
-    gives 2^n.  Exact integer arithmetic throughout.
+    The ball of radius t = floor(r/2) is a clique in the Cayley graph of
+    the forbidden set, as its members differ in at most r places, so no
+    code of distance r+1 packs more than 2^n over its size.  At r = 0
+    every set is a code, and t = 0 gives 2^n.  Exact integer arithmetic.
     """
     if r < 0:
         raise ValueError("need r >= 0")
     if n > 64:
         raise LimitError("bound evaluation capped at n <= 64")
-    t = max(r - 1, 0) // 2
+    t = r // 2
     return (1 << n) // sum(comb(n, i) for i in range(t + 1))
 
 
@@ -136,27 +136,23 @@ def min_distance(L: SolutionSet) -> int | None:
     return best
 
 
-def code_row_min_rank(
-    spec: CodeMatrixSpec, sample_blocks: int = 12, seed: int = 0
-) -> int:
+# blocks that code_row_min_rank searches past n = 6
+_SAMPLE_BLOCKS = 12
+
+
+def code_row_min_rank(spec: CodeMatrixSpec) -> int:
     """Largest independent row set of the code matrix.
 
     Exhaustive over all distinct rows for n <= 6.  For larger n the
-    matrix is too tall, so a random sample of blocks is searched
-    instead; any independent subset of a sample stays independent in
-    the full matrix, making the result a lower bound there.
+    matrix is too tall, so _SAMPLE_BLOCKS blocks drawn at seed 0 are
+    searched instead; any independent subset of a sample stays
+    independent in the full matrix, making the result a lower bound.
     """
     A = code_matrix(spec)
-    if spec.n <= 6:
-        return row_min_rank(A, limit=spec.rows)
-    width = spec.r + 1
+    rows = list(zip(A.ones, A.stars))
     blocks = list(range(comb(spec.n, spec.r)))
-    picked = blocks
-    if len(blocks) > sample_blocks:
-        picked = sorted(random.Random(seed).sample(blocks, sample_blocks))
-    ones, stars = [], []
-    for b in picked:
-        ones.extend(A.ones[b * width : (b + 1) * width])
-        stars.extend(A.stars[b * width : (b + 1) * width])
-    B = PartialMatrix(spec.n, tuple(ones), tuple(stars))
-    return row_min_rank(B, limit=len(ones))
+    if spec.n > 6 and len(blocks) > _SAMPLE_BLOCKS:
+        width = spec.r + 1
+        picked = sorted(random.Random(0).sample(blocks, _SAMPLE_BLOCKS))
+        rows = [rows[b * width + i] for b in picked for i in range(width)]
+    return max_independent_rows(list(dict.fromkeys(rows)))

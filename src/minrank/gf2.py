@@ -213,12 +213,18 @@ def orthogonal_complement(S: Subspace) -> Subspace:
     return kernel(GF2Matrix(S.n, S.basis))
 
 
-def min_weight_nonzero(S: Subspace, limit: int = 24) -> int | None:
+# dimension for min_weight_nonzero's scan, and columns for
+# enumerate_subspaces and solutions.separating_min_rank
+_WEIGHT_DIM = 24
+_SUBSPACE_N = 8
+
+
+def min_weight_nonzero(S: Subspace) -> int | None:
     """Smallest Hamming weight among nonzero members; None for the zero space."""
     if S.dim == 0:
         return None
-    if S.dim > limit:
-        raise LimitError(f"minimum-weight scan over dimension {S.dim} exceeds {limit}")
+    if S.dim > _WEIGHT_DIM:
+        raise LimitError(f"minimum-weight scan over dimension {S.dim} exceeds {_WEIGHT_DIM}")
     best = S.n + 1
     for v in S.vectors():
         w = v.bit_count()
@@ -255,18 +261,11 @@ def subspaces_of_dim(n: int, k: int) -> Iterator[Subspace]:
             yield Subspace(n, tuple(rows))
 
 
-# columns for enumerate_subspaces and solutions.separating_min_rank
-_SUBSPACE_N = 8
-
-
-def enumerate_subspaces(
-    n: int, max_dim: int | None = None, limit: int = _SUBSPACE_N
-) -> Iterator[Subspace]:
-    """All subspaces of GF(2)^n with dim <= max_dim, dimension ascending."""
-    if n > limit:
-        raise LimitError(f"subspace enumeration over GF(2)^{n} exceeds n <= {limit}")
-    top = n if max_dim is None else min(max_dim, n)
-    for k in range(top + 1):
+def enumerate_subspaces(n: int) -> Iterator[Subspace]:
+    """All subspaces of GF(2)^n, dimension ascending."""
+    if n > _SUBSPACE_N:
+        raise LimitError(f"subspace enumeration over GF(2)^{n} exceeds n <= {_SUBSPACE_N}")
+    for k in range(n + 1):
         yield from subspaces_of_dim(n, k)
 
 

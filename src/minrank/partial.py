@@ -101,8 +101,8 @@ class IsolationWitness:
     strong: bool
 
 
-# total stars for completion enumeration, and starred lines for
-# max_rank's line-cover scan
+# total stars for completion enumeration, starred lines for max_rank's
+# line-cover scan, and vectors for stars_independent's check
 _STARS = 24
 # distinct rows for row_min_rank, and distinct columns for col_min_rank
 _SUBSET_ROWS = 20
@@ -113,16 +113,14 @@ def canonical_completion(A: PartialMatrix) -> GF2Matrix:
     return GF2Matrix(A.n, A.ones)
 
 
-def enumerate_completions(
-    A: PartialMatrix, limit: int = _STARS
-) -> Iterator[GF2Matrix]:
+def enumerate_completions(A: PartialMatrix) -> Iterator[GF2Matrix]:
     """Yield all 2^(#stars) completions, star positions filled row-major."""
     positions = [
         (i, j) for i in range(A.m) for j in range(A.n) if (A.stars[i] >> j) & 1
     ]
     k = len(positions)
-    if k > limit:
-        raise LimitError(f"enumerating 2^{k} completions exceeds the {limit}-star cap")
+    if k > _STARS:
+        raise LimitError(f"enumerating 2^{k} completions exceeds the {_STARS}-star cap")
     for fill in range(1 << k):
         rows = list(A.ones)
         for t, (i, j) in enumerate(positions):
@@ -562,7 +560,7 @@ class _Completed:
     """min_rank_completion's record of one matrix A, built on its core:
     A without its unused columns, dropped once (_drop_unused_columns).
     It holds the core, its worklist and remap (_prepare_rows), A's
-    column floor (None when col_min_rank refused at its default limit),
+    column floor (None when col_min_rank refused past its cap),
     A's answer (min rank, completion) and the worklist as completed.
     The core's forbidden set K and ratio bound (Delsarte's and
     Plotkin's bounds on the weight classes K holds whole,
@@ -705,7 +703,7 @@ def min_rank(A: PartialMatrix, deadline: float | None = None) -> int:
 # maximum rank and star covers
 
 
-def max_rank(A: PartialMatrix, limit: int = _STARS) -> int:
+def max_rank(A: PartialMatrix) -> int:
     """Maximum rank over all completions.
 
     No completion has rank above min(m, n), so a greedy completion
@@ -717,17 +715,17 @@ def max_rank(A: PartialMatrix, limit: int = _STARS) -> int:
     Removing a line with no star never lowers rank + |X|, so the scan
     runs over the subsets of the star-bearing lines of whichever side
     has fewer, each with every crossing line that its kept lines' stars
-    force: 2^k rank computations for k such lines, at most `limit` of
-    them, so a matrix with at most `limit` stars is never refused.  The
-    limit is checked before the greedy completion runs.
+    force: 2^k rank computations for k such lines, at most _STARS = 24
+    of them, so a matrix with at most 24 stars is never refused.  The
+    cap is checked before the greedy completion runs.
     """
     columns = 0
     for s in A.stars:
         columns |= s
     B = A if sum(1 for s in A.stars if s) <= columns.bit_count() else A.transpose()
     starred = [(a, s) for a, s in zip(B.ones, B.stars) if s]
-    if len(starred) > limit:
-        raise LimitError(f"line-cover scan over {len(starred)} starred lines exceeds {limit}")
+    if len(starred) > _STARS:
+        raise LimitError(f"line-cover scan over {len(starred)} starred lines exceeds {_STARS}")
     best = min(B.m, B.n)
     basis: tuple[int, ...] = ()
     for a, s in zip(A.ones, A.stars):
@@ -796,7 +794,7 @@ def line_cover_number(A: PartialMatrix) -> int:
 # independence of (0,1,*) vectors
 
 
-def stars_independent(rows: Sequence[tuple[int, int]], limit: int = 24) -> bool:
+def stars_independent(rows: Sequence[tuple[int, int]]) -> bool:
     """Whether a set of (0,1,*) vectors is independent.
 
     A set is dependent iff some nonempty subset can be completed to sum
@@ -806,8 +804,8 @@ def stars_independent(rows: Sequence[tuple[int, int]], limit: int = 24) -> bool:
     is checked against the subset sums of those before it.
     """
     k = len(rows)
-    if k > limit:
-        raise LimitError(f"independence check over {k} vectors exceeds {limit}")
+    if k > _STARS:
+        raise LimitError(f"independence check over {k} vectors exceeds {_STARS}")
     return _forced_independent(rows, 0, (), k) == k
 
 
@@ -861,18 +859,18 @@ def max_independent_rows(rows: Sequence[tuple[int, int]]) -> int:
     return best
 
 
-def row_min_rank(A: PartialMatrix, limit: int = _SUBSET_ROWS) -> int:
+def row_min_rank(A: PartialMatrix) -> int:
     """Largest number of independent rows; a lower bound for min_rank."""
     # duplicate (0,1,*) vectors can never both sit in an independent set
     rows = list(dict.fromkeys(zip(A.ones, A.stars)))
-    if len(rows) > limit:
-        raise LimitError(f"row search over {len(rows)} distinct rows exceeds {limit}")
+    if len(rows) > _SUBSET_ROWS:
+        raise LimitError(f"row search over {len(rows)} distinct rows exceeds {_SUBSET_ROWS}")
     return max_independent_rows(rows)
 
 
-def col_min_rank(A: PartialMatrix, limit: int = _SUBSET_ROWS) -> int:
+def col_min_rank(A: PartialMatrix) -> int:
     """Largest number of independent columns; a lower bound for min_rank."""
-    return row_min_rank(A.transpose(), limit)
+    return row_min_rank(A.transpose())
 
 
 # ---------------------------------------------------------------------------

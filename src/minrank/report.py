@@ -47,11 +47,12 @@ def _guarded(fn, *args):
 
 
 def _exact_answer(A: PartialMatrix, cfg: ToolConfig) -> tuple[int, int | None, float | None]:
-    """Min rank, opt (None past the opt_n limit) and epsilon of A."""
+    """Min rank, opt and epsilon of A, the last two None if opt_exact refuses."""
     minrk = min_rank(A)
-    if A.n > cfg.opt_n:
+    try:
+        opt, _ = opt_exact(A, cfg.opt_n)
+    except LimitError:
         return minrk, None, None
-    opt, _ = opt_exact(A, cfg.opt_n)
     return minrk, opt, epsilon_of(A.n, opt, minrk)
 
 
@@ -64,9 +65,9 @@ def report(A: PartialMatrix, config: ToolConfig | None = None) -> dict:
     """Every per-matrix statistic, in a stable key order.
 
     Fields whose exact computation is refused at a size cap (opt past
-    the configured opt_n) hold the string "skipped: limit" rather than
-    disappearing.  col_min_rank is the column floor that A's completion
-    record found at col_min_rank's default limit.  On tall
+    the configured opt_n or the forbidden-set bitmap) hold the string
+    "skipped: limit" rather than disappearing.  col_min_rank is the
+    column floor that A's completion record found.  On tall
     matrices the cheap exact certificates answer first: the kernel side
     of min_rank_completion's race takes its first turn, a greedy
     completion of rank min(m, n) settles max_rank, and isolation refuses

@@ -46,8 +46,8 @@ from .partial import (
     _completed,
     _forbidden_bitmap,
     canonical_completion,
-    col_min_rank,
     enumerate_completions,
+    max_independent_rows,
     min_rank,
 )
 
@@ -112,10 +112,10 @@ _BITMAP_N = 24
 _OPT_N = 16
 
 
-def forbidden_set(A: PartialMatrix, bitmap_limit: int = _BITMAP_N) -> ForbiddenSet:
-    """Build the forbidden set of A, with a bitmap when n <= bitmap_limit."""
+def forbidden_set(A: PartialMatrix) -> ForbiddenSet:
+    """Build the forbidden set of A, with a bitmap when n <= _BITMAP_N."""
     rows = tuple(zip(A.ones, A.stars))
-    if A.n > bitmap_limit:
+    if A.n > _BITMAP_N:
         return ForbiddenSet(A.n, rows, None)
     return ForbiddenSet(A.n, rows, _forbidden_bitmap(rows, A.n))
 
@@ -756,8 +756,9 @@ def opt_exact(
     # bound is the search's ceiling.
     lin = 1 << (n - r)
     floor = rec.column_floor
-    if floor is None:  # refused at col_min_rank's default limit
-        floor = col_min_rank(A, A.n)
+    if floor is None:  # past col_min_rank's cap: search A's distinct columns
+        T = A.transpose()
+        floor = max_independent_rows(list(dict.fromkeys(zip(T.ones, T.stars))))
     ceiling = 1 << (n - floor)
     if ceiling > lin:
         ceiling = min(ceiling, rec.ratio)
@@ -915,15 +916,15 @@ def lin_exact(A: PartialMatrix, deadline: float | None = None) -> int:
 # separating rank via the kernel-side search
 
 
-def separating_min_rank(A: PartialMatrix, limit: int = _SUBSPACE_N) -> int:
+def separating_min_rank(A: PartialMatrix) -> int:
     """n minus the largest dimension of a subspace avoiding the forbidden set.
 
     The kernel-side search of min_rank_completion (_KernelSide) tries
     dimensions 1, 2, ... until none exists, since a subspace avoiding K
     has subspaces of every lower dimension that do too.
     """
-    if A.n > limit:
-        raise LimitError(f"subspace sweep over GF(2)^{A.n} exceeds n <= {limit}")
+    if A.n > _SUBSPACE_N:
+        raise LimitError(f"subspace sweep over GF(2)^{A.n} exceeds n <= {_SUBSPACE_N}")
     K = _required_bitmap(A)
     dim = 0
     while dim < A.n and _KernelSide(K, A.n, dim + 1, _Deadline(None, A.n)).run() is not None:

@@ -345,9 +345,10 @@ def test_rigidity_identity_and_random():
             assert rigidity(M, r) == brute_rigidity(M, r)
     with pytest.raises(LimitError):
         rigidity(GF2Matrix(6, (0,) * 6), 0)
-    assert rigidity(I4, 0, flip_cap=4) == 4
-    with pytest.raises(LimitError, match="rigidity exceeds the flip cap of 3"):
-        rigidity(I4, 0, flip_cap=3)
+    assert rigidity(I4, 0) == 4
+    # the all-ones 3 x 3 matrix needs 9 flips to reach rank 0
+    with pytest.raises(LimitError, match="rigidity exceeds the flip cap of 8"):
+        rigidity(GF2Matrix(3, (7, 7, 7)), 0)
 
 
 def test_rigidity_refuses_a_negative_rank_before_searching(monkeypatch):

@@ -173,7 +173,7 @@ def test_search_refuses_a_negative_count(capsys):
 def test_codes_commands(tmp_path, capsys):
     assert main(["codes", "bounds", "7", "2"]) == 0
     out = capsys.readouterr().out
-    assert "hamming_bound: 128" in out and "gv_bound: 4" in out
+    assert "hamming_bound: 16" in out and "gv_bound: 4" in out
     assert main(["codes", "verify", "5", "1"]) == 0
     capsys.readouterr()
     target = tmp_path / "c.pmx"

@@ -96,6 +96,8 @@ def test_ka_weight_classes_match_the_ball_bitmap():
 def test_bounds_frozen_values():
     assert hamming_bound(7, 3) == 16
     assert hamming_bound(7, 1) == 128
+    # distance 3: a radius-1 ball is a clique, as at distance 4
+    assert hamming_bound(7, 2) == 16
     assert gv_bound(7, 2) == 4
     assert gv_bound(5, 1) == 5
     with pytest.raises(LimitError):
@@ -153,6 +155,6 @@ def test_row_min_rank_past_n6_searches_a_block_sample():
     # all and meets the full matrix's value; (7, 2), (8, 2) and (7, 3)
     # search 12 of their 21, 28 and 35 blocks at seed 0
     full = code_matrix(CodeMatrixSpec(7, 1))
-    assert code_row_min_rank(CodeMatrixSpec(7, 1)) == row_min_rank(full, limit=full.m) == 1
+    assert code_row_min_rank(CodeMatrixSpec(7, 1)) == row_min_rank(full) == 1
     for n, r, want in ((7, 2, 2), (8, 2, 2), (7, 3, 3)):
         assert code_row_min_rank(CodeMatrixSpec(n, r)) == want

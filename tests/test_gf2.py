@@ -196,8 +196,11 @@ def test_min_weight_nonzero_exhaustive():
 
 
 def test_min_weight_nonzero_limit():
-    S = Subspace(40, tuple(1 << i for i in range(30)))
-    with pytest.raises(LimitError):
+    # the scan stops at its first weight-1 vector, so 24 dimensions are
+    # quick; 25 are refused before any vector is read
+    assert min_weight_nonzero(Subspace(40, tuple(1 << i for i in range(24)))) == 1
+    S = Subspace(40, tuple(1 << i for i in range(25)))
+    with pytest.raises(LimitError, match="dimension 25 exceeds 24"):
         min_weight_nonzero(S)
 
 

@@ -45,6 +45,28 @@ def test_star_import_brings_every_export():
     assert sorted(k for k in scope if k != "__builtins__") == EXPORTS
 
 
+def test_no_routine_takes_a_cap():
+    # every cap is a constant in the module that enforces it; the one cap
+    # a caller sets is opt_exact's column limit, which ToolConfig.opt_n
+    # feeds through report and search
+    optional = {
+        name: [p.name for p in inspect.signature(fn).parameters.values() if p.default is not p.empty]
+        for name in EXPORTS
+        if inspect.isfunction(fn := getattr(minrank, name))
+    }
+    assert {name: params for name, params in optional.items() if params} == {
+        "conjecture_epsilon": ["limit_n", "deadline"],
+        "evaluate_matrix": ["config"],
+        "isolation": ["strong"],
+        "lin_exact": ["deadline"],
+        "min_rank": ["deadline"],
+        "min_rank_completion": ["deadline"],
+        "opt_exact": ["limit_n", "deadline"],
+        "report": ["config"],
+        "search": ["mode", "count", "config"],
+    }
+
+
 def test_tool_config_knobs_are_pinned():
     fields = [f.name for f in dataclasses.fields(minrank.ToolConfig)]
     assert fields == ["opt_n", "seed", "out", "epsilon_alarm"]

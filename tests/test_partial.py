@@ -388,6 +388,20 @@ def test_row_and_col_min_rank_never_exceed_min_rank():
         assert col_min_rank(A) == row_min_rank(A.transpose())
 
 
+def test_row_and_col_min_rank_refuse_past_20_distinct_lines():
+    # the unit rows e_0..e_20, e_20 with a star, then e_0..e_19 again:
+    # 21 distinct lines are refused; e_0..e_19 twice, 20 distinct, are not
+    rows = [1 << j for j in range(21)]
+    stars = [0] * 20 + [1]
+    A = PartialMatrix(21, tuple(rows + rows[:20]), tuple(stars + stars[:20]))
+    with pytest.raises(LimitError, match="21 distinct rows exceeds 20"):
+        row_min_rank(A)
+    with pytest.raises(LimitError, match="21 distinct rows exceeds 20"):
+        col_min_rank(A.transpose())
+    B = PartialMatrix(21, tuple(rows[:20] * 2), (0,) * 40)
+    assert row_min_rank(B) == col_min_rank(B.transpose()) == 20
+
+
 def isolation_by_rows(A, strong):
     """isolation(A, strong) by its per-row GF(2) solves alone."""
     zs = []

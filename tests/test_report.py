@@ -12,7 +12,7 @@ from minrank.codes import CodeMatrixSpec, code_matrix
 from minrank.config import ToolConfig
 from minrank.errors import LimitError
 from minrank.partial import PartialMatrix
-from minrank.pmx import parse_pmx
+from minrank.pmx import emit_pmx, parse_pmx
 from minrank.report import (
     SearchRecord,
     _random_matrices,
@@ -78,13 +78,13 @@ def test_report_reads_col_min_rank_from_the_completion(monkeypatch, fresh):
     calls = []
     real = partial.col_min_rank
 
-    def counted(A, limit=partial._SUBSET_ROWS):
-        calls.append(limit)
-        return real(A, limit)
+    def counted(A):
+        calls.append(A.n)
+        return real(A)
 
     monkeypatch.setattr(partial, "col_min_rank", counted)
     # 3 x 22, column j reading j in base 3 (0, 1, *): 22 distinct
-    # columns, so the default limit of 20 refuses col_min_rank, and 22
+    # columns, so the cap of 20 refuses col_min_rank, and 22
     # distinct rows refuse row_min_rank on its transpose
     digit = [[j // 3**t % 3 for j in range(22)] for t in range(3)]
     wide = PartialMatrix(
@@ -93,13 +93,13 @@ def test_report_reads_col_min_rank_from_the_completion(monkeypatch, fresh):
         tuple(sum(1 << j for j in range(22) if d[j] == 2) for d in digit),
     )
     code = code_matrix(CodeMatrixSpec(5, 2))
-    # the completion record finds the floor once, at the default limit,
-    # and report reads it from there
+    # the completion record finds the floor once, on A itself, and
+    # report reads it from there
     for A, want in [(code, real(code)), (A1, 2), (wide, "skipped: limit")]:
         calls.clear()
         rep = report(fresh(A))
         assert rep["col_min_rank"] == want
-        assert calls == [partial._SUBSET_ROWS]
+        assert calls == [A.n]
     rep = report(wide.transpose())
     assert rep["row_min_rank"] == "skipped: limit"
     assert rep["col_min_rank"] == real(wide.transpose()) == 3
@@ -169,6 +169,24 @@ def test_report_tail_past_opt_n():
         '{"lin": 16, "opt": "skipped: limit", "epsilon": "skipped: limit",'
         ' "epsilon_exact": "skipped: limit"}'
     )
+
+
+def test_report_skips_opt_past_the_bitmap_cap(tmp_path, capsys):
+    # opt_n = 30 lets this 2 x 26 draw, whose core has 25 columns, reach
+    # opt_exact's forbidden-set bitmap cap of 24, which the report, the
+    # record and the command line mark as skipped
+    A = next(_random_matrices(2, 26, 1, 3))
+    cfg = ToolConfig(opt_n=30)
+    rep = report(A, cfg)
+    assert A._record.core.n == 25 and rep["min_rank"] == 2
+    for field in ("opt", "epsilon", "epsilon_exact"):
+        assert rep[field] == "skipped: limit"
+    rec = evaluate_matrix(A, cfg)
+    assert (rec.minrk, rec.opt, rec.epsilon) == (2, None, None)
+    path = tmp_path / "wide.pmx"
+    path.write_text(emit_pmx(A))
+    assert main(["report", "--limit-n", "30", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == rep
 
 
 def test_exhaustive_search_comes_in_matrix_text_order():

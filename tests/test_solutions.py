@@ -33,6 +33,7 @@ from minrank.partial import (
 from minrank.pmx import parse_pmx
 from minrank.report import _random_matrices
 from minrank.solutions import (
+    ForbiddenSet,
     SolutionSet,
     _avoids,
     _coset_basis,
@@ -98,7 +99,8 @@ def test_forbidden_set_row_predicate_past_the_bitmap():
     rng = random.Random(41)
     for _ in range(40):
         A = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 6))
-        F, P = forbidden_set(A), forbidden_set(A, bitmap_limit=0)
+        F = forbidden_set(A)
+        P = ForbiddenSet(A.n, F.rows, None)
         assert P.bitmap is None
         assert all(P.contains(x) == F.contains(x) for x in range(1 << A.n))
     with pytest.raises(LimitError, match="too wide to count"):
@@ -317,12 +319,6 @@ def test_separating_min_rank_equals_min_rank():
         assert separating_min_rank(A) == min_rank(A)
     with pytest.raises(LimitError):
         separating_min_rank(PartialMatrix(9, (1,), (0,)))
-
-
-def test_separating_min_rank_refuses_past_the_bitmap_cap():
-    A = parse_pmx("1" * 25 + "\n")
-    with pytest.raises(LimitError, match="bitmap"):
-        separating_min_rank(A, limit=30)
 
 
 def test_brute_force_guards():
@@ -708,7 +704,7 @@ def _reaches_search(A):
     if not K:
         return False
     r, _ = min_rank_completion(A)
-    return col_min_rank(A, A.n) != r and _ratio_bound(K, A.n) != 1 << (A.n - r)
+    return col_min_rank(A) != r and _ratio_bound(K, A.n) != 1 << (A.n - r)
 
 
 def _ready(A):
