@@ -101,8 +101,6 @@ def hamming_bound(n: int, r: int) -> int:
     """
     if r < 0:
         raise ValueError("need r >= 0")
-    if n > 64:
-        raise LimitError("bound evaluation capped at n <= 64")
     t = r // 2
     return (1 << n) // sum(comb(n, i) for i in range(t + 1))
 
@@ -115,8 +113,6 @@ def gv_bound(n: int, r: int) -> int:
     """
     if r < 0:
         raise ValueError("need r >= 0")
-    if n > 64:
-        raise LimitError("bound evaluation capped at n <= 64")
     return (1 << n) // sum(comb(n, i) for i in range(r + 1))
 
 

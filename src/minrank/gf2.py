@@ -10,6 +10,7 @@ first" always means smallest under this integer encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
@@ -299,17 +300,10 @@ def _vanishes_bitmap(s: int, n: int) -> int:
     return bm
 
 
-_half_masks: dict[tuple[int, int], int] = {}
-_weight_class_masks: dict[int, tuple[int, ...]] = {}
-
-
+@cache
 def _half_mask(n: int, j: int) -> int:
     # bitmap of the vectors whose coordinate j is zero
-    key = (n, j)
-    got = _half_masks.get(key)
-    if got is None:
-        got = _half_masks[key] = _vanishes_bitmap(1 << j, n)
-    return got
+    return _vanishes_bitmap(1 << j, n)
 
 
 def _star_classes(s: int, n: int, basis: Iterable[int] = ()) -> list[int]:
@@ -386,19 +380,17 @@ def _ratio_bound(K: int, n: int) -> int:
     return bound
 
 
+@cache
 def _weight_classes(n: int) -> tuple[int, ...]:
     """Bitmaps of the vectors of Hamming weight 0, 1, ..., n, built by
     doubling over coordinates, once per n."""
-    got = _weight_class_masks.get(n)
-    if got is None:
-        masks = [1]
-        for j in range(n):
-            masks = [
-                (masks[w] if w <= j else 0) | (masks[w - 1] << (1 << j) if w else 0)
-                for w in range(j + 2)
-            ]
-        got = _weight_class_masks[n] = tuple(masks)
-    return got
+    masks = [1]
+    for j in range(n):
+        masks = [
+            (masks[w] if w <= j else 0) | (masks[w - 1] << (1 << j) if w else 0)
+            for w in range(j + 2)
+        ]
+    return tuple(masks)
 
 
 def _krawtchouk(n: int, k: int, i: int) -> int:
@@ -471,14 +463,8 @@ def _delsarte_check(n: int, W: int, y: tuple[int, ...], D: int) -> int:
     return (D + sum(v * comb(n, k) for k, v in enumerate(y, 1))) // D
 
 
-_delsarte_bounds: dict[tuple[int, int], int] = {}
-
-
+@cache
 def _delsarte_bound(n: int, W: int) -> int:
     """Delsarte's LP bound for the distances W, floored, from a dual
     checked exactly; solved once per (n, W)."""
-    key = (n, W)
-    got = _delsarte_bounds.get(key)
-    if got is None:
-        got = _delsarte_bounds[key] = _delsarte_check(n, W, *_delsarte_lp(n, W))
-    return got
+    return _delsarte_check(n, W, *_delsarte_lp(n, W))

@@ -137,28 +137,15 @@ def _prepare_rows(A: PartialMatrix):
     """Dedupe rows, drop all-star-or-zero rows, sort by star count.
 
     Rows with no fixed ones always admit the zero completion, which lies
-    in every span, so they never force rank.  Returns the worklist plus a
+    in every span, so they never force rank.  Returns the worklist, the
+    distinct (ones, stars) rows in a stable sort by star count, so rows
+    with equal counts keep the order of their first occurrence, plus a
     map from each original row index to its worklist slot (or None).
     """
-    slot: dict[tuple[int, int], int] = {}
-    origin: list[int | None] = []
-    work: list[tuple[int, int]] = []
-    for a, s in zip(A.ones, A.stars):
-        if a == 0:
-            origin.append(None)
-            continue
-        key = (a, s)
-        if key not in slot:
-            slot[key] = len(work)
-            work.append(key)
-        origin.append(slot[key])
-    order = sorted(range(len(work)), key=lambda t: work[t][1].bit_count())
-    inv = [0] * len(work)
-    for pos, t in enumerate(order):
-        inv[t] = pos
-    ordered = [work[t] for t in order]
-    remap = [None if t is None else inv[t] for t in origin]
-    return ordered, remap
+    pairs = list(zip(A.ones, A.stars))
+    rows = sorted(dict.fromkeys(p for p in pairs if p[0]), key=lambda p: p[1].bit_count())
+    slot = {p: t for t, p in enumerate(rows)}
+    return rows, [slot.get(p) for p in pairs]
 
 
 def _star_basis(s: int, basis: Sequence[int]):

@@ -14,6 +14,7 @@ through one more, _epsilon_exact.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import asdict, dataclass, fields
 from itertools import combinations_with_replacement, islice, product
@@ -202,7 +203,8 @@ def search(
     in ascending text, and stops after `count` of them when a count is
     given; random mode draws `count` matrices from the configured seed.
     A negative count is a ValueError.  An exhaustive sweep over more than
-    10,000,000 matrices is a LimitError, whatever the count.  When the
+    10,000,000 matrices, counted as the C(3^n + m - 1, m) row multisets
+    it enumerates, is a LimitError, whatever the count.  When the
     config names an output path, each record is appended to it as one
     JSON line before it is yielded, so interrupted runs keep their
     prefix.
@@ -211,9 +213,10 @@ def search(
     if count is not None and count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     if mode == "exhaustive":
-        if 3 ** (m * n) > _SEARCH_SPACE:
+        classes = math.comb(3**n + m - 1, m)
+        if classes > _SEARCH_SPACE:
             raise LimitError(
-                f"exhaustive sweep over 3^{m * n} matrices exceeds {_SEARCH_SPACE}"
+                f"exhaustive sweep over {classes} row multisets exceeds {_SEARCH_SPACE}"
             )
         matrices: Iterable[PartialMatrix] = islice(_exhaustive_matrices(m, n), count)
     elif mode == "random":

@@ -679,8 +679,11 @@ def opt_exact(
     """Exact maximum size of a solution for A, with a witness.
 
     Starts from a verified linear warm start: the kernel of a min-rank
-    completion, a solution of size lin = 2^(n - min_rank).  When a
-    certified upper bound meets lin, that kernel is returned at once.
+    completion, a solution of size lin = 2^(n - min_rank), as a bitmap
+    doubled over the kernel's basis: one xor_translate per basis vector.
+    When a certified upper bound meets lin, that kernel is returned at
+    once.  On an edgeless A (no fixed ones) that is every vector: min
+    rank and the column floor are both 0, so lin = 2^n closes the root.
     Three certificates are tried in turn: the column bound
     2^(n - col_min_rank), the ratio bound (_ratio_bound), and a coset
     certificate, a subspace U of dimension min_rank whose nonzero members
@@ -735,18 +738,15 @@ def opt_exact(
     """
     if A.n > limit_n:
         raise LimitError(f"exact search over GF(2)^{A.n} exceeds n <= {limit_n}")
-    if not any(A.ones):
-        # edgeless graph: everything is one solution
-        return 1 << A.n, SolutionSet.of(range(1 << A.n), A.n)
     _bitmap_cap(A._record.core.n)
     rec = _completed(A, deadline)
     rows, n, (r, _) = rec.rows, rec.core.n, rec.answer
     K = rec.K
 
     # a verified linear warm start: the kernel of a min-rank completion
-    vbm = 0
-    for v in kernel(GF2Matrix(n, tuple(rec.completed))).vectors():
-        vbm |= 1 << v
+    vbm = 1
+    for b in kernel(GF2Matrix(n, tuple(rec.completed))).basis:
+        vbm |= xor_translate(vbm, b, n)
     if vbm & K:  # pragma: no cover - would contradict the forbidden-set identity
         raise InternalError("kernel of a completion intersects the forbidden set")
 

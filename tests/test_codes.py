@@ -100,11 +100,10 @@ def test_bounds_frozen_values():
     assert hamming_bound(7, 2) == 16
     assert gv_bound(7, 2) == 4
     assert gv_bound(5, 1) == 5
-    with pytest.raises(LimitError):
-        hamming_bound(80, 3)
+    # exact sums of at most r + 1 binomials, at any length
+    assert hamming_bound(80, 3) == (1 << 80) // 81
     assert gv_bound(64, 1) == (1 << 64) // 65
-    with pytest.raises(LimitError, match="n <= 64"):
-        gv_bound(65, 1)
+    assert gv_bound(65, 1) == (1 << 65) // 66
 
 
 def test_bounds_at_distance_one_and_below():

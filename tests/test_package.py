@@ -90,18 +90,26 @@ def test_tool_config_knobs_are_pinned():
         elif isinstance(node, ast.ImportFrom) and node.module is not None:
             imported.add(node.module)
     assert not any(name.split(".")[0] == "concurrent" for name in imported)
-    # library code keeps three caches, all in gf2: _half_masks,
-    # _weight_class_masks and _delsarte_bounds; each matrix keeps its
-    # own completion record
-    caches = [
+    # library code keeps no module-level dict and three caches, all
+    # functools.cache on pure gf2 functions: _delsarte_bound, _half_mask
+    # and _weight_classes; each matrix keeps its own completion record
+    modules = (gf2, partial, solutions)
+    dicts = [
         f"{module.__name__}.{name}"
-        for module in (gf2, partial, solutions)
+        for module in modules
         for name, value in vars(module).items()
         if not name.startswith("__") and isinstance(value, dict)
     ]
+    assert dicts == []
+    caches = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info") and value.__module__ == module.__name__
+    ]
     assert sorted(caches) == [
-        "minrank.gf2._delsarte_bounds", "minrank.gf2._half_masks",
-        "minrank.gf2._weight_class_masks",
+        "minrank.gf2._delsarte_bound", "minrank.gf2._half_mask",
+        "minrank.gf2._weight_classes",
     ]
 
 

@@ -1102,7 +1102,7 @@ def test_min_rank_then_opt_exact_builds_k_and_the_ratio_bound_once(monkeypatch, 
         for r in range(1, n):
             code = code_matrix(CodeMatrixSpec(n, r))
             for A in (fresh(code), shuffled_rows(code, rng)):
-                monkeypatch.setattr(gf2, "_delsarte_bounds", {})
+                gf2._delsarte_bound.cache_clear()
                 builds.update(K=0, ratio=0, lp=0)
                 min_rank(A)
                 raced += builds["K"]

@@ -252,6 +252,14 @@ def test_exhaustive_search_respects_space_limit():
         list(search(2, 8, mode="exhaustive", count=1))
 
 
+def test_exhaustive_search_caps_the_row_multisets():
+    # 3x5 enumerates C(3^5 + 2, 3) = 2,421,090 row multisets, under the
+    # cap, though 3^15 matrices are over it; 8x3 has 18,156,204
+    assert len(list(search(3, 5, "exhaustive", count=2))) == 2
+    with pytest.raises(LimitError, match="18156204 row multisets"):
+        list(search(8, 3, "exhaustive", count=1))
+
+
 def test_random_search_needs_seed_and_count():
     with pytest.raises(ValueError):
         list(search(2, 2, mode="random", count=3))

@@ -292,6 +292,35 @@ def test_opt_checks_the_bitmap_cap_before_it_completes(monkeypatch):
     assert opt_exact(A, limit_n=25)[0] == 1 << 13
 
 
+def test_opt_settles_on_the_column_floor_fallback(built_engines):
+    # 21 distinct columns: col_min_rank refuses, so opt_exact finds the
+    # floor 5 = min rank over the distinct columns itself, and the column
+    # bound closes the root at lin = 2^16 with the kernel warm start
+    A = parse_pmx(
+        "10001101*0**010*1*0**\n0*1010*0**10*00101010\n11*1****000**1*101**0\n"
+        "11011110*1**000001111\n0*01*101***1*0**1*1*1\n0*00*00**0**00*1**00*\n"
+    )
+    assert A._record.column_floor is None
+    value, witness = opt_exact(A, limit_n=25)
+    assert value == 65_536
+    r, completion = min_rank_completion(A)
+    assert r == 5
+    assert witness.members == frozenset(kernel(completion).vectors())
+    assert built_engines == []
+
+
+def test_opt_on_edgeless_matrices_is_every_vector():
+    # no fixed one: min rank 0, and the kernel warm start is all of GF(2)^n
+    for n in range(1, 11):
+        for stars in (0, (1 << n) - 1):
+            value, witness = opt_exact(PartialMatrix(n, (0, 0), (stars, stars)))
+            assert value == 1 << n
+            assert witness == SolutionSet.of(range(1 << n), n)
+    # the edgeless case takes the general path, so the bitmap cap holds
+    with pytest.raises(LimitError, match="bitmap"):
+        opt_exact(PartialMatrix(25, (0,), (0,)), limit_n=25)
+
+
 def test_conjecture_epsilon_refuses_before_min_rank(monkeypatch):
     called = []
     monkeypatch.setattr(solutions, "min_rank", lambda *args: called.append(args))
