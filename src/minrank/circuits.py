@@ -267,15 +267,10 @@ def linearize(F: Depth2Circuit) -> LinearDepth2Circuit:
 
 def _parity_support(table: int, arity: int) -> int | None:
     """The wire subset S with table = parity over S, or None."""
-    if table & 1:
-        return None
     support = 0
     for j in range(arity):
         support |= (table >> (1 << j) & 1) << j
-    for a in range(1 << arity):
-        if (table >> a) & 1 != (a & support).bit_count() & 1:
-            return None
-    return support
+    return support if table == _parity_bitmap(support, arity) else None
 
 
 def linearize_middle(F: Depth2Circuit) -> Depth2Circuit:

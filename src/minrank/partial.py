@@ -304,13 +304,14 @@ class _RankSide(_Decider):
     Both depend only on the stars s and the starred basis vectors, so
     `_stars` keeps them per such pair, the star basis once one is built.
 
-    Each node entered takes a tick.  `failed` holds the nodes proven
-    empty.
+    Each node entered takes a tick.  The search keeps its stack and the
+    `_stars` cache, and nothing per node: a node proven empty is not
+    recorded, as one met again fails again in the same order.
     """
 
     def __init__(self, rows, n: int, target: int, clock: _Deadline):
         self.rows, self.n, self.target, self.clock = rows, n, target, clock
-        self.failed, self._stars = set(), {}
+        self._stars = {}
         # a frame is (idx, basis, branches, k): once the node is entered,
         # branches lists (vector adjoined or None, stars set), k taken
         self._stack = [(0, (), None, 0)]
@@ -329,7 +330,6 @@ class _RankSide(_Decider):
                 clock.check()
                 branches = self._branches(idx, basis)
             if k == len(branches):
-                self.failed.add((idx, basis))
                 stack.pop()
                 continue
             u = branches[k][0]
@@ -338,8 +338,6 @@ class _RankSide(_Decider):
         return True
 
     def _branches(self, idx: int, basis: tuple[int, ...]) -> list:
-        if (idx, basis) in self.failed:
-            return []
         rows, n = self.rows, self.n
         a, s = rows[idx]
         ra, starred = a, []  # a reduced, and the basis vectors with a starred pivot

@@ -783,11 +783,8 @@ def opt_exact(
             raise InternalError("witness fails the solution check")
     if not rec.dropped:
         return best, SolutionSet.of(_bits(mask), n)
-    members = [
-        _spread(w, rec.kept) | _spread(d, rec.dropped)
-        for w in _bits(mask)
-        for d in range(1 << len(rec.dropped))
-    ]
+    dropped = [_spread(d, rec.dropped) for d in range(1 << len(rec.dropped))]
+    members = [x | d for x in (_spread(w, rec.kept) for w in _bits(mask)) for d in dropped]
     return best << len(rec.dropped), SolutionSet.of(members, A.n)
 
 

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -1013,8 +1014,29 @@ def test_the_rank_side_completes_a_21_by_15_at_its_pinned_tick():
     rows, _ = _prepare_rows(core)
     clock = partial._Deadline(None, core.n)
     found = partial._RankSide(rows, core.n, 6, clock).run()
-    assert clock.ticks == 5894
+    assert clock.ticks == 5959
     assert found == [1059, 3168, 1038, 679, 4050, 1272, 593, 219, 2427, 836, 3459, 1705, 650, 1650, 219, 2390, 483, 2464, 1272]
+
+
+def test_the_rank_side_keeps_no_record_per_node():
+    # code (13, 2) at its column floor, 2, where min_rank starts: a long
+    # refutation.  Past its first 20,000 ticks the `_stars` cache is near
+    # its 4,122 entries, so what the search allocates and keeps over the
+    # next 15,000 is the rest of that cache and its stack, about 0.8 MB.
+    # A set of the nodes proven empty kept about 2 MB there.
+    rec = code_matrix(CodeMatrixSpec(13, 2))._record
+    assert rec.column_floor == 2
+    clock = partial._Deadline(None, rec.core.n)
+    side = partial._RankSide(rec.rows, rec.core.n, 2, clock)
+    assert side.resume(20_000) is False
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert side.resume(clock.ticks + 15_000) is False
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held < 1_250_000
 
 
 def test_a_worklist_past_the_recursion_limit(tall_matrix):
