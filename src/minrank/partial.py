@@ -230,35 +230,37 @@ def _forced_independent(rows, start: int, basis: tuple[int, ...], need: int) -> 
     lies in the span of {b & ~o : b in B}.  Each row's ones are reduced
     modulo B once, so a subset sum r is zero on every pivot, and r & ~o
     lies in that span exactly when it lies in the span of the b & ~o
-    whose pivot is in o: r & ~o == 0 when no pivot is starred.  Rows are
-    taken in order, keeping every subset sum of the chosen set as
-    max_independent_rows does.
+    whose pivot is in o, reduced afresh for each sum: r & ~o == 0 when
+    no pivot is starred.  A star-free row met before any starred row is
+    kept is plain rank: kept iff nonzero modulo B, it joins B.  Later
+    rows keep every subset sum of the chosen set, as max_independent_rows
+    does.
     """
     pivots = 0
     for b in basis:
         pivots |= b & -b
     sums = [(0, 0)]
-    projected: dict[int, tuple[int, ...]] = {}
     count = 0
     for a, s in rows[start:]:
         a = reduce_vector(a, basis)
-        fresh = []
-        for x, o in sums:
-            nx, no = x ^ a, o | s
-            r = nx & ~no
-            if r and no & pivots:
-                p = projected.get(no)
-                if p is None:
-                    p = projected[no] = rref(b & ~no for b in basis if b & -b & no)
-                r = reduce_vector(r, p)
-            if r == 0:
-                break
-            fresh.append((nx, no))
-        else:
+        if s or len(sums) > 1:
+            fresh = []
+            for x, o in sums:
+                nx, no = x ^ a, o | s
+                r = nx & ~no
+                if r and no & pivots:
+                    r = reduce_vector(r, rref(b & ~no for b in basis if b & -b & no))
+                if r == 0:
+                    break
+                fresh.append((nx, no))
+            else:
+                sums += fresh
+                count += 1
+        elif a:
+            basis, pivots = _insert(basis, a), pivots | a & -a
             count += 1
-            if count >= need:
-                break
-            sums += fresh
+        if count >= need:
+            break
     return count
 
 

@@ -904,9 +904,9 @@ def brute_force_opt_tiny(A: PartialMatrix) -> int:
     return over_all
 
 
-def lin_exact(A: PartialMatrix, deadline: float | None = None) -> int:
-    """Largest solution that forms a linear subspace: 2^(n - min rank)."""
-    return 1 << (A.n - min_rank(A, deadline))
+def lin_exact(A: PartialMatrix) -> int:
+    """Largest subspace solution, 2^(n - min rank), found with no deadline."""
+    return 1 << (A.n - min_rank(A))
 
 
 # ---------------------------------------------------------------------------
@@ -1046,15 +1046,11 @@ class EpsilonRecord:
         return epsilon_of(self.n, self.opt, self.minrk)
 
 
-def conjecture_epsilon(
-    A: PartialMatrix,
-    limit_n: int = _OPT_N,
-    deadline: float | None = None,
-) -> EpsilonRecord | None:
+def conjecture_epsilon(A: PartialMatrix) -> EpsilonRecord | None:
     """The observed exponent for A, or None when min rank is zero, that
-    is, when no row fixes a one.  opt_exact refuses A.n > limit_n before
-    anything completes A, and its completion gives the min rank."""
+    is, when no row fixes a one.  opt_exact, at its defaults, refuses
+    A.n > 16 before anything completes A; its completion gives min rank."""
     if not any(A.ones):
         return None
-    opt, _ = opt_exact(A, limit_n, deadline)
+    opt, _ = opt_exact(A)
     return EpsilonRecord(A.n, opt, min_rank(A))

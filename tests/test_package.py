@@ -55,10 +55,8 @@ def test_no_routine_takes_a_cap():
         if inspect.isfunction(fn := getattr(minrank, name))
     }
     assert {name: params for name, params in optional.items() if params} == {
-        "conjecture_epsilon": ["limit_n", "deadline"],
         "evaluate_matrix": ["config"],
         "isolation": ["strong"],
-        "lin_exact": ["deadline"],
         "min_rank": ["deadline"],
         "min_rank_completion": ["deadline"],
         "opt_exact": ["limit_n", "deadline"],
@@ -69,7 +67,7 @@ def test_no_routine_takes_a_cap():
 
 def test_tool_config_knobs_are_pinned():
     fields = [f.name for f in dataclasses.fields(minrank.ToolConfig)]
-    assert fields == ["opt_n", "seed", "out", "epsilon_alarm"]
+    assert fields == ["opt_n", "seed", "out"]
     # no dead knob: report, search or the command line reads each one
     # off a config, as cfg.x
     read = set()

@@ -592,6 +592,68 @@ def test_the_pivot_map_keeps_star_bases_and_independence_counts():
     assert starred > 500 and plain > 300
 
 
+def parent_forced_independent(rows, start, basis, need):
+    """_forced_independent before star-free rows joined the basis: every
+    kept row doubles the subset sums, and a per-call dict keeps the
+    projected basis for each union of stars."""
+    pivots = 0
+    for b in basis:
+        pivots |= b & -b
+    sums = [(0, 0)]
+    projected = {}
+    count = 0
+    for a, s in rows[start:]:
+        a = reduce_vector(a, basis)
+        fresh = []
+        for x, o in sums:
+            nx, no = x ^ a, o | s
+            r = nx & ~no
+            if r and no & pivots:
+                p = projected.get(no)
+                if p is None:
+                    p = projected[no] = rref(b & ~no for b in basis if b & -b & no)
+                r = reduce_vector(r, p)
+            if r == 0:
+                break
+            fresh.append((nx, no))
+        else:
+            count += 1
+            if count >= need:
+                break
+            sums += fresh
+    return count
+
+
+def test_star_free_rows_join_the_basis_with_the_same_count():
+    # star-free rows at any position, before and after starred ones, on
+    # seeded random rows and rref bases, at every need
+    rng = random.Random(2043)
+    leading = trailing = 0
+    for _ in range(2000):
+        n = rng.randint(1, 10)
+        rows = []
+        for _ in range(rng.randint(1, 9)):
+            s = rng.getrandbits(n) & rng.getrandbits(n) if rng.random() < 0.5 else 0
+            rows.append((rng.getrandbits(n) & ~s, s))
+        basis = rref(rng.getrandbits(n) for _ in range(rng.randint(0, n)))
+        start = rng.randrange(len(rows))
+        stars = [s for _, s in rows[start:]]
+        leading += stars[0] == 0
+        trailing += any(s == 0 and any(stars[:i]) for i, s in enumerate(stars))
+        for need in range(1, len(rows) - start + 2):
+            assert partial._forced_independent(rows, start, basis, need) == (
+                parent_forced_independent(rows, start, basis, need)
+            )
+    assert leading > 500 and trailing > 500
+
+
+def test_min_rank_of_a_wide_identity_is_plain_rank():
+    # 25 distinct columns leave no column floor, so the rank side refutes
+    # targets 0 to 23, each cut at its root by the star-free count
+    A = PartialMatrix(25, tuple(1 << i for i in range(24)), (0,) * 24)
+    assert min_rank(A, time.monotonic() + 2) == 24
+
+
 def reference_complete_within(rows, target):
     """The depth-first search of _RankSide without the
     forced-independence cut and the cache of reduced unit vectors: the

@@ -129,7 +129,7 @@ def test_search_record_round_trip_and_invariants():
 
 
 # to_json bytes on the cases the committed sweep lines miss: opt past
-# opt_n, min rank 0, and a flagged record
+# opt_n, min rank 0, and a record flagged under an alarm above 1
 RECORD_LINES = [
     (
         A1,
@@ -147,7 +147,7 @@ RECORD_LINES = [
     ),
     (
         A1,
-        ToolConfig(seed=5, epsilon_alarm=1.01),
+        ToolConfig(seed=5),
         '{"matrix": "10*0*1/*111**/0**1**", "n": 6, "m": 3, "stars": 9, "minrk": 2,'
         ' "opt": 16, "lin": 16, "epsilon": 1.0, "epsilon_exact": [6, 16, 2],'
         ' "flag": "COUNTEREXAMPLE-CANDIDATE", "seed": 5, "version": "0.1.0"}',
@@ -155,7 +155,8 @@ RECORD_LINES = [
 ]
 
 
-def test_record_bytes_off_the_sweep_path():
+def test_record_bytes_off_the_sweep_path(monkeypatch):
+    monkeypatch.setattr(ToolConfig, "epsilon_alarm", 1.01)
     for A, cfg, line in RECORD_LINES:
         rec = evaluate_matrix(A, cfg)
         assert rec.to_json() == line
@@ -296,15 +297,19 @@ def test_threads_option_is_gone(capsys):
     capsys.readouterr()
     with pytest.raises(TypeError):
         ToolConfig(seed=3, threads=4)
+    # the alarm is a class constant, not a setting
+    with pytest.raises(TypeError):
+        ToolConfig(epsilon_alarm=1.0)
+    assert ToolConfig().epsilon_alarm == 0.5
 
 
-def test_counterexample_flagging():
+def test_counterexample_flagging(monkeypatch):
+    assert all(r.flag is None for r in search(1, 2, mode="exhaustive"))
     # alarm above 1 flags every matrix with defined epsilon 1.0
-    cfg = ToolConfig(seed=5, epsilon_alarm=1.01)
-    recs = list(search(1, 2, mode="exhaustive", config=cfg))
+    monkeypatch.setattr(ToolConfig, "epsilon_alarm", 1.01)
+    recs = list(search(1, 2, mode="exhaustive", config=ToolConfig(seed=5)))
     flagged = [r for r in recs if r.flag == "COUNTEREXAMPLE-CANDIDATE"]
     assert flagged and all(r.epsilon == 1.0 for r in flagged)
-    assert all(r.flag is None for r in search(1, 2, mode="exhaustive"))
 
 
 def test_best_epsilon():

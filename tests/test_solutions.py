@@ -326,7 +326,7 @@ def test_conjecture_epsilon_refuses_before_min_rank(monkeypatch):
     monkeypatch.setattr(solutions, "min_rank", lambda *args: called.append(args))
     monkeypatch.setattr(partial, "_complete", lambda *args: called.append(args))
     with pytest.raises(LimitError):
-        conjecture_epsilon(PartialMatrix(20, (1,), (0,)), limit_n=16)
+        conjecture_epsilon(PartialMatrix(20, (1,), (0,)))
     # no row fixes a one, so min rank is 0 whatever the width
     assert conjecture_epsilon(PartialMatrix(40, (0, 0), ((1 << 40) - 1, 3))) is None
     assert called == []
