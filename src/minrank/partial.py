@@ -221,46 +221,49 @@ class _Deadline:
             raise LimitError("deadline exceeded")
 
 
+def _join(basis: tuple[int, ...], pivots: int, sums: list, a: int, s: int):
+    """The state (basis, pivots, sums) with (a, s) joined, or None when
+    some completion makes (a, s) dependent on it: an rref basis of the
+    star-free vectors (and of any span taken modulo), its pivot mask, and
+    the subset sums (x, o) of the starred ones, x reduced modulo it, so
+    x ^ a lies in the span plus the stars o | s iff its part off o | s
+    lies in the span of the b & ~(o | s) whose pivot o | s stars.  Only a
+    starred vector doubles the sums; a star-free one joins the basis."""
+    a = reduce_vector(a, basis)
+    fresh = []
+    for x, o in sums:
+        nx, no = x ^ a, o | s
+        r = nx & ~no
+        if r and no & pivots:  # r modulo the b & ~no whose pivot no stars
+            ech = []
+            for b in basis:
+                if b & -b & no and (v := reduce_vector(b & ~no, ech)):
+                    ech.append(v)
+                    if r & v & -v:
+                        r ^= v
+        if r == 0:
+            return None
+        fresh.append((nx, no))
+    if s:
+        return basis, pivots, sums + fresh
+    p = a & -a
+    return _insert(basis, a), pivots | p, [(x ^ a, o) if x & p else (x, o) for x, o in sums]
+
+
 def _forced_independent(rows, start: int, basis: tuple[int, ...], need: int) -> int:
     """Greedy count, capped at `need`, of rows[start:] that stay
-    independent modulo span(basis) in every completion.
-
-    A subset U is dependent modulo B iff xor(a_U) lies in
-    B + span{e_j : j in the union o of U's stars}, i.e. iff xor(a_U) & ~o
-    lies in the span of {b & ~o : b in B}.  Each row's ones are reduced
-    modulo B once, so a subset sum r is zero on every pivot, and r & ~o
-    lies in that span exactly when it lies in the span of the b & ~o
-    whose pivot is in o, reduced afresh for each sum: r & ~o == 0 when
-    no pivot is starred.  A star-free row met before any starred row is
-    kept is plain rank: kept iff nonzero modulo B, it joins B.  Later
-    rows keep every subset sum of the chosen set, as max_independent_rows
-    does.
-    """
+    independent modulo span(basis) in every completion (_join)."""
     pivots = 0
     for b in basis:
         pivots |= b & -b
     sums = [(0, 0)]
     count = 0
     for a, s in rows[start:]:
-        a = reduce_vector(a, basis)
-        if s or len(sums) > 1:
-            fresh = []
-            for x, o in sums:
-                nx, no = x ^ a, o | s
-                r = nx & ~no
-                if r and no & pivots:
-                    r = reduce_vector(r, rref(b & ~no for b in basis if b & -b & no))
-                if r == 0:
-                    break
-                fresh.append((nx, no))
-            else:
-                sums += fresh
-                count += 1
-        elif a:
-            basis, pivots = _insert(basis, a), pivots | a & -a
+        if joined := _join(basis, pivots, sums, a, s):
+            basis, pivots, sums = joined
             count += 1
-        if count >= need:
-            break
+            if count >= need:
+                break
     return count
 
 
@@ -289,12 +292,12 @@ class _RankSide(_Decider):
 
     Before a node branches it is cut when more than room = target -
     dim(span) of the rows still to place are independent modulo the span
-    in every completion (_forced_independent): every completion below it
-    outgrows the target.  Such a node holds no completion, so the cut
-    leaves the search order and the result unchanged.  The test runs
-    only at nodes with at most n rows still to place, so its cost per
-    node does not grow with m on tall matrices, where it seldom cuts,
-    and more than room of them, as fewer cannot outgrow it.
+    in every completion (_forced_independent, by _join): every completion
+    below it outgrows the target.  Such a node holds no completion, so
+    the cut leaves the search order and the result unchanged.  The test
+    runs only at nodes with at most n rows still to place, so its cost
+    per node does not grow with m on tall matrices, where it seldom
+    cuts, and more than room of them, as fewer cannot outgrow it.
 
     A node reads the basis once, for its row's ones reduced (ra) and
     the basis vectors whose pivot the row stars.  As ra is zero on every
@@ -546,27 +549,26 @@ def _drop_unused_columns(A: PartialMatrix) -> tuple[PartialMatrix, list[int], li
 class _Completed:
     """min_rank_completion's record of one matrix A, built on its core:
     A without its unused columns, dropped once (_drop_unused_columns).
-    It holds the core, its worklist and remap (_prepare_rows), A's
-    column floor (None when col_min_rank refused past its cap),
-    A's answer (min rank, completion) and the worklist as completed.
+    It holds the core, its worklist and remap (_prepare_rows), and,
+    once _complete has searched to the end, A's column floor
+    (col_min_rank(A), None past its cap), A's answer (min rank,
+    completion) and the worklist as completed.
     The core's forbidden set K and ratio bound (Delsarte's and
     Plotkin's bounds on the weight classes K holds whole,
     gf2._ratio_bound) are built the first time the race or opt_exact
     reads them, so min_rank followed by opt_exact or report builds each
     once per matrix.  A keeps its record (A._record) while it lives; an
     equal but distinct matrix completes on its own.  The answer does not
-    depend on the deadline, so the record is exact.
+    depend on the deadline, so the record is exact, and a call refused
+    by its deadline stores neither the floor nor the answer.
     """
 
     def __init__(self, A: PartialMatrix):
         self.A = A
         self.core, self.kept, self.dropped = _drop_unused_columns(A)
         self.rows, self.remap = _prepare_rows(self.core)
-        try:
-            self.column_floor = col_min_rank(A)
-        except LimitError:
-            self.column_floor = None
-        self.answer, self.completed = None, []  # set when the race ends
+        # set when the race ends
+        self.column_floor, self.answer, self.completed = None, None, []
 
     @cached_property
     def K(self) -> int:
@@ -594,7 +596,8 @@ def min_rank_completion(
 
     Exact: iterative deepening on the target rank, so the first target
     that admits a completion is the minimum.  Deepening starts at
-    col_min_rank(A), a proven lower bound.  Two exact deciders race on
+    col_min_rank(A), a proven lower bound, searched for under the same
+    deadline (0 past its cap).  Two exact deciders race on
     each target t:
 
     * the rank side, _RankSide, a depth-first search for the
@@ -644,10 +647,13 @@ def min_rank_completion(
 
 
 def _complete(rec: _Completed, deadline: float | None):
-    """min_rank_completion's search: stores the answer in rec."""
+    """min_rank_completion's search: stores the column floor and the
+    answer in rec.  The floor search (_column_floor) reads the race's
+    clock for its deadline but takes no tick, so no tick depends on it."""
     rows, n = rec.rows, rec.core.n
-    floor = rec.column_floor or 0
     clock = _Deadline(deadline, n)
+    column_floor = _column_floor(rec.A, clock)
+    floor = column_floor or 0
 
     def decide(target: int):
         nonlocal floor
@@ -674,7 +680,7 @@ def _complete(rec: _Completed, deadline: float | None):
     target = floor
     while (found := decide(target)) is None:
         target = max(target + 1, floor)
-    rec.completed = found
+    rec.column_floor, rec.completed = column_floor, found
     if rec.dropped:
         found = [_spread(w, rec.kept) for w in found]
     full = [0 if t is None else found[t] for t in rec.remap]
@@ -787,8 +793,8 @@ def stars_independent(rows: Sequence[tuple[int, int]]) -> bool:
     A set is dependent iff some nonempty subset can be completed to sum
     to zero, i.e. the xor of its fixed parts vanishes outside the union
     of its star masks.  The set is independent iff the greedy count of
-    _forced_independent, over no basis, keeps every vector: each vector
-    is checked against the subset sums of those before it.
+    _forced_independent, over no basis, keeps every vector; only the
+    starred ones double its subset sums (_join), in whatever order.
     """
     k = len(rows)
     if k > _STARS:
@@ -799,14 +805,20 @@ def stars_independent(rows: Sequence[tuple[int, int]]) -> bool:
 def max_independent_rows(rows: Sequence[tuple[int, int]]) -> int:
     """Size of the largest independent subset of (0,1,*) vectors.
 
-    Depth-first over the rows in order, keeping every subset sum of the
-    chosen set so each candidate extension is checked incrementally.
-    The rows of an independent set are pairwise independent, so a node
-    keeps as candidates only the later rows that pair with every chosen
-    one, and is cut when even all of them would not beat the best.  No
-    completion spans more dimensions than the coordinates that some row
-    fixes or stars, so the search stops once it holds that many.
+    Depth-first over the rows in order, joining each candidate to the
+    chosen set (_join), so only chosen starred rows double the subset
+    sums.  The rows of an independent set are pairwise independent, so a
+    node keeps as candidates only the later rows that pair with every
+    chosen one, and is cut when even all of them would not beat the best.
+    No completion spans more dimensions than the coordinates that some
+    row fixes or stars, so the search stops once it holds that many.
     """
+    return _max_independent_rows(rows, _Deadline(None, 0))
+
+
+def _max_independent_rows(rows: Sequence[tuple[int, int]], clock: _Deadline) -> int:
+    """max_independent_rows under the deadline of a search clock, read
+    at each node; it takes none of the clock's ticks."""
     k = len(rows)
     used = 0
     for a, s in rows:
@@ -824,32 +836,32 @@ def max_independent_rows(rows: Sequence[tuple[int, int]]) -> int:
                     pairs[i] |= 1 << j
     best = 0
 
-    def extend(cand: int, sums: list[tuple[int, int]], size: int):
+    def extend(cand: int, state: tuple, size: int):
         nonlocal best
         if size > best:
             best = size
+        clock.check_time()
+        basis, pivots, sums = state
         while cand and best < cap and size + cand.bit_count() > best:
             low = cand & -cand
             cand ^= low
             i = low.bit_length() - 1
             a, s = rows[i]
-            fresh = []
-            for x, o in sums:
-                nx, no = x ^ a, o | s
-                if nx & ~no == 0:
-                    break
-                fresh.append((nx, no))
-            else:
-                extend(cand & pairs[i], sums + fresh, size + 1)
+            if joined := _join(basis, pivots, sums, a, s):
+                extend(cand & pairs[i], joined, size + 1)
 
-    extend(alone, [(0, 0)], 0)
+    extend(alone, ((), 0, [(0, 0)]), 0)
     return best
+
+
+def _distinct_rows(A: PartialMatrix) -> list[tuple[int, int]]:
+    # duplicate (0,1,*) vectors can never both sit in an independent set
+    return list(dict.fromkeys(zip(A.ones, A.stars)))
 
 
 def row_min_rank(A: PartialMatrix) -> int:
     """Largest number of independent rows; a lower bound for min_rank."""
-    # duplicate (0,1,*) vectors can never both sit in an independent set
-    rows = list(dict.fromkeys(zip(A.ones, A.stars)))
+    rows = _distinct_rows(A)
     if len(rows) > _SUBSET_ROWS:
         raise LimitError(f"row search over {len(rows)} distinct rows exceeds {_SUBSET_ROWS}")
     return max_independent_rows(rows)
@@ -858,6 +870,12 @@ def row_min_rank(A: PartialMatrix) -> int:
 def col_min_rank(A: PartialMatrix) -> int:
     """Largest number of independent columns; a lower bound for min_rank."""
     return row_min_rank(A.transpose())
+
+
+def _column_floor(A: PartialMatrix, clock: _Deadline) -> int | None:
+    """col_min_rank(A) under the clock's deadline, or None past its cap."""
+    cols = _distinct_rows(A.transpose())
+    return None if len(cols) > _SUBSET_ROWS else _max_independent_rows(cols, clock)
 
 
 # ---------------------------------------------------------------------------

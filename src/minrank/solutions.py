@@ -44,10 +44,11 @@ from .partial import (
     _KernelSide,
     _RankSide,
     _completed,
+    _distinct_rows,
     _forbidden_bitmap,
+    _max_independent_rows,
     canonical_completion,
     enumerate_completions,
-    max_independent_rows,
     min_rank,
 )
 
@@ -757,8 +758,8 @@ def opt_exact(
     lin = 1 << (n - r)
     floor = rec.column_floor
     if floor is None:  # past col_min_rank's cap: search A's distinct columns
-        T = A.transpose()
-        floor = max_independent_rows(list(dict.fromkeys(zip(T.ones, T.stars))))
+        # under the deadline; only their starred columns double the sums
+        floor = _max_independent_rows(_distinct_rows(A.transpose()), _Deadline(deadline, n))
     ceiling = 1 << (n - floor)
     if ceiling > lin:
         ceiling = min(ceiling, rec.ratio)

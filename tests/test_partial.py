@@ -379,6 +379,49 @@ def test_max_independent_rows_matches_subset_scan():
         assert max_independent_rows(rows) == best
 
 
+def traced_peak(f):
+    """f()'s result and the peak of the memory that tracemalloc traces
+    while it runs, in bytes."""
+    tracemalloc.start()
+    try:
+        return f(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_star_free_vectors_keep_no_subset_sums():
+    # star-free vectors join a basis, so the subset sums double only on
+    # starred ones: whichever order they come in, one starred row and 18
+    # unit rows keep 2 sums, and 22 unit rows keep 1; doubling on every
+    # row would keep 2^19 sums (80 MB) and 2^22 (500 MB)
+    starred = [(1 << 19, 1 << 18)]
+    units = [(1 << i, 0) for i in range(22)]
+    for rows in (starred + units[:18], units[:18] + starred):
+        independent, peak = traced_peak(lambda: stars_independent(rows))
+        assert independent and peak < 8 << 20
+    size, peak = traced_peak(lambda: max_independent_rows(units))
+    assert size == 22 and peak < 8 << 20
+    assert max_independent_rows(starred + units[:18]) == 19
+
+
+def test_the_column_floor_stops_at_the_deadline():
+    # 20 distinct columns: col_min_rank searches them all, before the race
+    M = (
+        "1110*1101110011101*0\n11100*0110*01101*010\n01*01101010001000*11\n"
+        "00010110011001111010\n11100100000001011101\n10000101110011110011\n"
+        "0101111110*00111100*\n101*1101000101011110\n0000010011110000011*\n"
+        "10111010100*010*1000\n11111011110*00110010\n00111100111100011111\n"
+        "00101*11*1100*111100\n"
+    )
+    A = parse_pmx(M)
+    deadline = time.monotonic() + 0.5
+    with pytest.raises(LimitError, match="deadline"):
+        min_rank(A, deadline)
+    assert time.monotonic() < deadline + 1
+    # a refused call stores neither the floor nor the answer
+    assert A._record.column_floor is None and A._record.answer is None
+
+
 def test_row_and_col_min_rank_never_exceed_min_rank():
     rng = random.Random(29)
     for _ in range(120):
@@ -644,6 +687,9 @@ def test_star_free_rows_join_the_basis_with_the_same_count():
             assert partial._forced_independent(rows, start, basis, need) == (
                 parent_forced_independent(rows, start, basis, need)
             )
+        assert max_independent_rows(rows) == reference_max_independent_rows(rows)
+        independent = parent_forced_independent(rows, 0, (), len(rows)) == len(rows)
+        assert stars_independent(rows) == stars_independent(rows[::-1]) == independent
     assert leading > 500 and trailing > 500
 
 
@@ -1087,7 +1133,7 @@ def test_the_rank_side_keeps_no_record_per_node():
     # next 15,000 is the rest of that cache and its stack, about 0.8 MB.
     # A set of the nodes proven empty kept about 2 MB there.
     rec = code_matrix(CodeMatrixSpec(13, 2))._record
-    assert rec.column_floor == 2
+    assert col_min_rank(rec.A) == 2
     clock = partial._Deadline(None, rec.core.n)
     side = partial._RankSide(rec.rows, rec.core.n, 2, clock)
     assert side.resume(20_000) is False
@@ -1485,13 +1531,13 @@ def test_unused_columns_complete_as_the_core(monkeypatch, fresh):
 
 def test_min_rank_then_opt_exact_finds_the_column_floor_once(monkeypatch, fresh):
     calls = []
-    real = partial.col_min_rank
+    real = partial._column_floor
 
     def counted(*args):
         calls.append(args[0])
         return real(*args)
 
-    monkeypatch.setattr(partial, "col_min_rank", counted)
+    monkeypatch.setattr(partial, "_column_floor", counted)
     rng = random.Random(59)
     cases = [A1, A2, PartialMatrix(8, A1.ones, A1.stars)]  # two unused columns
     cases += [random_matrix(rng, rng.randint(2, 5), rng.randint(4, 9)) for _ in range(40)]

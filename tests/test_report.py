@@ -11,7 +11,7 @@ from minrank.cli import main
 from minrank.codes import CodeMatrixSpec, code_matrix
 from minrank.config import ToolConfig
 from minrank.errors import LimitError
-from minrank.partial import PartialMatrix
+from minrank.partial import PartialMatrix, col_min_rank
 from minrank.pmx import emit_pmx, parse_pmx
 from minrank.report import (
     SearchRecord,
@@ -76,13 +76,13 @@ def test_report_skips_max_rank_past_the_star_cap():
 
 def test_report_reads_col_min_rank_from_the_completion(monkeypatch, fresh):
     calls = []
-    real = partial.col_min_rank
+    real = partial._column_floor
 
-    def counted(A):
+    def counted(A, clock):
         calls.append(A.n)
-        return real(A)
+        return real(A, clock)
 
-    monkeypatch.setattr(partial, "col_min_rank", counted)
+    monkeypatch.setattr(partial, "_column_floor", counted)
     # 3 x 22, column j reading j in base 3 (0, 1, *): 22 distinct
     # columns, so the cap of 20 refuses col_min_rank, and 22
     # distinct rows refuse row_min_rank on its transpose
@@ -95,14 +95,14 @@ def test_report_reads_col_min_rank_from_the_completion(monkeypatch, fresh):
     code = code_matrix(CodeMatrixSpec(5, 2))
     # the completion record finds the floor once, on A itself, and
     # report reads it from there
-    for A, want in [(code, real(code)), (A1, 2), (wide, "skipped: limit")]:
+    for A, want in [(code, col_min_rank(code)), (A1, 2), (wide, "skipped: limit")]:
         calls.clear()
         rep = report(fresh(A))
         assert rep["col_min_rank"] == want
         assert calls == [A.n]
     rep = report(wide.transpose())
     assert rep["row_min_rank"] == "skipped: limit"
-    assert rep["col_min_rank"] == real(wide.transpose()) == 3
+    assert rep["col_min_rank"] == col_min_rank(wide.transpose()) == 3
 
 
 def test_format_report_stable_order():

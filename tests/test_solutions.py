@@ -3,6 +3,7 @@
 import random
 import sys
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -300,13 +301,49 @@ def test_opt_settles_on_the_column_floor_fallback(built_engines):
         "10001101*0**010*1*0**\n0*1010*0**10*00101010\n11*1****000**1*101**0\n"
         "11011110*1**000001111\n0*01*101***1*0**1*1*1\n0*00*00**0**00*1**00*\n"
     )
-    assert A._record.column_floor is None
     value, witness = opt_exact(A, limit_n=25)
+    assert A._record.column_floor is None
     assert value == 65_536
     r, completion = min_rank_completion(A)
     assert r == 5
     assert witness.members == frozenset(kernel(completion).vectors())
     assert built_engines == []
+
+
+def test_the_column_floor_fallback_keeps_no_sums_for_star_free_columns(built_engines):
+    # the 24 unit rows in 25 columns: 25 distinct columns are past
+    # col_min_rank's cap, and the fallback finds 24 independent ones.
+    # Star-free columns join a basis, so the peak is the forbidden-set
+    # bitmap over 2^24 points while it is built, about 10 MB; doubling
+    # the subset sums on every column would take about 2 GB
+    A = PartialMatrix(25, tuple(1 << i for i in range(24)), (0,) * 24)
+    tracemalloc.start()
+    try:
+        value, witness = opt_exact(A, limit_n=25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 2 and witness == SolutionSet.of([0, 1 << 24], 25)
+    assert peak < 16 << 20
+    assert built_engines == []
+
+
+def test_the_column_floor_fallback_stops_at_the_deadline():
+    # 24 distinct columns, past col_min_rank's cap: min rank 11 settles
+    # at once, and the fallback's search over the columns runs to the
+    # deadline (unbounded, it answers 8192 after about 7 s on a 2-core
+    # x86 box)
+    A = parse_pmx(
+        "10111011110101101*01*111\n010111110100011110110101\n10*100111110100100100010\n"
+        "100110001*011*0110*11111\n10010011*001101110010001\n10111000111001011110*010\n"
+        "000010001110111010011110\n101100011100001001010*01\n011000001010110111000111\n"
+        "*110011*1001000110*10001\n101001001010111101100100\n0001111101*1111001**10*1\n"
+    )
+    assert min_rank(A) == 11
+    deadline = time.monotonic() + 0.5
+    with pytest.raises(LimitError, match="deadline"):
+        opt_exact(A, limit_n=24, deadline=deadline)
+    assert time.monotonic() < deadline + 1
 
 
 def test_opt_on_edgeless_matrices_is_every_vector():
