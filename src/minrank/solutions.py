@@ -758,8 +758,9 @@ def opt_exact(
     lin = 1 << (n - r)
     floor = rec.column_floor
     if floor is None:  # past col_min_rank's cap: search A's distinct columns
-        # under the deadline; only their starred columns double the sums
-        floor = _max_independent_rows(_distinct_rows(A.transpose()), _Deadline(deadline, n))
+        # under the deadline, up to r, as no more of them stay independent
+        # in every completion; only their starred columns double the sums
+        floor = _max_independent_rows(_distinct_rows(A.transpose()), _Deadline(deadline, n), r)
     ceiling = 1 << (n - floor)
     if ceiling > lin:
         ceiling = min(ceiling, rec.ratio)

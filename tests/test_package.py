@@ -88,9 +88,10 @@ def test_tool_config_knobs_are_pinned():
         elif isinstance(node, ast.ImportFrom) and node.module is not None:
             imported.add(node.module)
     assert not any(name.split(".")[0] == "concurrent" for name in imported)
-    # library code keeps no module-level dict and three caches, all
-    # functools.cache on pure gf2 functions: _delsarte_bound, _half_mask
-    # and _weight_classes; each matrix keeps its own completion record
+    # library code keeps no module-level dict and five caches, all
+    # functools caches on pure functions: gf2's _delsarte_bound,
+    # _half_mask and _weight_classes, and partial's _cleared_basis and
+    # _star_basis, bounded; each matrix keeps its own completion record
     modules = (gf2, partial, solutions)
     dicts = [
         f"{module.__name__}.{name}"
@@ -107,7 +108,8 @@ def test_tool_config_knobs_are_pinned():
     ]
     assert sorted(caches) == [
         "minrank.gf2._delsarte_bound", "minrank.gf2._half_mask",
-        "minrank.gf2._weight_classes",
+        "minrank.gf2._weight_classes", "minrank.partial._cleared_basis",
+        "minrank.partial._star_basis",
     ]
 
 

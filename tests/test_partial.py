@@ -622,7 +622,7 @@ def test_the_pivot_map_keeps_star_bases_and_independence_counts():
         s = rows[start][1]
         want = sorted(reference_star_basis(s, basis))
         assert sorted(partial._star_basis(s, basis)) == want
-        assert sorted(partial._star_basis(s, [b for b in basis if b & -b & s])) == want
+        assert sorted(partial._star_basis(s, tuple(b for b in basis if b & -b & s))) == want
         if any(b & -b & s for b in basis):
             starred += 1
         else:
@@ -1128,10 +1128,11 @@ def test_the_rank_side_completes_a_21_by_15_at_its_pinned_tick():
 
 def test_the_rank_side_keeps_no_record_per_node():
     # code (13, 2) at its column floor, 2, where min_rank starts: a long
-    # refutation.  Past its first 20,000 ticks the `_stars` cache is near
-    # its 4,122 entries, so what the search allocates and keeps over the
-    # next 15,000 is the rest of that cache and its stack, about 0.8 MB.
-    # A set of the nodes proven empty kept about 2 MB there.
+    # refutation.  Past its first 20,000 ticks the two star caches
+    # (partial._cleared_basis and _star_basis) are near their bound of
+    # 4,096 entries each, so what the search allocates and keeps over the
+    # next 15,000 is what they add and its stack, about 0.9 MB.  A set
+    # of the nodes proven empty kept about 2 MB there.
     rec = code_matrix(CodeMatrixSpec(13, 2))._record
     assert col_min_rank(rec.A) == 2
     clock = partial._Deadline(None, rec.core.n)
@@ -1145,6 +1146,23 @@ def test_the_rank_side_keeps_no_record_per_node():
     finally:
         tracemalloc.stop()
     assert held < 1_250_000
+
+
+def test_the_rank_side_memos_stay_bounded():
+    # code (13, 2) at target 3 from the root meets about 11,000 distinct
+    # (stars, starred basis vectors) keys in its first 30,000 ticks, and a
+    # memo kept per search grew with them to about 10 MB; the two bounded
+    # star caches, empty or full of other keys, peak at about 6.5 MB
+    rec = code_matrix(CodeMatrixSpec(13, 2))._record
+    side = partial._RankSide(rec.rows, rec.core.n, 3, partial._Deadline(None, rec.core.n))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert side.resume(30_000) is False
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_a_worklist_past_the_recursion_limit(tall_matrix):

@@ -328,18 +328,39 @@ def test_the_column_floor_fallback_keeps_no_sums_for_star_free_columns(built_eng
     assert built_engines == []
 
 
-def test_the_column_floor_fallback_stops_at_the_deadline():
+def test_the_column_floor_fallback_stops_at_the_min_rank():
     # 24 distinct columns, past col_min_rank's cap: min rank 11 settles
-    # at once, and the fallback's search over the columns runs to the
-    # deadline (unbounded, it answers 8192 after about 7 s on a 2-core
-    # x86 box)
+    # at once, and no more than 11 columns stay independent in every
+    # completion, so the fallback's search over the columns stops once it
+    # holds 11 and the column bound closes the root at lin = 2^13 (run to
+    # its end, that search took about 7 s on a 2-core x86 box)
     A = parse_pmx(
         "10111011110101101*01*111\n010111110100011110110101\n10*100111110100100100010\n"
         "100110001*011*0110*11111\n10010011*001101110010001\n10111000111001011110*010\n"
         "000010001110111010011110\n101100011100001001010*01\n011000001010110111000111\n"
         "*110011*1001000110*10001\n101001001010111101100100\n0001111101*1111001**10*1\n"
     )
-    assert min_rank(A) == 11
+    r, completion = min_rank_completion(A)
+    assert r == 11
+    value, witness = opt_exact(A, limit_n=24, deadline=time.monotonic() + 3)
+    assert value == 8192
+    assert witness.members == frozenset(kernel(completion).vectors())
+
+
+def test_the_column_floor_fallback_stops_at_the_deadline():
+    # 24 distinct columns, past col_min_rank's cap: min rank 12 settles
+    # at once, and the fallback's search over the columns runs to the
+    # deadline, as only 11 of them stay independent in every completion
+    # and it never holds 12 (unbounded, it takes about 10 s on a 2-core
+    # x86 box to prove 11)
+    A = parse_pmx(
+        "0111**10011*111010101010\n000110*01100100100*01*11\n010011110110101001010110\n"
+        "001110110110111011110011\n10*111101*00001110*10000\n11010011*111*00*0*110000\n"
+        "0111011100110*1000**0*1*\n110010111001100001010111\n1*00101100010101111000*1\n"
+        "0001111110*0010001010001\n01000**00000010100000*00\n1101011111100010101111*1\n"
+        "*1100*0**0*111100*100110\n"
+    )
+    assert min_rank(A) == 12
     deadline = time.monotonic() + 0.5
     with pytest.raises(LimitError, match="deadline"):
         opt_exact(A, limit_n=24, deadline=deadline)
