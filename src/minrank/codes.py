@@ -24,7 +24,7 @@ from math import comb
 
 from .errors import LimitError
 from .gf2 import _weight_classes
-from .partial import PartialMatrix, max_independent_rows
+from .partial import PartialMatrix, _Deadline, _max_independent_rows
 from .solutions import _BITMAP_N, SolutionSet, _required_bitmap
 
 @dataclass(frozen=True)
@@ -143,6 +143,9 @@ def code_row_min_rank(spec: CodeMatrixSpec) -> int:
     matrix is too tall, so _SAMPLE_BLOCKS blocks drawn at seed 0 are
     searched instead; any independent subset of a sample stays
     independent in the full matrix, making the result a lower bound.
+    The search stops at n - 1 rows: the repetition code {0, 1...1} has
+    distance n > r, so min rank is at most n - 1, and no more rows stay
+    independent in every completion.
     """
     A = code_matrix(spec)
     rows = list(zip(A.ones, A.stars))
@@ -151,4 +154,4 @@ def code_row_min_rank(spec: CodeMatrixSpec) -> int:
         width = spec.r + 1
         picked = sorted(random.Random(0).sample(blocks, _SAMPLE_BLOCKS))
         rows = [rows[b * width + i] for b in picked for i in range(width)]
-    return max_independent_rows(list(dict.fromkeys(rows)))
+    return _max_independent_rows(list(dict.fromkeys(rows)), _Deadline(None, 0), spec.n - 1)

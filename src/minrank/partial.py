@@ -205,10 +205,10 @@ class _Deadline:
     The deadline is read every 2^(10 - n) ticks, and every tick from
     n = 10 on, so a search over GF(2)^n ends within a millisecond or two
     of its deadline.  On the opt engines of the seed-0 sweep items,
-    99% of ticks cost at most about 0.13 ms at n = 8 and 0.17 ms at
+    99% of ticks cost at most about 0.10 ms at n = 8 and 0.07 ms at
     n = 12.  The costliest are the parity engine's two-row bounds, where
-    a tick covers the count of the finish's cells with their class sums
-    and flow network, or one phase of its roof-bound flow.  A tick of
+    a tick covers the bit-sliced count of the finish's cells with its
+    relaxations and flow network, or one phase of its roof-bound flow.  A tick of
     min_rank_completion's rank side costs about 4 us at n = 8 and 6 to
     7 us at n = 12 to 14 on seeded star-heavy matrices.  A check that
     reads the clock costs about 0.3 us (2-core x86 box, Python 3.11).
@@ -517,9 +517,9 @@ _KERNEL_SIDE_N = 12
 # doubles every round, and the relaxed parity engine's turn before each
 # slice is twice as long.  opt_exact's row-subset check also gives each
 # row this many ticks, and min_rank_completion's race caps its first
-# slice at it.  A first slice of 256 parity-engine ticks takes 3 to 42
-# ms on the parity-ready 4x8, 5x10 and 6x12 items of `minrank search
-# --seed 0` that reach it (2-core x86 box, Python 3.11).
+# slice at it.  A first slice of 256 parity-engine ticks takes 1 to 10
+# ms on the parity-ready 4x8, 5x10 and 6x12 items of the seed-0 sweep
+# that reach it (2-core x86 box, Python 3.11).
 _FIRST_SLICE = 256
 
 
@@ -817,7 +817,9 @@ def max_independent_rows(rows: Sequence[tuple[int, int]]) -> int:
 
 def _max_independent_rows(rows: Sequence[tuple[int, int]], clock: _Deadline, stop: int) -> int:
     """max_independent_rows under the deadline of a search clock, read at
-    each node but taking no tick, stopping once it holds `stop` rows."""
+    each node but taking no tick, stopping once it holds `stop` rows.
+    The best starts at the rank of the star-free rows, which stay
+    independent in every completion."""
     k = len(rows)
     used = 0
     for a, s in rows:
@@ -833,7 +835,7 @@ def _max_independent_rows(rows: Sequence[tuple[int, int]], clock: _Deadline, sto
                 b, t = rows[j]
                 if (a ^ b) & ~(s | t) and b & ~t:
                     pairs[i] |= 1 << j
-    best = 0
+    best = min(cap, len(rref(a for a, s in rows if not s)))
 
     def extend(cand: int, state: tuple, size: int):
         nonlocal best

@@ -16,6 +16,7 @@ permutation of bitmap blocks, and neighbourhood queries are single ANDs.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable
@@ -24,13 +25,14 @@ from .errors import InternalError, LimitError, OperatorConflict
 from .gf2 import (
     GF2Matrix,
     Subspace,
-    _BYTE_BITS,
     _SUBSPACE_N,
     _bits,
+    _half_mask,
     _pack,
     _parity_bitmap,
     _spread,
     _star_classes,
+    _vanishes_bitmap,
     dot,
     kernel,
     min_weight_nonzero,
@@ -296,60 +298,86 @@ class _OptSearch(_Engine):
         return True
 
 
-def _pair_cell_pass(
-    cells: list[tuple[int, int, list[list[int]]]], size: tuple[int, int]
-) -> tuple[list[list[list[int]]], int, list[tuple[int, int, int]]]:
-    """One pass over a two-row finish's cells for both of _pair_closed's
-    bounds.
+def _max_halves(planes: list[int], mask: int, shift: int) -> list[int]:
+    """Lane-wise max of a bit-sliced counter's lanes under `mask` and the
+    lanes `shift` bits above them, on the lanes under `mask`."""
+    if len(planes) == 1:
+        p = planes[0]
+        return [(p | p >> shift) & mask]
+    low, high = [], []
+    more, tie = 0, -1
+    for p in reversed(planes):
+        x = p & mask
+        y = p >> shift & mask
+        low.append(x)
+        high.append(y)
+        more |= tie & x & ~y
+        tie &= ~(x ^ y)
+    return [y ^ ((x ^ y) & more) for x, y in zip(reversed(low), reversed(high))]
 
-    Returns the relaxations' sums, s[side][i][v]: the count that class
-    i of that side keeps on side v when every cell takes the better side
-    of the other row; then the roof network's posiform for _roof_bound:
-    `top`, minus its constant, and its terms.
-    """
-    na = size[0]
-    s = [[[0, 0] for _ in range(k)] for k in size]
-    alpha = [0] * (na + size[1])
-    top = 0
-    terms = []
-    for ia, ib, ((c00, c01), (c10, c11)) in cells:
-        sums = s[0][ia]
-        sums[0] += c00 if c00 > c01 else c01
-        sums[1] += c10 if c10 > c11 else c11
-        sums = s[1][ib]
-        sums[0] += c00 if c00 > c10 else c10
-        sums[1] += c01 if c01 > c11 else c11
-        top += c00
-        jb = na + ib
-        alpha[ia] += c10 - c00
-        alpha[jb] += c01 - c00
-        q = c00 + c11 - c01 - c10
-        if q < 0:
-            terms.append((2 + 2 * ia, 2 + 2 * jb, -q))
-        elif q > 0:
-            # in the negation, -q x y = -q x + q x (not y)
-            alpha[ia] += q
-            terms.append((2 + 2 * ia, 3 + 2 * jb, q))
-    for v, a in enumerate(alpha):
-        if a > 0:
-            top += a
-            terms.append((3 + 2 * v, 0, a))
-        elif a < 0:
-            terms.append((2 + 2 * v, 0, -a))
-    return s, top, terms
+
+def _fold(planes: list[int], folds) -> list[int]:
+    """Add each lane of a bit-sliced counter to its partner across each
+    coordinate of `folds`, (shift, mask of the lanes where that
+    coordinate is 0) pairs: the sums land on the lanes where every
+    folded coordinate is 0."""
+    for s, zero in folds:
+        out = []
+        carry = 0
+        for p in planes:
+            x = p & zero
+            y = p >> s & zero
+            t = x ^ y
+            out.append(t ^ carry)
+            carry = (x & y) | (t & carry)
+        if carry:
+            out.append(carry)
+        planes = out
+    return planes
+
+
+def _total(planes: list[int], mask: int = -1) -> int:
+    """The sum of the lanes under `mask` of a bit-sliced counter."""
+    total = 0
+    for k, p in enumerate(planes):
+        total += (p & mask).bit_count() << k
+    return total
+
+
+def _lane(planes: list[int], at: int) -> int:
+    """The count of the lane at bit `at` of a bit-sliced counter."""
+    count = 0
+    for k, p in enumerate(planes):
+        count |= (p >> at & 1) << k
+    return count
+
+
+# the byte of each binary digit, as format(x, "b") spells them
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _lane_bytes(planes: list[int], width: int) -> bytes:
+    """The counts of the `width` lanes of a bit-sliced counter of at most
+    8 planes, one byte each."""
+    total = 0
+    for k, p in enumerate(planes):
+        digits = format(p, f"0{width}b").encode().translate(_DIGIT_BYTES)
+        total += int.from_bytes(digits, "big") << k
+    return total.to_bytes(width, "little")
 
 
 def _roof_bound(
-    size: tuple[int, int],
+    variables: int,
     top: int,
     terms: list[tuple[int, int, int]],
     best: int,
     tick,
 ) -> int:
-    """The roof dual of a two-row finish's joint count (_pair_closed),
-    rounded down: an upper bound on its maximum over all side choices
-    (Hammer, Hansen & Simeone 1984), equal to it when the count is
-    supermodular up to flipping some classes.
+    """The roof dual of a two-row finish's joint count
+    (_ParityChoiceSearch._finish_closed), rounded down: an upper bound on
+    its maximum over all side choices (Hammer, Hansen & Simeone 1984),
+    equal to it when the count is supermodular up to flipping some
+    classes.
 
     As a function of x (the side of each a-class) and y (of each
     b-class) the count is K + sum alpha_i x_i + sum beta_j y_j + sum
@@ -360,16 +388,19 @@ def _roof_bound(
     term a u is a u x0, where the literal x0 = 1 is the source and its
     complement the sink.  The count is at most minus the posiform's
     constant, lowered by the max flow; capacities are doubled here to
-    stay integral.  _pair_cell_pass gives the posiform for `size`
-    classes a side.  The flow is Dinic's, its augmenting paths found by
-    an iterative depth-first search; one phase is one tick, and the flow
-    stops as soon as the bound is at most `best`.
+    stay integral.  The finish gives the posiform over `variables`
+    classes, `top` minus its constant and its terms.  The flow is
+    Dinic's, its augmenting paths found by an iterative depth-first
+    search; one phase is one tick, and the flow stops as soon as the
+    bound is at most `best`.  Both searches follow the arcs in the order
+    of their terms and never compare node numbers, so numbering the
+    classes differently changes neither the bound nor the ticks.
     """
     # node 0 is the source and 1 the sink; a variable's literal is
     # 2 + 2v and its complement 3 + 2v, so complements differ in bit 0.
     # Each term (u, w, a) adds the arcs u -> w ^ 1 and w -> u ^ 1, each
     # followed by its residual twin, so arc e ^ 1 reverses arc e.
-    nodes = 2 * (size[0] + size[1]) + 2
+    nodes = 2 * variables + 2
     adj: list[list[int]] = [[] for _ in range(nodes)]
     head: list[int] = []
     cap: list[int] = []
@@ -390,10 +421,6 @@ def _roof_bound(
         level[0] = 0
         queue = [0]
         for u in queue:
-            if u == 1:
-                # a node at the sink's level or past it is on no
-                # shortest path to the sink
-                break
             nxt = level[u] + 1
             for e in adj[u]:
                 if cap[e]:
@@ -401,6 +428,11 @@ def _roof_bound(
                     if level[v] < 0:
                         level[v] = nxt
                         queue.append(v)
+            if level[1] >= 0:
+                # every node before the sink's level has its level, and
+                # one at that level or past it is on no shortest path to
+                # the sink, so the search need not label more
+                break
         if level[1] < 0:
             break
         # the blocking flow: each search follows, from every node, the
@@ -443,33 +475,6 @@ def _roof_bound(
     return top - (flow + 1) // 2
 
 
-def _pair_closed(
-    cells: list[tuple[int, int, list[list[int]]]],
-    size: tuple[int, int],
-    best: int,
-    tick,
-) -> bool:
-    """True when a bound shows that no side choice of the last two rows
-    beats `best`.
-
-    Each cell (ia, ib, m2) counts surviving vectors by their parity
-    against row a (side 0) and row b (side 1); choosing a side per
-    pattern class keeps one parity per class, so the cell keeps
-    m2[x][y] for the choices x of its a-class and y of its b-class;
-    `size` holds the numbers of a- and b-classes.  Two relaxations bound
-    the joint count: each a-class takes one side while every cell takes
-    the better side of b, and the transpose.  The finish is closed when
-    the smaller of the two is at most `best`, or else when the roof
-    bound (_roof_bound), never looser, is; one pass over the cells
-    (_pair_cell_pass) gives both.  It costs one tick, besides the
-    flow's.
-    """
-    tick()
-    s, top, terms = _pair_cell_pass(cells, size)
-    bound = min(sum(map(max, side)) for side in s)
-    return bound <= best or _roof_bound(size, top, terms, best, tick) <= best
-
-
 class _ParityChoiceSearch(_Engine):
     """Exact solution maximum by branching on per-row parity choices.
 
@@ -481,9 +486,10 @@ class _ParityChoiceSearch(_Engine):
     changes later classes of the same row, so within one row the bound
     updates in constant time from a precomputed suffix.  Every node of
     the last row but one is also bounded by the last two rows together
-    (_finish_closed, on their joint pattern cells), so the engine needs
-    at least two distinct rows; a node that bound does not close is
-    walked as any other.  Once only the last row is left, each of its
+    (_finish_closed, which counts their joint pattern cells in
+    bit-sliced planes over whole bitmaps), so the engine needs at least
+    two distinct rows; a node that bound does not close is walked as any
+    other.  Once only the last row is left, each of its
     classes keeps its larger side, which is exact.  All the branching is
     the walk's own, so a slice ends within a node of its stop.
 
@@ -502,16 +508,58 @@ class _ParityChoiceSearch(_Engine):
             classes = _star_classes(s, n, (a,))
             half = len(classes) // 2
             self.rows.append((a, s, list(zip(classes[half:], classes[:half]))))
-        # The cells of the two-row finish: the vectors of one pattern q on
-        # the last two rows' joint stars, split by their parities (x, y)
-        # against those rows.  Every finish counts them, so each vector's
-        # (q, x, y) is tabled once.
+        # The two-row finish counts the alive vectors of each pattern q on
+        # the last two rows' joint stars by their parities (x, y) against
+        # those rows: a bit-sliced counter with one lane per pattern, at
+        # bit q of block x + 2y of four blocks of 2^n bits (_cells).  A
+        # vector reaches its pattern's lane as its free coordinates, which
+        # neither row stars, fold away.  A free coordinate whose parities
+        # are independent of the earlier pivots' moves each vector to
+        # another cell, so a cell never meets two vectors across it, and
+        # an OR folds it (_pivots); the rest add (_adds).  Sums over the
+        # coordinates that only row b stars give a-class lanes (_to_a),
+        # and those only row a stars give b-class lanes (_to_b).
         (aa, sa, _), (ab, sb, _) = self.rows[-2:]
-        joint = sa | sb
-        self._cell_of = [
-            (u & joint, (aa & u).bit_count() & 1, (ab & u).bit_count() & 1)
-            for u in range(1 << n)
-        ]
+        size = 1 << n
+        pa, pb = _parity_bitmap(aa, n), _parity_bitmap(ab, n)
+        self._cells = (
+            self.full & ~pa & ~pb
+            | (pa & ~pb) << size
+            | (pb & ~pa) << 2 * size
+            | (pa & pb) << 3 * size
+        )
+        span = {0}
+        self._pivots, self._adds = [], []
+        for j in _bits(((1 << n) - 1) & ~(sa | sb)):
+            side = (aa >> j & 1) | (ab >> j & 1) << 1
+            fold = (1 << j, _half_mask(n + 2, j))
+            if side in span:
+                self._adds.append(fold)
+            else:
+                self._pivots.append(fold)
+                span |= {u ^ side for u in span}
+        self._to_a = [(1 << j, _half_mask(n + 2, j)) for j in _bits(sb & ~sa)]
+        self._to_b = [(1 << j, _half_mask(n + 2, j)) for j in _bits(sa & ~sb)]
+        self._free = sorted(self._pivots + self._adds)
+        # the lanes of block 0, of blocks 0 and 1, and of blocks 0 and 2
+        one = (1 << size) - 1
+        self._masks = one, (1 << 2 * size) - 1, one | one << 2 * size
+        # the roof network's literal of each a-class (keyed by its pattern
+        # on sa) and b-class (its pattern on sb, plus bit n), and both
+        # literals of each joint pattern
+        self._node = {}
+        for stars, mark in ((sa, 0), (sb, size)):
+            at = list(_bits(stars))
+            for w in range(1 << len(at)):
+                self._node[_spread(w, at) | mark] = 2 + 2 * len(self._node)
+        at = list(_bits(sa | sb))
+        self._pair = {}
+        for w in range(1 << len(at)):
+            q = _spread(w, at)
+            self._pair[q] = self._node[q & sa], self._node[q & sb | size]
+        # the vectors of a- (b-) class 0, shifted by i to give class i's
+        self._of_a = _vanishes_bitmap(sa, n)
+        self._of_b = _vanishes_bitmap(sb, n)
 
     def _row_sum(self, alive: int, classes, cap: int) -> int:
         total = 0
@@ -524,32 +572,174 @@ class _ParityChoiceSearch(_Engine):
         return total
 
     def _finish_closed(self, alive: int) -> bool:
-        # counts[q][x][y]: the alive vectors of cell (q, x, y), found a
-        # byte of alive at a time.  Patterns q come in order of their
-        # lowest alive vector, and a- and b-classes are numbered in the
-        # order that their first pattern comes.
-        cell_of = self._cell_of
-        sa = self.rows[-2][1]
-        sb = self.rows[-1][1]
-        counts: dict[int, list[list[int]]] = {}
-        pats_a: dict[int, int] = {}
-        pats_b: dict[int, int] = {}
-        cells = []
-        base = 0
-        for byte in alive.to_bytes((len(cell_of) + 7) >> 3, "little"):
-            if byte:
-                for j in _BYTE_BITS[byte]:
-                    q, x, y = cell_of[base + j]
-                    m2 = counts.get(q)
-                    if m2 is None:
-                        m2 = counts[q] = [[0, 0], [0, 0]]
-                        ia = pats_a.setdefault(q & sa, len(pats_a))
-                        ib = pats_b.setdefault(q & sb, len(pats_b))
-                        cells.append((ia, ib, m2))
-                    m2[x][y] += 1
-            base += 8
-        size = (len(pats_a), len(pats_b))
-        return _pair_closed(cells, size, self.best, self.clock.check)
+        """True when a bound shows that no side choice of the last two
+        rows beats the best.
+
+        Choosing a side per class keeps one parity per class, so pattern
+        q keeps its count c_xy of cell (x, y) for the side x of its
+        a-class and y of its b-class.  Two relaxations bound the joint
+        count: each a-class takes one side while every pattern takes the
+        better side y, and the transpose.  The finish is closed when the
+        smaller of the two is at most the best, or else when the roof
+        bound (_roof_bound), never looser, is.  The counts are bit-sliced
+        counters over whole bitmaps, and the relaxations are lane-wise
+        maxima, folds to class lanes and popcounts, with no loop per cell
+        or class.  The roof network's terms come in the order that a
+        count one vector at a time meets them: its products, one per
+        pattern with q = c00 + c11 - c01 - c10 nonzero, in order of the
+        pattern's lowest alive vector, then its linear terms, one per
+        class with a nonzero alpha (beta), a-classes first, each in order
+        of the class's lowest alive vector.  Where at least half the alive
+        patterns have q nonzero, one pass over them builds it
+        (_every_pattern); elsewhere only the few lanes are read
+        (_nonzero_lanes).  It costs one tick, besides the flow's.
+        """
+        self.clock.check()
+        best = self.best
+        size = 1 << self.n
+        one, two, even = self._masks
+        w = alive | alive << size
+        w = (w | w << 2 * size) & self._cells
+        for s, zero in self._pivots:
+            w = (w | w >> s) & zero
+        c = _fold([w], self._adds)
+        # each relaxation is at least the count of either side for all
+        # its classes, so it is folded to class lanes only when both are
+        # at most best
+        m = _max_halves(c, two, 2 * size)
+        low = _total(m, one)
+        if low <= best and _total(m) - low <= best:
+            if _total(_max_halves(_fold(m, self._to_a), one, size)) <= best:
+                return True
+        m = _max_halves(c, even, size)
+        low = _total(m, one)
+        if low <= best and _total(m) - low <= best:
+            if _total(_max_halves(_fold(m, self._to_b), one, 2 * size)) <= best:
+                return True
+        # The roof network: as a function of the sides x and y, the count
+        # is sum c00 + sum alpha_i x_i + sum beta_j y_j + sum q x_i y_j,
+        # with q = c00 + c11 - c01 - c10 per pattern, alpha_i the sum of
+        # max(c10 - c00, c11 - c01) over the patterns of a-class i (its
+        # c10 - c00 and its positive q), and beta_j that of c01 - c00.
+        # each pattern's lowest alive vector: alive without the vectors
+        # above another of their pattern
+        after = 0
+        seen = alive
+        for s, zero in self._free:
+            low = (seen & zero) << s
+            after |= low
+            seen |= low | (seen >> s & zero)
+        firsts = alive & ~after
+        # the patterns with q nonzero: with c11 moved to block 1 and c10,
+        # c01 to blocks 2, 3, a fold gives c00 + c11 and c10 + c01
+        moved = [p & one | p >> 2 * size & one << size | p << size & two << 2 * size for p in c]
+        lanes = 0
+        for p in _fold(moved, [(size, even)]):
+            lanes |= (p ^ p >> 2 * size) & one
+        if len(c) <= 8 and 2 * lanes.bit_count() >= firsts.bit_count():
+            top, terms = self._every_pattern(c, firsts)
+        else:
+            top, terms = self._nonzero_lanes(alive, c, firsts, lanes)
+        return _roof_bound(len(self._node), top, terms, best, self.clock.check) <= best
+
+    def _every_pattern(self, c: list[int], firsts: int) -> tuple[int, list[tuple[int, int, int]]]:
+        """The roof network's top and terms in one pass over the alive
+        patterns, for a finish where at least half of them have q
+        nonzero: their counts are read from bytes, and each class's alpha
+        (beta) comes with its first pattern."""
+        size = 1 << self.n
+        counts = _lane_bytes(c, 4 * size)
+        joint = self.rows[-2][1] | self.rows[-1][1]
+        pair = self._pair
+        alpha: defaultdict[int, int] = defaultdict(int)
+        beta: defaultdict[int, int] = defaultdict(int)
+        top = _total(c, self._masks[0])
+        terms = []
+        for u in _bits(firsts):
+            i = u & joint
+            c00 = counts[i]
+            c10 = counts[size + i]
+            c01 = counts[2 * size + i]
+            c11 = counts[3 * size + i]
+            a, b = pair[i]
+            beta[b] += c01 - c00
+            v = c00 + c11 - c01 - c10
+            if v < 0:
+                terms.append((a, b, -v))
+                v = 0
+            elif v > 0:
+                # in the negation, -q x y = -q x + q x (not y)
+                terms.append((a, b + 1, v))
+            alpha[a] += c10 - c00 + v
+        for linear in (alpha, beta):
+            for u, v in linear.items():
+                if v > 0:
+                    top += v
+                    terms.append((u + 1, 0, v))
+                elif v < 0:
+                    terms.append((u, 0, -v))
+        return top, terms
+
+    def _nonzero_lanes(
+        self, alive: int, c: list[int], firsts: int, lanes: int
+    ) -> tuple[int, list[tuple[int, int, int]]]:
+        """The roof network's top and terms from bit-sliced counters, for
+        a finish where few patterns have q nonzero (`lanes`): only their
+        lanes are read, and those of the classes whose alpha (beta) can be
+        nonzero."""
+        size = 1 << self.n
+        one, two, even = self._masks
+        sa, sb = self.rows[-2][1], self.rows[-1][1]
+        terms = []
+        gain: dict[int, int] = {}  # the positive q of each a-class
+        for s, _ in self._free:
+            lanes |= lanes << s
+        firsts &= lanes
+        while firsts:
+            low = firsts & -firsts
+            firsts ^= low
+            i = (low.bit_length() - 1) & (sa | sb)
+            v = 0
+            for k, p in enumerate(c):
+                x = p >> i
+                v += ((x & 1) + (x >> 3 * size & 1) - (x >> size & 1) - (x >> 2 * size & 1)) << k
+            u, w = self._pair[i]
+            if v < 0:
+                terms.append((u, w, -v))
+            else:
+                # in the negation, -q x y = -q x + q x (not y)
+                terms.append((u, w + 1, v))
+                gain[i & sa] = gain.get(i & sa, 0) + v
+        top = _total(c, one)
+        # alpha_i is c10 - c00 summed over a-class i, plus its gain, and
+        # beta_j is c01 - c00 summed over b-class j; a class where neither
+        # sum differs and no gain comes has none
+        for sums, shift, of, mark, extra in (
+            (_fold([p & two for p in c], self._to_a), size, self._of_a, 0, gain),
+            (_fold([p & even for p in c], self._to_b), 2 * size, self._of_b, size, {}),
+        ):
+            lanes = 0
+            for p in sums:
+                lanes |= (p ^ p >> shift) & one
+            for i in extra:
+                lanes |= 1 << i
+            found = []
+            while lanes:
+                low = lanes & -lanes
+                lanes ^= low
+                i = low.bit_length() - 1
+                v = _lane(sums, i + shift) - _lane(sums, i) + extra.get(i, 0)
+                if v:
+                    first = alive & of << i
+                    found.append((first & -first, i, v))
+            for _, i, v in sorted(found):
+                u = self._node[i | mark]
+                if v > 0:
+                    top += v
+                    terms.append((u + 1, 0, v))
+                else:
+                    terms.append((u, 0, -v))
+        return top, terms
 
     def resume(self, stop: int | None) -> bool:
         # The stack holds the walks still to run, each as (alive, ri,

@@ -149,6 +149,14 @@ def test_row_min_rank_frozen_values():
     assert code_row_min_rank(CodeMatrixSpec(4, 3)) == 3
 
 
+def test_row_min_rank_stops_at_n_minus_1():
+    # the repetition code has distance n > r, so min rank is at most
+    # n - 1 and no larger row set stays independent; the search stops
+    # there, where it ran past 5 s on (8, 7) and (9, 8)
+    for n, r in ((7, 6), (8, 7), (9, 8)):
+        assert code_row_min_rank(CodeMatrixSpec(n, r)) == n - 1
+
+
 def test_row_min_rank_past_n6_searches_a_block_sample():
     # (7, 1) has 7 blocks, at most the 12 sampled, so it searches them
     # all and meets the full matrix's value; (7, 2), (8, 2) and (7, 3)

@@ -693,6 +693,32 @@ def test_star_free_rows_join_the_basis_with_the_same_count():
     assert leading > 500 and trailing > 500
 
 
+def test_the_independence_search_starts_at_the_star_free_rank(monkeypatch):
+    # independent star-free rows stay independent in every completion, so
+    # the largest independent set starts at their rank: the same value as
+    # a search that starts at 0, at every stop, on seeded random rows
+    rng = random.Random(2047)
+    below = met = 0
+    for _ in range(1500):
+        n = rng.randint(1, 10)
+        rows = []
+        for _ in range(rng.randint(1, 9)):
+            s = rng.getrandbits(n) & rng.getrandbits(n) if rng.random() < 0.5 else 0
+            rows.append((rng.getrandbits(n) & ~s, s))
+        rows = list(dict.fromkeys(rows))
+        start = len(rref(a for a, s in rows if not s))
+        for stop in range(1, len(rows) + 2):
+            got = partial._max_independent_rows(rows, partial._Deadline(None, 0), stop)
+            with monkeypatch.context() as m:
+                m.setattr(partial, "rref", lambda vectors: ())
+                assert partial._max_independent_rows(rows, partial._Deadline(None, 0), stop) == got
+        best = max_independent_rows(rows)
+        assert best == reference_max_independent_rows(rows)
+        below += 0 < start < best
+        met += 0 < start == best
+    assert below > 100 and met > 100
+
+
 def test_min_rank_of_a_wide_identity_is_plain_rank():
     # 25 distinct columns leave no column floor, so the rank side refutes
     # targets 0 to 23, each cut at its root by the star-free count

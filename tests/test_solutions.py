@@ -973,26 +973,47 @@ def _random_cell_sets():
             yield cells, na, nb, top, best
 
 
-def test_pair_closed_never_closes_a_beatable_cell_set():
-    # a two-row finish closes only when no side choice beats best; that
-    # each bound it closes on is at least the maximum is pinned by
-    # test_roof_bound_on_random_cell_sets
-    beatable = closed = 0
-    for cells, na, nb, top, best in _random_cell_sets():
-        shut = solutions._pair_closed(cells, (na, nb), best, lambda: None)
-        if top > best:
-            assert not shut
-            beatable += 1
-        closed += shut
-    assert beatable > 600 and closed > 300
+def _cell_pass(cells, size):
+    """A two-row finish's posiform, one cell at a time: the relaxations'
+    sums s[side][i][v], the count that class i of that side keeps on side
+    v when every cell takes the better side of the other row; then the
+    roof network's top and terms, with a-class i as variable i and
+    b-class j as variable na + j."""
+    na = size[0]
+    s = [[[0, 0] for _ in range(k)] for k in size]
+    alpha = [0] * (na + size[1])
+    top = 0
+    terms = []
+    for ia, ib, ((c00, c01), (c10, c11)) in cells:
+        s[0][ia][0] += max(c00, c01)
+        s[0][ia][1] += max(c10, c11)
+        s[1][ib][0] += max(c00, c10)
+        s[1][ib][1] += max(c01, c11)
+        top += c00
+        jb = na + ib
+        alpha[ia] += c10 - c00
+        alpha[jb] += c01 - c00
+        q = c00 + c11 - c01 - c10
+        if q < 0:
+            terms.append((2 + 2 * ia, 2 + 2 * jb, -q))
+        elif q > 0:
+            alpha[ia] += q
+            terms.append((2 + 2 * ia, 3 + 2 * jb, q))
+    for v, a in enumerate(alpha):
+        if a > 0:
+            top += a
+            terms.append((3 + 2 * v, 0, a))
+        elif a < 0:
+            terms.append((2 + 2 * v, 0, -a))
+    return s, top, terms
 
 
 def test_roof_bound_on_random_cell_sets():
     exact = 0
     for cells, na, nb, top, best in _random_cell_sets():
-        # the two relaxations that _pair_closed checks: each a-class
-        # (then each b-class) takes one side, every cell the best of the
-        # other side
+        # the two relaxations that the finish checks: each a-class (then
+        # each b-class) takes one side, every cell the best of the other
+        # side
         by_a = [[0, 0] for _ in range(na)]
         by_b = [[0, 0] for _ in range(nb)]
         for ia, ib, m2 in cells:
@@ -1000,12 +1021,12 @@ def test_roof_bound_on_random_cell_sets():
                 by_a[ia][v] += max(m2[v])
                 by_b[ib][v] += max(m2[0][v], m2[1][v])
         relaxed = min(sum(map(max, by_a)), sum(map(max, by_b)))
-        s, *network = solutions._pair_cell_pass(cells, (na, nb))
+        s, *network = _cell_pass(cells, (na, nb))
         assert s == [by_a, by_b]
-        roof = solutions._roof_bound((na, nb), *network, -1, lambda: None)
+        roof = solutions._roof_bound(na + nb, *network, -1, lambda: None)
         assert top <= roof <= relaxed
         # stopped early, the flow still decides the comparison with best
-        early = solutions._roof_bound((na, nb), *network, best, lambda: None)
+        early = solutions._roof_bound(na + nb, *network, best, lambda: None)
         assert (early <= best) == (roof <= best)
         # flipping b-class j negates the interactions of its cells; when
         # every b-class sees one sign, the function is supermodular after
@@ -1040,41 +1061,119 @@ def _cells_by_vector(alive, rowa, rowb):
     return cells, (len(pats_a), len(pats_b))
 
 
+def _by_first_use(terms):
+    # the roof bound follows its arcs in the order of the terms and never
+    # compares node numbers, so two term lists that agree once each
+    # variable is renumbered by its first use give the same bound and ticks
+    ids = {}
+
+    def lit(x):
+        return x if x < 2 else 2 + 2 * ids.setdefault(x >> 1, len(ids)) + (x & 1)
+
+    return [(lit(u), lit(w), a) for u, w, a in terms]
+
+
+def _finish_engine(rng, n, k):
+    """A parity engine whose last two rows have k joint stars between
+    them, each at most 6, sharing some when k allows."""
+    joint = rng.sample(range(n), k)
+    cut = rng.randint(max(0, k - 6), min(6, k))
+    sa = sum(1 << j for j in joint[:cut])
+    sb = sum(1 << j for j in joint[cut:] + rng.sample(joint[:cut], min(cut, 6 + cut - k)))
+    rows = []
+    while len(set(rows)) < 2:
+        rows = []
+        for s in (sa, sb):
+            free = ((1 << n) - 1) & ~s
+            rows.append((rng.randint(1, free) & free or free & -free, s))
+    A = PartialMatrix(n, tuple(a for a, _ in rows), tuple(s for _, s in rows))
+    engine = solutions._ParityChoiceSearch(_prepare_rows(A)[0], A.n, 0, None)
+    assert (engine.rows[-2][1] | engine.rows[-1][1]).bit_count() == k
+    return engine
+
+
 def test_finish_cells_match_a_count_per_vector(monkeypatch):
-    # the parity engine counts its two-row finish's cells from a table of
-    # each vector's cell, built once, walking alive a byte at a time; the
-    # cells and their order are those of a count one vector at a time,
-    # with up to 12 joint stars
+    # the parity engine counts its two-row finish in bit-sliced planes
+    # over whole bitmaps; its decision, its roof network (top and terms,
+    # in order) and its ticks are those of a count one vector at a time
+    # and a pass over the cells, with up to 12 joint stars, on full,
+    # random and sparse alive sets, and best at and around both bounds.
+    # Both ways of building the network run: one pass over the patterns
+    # where most have q nonzero, the lanes of the few otherwise.
     rng = random.Random(131)
-    passed = []
-    real = solutions._pair_cell_pass
+    networks = []
+    real = solutions._roof_bound
 
-    def spy(cells, size):
-        passed.append((cells, size))
-        return real(cells, size)
+    def spy(variables, top, terms, best, tick):
+        networks.append((top, _by_first_use(terms)))
+        return real(variables, top, terms, best, tick)
 
-    monkeypatch.setattr(solutions, "_pair_cell_pass", spy)
+    monkeypatch.setattr(solutions, "_roof_bound", spy)
+    built = {"dense": 0, "sparse": 0}
+    for name, method in (("dense", "_every_pattern"), ("sparse", "_nonzero_lanes")):
+        def counted(self, *args, _name=name, _real=getattr(solutions._ParityChoiceSearch, method)):
+            built[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(solutions._ParityChoiceSearch, method, counted)
+    checked = closed = 0
     for n in (8, 10, 12):
         for k in range(1, min(n, 12) + 1):
-            joint = rng.sample(range(n), k)
-            cut = rng.randint(max(0, k - 6), min(6, k))
-            sa = sum(1 << j for j in joint[:cut])
-            sb = sum(1 << j for j in joint[cut:] + rng.sample(joint[:cut], min(cut, 6 + cut - k)))
-            rows = []
-            while len(set(rows)) < 2:
-                rows = []
-                for s in (sa, sb):
-                    free = ((1 << n) - 1) & ~s
-                    rows.append((rng.randint(1, free) & free or free & -free, s))
-            A = PartialMatrix(n, tuple(a for a, _ in rows), tuple(s for _, s in rows))
-            engine = solutions._ParityChoiceSearch(_prepare_rows(A)[0], A.n, 0, None)
+            engine = _finish_engine(rng, n, k)
             rowa, rowb = ((a, s) for a, s, _ in engine.rows[-2:])
-            assert (rowa[1] | rowb[1]).bit_count() == k
             full = (1 << (1 << n)) - 1
-            for alive in (full, rng.getrandbits(1 << n), rng.getrandbits(1 << n) & rng.getrandbits(1 << n)):
-                engine.best = -1
-                assert not engine._finish_closed(alive)
-                assert passed[-1] == _cells_by_vector(alive, rowa, rowb)
+            for alive in (
+                full,
+                rng.getrandbits(1 << n),
+                rng.getrandbits(1 << n) & rng.getrandbits(1 << n),
+                rng.getrandbits(1 << n) & rng.getrandbits(1 << n) & rng.getrandbits(1 << n),
+            ):
+                cells, size = _cells_by_vector(alive, rowa, rowb)
+                s, top, terms = _cell_pass(cells, size)
+                relaxed = min(sum(map(max, side)) for side in s)
+                roof = real(size[0] + size[1], top, terms, -1, lambda: None)
+                for best in sorted({-1, relaxed - 1, relaxed, roof - 1, roof}):
+                    if relaxed <= best:
+                        want = (True, [], 1)
+                    else:
+                        ticks = []
+                        shut = real(size[0] + size[1], top, terms, best, lambda: ticks.append(1)) <= best
+                        want = (shut, [(top, _by_first_use(terms))], 1 + len(ticks))
+                    networks.clear()
+                    engine.best = best
+                    before = engine.clock.ticks
+                    shut = engine._finish_closed(alive)
+                    assert (shut, networks, engine.clock.ticks - before) == want
+                    checked += 1
+                    closed += shut
+    assert checked > 400 and 0 < closed < checked
+    assert built["dense"] > 50 and built["sparse"] > 50
+
+
+def test_a_finish_never_closes_a_beatable_choice():
+    # a two-row finish closes only when no side choice of the last two
+    # rows beats best: on small engines, against the maximum over every
+    # choice; that each bound it closes on is at least that maximum is
+    # pinned by test_roof_bound_on_random_cell_sets
+    rng = random.Random(97)
+    beatable = closed = 0
+    for _ in range(300):
+        n = rng.randint(4, 7)
+        engine = _finish_engine(rng, n, rng.randint(1, min(4, n - 2)))
+        rowa, rowb = ((a, s) for a, s, _ in engine.rows[-2:])
+        if (1 << rowa[1].bit_count()) + (1 << rowb[1].bit_count()) > 8:
+            continue
+        alive = rng.getrandbits(1 << n) | rng.getrandbits(1 << n)
+        cells, (na, nb) = _cells_by_vector(alive, rowa, rowb)
+        top = max(_total(cells, pick[:na], pick[na:]) for pick in product((0, 1), repeat=na + nb))
+        for best in range(max(0, top - 3), top + 2):
+            engine.best = best
+            shut = engine._finish_closed(alive)
+            if top > best:
+                assert not shut
+                beatable += 1
+            closed += shut
+    assert beatable > 150 and closed > 100
 
 
 def test_the_last_row_keeps_the_larger_side_of_each_class():
@@ -1304,13 +1403,13 @@ def test_single_row_sums_skip_every_finish_of_113(monkeypatch):
     # without that check).  opt_exact also runs the relaxed engine on
     # three of A's rows, whose finishes do reach the two-row bound.
     calls = []
-    real = solutions._pair_closed
+    real = solutions._ParityChoiceSearch._finish_closed
 
-    def counted(*args):
+    def counted(self, alive):
         calls.append(None)
-        return real(*args)
+        return real(self, alive)
 
-    monkeypatch.setattr(solutions, "_pair_closed", counted)
+    monkeypatch.setattr(solutions._ParityChoiceSearch, "_finish_closed", counted)
     A = list(_random_matrices(4, 8, 114, 0))[113]
     assert _reaches_search(A) and _ready(A)
     _, W = min_rank_completion(A)
@@ -1427,13 +1526,13 @@ def test_a_finish_past_its_root_on_27(monkeypatch):
     A = list(_random_matrices(4, 8, 28, 1))[27]
     assert _reaches_search(A) and _ready(A)
     closed = []
-    real = solutions._pair_closed
+    real = solutions._ParityChoiceSearch._finish_closed
 
-    def spy(*args):
-        closed.append(real(*args))
+    def spy(self, alive):
+        closed.append(real(self, alive))
         return closed[-1]
 
-    monkeypatch.setattr(solutions, "_pair_closed", spy)
+    monkeypatch.setattr(solutions._ParityChoiceSearch, "_finish_closed", spy)
     limit = sys.getrecursionlimit()
     value, sol = opt_exact(A)
     assert value == 40 and sol.size == 40 and is_solution(A, sol)
