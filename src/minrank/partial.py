@@ -22,6 +22,7 @@ from .gf2 import (
     _pack,
     _ratio_bound,
     _spread,
+    _weight_classes,
     dot,
     reduce_vector,
     rref,
@@ -554,10 +555,11 @@ class _Completed:
     completion) and the worklist as completed.
     The core's forbidden set K and ratio bound (Delsarte's and
     Plotkin's bounds on the weight classes K holds whole,
-    gf2._ratio_bound) are built the first time the race or opt_exact
-    reads them, so min_rank followed by opt_exact or report builds each
-    once per matrix.  A keeps its record (A._record) while it lives; an
-    equal but distinct matrix completes on its own.  The answer does not
+    gf2._ratio_bound) are built the first time the column floor, the
+    race or opt_exact reads them, so min_rank followed by opt_exact or
+    report builds each once per matrix; the floor reads this K on every
+    core up to _SUBSET_ROWS columns wide.  A keeps its record (A._record)
+    while it lives; an equal but distinct matrix completes on its own.  The answer does not
     depend on the deadline, so the record is exact, and a call refused
     by its deadline stores neither the floor nor the answer.
     """
@@ -595,8 +597,9 @@ def min_rank_completion(
 
     Exact: iterative deepening on the target rank, so the first target
     that admits a completion is the minimum.  Deepening starts at
-    col_min_rank(A), a proven lower bound, searched for under the same
-    deadline (0 past its cap).  Two exact deciders race on
+    col_min_rank(A), a proven lower bound: the dimension of the largest
+    coordinate subspace inside K, read off K with no search
+    (_column_floor; 0 past its cap).  Two exact deciders race on
     each target t:
 
     * the rank side, _RankSide, a depth-first search for the
@@ -646,12 +649,12 @@ def min_rank_completion(
 
 
 def _complete(rec: _Completed, deadline: float | None):
-    """min_rank_completion's search: stores the column floor and the
-    answer in rec.  The floor search (_column_floor) reads the race's
-    clock for its deadline but takes no tick, so no tick depends on it."""
+    """min_rank_completion's search: stores the column floor
+    (_column_floor, read off K before the race) and the answer in rec,
+    together, once the race ends."""
     rows, n = rec.rows, rec.core.n
+    column_floor = _column_floor(rec.A)
     clock = _Deadline(deadline, n)
-    column_floor = _column_floor(rec.A, clock)
     floor = column_floor or 0
 
     def decide(target: int):
@@ -861,22 +864,60 @@ def _distinct_rows(A: PartialMatrix) -> list[tuple[int, int]]:
 
 
 def row_min_rank(A: PartialMatrix) -> int:
-    """Largest number of independent rows; a lower bound for min_rank."""
-    rows = _distinct_rows(A)
-    if len(rows) > _SUBSET_ROWS:
-        raise LimitError(f"row search over {len(rows)} distinct rows exceeds {_SUBSET_ROWS}")
-    return max_independent_rows(rows)
+    """Largest number of rows that stay independent in every completion;
+    a lower bound for min_rank: col_min_rank of the transpose."""
+    return col_min_rank(A.transpose())
 
 
 def col_min_rank(A: PartialMatrix) -> int:
-    """Largest number of independent columns; a lower bound for min_rank."""
-    return row_min_rank(A.transpose())
+    """Largest number of columns that stay independent in every
+    completion; a lower bound for min_rank.
+
+    A set C of columns stays independent in every completion iff every
+    nonzero x supported on C lies in the forbidden set K: a completion
+    maps x to zero unless some row vanishes on its stars at x and is odd
+    against its fixed ones.  So the floor is the dimension of the
+    largest coordinate subspace inside K | {0}, read with no search:
+    after one subset-AND pass per coordinate, bit C of H = K | 1 says
+    that every subset of C lies in K | {0}, and the floor is the largest
+    weight H keeps: H holds every subset of what it holds, so the first
+    weight it misses ends the scan.  Equal columns never both stay
+    independent, nor does their sum lie in K, so K is the core's own
+    (A._record.K), which min_rank and opt_exact read too, unless the
+    core is wider than _SUBSET_ROWS columns; then it is that of A's
+    distinct nonzero columns.  It refuses past _SUBSET_ROWS distinct
+    columns, the all-zero one counted, before it builds anything, so no
+    K wider than that is built for it.
+    """
+    if A.n > _SUBSET_ROWS:
+        cols = list(dict.fromkeys(_columns(A.ones + A.stars, A.n)))
+        if len(cols) > _SUBSET_ROWS:
+            raise LimitError(f"row search over {len(cols)} distinct rows exceeds {_SUBSET_ROWS}")
+    rec = A._record
+    n = rec.core.n
+    if n <= _SUBSET_ROWS:
+        K = rec.K
+    else:  # A.n > _SUBSET_ROWS too: the rows of A's distinct nonzero columns
+        cols = [c for c in cols if c]
+        lines, n = _columns(tuple(cols), 2 * A.m), len(cols)  # ones, then stars
+        K = _forbidden_bitmap(zip(lines[: A.m], lines[A.m :]), n)
+    H = K | 1
+    for j in range(n):
+        z = _half_mask(n, j)
+        H &= z | (H & z) << (1 << j)
+    classes = _weight_classes(n)
+    w = 0
+    while w < n and H & classes[w + 1]:
+        w += 1
+    return w
 
 
-def _column_floor(A: PartialMatrix, clock: _Deadline) -> int | None:
-    """col_min_rank(A) under the clock's deadline, or None past its cap."""
-    cols = _distinct_rows(A.transpose())
-    return None if len(cols) > _SUBSET_ROWS else _max_independent_rows(cols, clock, len(cols))
+def _column_floor(A: PartialMatrix) -> int | None:
+    """col_min_rank(A), or None past its cap."""
+    try:
+        return col_min_rank(A)
+    except LimitError:
+        return None
 
 
 # ---------------------------------------------------------------------------

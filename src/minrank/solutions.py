@@ -879,8 +879,11 @@ def opt_exact(
     2^(n - col_min_rank), the ratio bound (_ratio_bound), and a coset
     certificate, a subspace U of dimension min_rank whose nonzero members
     all lie in the forbidden set (_coset_basis): its cosets are cliques,
-    so opt <= 2^(n - min_rank) = lin.  The ratio bound is 2^n unless K
-    holds whole Hamming weight classes W, and then the smaller of
+    so opt <= 2^(n - min_rank) = lin.  The column bound is the coset
+    certificate's coordinate-subspace case: the record's column floor is
+    the dimension of the largest coordinate subspace inside K.  The
+    ratio bound is 2^n unless K holds whole Hamming weight classes W,
+    and then the smaller of
     Delsarte's LP bound on codes avoiding the distances W, whose dual is
     checked exactly before it is used, and Plotkin's bound on codes of
     the least distance outside W.  On code

@@ -404,22 +404,120 @@ def test_star_free_vectors_keep_no_subset_sums():
     assert max_independent_rows(starred + units[:18]) == 19
 
 
-def test_the_column_floor_stops_at_the_deadline():
-    # 20 distinct columns: col_min_rank searches them all, before the race
-    M = (
-        "1110*1101110011101*0\n11100*0110*01101*010\n01*01101010001000*11\n"
-        "00010110011001111010\n11100100000001011101\n10000101110011110011\n"
-        "0101111110*00111100*\n101*1101000101011110\n0000010011110000011*\n"
-        "10111010100*010*1000\n11111011110*00110010\n00111100111100011111\n"
-        "00101*11*1100*111100\n"
-    )
-    A = parse_pmx(M)
+# 13 x 20, 20 distinct columns; its column floor is its min rank, 11
+WIDE_13x20 = (
+    "1110*1101110011101*0\n11100*0110*01101*010\n01*01101010001000*11\n"
+    "00010110011001111010\n11100100000001011101\n10000101110011110011\n"
+    "0101111110*00111100*\n101*1101000101011110\n0000010011110000011*\n"
+    "10111010100*010*1000\n11111011110*00110010\n00111100111100011111\n"
+    "00101*11*1100*111100\n"
+)
+
+
+def test_the_column_floor_of_20_distinct_columns_settles_min_rank():
+    # the floor is read off K, with no search over the 20 columns, and
+    # min_rank settles at it, both well within the deadline
+    deadline = time.monotonic() + 0.5
+    assert col_min_rank(parse_pmx(WIDE_13x20)) == 11
+    assert min_rank(parse_pmx(WIDE_13x20), deadline) == 11
+    assert time.monotonic() < deadline
+
+
+def test_a_refused_min_rank_stores_neither_floor_nor_answer():
+    # code (13, 2) refutes its column floor, 2, past any short deadline
+    A = code_matrix(CodeMatrixSpec(13, 2))
     deadline = time.monotonic() + 0.5
     with pytest.raises(LimitError, match="deadline"):
         min_rank(A, deadline)
     assert time.monotonic() < deadline + 1
     # a refused call stores neither the floor nor the answer
     assert A._record.column_floor is None and A._record.answer is None
+
+
+def searched_column_floor(A):
+    """col_min_rank(A) by the subset search over A's distinct columns."""
+    return max_independent_rows(partial._distinct_rows(A.transpose()))
+
+
+def completed_column_floor(A):
+    """The most columns independent in every completion, by enumeration."""
+    completions = list(enumerate_completions(A))
+    best = 0
+    for C in range(1, 1 << A.n):
+        k = C.bit_count()
+        if k > best and all(rank(GF2Matrix(A.n, tuple(r & C for r in M.rows))) == k for M in completions):
+            best = k
+    return best
+
+
+def with_columns(A, picks):
+    """A's columns picks[0], picks[1], ...; None picks an all-zero column."""
+    cols = A.transpose()
+    T = PartialMatrix(
+        A.m,
+        tuple(0 if j is None else cols.ones[j] for j in picks),
+        tuple(0 if j is None else cols.stars[j] for j in picks),
+    )
+    return T.transpose()
+
+
+def star_heavy(rng, m, n, p):
+    ones, stars = [], []
+    for _ in range(m):
+        a = s = 0
+        for j in range(n):
+            u = rng.random()
+            if u < p:
+                s |= 1 << j
+            elif u < (1 + p) / 2:
+                a |= 1 << j
+        ones.append(a)
+        stars.append(s)
+    return PartialMatrix(n, tuple(ones), tuple(stars))
+
+
+def test_the_column_floor_read_off_k_matches_the_search():
+    rng = random.Random(61)
+    cases = [random_matrix(rng, m, n) for m, n in [(4, 8), (5, 10), (6, 12)] for _ in range(25)]
+    cases += [star_heavy(rng, rng.randint(10, 24), rng.randint(4, 9), 0.6) for _ in range(25)]
+    cases += [star_heavy(rng, rng.randint(3, 8), rng.randint(14, 20), 0.3) for _ in range(15)]
+    for _ in range(40):
+        A = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 8))
+        picks = [rng.choice([*range(A.n), None]) for _ in range(rng.randint(1, 12))]
+        cases.append(with_columns(A, picks))
+    for A in cases:
+        assert col_min_rank(A) == searched_column_floor(A)
+    for _ in range(60):
+        A = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+        assert col_min_rank(A) == completed_column_floor(A) == searched_column_floor(A)
+
+
+def test_the_column_floor_cap_counts_distinct_columns_and_the_zero_one():
+    # column j < 20 reads j + 1 in binary over 5 rows: 20 distinct used
+    # columns, then an all-zero column makes 21, which is refused
+    A = PartialMatrix(21, tuple(sum(((j + 1) >> i & 1) << j for j in range(20)) for i in range(5)), (0,) * 5)
+    with pytest.raises(LimitError, match="21 distinct rows exceeds 20"):
+        col_min_rank(A)
+    with pytest.raises(LimitError, match="21 distinct rows exceeds 20"):
+        row_min_rank(A.transpose())
+    assert min_rank(A) == 5 and A._record.column_floor is None
+    # a 22-column core with 20 distinct columns, and the same with one
+    # used column swapped for an all-zero one, still get a floor
+    core = with_columns(A, [*range(20), 3, 7])
+    zero = with_columns(A, [*range(19), None, 3, 7])
+    for B in (core, zero):
+        assert col_min_rank(B) == searched_column_floor(B) == 5
+        assert min_rank(B) == 5 and B._record.column_floor == 5
+    assert core._record.core.n == 22 and zero._record.core.n == 21
+
+
+def test_the_column_floor_of_40_x_20_takes_no_search():
+    # a subset search over the 20 columns takes seconds here; reading
+    # the floor off K takes milliseconds
+    A = star_heavy(random.Random(0), 40, 20, 0.2)
+    start = time.perf_counter()
+    assert col_min_rank(A) == 13
+    assert time.perf_counter() - start < 0.5
 
 
 def test_row_and_col_min_rank_never_exceed_min_rank():

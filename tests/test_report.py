@@ -78,9 +78,9 @@ def test_report_reads_col_min_rank_from_the_completion(monkeypatch, fresh):
     calls = []
     real = partial._column_floor
 
-    def counted(A, clock):
+    def counted(A):
         calls.append(A.n)
-        return real(A, clock)
+        return real(A)
 
     monkeypatch.setattr(partial, "_column_floor", counted)
     # 3 x 22, column j reading j in base 3 (0, 1, *): 22 distinct
